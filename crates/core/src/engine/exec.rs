@@ -184,7 +184,11 @@ impl Engine {
                 // the next kernel — all of which push and emit probes:
                 // flush deferred data-path work to preserve serial order.
                 self.flush_mem_batch()?;
-                self.blocks[b].warps[w].phase = WarpPhase::Finished;
+                let warp = &mut self.blocks[b].warps[w];
+                warp.phase = WarpPhase::Finished;
+                // The stream is spent: free it now, not when the block
+                // retires or the next kernel launches.
+                warp.release_stream();
                 self.warps_retired += 1;
                 if self.blocks[b].all_finished() {
                     self.retire_block(b)?;
@@ -422,6 +426,8 @@ impl Engine {
     fn retire_block(&mut self, b: usize) -> Result<(), SimError> {
         let sm = self.block_sm[b];
         self.blocks[b].residency = BlockResidency::Retired;
+        // Nothing reads a retired block's warps; drop their contexts.
+        self.blocks[b].warps = Vec::new();
         self.sms[sm].remove(b, self.clock)?;
         self.blocks_retired += 1;
         self.blocks_remaining -= 1;

@@ -13,7 +13,8 @@
 //! its state depends on global access order).
 //!
 //! What *is* embarrassingly parallel is building warp access streams
-//! (≈40% of BFS simulation time). Stream construction is a pure function
+//! (25–54 % of a run's host time before streams were packed, by the
+//! `batbench` layer split). Stream construction is a pure function
 //! of `(block, warp)` over the kernel's shared immutable data ([`Kernel`]
 //! is `Send + Sync` and `warp_stream` is required to be call-order
 //! independent), and every grid block is activated exactly once before

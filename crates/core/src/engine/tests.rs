@@ -1,6 +1,9 @@
 use super::*;
+use batmem_sim::ops::{AccessStream, BoxedStream, WarpOp};
 use batmem_types::policy::{EvictionPolicy, PolicyConfig, PrefetchPolicy, SwitchTrigger, ToConfig};
+use batmem_types::{BlockId, KernelId};
 use batmem_workloads::synthetic::{SharedPages, Strided};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn no_prefetch(mut p: PolicyConfig) -> PolicyConfig {
     p.prefetch = PrefetchPolicy::None;
@@ -157,6 +160,115 @@ fn sharded_run_matches_serial_on_unit_tests_shape() {
             format!("{sharded:?}"),
             "metrics diverged at {threads} threads"
         );
+    }
+}
+
+/// Live warp streams of a [`Census`] workload: built and not yet dropped.
+#[derive(Default)]
+struct StreamCensus {
+    live: AtomicUsize,
+    peak: AtomicUsize,
+    built: AtomicUsize,
+}
+
+/// Wraps a workload so that every stream it builds is counted live until
+/// the engine drops it.
+struct Census {
+    inner: Box<dyn Workload>,
+    census: Arc<StreamCensus>,
+}
+
+struct CensusKernel {
+    inner: Box<dyn Kernel>,
+    census: Arc<StreamCensus>,
+}
+
+struct CensusStream {
+    inner: BoxedStream,
+    census: Arc<StreamCensus>,
+}
+
+impl Workload for Census {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn footprint_bytes(&self) -> u64 {
+        self.inner.footprint_bytes()
+    }
+
+    fn num_kernels(&self) -> u32 {
+        self.inner.num_kernels()
+    }
+
+    fn kernel(&self, k: KernelId) -> Box<dyn Kernel> {
+        Box::new(CensusKernel { inner: self.inner.kernel(k), census: Arc::clone(&self.census) })
+    }
+}
+
+impl Kernel for CensusKernel {
+    fn spec(&self) -> KernelSpec {
+        self.inner.spec()
+    }
+
+    fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> BoxedStream {
+        let c = &self.census;
+        c.built.fetch_add(1, Ordering::SeqCst);
+        let live = c.live.fetch_add(1, Ordering::SeqCst) + 1;
+        c.peak.fetch_max(live, Ordering::SeqCst);
+        let inner = self.inner.warp_stream(block, warp_in_block);
+        Box::new(CensusStream { inner, census: Arc::clone(c) })
+    }
+}
+
+impl AccessStream for CensusStream {
+    fn next_op(&mut self) -> Option<WarpOp> {
+        self.inner.next_op()
+    }
+}
+
+impl Drop for CensusStream {
+    fn drop(&mut self) {
+        self.census.live.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn warp_streams_are_released_when_their_warps_retire() {
+    // A grid far larger than the GPU holds: streams kept until the kernel
+    // ends would peak at every warp of the grid.
+    const BLOCKS: u32 = 400;
+    const EXTRA_BLOCKS: u32 = 3;
+    for threads in [1, 2] {
+        let census = Arc::new(StreamCensus::default());
+        let inner = Box::new(Strided::new(BLOCKS, 256, 56, 2, 50, 3));
+        let spec = inner.kernel(KernelId::new(0)).spec();
+        let w = Census { inner, census: Arc::clone(&census) };
+        let mut policy = no_prefetch(PolicyConfig::to_only());
+        policy.oversubscription =
+            ToConfig { max_extra_blocks: EXTRA_BLOCKS, ..ToConfig::enabled() };
+        let m = Simulation::builder()
+            .policy(policy)
+            .memory_ratio(0.25)
+            .threads(threads)
+            .try_run(Box::new(w))
+            .unwrap();
+        assert!(m.ctx_switches > 0, "TO never switched");
+        let gpu = SimConfig::default().gpu;
+        let occ = batmem_sim::sm::occupancy(&gpu, &spec);
+        let wpb = occ.warps_per_block as usize;
+        // Resident blocks: the active slots plus TO's inactive extras.
+        let resident = usize::from(gpu.num_sms) * (occ.active_limit + EXTRA_BLOCKS) as usize;
+        // The shard pool runs ahead by its channel (4 blocks per shard)
+        // plus one finished block held by each shard.
+        let lookahead = (threads - 1) * 5;
+        let bound = (resident + lookahead) * wpb;
+        let total = BLOCKS as usize * wpb;
+        assert_eq!(census.built.load(Ordering::SeqCst), total, "threads {threads}");
+        let peak = census.peak.load(Ordering::SeqCst);
+        assert!(peak <= bound, "{peak} live streams > bound {bound} at threads {threads}");
+        assert!(bound < total, "the grid must outsize the bound for the test to mean anything");
+        assert_eq!(census.live.load(Ordering::SeqCst), 0, "streams leaked at threads {threads}");
     }
 }
 

@@ -28,8 +28,9 @@ pub enum BlockResidency {
 pub struct BlockContext {
     /// Grid-wide block id.
     pub id: BlockId,
-    /// Warp contexts; empty until the block first activates (streams are
-    /// built lazily).
+    /// Warp contexts: empty until the block first activates (its streams
+    /// are built then, not at dispatch), and emptied again when the block
+    /// retires so its warps' memory is freed at once.
     pub warps: Vec<WarpContext>,
     /// Residency state.
     pub residency: BlockResidency,
@@ -102,13 +103,14 @@ impl BlockContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{VecStream, WarpOp};
+    use crate::ops::{PackedStream, WarpOp};
 
     fn block_with_phases(phases: &[WarpPhase]) -> BlockContext {
         let mut b = BlockContext::new(BlockId::new(0));
         b.started = true;
         for &p in phases {
-            let mut w = WarpContext::new(Box::new(VecStream::new(vec![WarpOp::Compute(1)])));
+            let stream: PackedStream = [WarpOp::Compute(1)].into_iter().collect();
+            let mut w = WarpContext::new(Box::new(stream));
             w.phase = p;
             b.warps.push(w);
         }

@@ -5,7 +5,9 @@
 //! This captures exactly the behaviour demand paging responds to (which
 //! addresses are touched, in what order, with what divergence) while
 //! abstracting per-instruction pipeline details (see DESIGN.md,
-//! "Substitutions").
+//! "Substitutions"). Streams are stored packed ([`PackedStream`]: one
+//! word per op header and per transaction) and decoded into a [`WarpOp`]
+//! only when the warp issues.
 
 use batmem_types::{BlockId, KernelId, VirtAddr};
 
@@ -17,15 +19,17 @@ pub const INLINE_TXNS: usize = 32;
 ///
 /// Up to [`INLINE_TXNS`] entries live inline — since the stream builders
 /// chunk coalesced transactions at warp size, every op they emit takes the
-/// inline path, so constructing and dropping ops on the engine's hot loop
-/// never touches the allocator. Wider lists (hand-built streams) spill to a
-/// heap vector transparently.
+/// inline path, so decoding, retrying and dropping ops on the engine's hot
+/// loop never touches the allocator. Wider lists (hand-built streams) spill
+/// to a heap vector transparently.
 #[derive(Clone)]
 pub struct AddrList(Repr);
 
 // The size asymmetry is the point: the inline variant IS the intended
-// storage, and ops this size move through `Vec`s and `Option`s a couple of
-// times per event — far cheaper than the malloc/free pair it replaces.
+// storage. An op of this size exists only transiently — decoded from a
+// [`PackedStream`] at issue, held at most once per warp as a faulted
+// retry — so it is never stored in bulk; the malloc/free pair a heap list
+// would cost per issue is what it saves.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 enum Repr {
@@ -214,22 +218,108 @@ pub trait Workload: Send {
     fn kernel(&self, k: KernelId) -> Box<dyn Kernel>;
 }
 
-/// A ready-made stream over a fixed op vector (testing and simple kernels).
-#[derive(Debug, Clone)]
-pub struct VecStream {
-    ops: std::vec::IntoIter<WarpOp>,
+/// The word that opens each op of a [`PackedStream`]: the op's kind in the
+/// low two bits, its compute cycles or transaction count above them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PackedHeader {
+    /// `cycles` of computation; no address words follow.
+    Compute(u32),
+    /// A load; this many transaction-address words follow.
+    Load(u32),
+    /// A store; this many transaction-address words follow.
+    Store(u32),
 }
 
-impl VecStream {
-    /// Creates a stream that yields `ops` in order.
-    pub fn new(ops: Vec<WarpOp>) -> Self {
-        Self { ops: ops.into_iter() }
+impl PackedHeader {
+    const KIND_BITS: u32 = 2;
+
+    /// The header as a stream word.
+    pub const fn encode(self) -> u64 {
+        let (kind, payload) = match self {
+            PackedHeader::Compute(c) => (0, c),
+            PackedHeader::Load(n) => (1, n),
+            PackedHeader::Store(n) => (2, n),
+        };
+        (payload as u64) << Self::KIND_BITS | kind
+    }
+
+    /// Reads a header back from a stream word.
+    pub const fn decode(word: u64) -> Self {
+        let payload = (word >> Self::KIND_BITS) as u32;
+        match word & ((1 << Self::KIND_BITS) - 1) {
+            0 => PackedHeader::Compute(payload),
+            1 => PackedHeader::Load(payload),
+            _ => PackedHeader::Store(payload),
+        }
     }
 }
 
-impl AccessStream for VecStream {
+/// A warp's access stream packed into a single word vector.
+///
+/// Each op is one [`PackedHeader`] word, followed for memory ops by one
+/// raw [`VirtAddr`] word per transaction: 8 bytes per op plus 8 per
+/// transaction, where a stored [`WarpOp`] would take its full inline size.
+/// [`next_op`](AccessStream::next_op) decodes in place; a truncated tail
+/// (a header promising more words than remain) ends the stream.
+#[derive(Debug, Clone)]
+pub struct PackedStream {
+    words: Vec<u64>,
+    pos: usize,
+}
+
+impl PackedStream {
+    /// Creates a stream over already-packed `words`.
+    pub fn new(words: Vec<u64>) -> Self {
+        Self { words, pos: 0 }
+    }
+
+    fn take_addrs(&mut self, n: u32) -> Option<AddrList> {
+        let end = self.pos.checked_add(n as usize)?;
+        let addrs = self.words.get(self.pos..end)?.iter().map(|&w| VirtAddr::new(w)).collect();
+        self.pos = end;
+        Some(addrs)
+    }
+}
+
+impl FromIterator<WarpOp> for PackedStream {
+    /// Packs `ops` as given (adjacent computes are not merged).
+    fn from_iter<I: IntoIterator<Item = WarpOp>>(ops: I) -> Self {
+        let mut words = Vec::new();
+        for op in ops {
+            let header = match &op {
+                WarpOp::Compute(c) => PackedHeader::Compute(*c),
+                WarpOp::Load(a) => PackedHeader::Load(a.len() as u32),
+                WarpOp::Store(a) => PackedHeader::Store(a.len() as u32),
+            };
+            words.push(header.encode());
+            words.extend(op.addrs().iter().map(|a| a.raw()));
+        }
+        Self::new(words)
+    }
+}
+
+impl AccessStream for PackedStream {
     fn next_op(&mut self) -> Option<WarpOp> {
-        self.ops.next()
+        let header = PackedHeader::decode(*self.words.get(self.pos)?);
+        self.pos += 1;
+        let op = match header {
+            PackedHeader::Compute(c) => WarpOp::Compute(c),
+            PackedHeader::Load(n) => WarpOp::Load(self.take_addrs(n)?),
+            PackedHeader::Store(n) => WarpOp::Store(self.take_addrs(n)?),
+        };
+        Some(op)
+    }
+}
+
+/// The stream a retired warp keeps. It yields nothing, and being
+/// zero-sized it boxes without allocating, so swapping it in frees the
+/// warp's real stream at retirement.
+#[derive(Debug, Clone, Copy)]
+pub struct EmptyStream;
+
+impl AccessStream for EmptyStream {
+    fn next_op(&mut self) -> Option<WarpOp> {
+        None
     }
 }
 
@@ -261,11 +351,49 @@ mod tests {
     }
 
     #[test]
-    fn vec_stream_yields_in_order() {
-        let mut s = VecStream::new(vec![WarpOp::Compute(1), WarpOp::Compute(2)]);
-        assert_eq!(s.next_op(), Some(WarpOp::Compute(1)));
-        assert_eq!(s.next_op(), Some(WarpOp::Compute(2)));
+    fn packed_stream_yields_in_order() {
+        let wide: Vec<VirtAddr> = (0..40).map(|i| VirtAddr::new(i * 128)).collect();
+        let ops = vec![
+            WarpOp::Compute(1),
+            WarpOp::Load(vec![VirtAddr::new(64), VirtAddr::new(256)].into()),
+            WarpOp::Compute(2),
+            WarpOp::Store(wide.into()),
+            WarpOp::Load(Vec::new().into()),
+        ];
+        let mut s: PackedStream = ops.iter().cloned().collect();
+        for op in ops {
+            assert_eq!(s.next_op(), Some(op));
+        }
         assert_eq!(s.next_op(), None);
         assert_eq!(s.next_op(), None);
+    }
+
+    #[test]
+    fn packed_headers_round_trip() {
+        for h in [
+            PackedHeader::Compute(0),
+            PackedHeader::Compute(u32::MAX),
+            PackedHeader::Load(1),
+            PackedHeader::Store(u32::MAX),
+        ] {
+            assert_eq!(PackedHeader::decode(h.encode()), h);
+        }
+    }
+
+    #[test]
+    fn truncated_packed_stream_ends_instead_of_panicking() {
+        let mut s = PackedStream::new(vec![
+            PackedHeader::Compute(3).encode(),
+            PackedHeader::Load(2).encode(),
+            64,
+        ]);
+        assert_eq!(s.next_op(), Some(WarpOp::Compute(3)));
+        assert_eq!(s.next_op(), None);
+    }
+
+    #[test]
+    fn empty_stream_is_zero_sized_and_empty() {
+        assert_eq!(std::mem::size_of::<EmptyStream>(), 0);
+        assert_eq!(EmptyStream.next_op(), None);
     }
 }

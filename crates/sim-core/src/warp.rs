@@ -1,6 +1,6 @@
 //! Warp execution state.
 
-use crate::ops::{BoxedStream, WarpOp};
+use crate::ops::{BoxedStream, EmptyStream, WarpOp};
 use std::fmt;
 
 /// What a warp is currently doing.
@@ -76,6 +76,12 @@ impl WarpContext {
         self.pending_retry.take().or_else(|| self.stream.next_op())
     }
 
+    /// Frees the stream of a warp that has retired, leaving an
+    /// [`EmptyStream`] (which does not allocate) in its place.
+    pub fn release_stream(&mut self) {
+        self.stream = Box::new(EmptyStream);
+    }
+
     /// Records that one awaited page arrived; returns `true` when the warp
     /// has no more outstanding pages and can be rescheduled.
     ///
@@ -92,11 +98,20 @@ impl WarpContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::VecStream;
+    use crate::ops::PackedStream;
     use batmem_types::VirtAddr;
 
     fn warp(ops: Vec<WarpOp>) -> WarpContext {
-        WarpContext::new(Box::new(VecStream::new(ops)))
+        WarpContext::new(Box::new(ops.into_iter().collect::<PackedStream>()))
+    }
+
+    #[test]
+    fn released_stream_yields_nothing_but_a_pending_retry() {
+        let mut w = warp(vec![WarpOp::Compute(1), WarpOp::Compute(2)]);
+        w.pending_retry = Some(WarpOp::Compute(9));
+        w.release_stream();
+        assert_eq!(w.take_next_op(), Some(WarpOp::Compute(9)));
+        assert_eq!(w.take_next_op(), None);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::stream::StreamBuilder;
 use batmem_graph::{alg, Csr};
 use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, Workload};
 use batmem_types::{BlockId, KernelId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which BFS implementation to model.
@@ -126,31 +125,30 @@ impl Workload for Bfs {
     fn kernel(&self, k: KernelId) -> Box<dyn Kernel> {
         assert!(k.index() < self.shared.frontiers.len(), "kernel {k} out of range");
         let level = k.index() as u32;
-        let next_pos = if self.variant == BfsVariant::Tf {
-            match self.shared.frontiers.get(k.index() + 1) {
-                Some(next) => {
-                    next.iter().enumerate().map(|(i, &v)| (v, i as u64)).collect()
+        let next_pos = match (self.variant, self.shared.frontiers.get(k.index() + 1)) {
+            (BfsVariant::Tf, Some(next)) => {
+                let mut pos = vec![NOT_NEXT; self.shared.graph.num_vertices() as usize];
+                for (i, &v) in next.iter().enumerate() {
+                    pos[v as usize] = i as u32;
                 }
-                None => HashMap::new(),
+                pos
             }
-        } else {
-            HashMap::new()
+            _ => Vec::new(),
         };
-        Box::new(BfsKernel {
-            variant: self.variant,
-            shared: Arc::clone(&self.shared),
-            level,
-            next_pos: Arc::new(next_pos),
-        })
+        Box::new(BfsKernel { variant: self.variant, shared: Arc::clone(&self.shared), level, next_pos })
     }
 }
+
+/// [`BfsKernel::next_pos`] of a vertex that is not in the next frontier.
+const NOT_NEXT: u32 = u32::MAX;
 
 struct BfsKernel {
     variant: BfsVariant,
     shared: Arc<Shared>,
     level: u32,
-    /// Position of each next-frontier vertex in the output worklist (TF).
-    next_pos: Arc<HashMap<u32, u64>>,
+    /// Position of each vertex in the next frontier's output worklist, or
+    /// [`NOT_NEXT`] (TF only; empty otherwise).
+    next_pos: Vec<u32>,
 }
 
 impl BfsKernel {
@@ -253,8 +251,10 @@ impl Kernel for BfsKernel {
                         let nbrs = sh.graph.neighbors(v);
                         b.load_gather(&sh.arrays.vprops[0], nbrs.iter().map(|&n| u64::from(n)));
                         for &n in nbrs {
-                            if let Some(&pos) = self.next_pos.get(&n) {
-                                appended.push(pos);
+                            // Empty at the last level: nothing is appended.
+                            match self.next_pos.get(n as usize) {
+                                Some(&pos) if pos != NOT_NEXT => appended.push(u64::from(pos)),
+                                _ => {}
                             }
                         }
                         b.compute(2 + deg / 8);

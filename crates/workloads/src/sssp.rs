@@ -9,14 +9,34 @@ use crate::stream::StreamBuilder;
 use batmem_graph::{alg, Csr, CsrBuilder};
 use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, Workload};
 use batmem_types::{BlockId, KernelId};
-use std::collections::HashSet;
 use std::sync::Arc;
+
+/// The vertices whose distance improved in one round, as a bitset: it is
+/// queried once per warp and once per relaxed neighbour.
+#[derive(Debug)]
+struct RoundSet {
+    words: Vec<u64>,
+}
+
+impl RoundSet {
+    fn new(num_vertices: u32, vertices: &[u32]) -> Self {
+        let mut words = vec![0u64; (num_vertices as usize).div_ceil(64)];
+        for &v in vertices {
+            words[v as usize / 64] |= 1 << (v % 64);
+        }
+        Self { words }
+    }
+
+    fn contains(&self, v: u32) -> bool {
+        self.words.get(v as usize / 64).is_some_and(|w| w >> (v % 64) & 1 == 1)
+    }
+}
 
 #[derive(Debug)]
 struct Shared {
     graph: Arc<Csr>, // weighted
-    /// Round in which each vertex's distance last improved.
-    active_in_round: Vec<HashSet<u32>>,
+    /// The vertices each relaxation round activates.
+    active_in_round: Vec<RoundSet>,
     arrays: GraphArrays,
 }
 
@@ -48,7 +68,7 @@ impl SsspTwc {
         let src = weighted.max_degree_vertex();
         let res = alg::sssp(&weighted, src);
         let active_in_round =
-            res.rounds.iter().map(|r| r.iter().copied().collect()).collect();
+            res.rounds.iter().map(|r| RoundSet::new(weighted.num_vertices(), r)).collect();
         // vprops: [0] distances.
         let arrays =
             GraphArrays::new(&weighted, ArrayOptions { weights: true, coo: false, vprops: 1 });
@@ -93,7 +113,7 @@ impl Kernel for SsspKernel {
             // Topological: test whether this vertex relaxed last round.
             b.load_seq(&sh.arrays.vprops[0], v, 1);
             b.compute(4);
-            if sh.active_in_round[self.round].contains(&(v as u32)) {
+            if sh.active_in_round[self.round].contains(v as u32) {
                 let v = v as u32;
                 let deg = sh.graph.degree(v);
                 b.load_seq(&sh.arrays.offsets, u64::from(v), 2);
@@ -108,7 +128,7 @@ impl Kernel for SsspKernel {
                     let improved: Vec<u64> = match sh.active_in_round.get(self.round + 1) {
                         Some(next) => nbrs
                             .iter()
-                            .filter(|&&n| next.contains(&n))
+                            .filter(|&&n| next.contains(n))
                             .map(|&n| u64::from(n))
                             .collect(),
                         None => Vec::new(),
@@ -152,7 +172,9 @@ mod tests {
     fn round_zero_relaxes_only_the_source() {
         let g = Arc::new(gen::rmat(7, 6, 2));
         let w = SsspTwc::new(Arc::clone(&g));
-        assert_eq!(w.shared.active_in_round[0].len(), 1);
+        let round0 = &w.shared.active_in_round[0];
+        assert_eq!(round0.words.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
+        assert!(round0.contains(g.max_degree_vertex()));
         let kernel = w.kernel(KernelId::new(0));
         // Every warp still issues the topological check load.
         let mut s = kernel.warp_stream(BlockId::new(0), 0);

@@ -1,26 +1,41 @@
 //! Warp-level stream construction helpers.
 //!
-//! Kernels build a warp's operation list through a [`StreamBuilder`], which
+//! Kernels build a warp's operation stream through a [`StreamBuilder`], which
 //! performs the coalescing a GPU's load/store unit would: consecutive
 //! per-lane accesses to the same 128-byte line merge into one transaction,
 //! and scattered (divergent) accesses are deduplicated by line and split
 //! into at most warp-size transactions per operation.
+//!
+//! The builder writes the [`PackedStream`] encoding directly: one header
+//! word per op, followed by that op's transaction addresses. A finished
+//! warp stream is therefore one `Vec<u64>` sized by its transactions, not
+//! a vector of full-size [`WarpOp`]s.
 
 use crate::layout::ArrayRef;
-use batmem_sim::ops::{AccessStream, AddrList, VecStream, WarpOp};
+use batmem_sim::ops::{AccessStream, BoxedStream, PackedHeader, PackedStream, WarpOp};
 use batmem_types::VirtAddr;
+use std::cell::Cell;
 
 /// Default log2 of the transaction (cache line) size: 128 bytes.
 pub const LINE_SHIFT: u32 = 7;
 
+thread_local! {
+    /// Line-id scratch for gathers, shared by every builder on the thread.
+    /// A stream is built per warp on the engine's hot path (or on a shard
+    /// worker), so the sort-dedup working set must not allocate per warp.
+    static LINES: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+}
+
 /// Builds one warp's coalesced operation stream.
 #[derive(Debug, Clone)]
 pub struct StreamBuilder {
-    ops: Vec<WarpOp>,
-    /// Line-id scratch recycled across coalesce calls; stream construction
-    /// runs once per warp wake-up on the engine's hot path, so the per-op
-    /// working set must not allocate.
-    lines: Vec<u64>,
+    /// The stream so far, in [`PackedStream`] encoding.
+    words: Vec<u64>,
+    /// Ops encoded so far.
+    ops: usize,
+    /// Index in `words` of the last op's header while that op is a compute:
+    /// the header a following compute merges into.
+    last_compute: Option<usize>,
     line_shift: u32,
     warp_size: usize,
 }
@@ -28,40 +43,65 @@ pub struct StreamBuilder {
 impl StreamBuilder {
     /// Creates a builder with the default 128-byte line and 32-lane warp.
     pub fn new() -> Self {
-        Self { ops: Vec::new(), lines: Vec::new(), line_shift: LINE_SHIFT, warp_size: 32 }
+        Self {
+            words: Vec::new(),
+            ops: 0,
+            last_compute: None,
+            line_shift: LINE_SHIFT,
+            warp_size: 32,
+        }
     }
 
     /// Appends `cycles` of computation (no-op when zero).
     pub fn compute(&mut self, cycles: u32) -> &mut Self {
-        if cycles > 0 {
-            // Merge adjacent compute ops to keep streams compact.
-            if let Some(WarpOp::Compute(c)) = self.ops.last_mut() {
-                *c = c.saturating_add(cycles);
-            } else {
-                self.ops.push(WarpOp::Compute(cycles));
+        if cycles == 0 {
+            return self;
+        }
+        // Merge adjacent compute ops to keep streams compact.
+        if let Some(i) = self.last_compute {
+            if let PackedHeader::Compute(c) = PackedHeader::decode(self.words[i]) {
+                self.words[i] = PackedHeader::Compute(c.saturating_add(cycles)).encode();
+                return self;
             }
         }
+        self.last_compute = Some(self.words.len());
+        self.words.push(PackedHeader::Compute(cycles).encode());
+        self.ops += 1;
         self
+    }
+
+    /// Appends one memory op whose transactions are the line ids `lines`.
+    fn push_mem(&mut self, store: bool, lines: impl IntoIterator<Item = u64>) {
+        let at = self.words.len();
+        self.words.push(0); // the header, once the count is known
+        let shift = self.line_shift;
+        self.words.extend(lines.into_iter().map(|l| l << shift));
+        let n = (self.words.len() - at - 1) as u32;
+        let header = if store { PackedHeader::Store(n) } else { PackedHeader::Load(n) };
+        self.words[at] = header.encode();
+        self.ops += 1;
+        self.last_compute = None;
     }
 
     /// Coalesces `addrs` into per-line transactions and appends them as
     /// `store`-or-load ops. One transaction per distinct line; sort-dedup
     /// keeps this O(k log k) — hub vertices in power-law graphs gather tens
-    /// of thousands of addresses per operation. The line scratch is reused
-    /// across calls, so the only allocations are the op payloads themselves.
+    /// of thousands of addresses per operation. The line scratch is a
+    /// thread-local reused across calls and builders, so the only
+    /// allocation is the stream's own word vector. An empty `addrs` appends
+    /// nothing (and so does not split adjacent computes).
     fn push_coalesced(&mut self, addrs: impl Iterator<Item = VirtAddr>, store: bool) {
-        let mut lines = std::mem::take(&mut self.lines);
+        let mut lines = LINES.take();
         lines.clear();
         let shift = self.line_shift;
         lines.extend(addrs.map(|a| a.line(shift)));
         lines.sort_unstable();
         lines.dedup();
+        self.words.reserve(lines.len() + lines.len().div_ceil(self.warp_size));
         for chunk in lines.chunks(self.warp_size) {
-            let txns: AddrList =
-                chunk.iter().map(|&l| VirtAddr::new(l << shift)).collect();
-            self.ops.push(if store { WarpOp::Store(txns) } else { WarpOp::Load(txns) });
+            self.push_mem(store, chunk.iter().copied());
         }
-        self.lines = lines;
+        LINES.set(lines);
     }
 
     /// Coalesces `count` consecutive elements starting at `start`
@@ -82,11 +122,13 @@ impl StreamBuilder {
         }
         let first = array.addr(start).line(shift);
         let last = array.addr(start + count - 1).line(shift);
+        let warp = self.warp_size as u64;
+        let span = last - first + 1;
+        self.words.reserve((span + span.div_ceil(warp)) as usize);
         let mut line = first;
         while line <= last {
-            let n = (last - line + 1).min(self.warp_size as u64);
-            let txns: AddrList = (line..line + n).map(|l| VirtAddr::new(l << shift)).collect();
-            self.ops.push(if store { WarpOp::Store(txns) } else { WarpOp::Load(txns) });
+            let n = (last - line + 1).min(warp);
+            self.push_mem(store, line..line + n);
             line += n;
         }
     }
@@ -125,22 +167,23 @@ impl StreamBuilder {
 
     /// Number of ops queued so far.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.ops
     }
 
     /// Whether no ops are queued.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.ops == 0
     }
 
     /// Finishes the stream.
-    pub fn build(self) -> Box<dyn AccessStream + Send> {
-        Box::new(VecStream::new(self.ops))
+    pub fn build(self) -> BoxedStream {
+        Box::new(PackedStream::new(self.words))
     }
 
-    /// Returns the raw ops (testing).
+    /// Decodes the queued ops (testing).
     pub fn into_ops(self) -> Vec<WarpOp> {
-        self.ops
+        let mut stream = PackedStream::new(self.words);
+        std::iter::from_fn(|| stream.next_op()).collect()
     }
 }
 
@@ -154,6 +197,8 @@ impl Default for StreamBuilder {
 mod tests {
     use super::*;
     use crate::layout::LayoutBuilder;
+    use batmem_sim::ops::AddrList;
+    use proptest::prelude::*;
 
     fn array(elem: u32, len: u64) -> ArrayRef {
         LayoutBuilder::new(65_536).array(elem, len)
@@ -210,6 +255,17 @@ mod tests {
     }
 
     #[test]
+    fn compute_merges_across_empty_accesses() {
+        let a = array(4, 100);
+        let mut b = StreamBuilder::new();
+        b.compute(3);
+        b.load_gather(&a, []).store_seq(&a, 0, 0);
+        b.compute(4);
+        assert_eq!(b.len(), 1);
+        assert_eq!(b.into_ops(), vec![WarpOp::Compute(7)]);
+    }
+
+    #[test]
     fn stores_are_stores() {
         let a = array(4, 100);
         let mut b = StreamBuilder::new();
@@ -225,5 +281,162 @@ mod tests {
         assert!(b.is_empty());
         b.load_seq(&a, 0, 1).compute(1);
         assert_eq!(b.len(), 2);
+    }
+
+    /// The builder as it was before packing: every op a full [`WarpOp`]
+    /// pushed into a `Vec`. Kept as the encoding oracle.
+    struct VecBuilder {
+        ops: Vec<WarpOp>,
+        lines: Vec<u64>,
+        line_shift: u32,
+        warp_size: usize,
+    }
+
+    impl VecBuilder {
+        fn new() -> Self {
+            Self { ops: Vec::new(), lines: Vec::new(), line_shift: LINE_SHIFT, warp_size: 32 }
+        }
+
+        fn compute(&mut self, cycles: u32) {
+            if cycles > 0 {
+                if let Some(WarpOp::Compute(c)) = self.ops.last_mut() {
+                    *c = c.saturating_add(cycles);
+                } else {
+                    self.ops.push(WarpOp::Compute(cycles));
+                }
+            }
+        }
+
+        fn push_coalesced(&mut self, addrs: impl Iterator<Item = VirtAddr>, store: bool) {
+            let mut lines = std::mem::take(&mut self.lines);
+            lines.clear();
+            let shift = self.line_shift;
+            lines.extend(addrs.map(|a| a.line(shift)));
+            lines.sort_unstable();
+            lines.dedup();
+            for chunk in lines.chunks(self.warp_size) {
+                let txns: AddrList = chunk.iter().map(|&l| VirtAddr::new(l << shift)).collect();
+                self.ops.push(if store { WarpOp::Store(txns) } else { WarpOp::Load(txns) });
+            }
+            self.lines = lines;
+        }
+
+        fn push_seq(&mut self, array: &ArrayRef, start: u64, count: u64, store: bool) {
+            if count == 0 {
+                return;
+            }
+            let shift = self.line_shift;
+            if u64::from(array.elem_bytes()) > (1u64 << shift) {
+                self.push_coalesced((start..start + count).map(|i| array.addr(i)), store);
+                return;
+            }
+            let first = array.addr(start).line(shift);
+            let last = array.addr(start + count - 1).line(shift);
+            let mut line = first;
+            while line <= last {
+                let n = (last - line + 1).min(self.warp_size as u64);
+                let txns: AddrList = (line..line + n).map(|l| VirtAddr::new(l << shift)).collect();
+                self.ops.push(if store { WarpOp::Store(txns) } else { WarpOp::Load(txns) });
+                line += n;
+            }
+        }
+    }
+
+    /// Element sizes of the oracle's arrays: sub-line, exactly a line, and
+    /// wider than a line (which takes the general coalescing path).
+    const ELEM_BYTES: [u32; 5] = [4, 8, 128, 200, 1024];
+    const ARRAY_LEN: u64 = 50_000;
+
+    /// One builder call. Gathers carry a seed rather than their indices so
+    /// hub-sized cases stay readable when a failure prints them.
+    #[derive(Debug, Clone, Copy)]
+    enum Call {
+        Compute(u32),
+        Seq { store: bool, array: usize, start: u64, count: u64 },
+        Gather { store: bool, array: usize, count: u64, spread: u64, seed: u64 },
+    }
+
+    fn gather_indices(count: u64, spread: u64, seed: u64) -> impl Iterator<Item = u64> {
+        (0..count).map(move |i| {
+            let mut z = seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (z ^ (z >> 29)) % spread
+        })
+    }
+
+    fn call() -> impl Strategy<Value = Call> {
+        let compute =
+            prop_oneof![Just(0u32), 1u32..100, (u32::MAX - 8)..=u32::MAX].prop_map(Call::Compute);
+        let seq = ((0u8..2, 0..ELEM_BYTES.len()), (0..ARRAY_LEN, 0u64..3_000)).prop_map(
+            |((store, array), (start, count))| Call::Seq {
+                store: store == 1,
+                array,
+                start,
+                count: count.min(ARRAY_LEN - start),
+            },
+        );
+        // Empty, warp-sized and hub-sized gathers, over a few lines or the
+        // whole array.
+        let gather = (
+            (0u8..2, 0..ELEM_BYTES.len()),
+            prop_oneof![0u64..3, 3u64..100, 10_000u64..12_000],
+            prop_oneof![1u64..64, 1u64..=ARRAY_LEN],
+            0u64..u64::MAX,
+        )
+            .prop_map(|((store, array), count, spread, seed)| Call::Gather {
+                store: store == 1,
+                array,
+                count,
+                spread,
+                seed,
+            });
+        prop_oneof![compute, seq, gather]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn packed_builder_matches_the_vec_builder(
+            calls in prop::collection::vec(call(), 0..48)
+        ) {
+            let mut layout = LayoutBuilder::new(65_536);
+            let arrays: Vec<ArrayRef> =
+                ELEM_BYTES.iter().map(|&e| layout.array(e, ARRAY_LEN)).collect();
+            let mut packed = StreamBuilder::new();
+            let mut reference = VecBuilder::new();
+            for c in &calls {
+                match *c {
+                    Call::Compute(n) => {
+                        packed.compute(n);
+                        reference.compute(n);
+                    }
+                    Call::Seq { store, array, start, count } => {
+                        let a = &arrays[array];
+                        if store {
+                            packed.store_seq(a, start, count);
+                        } else {
+                            packed.load_seq(a, start, count);
+                        }
+                        reference.push_seq(a, start, count, store);
+                    }
+                    Call::Gather { store, array, count, spread, seed } => {
+                        let a = &arrays[array];
+                        let idx = gather_indices(count, spread, seed);
+                        if store {
+                            packed.store_gather(a, idx);
+                        } else {
+                            packed.load_gather(a, idx);
+                        }
+                        let idx = gather_indices(count, spread, seed);
+                        reference.push_coalesced(idx.map(|i| a.addr(i)), store);
+                    }
+                }
+                prop_assert_eq!(packed.len(), reference.ops.len());
+            }
+            let mut built = packed.clone().build();
+            let drained: Vec<WarpOp> = std::iter::from_fn(|| built.next_op()).collect();
+            prop_assert_eq!(&drained, &reference.ops);
+            prop_assert_eq!(packed.into_ops(), reference.ops);
+        }
     }
 }

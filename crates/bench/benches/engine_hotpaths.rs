@@ -242,38 +242,6 @@ fn bench_end_to_end() {
         let w = registry::build("BFS-TTC", Arc::clone(&graph)).unwrap();
         Simulation::builder().policy(policies::to_ue()).memory_ratio(0.5).try_run(w).unwrap()
     });
-    // The sharded engine on the same run. At this scale the prefab pool's
-    // spawn/merge overhead is a real cost, so the row keeps the
-    // serial-vs-sharded delta visible (the win arrives at suite scales —
-    // see EXPERIMENTS.md).
-    bench("end_to_end/bfs_ttc_scale10_threads8", 10, || {
-        let w = registry::build("BFS-TTC", Arc::clone(&graph)).unwrap();
-        Simulation::builder()
-            .policy(policies::to_ue())
-            .memory_ratio(0.5)
-            .threads(8)
-            .try_run(w)
-            .unwrap()
-    });
-    // Same sharded run with `bank_dispatch_min = 1`, so every deferred
-    // cycle batch fans out across the 8 L2 banks instead of replaying
-    // inline below the threshold. At this scale the batches are tiny and
-    // the row prices pure dispatch/merge overhead — the coordination
-    // floor EXPERIMENTS.md documents for single-core hosts.
-    let banked = SimConfig {
-        policy: policies::to_ue(),
-        mem: batmem_types::config::MemConfig { bank_dispatch_min: 1, ..Default::default() },
-        ..Default::default()
-    };
-    bench("end_to_end/bfs_ttc_scale10_banked8", 10, || {
-        let w = registry::build("BFS-TTC", Arc::clone(&graph)).unwrap();
-        Simulation::builder()
-            .config(banked.clone())
-            .memory_ratio(0.5)
-            .threads(8)
-            .try_run(w)
-            .unwrap()
-    });
 }
 
 fn main() {

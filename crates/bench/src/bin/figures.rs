@@ -15,12 +15,12 @@ use batmem::PolicyRegistry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-const USAGE: &str = "usage: figures -- [--threads N] [--l2-banks B] [--bank-min M] <table1|fig1|fig3|fig5|fig8|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|ctxswitch|pe|all> ...
+const USAGE: &str = "usage: figures -- <table1|fig1|fig3|fig5|fig8|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|ctxswitch|pe|all> ...
        figures -- --list-policies
-       figures -- [--threads N] [--eviction <spec>] [--prefetch <spec>] [--oversubscription <spec>] [--coalesce <spec>]
+       figures -- [--eviction <spec>] [--prefetch <spec>] [--oversubscription <spec>] [--coalesce <spec>]
                   [--fault-servicing <spec>] [--page-size <kb>] [--compression] [--inject <spec>]
                   [--workload <name>]...
-       figures -- sweep [outdir] [--workers N] [--threads N] [--max-retries K] [--cell-timeout SECS] [--resume]
+       figures -- sweep [outdir] [--workers N] [--max-retries K] [--cell-timeout SECS] [--resume]
                   [--inject <spec>] [--coalesce <spec>] [--fault-servicing <spec>] [--workloads A,B]
                   [--configs BASELINE,TO+UE] [--scales 8,10] [--ratios 0.5] [--seeds 42]
 custom runs: any policy flag switches to a single-run mode over the named
@@ -34,13 +34,6 @@ base page (default 64); `--inject` takes off|noisy[:seed]|lost[:seed[:every]]
 sweep mode: fault-tolerant parallel sweep into a resumable artifact store
 (default outdir `artifacts`); ctrl-C drains gracefully, `--resume` skips
 completed cells
-threads: `--threads N` shards each engine across N threads (default 1, the
-serial reference); results are bit-identical to serial. In sweep mode the
-pool clamps workers x threads to the available cores. `--l2-banks B` sets
-the L2 bank count the data path shards by (default 8, power of two dividing
-the set counts) and `--bank-min M` the per-cycle access count below which a
-batch replays inline (default 256); both affect scheduling only, never
-results.
 environment: BATMEM_SCALE (default 15), BATMEM_EDGE_FACTOR (default 16)";
 
 /// Sweep-mode cancel flag, set by the SIGINT handler for a graceful drain.
@@ -151,15 +144,12 @@ fn sweep_main(mut args: Vec<String>, suite: &SuiteConfig) -> ! {
     let resume = take_switch(&mut args, "--resume");
 
     // Plan axes: default is the historical mini-sweep at the suite's
-    // (env-overridable) evaluation point. The engine-threads knob arrives
-    // already parsed on the suite (`--threads` is shared with figure
-    // mode); the pool clamps workers x threads to the available cores.
+    // (env-overridable) evaluation point.
     let mut plan = SweepPlan {
         scales: vec![suite.scale],
         edge_factors: vec![suite.edge_factor],
         ratios: vec![suite.ratio],
         seeds: vec![suite.seed],
-        threads: suite.threads.max(1),
         ..SweepPlan::default()
     };
     if let Some(v) = take_flag(&mut args, "--workloads") {
@@ -358,42 +348,7 @@ fn main() {
         list_policies();
         return;
     }
-    // `--threads` is shared by every mode (figures, custom combos, sweep),
-    // so it is extracted before the sweep branch below.
-    let mut suite = suite_from_env();
-    if let Some(v) = take_flag(&mut args, "--threads") {
-        let n: usize = v.parse().unwrap_or_else(|_| {
-            eprintln!("--threads: cannot parse `{v}`\n{USAGE}");
-            std::process::exit(2);
-        });
-        if n == 0 {
-            eprintln!("--threads: must be at least 1\n{USAGE}");
-            std::process::exit(2);
-        }
-        suite = suite.with_threads(n);
-    }
-    // `--l2-banks` / `--bank-min` tune the bank-parallel data path and are
-    // likewise shared by every mode. They change scheduling only, never
-    // results (the merge barrier keeps output bit-identical), so they are
-    // safe to combine with any figure or sweep.
-    if let Some(v) = take_flag(&mut args, "--l2-banks") {
-        let n: u32 = v.parse().unwrap_or_else(|_| {
-            eprintln!("--l2-banks: cannot parse `{v}`\n{USAGE}");
-            std::process::exit(2);
-        });
-        suite.sim.mem.l2_banks = n;
-    }
-    if let Some(v) = take_flag(&mut args, "--bank-min") {
-        let n: u32 = v.parse().unwrap_or_else(|_| {
-            eprintln!("--bank-min: cannot parse `{v}`\n{USAGE}");
-            std::process::exit(2);
-        });
-        suite.sim.mem.bank_dispatch_min = n;
-    }
-    if let Err(e) = suite.sim.validate() {
-        eprintln!("invalid configuration: {e}\n{USAGE}");
-        std::process::exit(2);
-    }
+    let suite = suite_from_env();
     // The sweep service has its own flag grammar — branch before the
     // custom-combo extraction below can misread `--workers` etc.
     if args.first().map(String::as_str) == Some("sweep") {

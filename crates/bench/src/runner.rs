@@ -28,10 +28,6 @@ pub struct SuiteConfig {
     pub ratio: f64,
     /// Base system configuration.
     pub sim: SimConfig,
-    /// Engine threads per simulation (1 = the serial reference engine).
-    /// Also parallelizes graph generation. Results are bit-identical for
-    /// every value; see `SimulationBuilder::threads`.
-    pub threads: usize,
 }
 
 impl Default for SuiteConfig {
@@ -50,7 +46,7 @@ impl SuiteConfig {
     /// A suite over an R-MAT graph of `scale` and `edge_factor`, with the
     /// paper's seed, ratio, and system configuration.
     pub fn new(scale: u32, edge_factor: u32) -> Self {
-        Self { scale, edge_factor, seed: 42, ratio: 0.5, sim: SimConfig::default(), threads: 1 }
+        Self { scale, edge_factor, seed: 42, ratio: 0.5, sim: SimConfig::default() }
     }
 
     /// Replaces the R-MAT scale.
@@ -83,16 +79,10 @@ impl SuiteConfig {
         self
     }
 
-    /// Replaces the engine thread count (also parallelizes graph
-    /// generation). `0` is clamped to 1.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The shared input graph.
+    /// The shared input graph, generated on every available core
+    /// (bit-identical to the serial generator).
     pub fn graph(&self) -> Arc<Csr> {
-        Arc::new(gen::rmat_par(self.scale, self.edge_factor, self.seed, self.threads.max(1)))
+        Arc::new(gen::rmat_par(self.scale, self.edge_factor, self.seed, available_cores()))
     }
 
     /// The input graph for `workload`. Like the paper (whose GraphBIG
@@ -106,7 +96,7 @@ impl SuiteConfig {
                 self.scale.saturating_sub(3).max(8),
                 self.edge_factor,
                 self.seed,
-                self.threads.max(1),
+                available_cores(),
             ))
         } else {
             self.graph()
@@ -317,7 +307,6 @@ pub fn run_custom_injected(
         .oversubscription(custom.oversubscription.clone())
         .coalesce(custom.coalesce.clone())
         .fault_servicing(custom.fault_servicing.clone())
-        .threads(suite.threads.max(1))
         .memory_ratio(suite.ratio);
     if let Some(inject) = inject {
         b = b.inject(inject);
@@ -339,10 +328,7 @@ pub fn run_one(
     let graph = if name.starts_with("GC-") { suite.graph_for(name) } else { Arc::clone(graph) };
     let workload = registry::build(name, graph)
         .ok_or_else(|| BenchError::msg(format!("unknown workload `{name}`")))?;
-    let mut b = Simulation::builder()
-        .config(suite.sim.clone())
-        .policy(policy)
-        .threads(suite.threads.max(1));
+    let mut b = Simulation::builder().config(suite.sim.clone()).policy(policy);
     if config != ConfigName::Unlimited {
         b = b.memory_ratio(suite.ratio);
     }
@@ -375,7 +361,6 @@ pub fn run_one_traced(
     let mut b = Simulation::builder()
         .config(suite.sim.clone())
         .policy(policy)
-        .threads(suite.threads.max(1))
         .probe(sink.clone())
         .probe(tracer.clone());
     if config != ConfigName::Unlimited {
@@ -391,20 +376,14 @@ pub fn run_one_traced(
     Ok((metrics, row, tracer.to_jsonl()))
 }
 
-/// Runs `f` over `items` on a thread pool, preserving order.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_bounded(items, usize::MAX, f)
+/// The host's available parallelism (4 when it cannot be determined).
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4)
 }
 
-/// [`parallel_map`] with an explicit worker ceiling, for callers whose
-/// items are themselves multi-threaded (engine `threads > 1`): the product
-/// of workers and per-item threads should not exceed the machine.
-pub fn parallel_map_bounded<T, R, F>(items: Vec<T>, max_workers: usize, f: F) -> Vec<R>
+/// Runs `f` over `items` on a thread pool of up to 16 workers, preserving
+/// order.
+pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send + Sync,
     R: Send,
@@ -413,12 +392,7 @@ where
     let n = items.len();
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(16)
-        .min(max_workers)
-        .max(1);
+    let threads = available_cores().min(16);
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| loop {
@@ -448,15 +422,7 @@ pub fn suite_results(configs: &[ConfigName], suite: &SuiteConfig) -> SuiteResult
             jobs.push((w, c));
         }
     }
-    // Each run may itself use `suite.threads` threads: cap the outer pool
-    // so workers × threads stays within the machine. The clamp is silent —
-    // suite stderr is part of the byte-diffed figure captures, and a
-    // threads-dependent log line would break `--threads 8` vs `--threads 1`
-    // byte-identity (the sweep service logs its clamp instead).
-    let avail = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-    let max_workers = (avail / suite.threads.max(1)).max(1);
-    let outcomes =
-        parallel_map_bounded(jobs, max_workers, |&(w, c)| (w, c, run_one(w, c, suite, &graph)));
+    let outcomes = parallel_map(jobs, |&(w, c)| (w, c, run_one(w, c, suite, &graph)));
     let mut results = HashMap::new();
     let mut failures = Vec::new();
     for (w, c, outcome) in outcomes {

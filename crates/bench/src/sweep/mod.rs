@@ -117,10 +117,7 @@ pub fn run_cell(
             .geometry(sim.uvm.geometry)
             .map_err(|e| BenchError::context(&cell.label(), &e))?;
     }
-    let mut b = Simulation::builder()
-        .config(sim)
-        .threads(cell.threads.max(1))
-        .probe(sink.clone());
+    let mut b = Simulation::builder().config(sim).probe(sink.clone());
     match &cell.policy {
         CellPolicy::Preset(name) => {
             let (policy, etc) = policies::preset(*name);
@@ -212,7 +209,6 @@ mod tests {
             inject: Some("chaos".into()),
             coalesce: None,
             fault_servicing: None,
-            threads: 1,
             tag: String::new(),
         };
         let err = run_cell(&cell, &SimConfig::default(), &graphs).unwrap_err();

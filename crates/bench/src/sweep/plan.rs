@@ -59,11 +59,6 @@ pub struct SweepCell {
     /// the default `cpu` model. Like `coalesce`, only a non-default spec
     /// perturbs the cell id, keeping pre-axis stores resumable.
     pub fault_servicing: Option<String>,
-    /// Engine shard threads for the cell's run (1 = the serial reference
-    /// engine). Like `coalesce`, only a value above 1 perturbs the cell
-    /// id, so stores written before the knob existed stay valid for
-    /// `--resume`.
-    pub threads: usize,
     /// Free-form discriminator hashed into the id for anything the other
     /// fields do not capture (e.g. a non-default base `SimConfig`).
     /// Empty by default.
@@ -88,9 +83,6 @@ impl SweepCell {
         }
         if let Some(spec) = self.fault_servicing_spec() {
             h.field("fault-servicing").field(spec);
-        }
-        if self.threads > 1 {
-            h.field("threads").field(&self.threads.to_string());
         }
         CellId::from_hash(h.finish())
     }
@@ -132,9 +124,6 @@ impl SweepCell {
             s.push_str("+fs:");
             s.push_str(fs);
         }
-        if self.threads > 1 {
-            s.push_str(&format!("+t{}", self.threads));
-        }
         debug_assert!(!s.contains(','), "cell labels must stay comma-free: {s}");
         s
     }
@@ -162,8 +151,6 @@ pub struct SweepPlan {
     pub coalesce: Option<String>,
     /// Fault-servicing spec applied to every cell (`None` = `cpu`).
     pub fault_servicing: Option<String>,
-    /// Engine shard threads for every cell (1 = serial reference engine).
-    pub threads: usize,
     /// Discriminator copied into every cell's [`SweepCell::tag`].
     pub tag: String,
 }
@@ -185,7 +172,6 @@ impl Default for SweepPlan {
             inject: None,
             coalesce: None,
             fault_servicing: None,
-            threads: 1,
             tag: String::new(),
         }
     }
@@ -238,9 +224,6 @@ impl SweepPlan {
                 return Err(BenchError::msg(format!("ratio {r} must be positive")));
             }
         }
-        if self.threads == 0 {
-            return Err(BenchError::msg("sweep plan threads must be at least 1"));
-        }
         Ok(())
     }
 
@@ -269,7 +252,6 @@ impl SweepPlan {
                                     inject: self.inject.clone(),
                                     coalesce: self.coalesce.clone(),
                                     fault_servicing: self.fault_servicing.clone(),
-                                    threads: self.threads,
                                     tag: self.tag.clone(),
                                 });
                             }
@@ -297,22 +279,28 @@ mod tests {
             inject: None,
             coalesce: None,
             fault_servicing: None,
-            threads: 1,
             tag: String::new(),
         }
     }
 
     #[test]
-    fn serial_threads_leave_pre_knob_cell_ids_unchanged() {
-        // Same compatibility rule as the coalesce axis: sharded execution
-        // is bit-identical to serial, and stores written before the knob
-        // existed must stay resumable at the default.
-        let base = cell();
-        assert_eq!(SweepCell { threads: 1, ..cell() }.id(), base.id());
-        assert_eq!(SweepCell { threads: 1, ..cell() }.label(), base.label());
-        let sharded = SweepCell { threads: 8, ..cell() };
-        assert_ne!(sharded.id(), base.id(), "threads > 1 must perturb the hash");
-        assert_eq!(sharded.label(), "BFS-TTC/BASELINE@s8e4r0.5x42+t8");
+    fn default_plan_cell_ids_and_labels_are_pinned() {
+        // The artifact store keys records by these ids: a change to the
+        // hash or the label breaks `--resume` on every existing store.
+        let pinned = [
+            ("59e6602cd853621a", "BFS-TTC/BASELINE@s15e16r0.5x42"),
+            ("14db571524d17ad5", "BFS-TTC/TO+UE@s15e16r0.5x42"),
+            ("184b4fd57a2653a3", "PR/BASELINE@s15e16r0.5x42"),
+            ("ea57ea9cfa5b00ba", "PR/TO+UE@s15e16r0.5x42"),
+            ("51d5154ac9fca303", "SSSP-TWC/BASELINE@s15e16r0.5x42"),
+            ("fcb323a850e85a1a", "SSSP-TWC/TO+UE@s15e16r0.5x42"),
+        ];
+        let cells = SweepPlan::default().cells().unwrap();
+        let got: Vec<(String, String)> =
+            cells.iter().map(|c| (c.id().to_string(), c.label())).collect();
+        let want: Vec<(String, String)> =
+            pinned.iter().map(|&(id, label)| (id.to_string(), label.to_string())).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -357,7 +345,6 @@ mod tests {
             SweepCell { inject: Some("noisy:42".into()), ..cell() },
             SweepCell { coalesce: Some("greedy:75".into()), ..cell() },
             SweepCell { fault_servicing: Some("gpu-driven:500".into()), ..cell() },
-            SweepCell { threads: 8, ..cell() },
             SweepCell { tag: "alt-sim".into(), ..cell() },
         ];
         let mut ids: Vec<_> = variants.iter().map(SweepCell::id).collect();
@@ -402,8 +389,6 @@ mod tests {
         p = SweepPlan { fault_servicing: Some("dma".into()), ..SweepPlan::default() };
         let err = p.validate().unwrap_err().to_string();
         assert!(err.contains("dma") && err.contains("gpu-driven"), "{err}");
-        p = SweepPlan { threads: 0, ..SweepPlan::default() };
-        assert!(p.validate().unwrap_err().to_string().contains("threads"));
     }
 
     #[test]
@@ -421,7 +406,6 @@ mod tests {
             inject: None,
             coalesce: None,
             fault_servicing: None,
-            threads: 1,
             tag: String::new(),
         };
         let cells = plan.cells().unwrap();

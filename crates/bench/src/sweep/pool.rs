@@ -116,20 +116,14 @@ pub fn run_sweep(
         cells.iter().filter(|c| !done.contains(&c.id())).cloned().collect();
     let total = pending.len();
 
-    // Every worker hosts a full engine, and a sharded engine hosts its own
-    // shard threads — oversubscribing the machine with workers × threads
-    // would just interleave everything. Clamp the pool instead.
-    let cell_threads = cells.iter().map(|c| c.threads.max(1)).max().unwrap_or(1);
+    // Every worker hosts a full engine on one thread: more workers than
+    // cores would just interleave them. Clamp the pool instead.
     let avail = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-    let workers = clamp_workers(cfg.workers.max(1), cell_threads, avail);
-    if workers < cfg.workers.max(1) {
+    let workers = cfg.workers.clamp(1, avail);
+    if workers < cfg.workers {
         eprintln!(
-            "sweep: {} workers x {} engine threads exceeds the {} available \
-             cores; clamping to {} workers",
-            cfg.workers.max(1),
-            cell_threads,
-            avail,
-            workers,
+            "sweep: {} workers exceed the {avail} available cores; clamping to {workers} workers",
+            cfg.workers,
         );
     }
     let (job_tx, job_rx) = mpsc::sync_channel::<SweepCell>(workers * 2);
@@ -211,16 +205,6 @@ pub fn run_sweep(
         discarded: loaded.discarded,
         cancelled: cancel.load(Ordering::SeqCst),
     })
-}
-
-/// The worker count that keeps `workers × cell_threads ≤ avail` without
-/// dropping below one worker. `requested` wins when it already fits.
-fn clamp_workers(requested: usize, cell_threads: usize, avail: usize) -> usize {
-    if requested * cell_threads <= avail {
-        requested
-    } else {
-        (avail / cell_threads.max(1)).max(1)
-    }
 }
 
 fn worker_loop(
@@ -378,17 +362,6 @@ mod tests {
         assert!(start.elapsed() < Duration::from_secs(1));
         let cancel = AtomicBool::new(false);
         assert!(sleep_cancellable(Duration::from_millis(5), &cancel));
-    }
-
-    #[test]
-    fn worker_clamp_preserves_workers_times_threads_budget() {
-        // Fits: the request wins.
-        assert_eq!(clamp_workers(4, 2, 16), 4);
-        assert_eq!(clamp_workers(16, 1, 16), 16);
-        // Oversubscribed: clamp to avail / threads, never below one.
-        assert_eq!(clamp_workers(16, 8, 16), 2);
-        assert_eq!(clamp_workers(4, 8, 16), 2);
-        assert_eq!(clamp_workers(4, 32, 16), 1);
     }
 
     #[test]

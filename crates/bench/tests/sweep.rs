@@ -35,7 +35,6 @@ fn preset_plan() -> SweepPlan {
         inject: None,
         coalesce: None,
         fault_servicing: None,
-        threads: 1,
         tag: String::new(),
     }
 }
@@ -63,7 +62,6 @@ fn synthetic_cell(workload: &str) -> SweepCell {
         inject: None,
         coalesce: None,
         fault_servicing: None,
-        threads: 1,
         tag: "synthetic".into(),
     }
 }
@@ -348,7 +346,6 @@ fn injected_lost_completions_quarantine_with_a_typed_error() {
         inject: Some("lost:1:2".into()),
         coalesce: None,
         fault_servicing: None,
-        threads: 1,
         tag: String::new(),
     };
     let cells = plan.cells().unwrap();

@@ -40,7 +40,6 @@ pub struct SimulationBuilder {
     oversub_spec: Option<String>,
     coalesce_spec: Option<String>,
     fault_servicing_spec: Option<String>,
-    threads: usize,
 }
 
 impl SimulationBuilder {
@@ -118,25 +117,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the number of execution threads (default 1, the serial
-    /// reference engine). With `n > 1` the engine runs `n - 1` shard
-    /// workers that prefabricate warp access streams behind the
-    /// conservative-window boundary (see DESIGN.md §13) and replay the
-    /// data-path accesses of each cycle partitioned by L2 cache bank
-    /// (`mem.l2_banks`, see DESIGN.md §14) while the coordinator thread
-    /// drives the event loop. Results are **bit-identical** for every
-    /// thread count — the differential and merge-oracle tests pin this —
-    /// so the knob only trades wall-clock time for cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn threads(mut self, n: usize) -> Self {
-        assert!(n > 0, "threads must be at least 1");
-        self.threads = n;
-        self
-    }
-
     /// Sizes GPU memory as `ratio` × the workload footprint (the paper's
     /// oversubscription ratio; 0.5 = "50% memory oversubscription", 1.0 or
     /// more = everything fits).
@@ -206,8 +186,7 @@ impl SimulationBuilder {
     /// * [`SimError::InvariantViolated`] — an enabled audit found a
     ///   conservation law broken (see [`audit`](Self::audit)).
     /// * [`SimError::Livelock`] / [`SimError::Deadlock`] — the watchdog or
-    ///   the end-of-run check caught a run that stopped making progress
-    ///   (under sharded execution the report names the wedged shard).
+    ///   the end-of-run check caught a run that stopped making progress.
     pub fn try_run(mut self, workload: Box<dyn Workload>) -> Result<RunMetrics, SimError> {
         self.config.validate()?;
         // Resolve the oversubscription spec first: it rewrites the TO knobs
@@ -286,7 +265,6 @@ impl SimulationBuilder {
             oversub,
             servicing,
             signals,
-            self.threads.max(1),
         )
         .run()
     }

@@ -1,39 +1,24 @@
-//! SM-local execution: kernel lifecycle, warp scheduling, memory
+//! SM-side execution: kernel lifecycle, warp scheduling, memory
 //! operations, TO context switching, and block retirement.
-//!
-//! Everything in this file advances the state of a single SM's blocks and
-//! warps. Any effect that escapes the SM — a wake landing in the global
-//! wheel, a fault reaching the shared buffer, a switch-in completion —
-//! crosses the [`ShardBoundary`](super::boundary::ShardBoundary) via
-//! [`Engine::cross`](super::Engine::cross). Block retirement is the one
-//! synchronous boundary crossing (see [`super::boundary`]).
 
 use batmem_sim::block::BlockResidency;
-use batmem_sim::ops::{Kernel, WarpOp};
+use batmem_sim::ops::WarpOp;
 use batmem_sim::sm::occupancy;
 use batmem_sim::warp::{WarpContext, WarpPhase};
 use batmem_types::probe::ProbeEvent;
 use batmem_types::{BlockId, Cycle, KernelId, SimError, SmId};
 use batmem_vmem::TranslationOutcome;
 
-use std::sync::Arc;
-
-use super::boundary::{merge_log, ShardEffect};
-use super::Engine;
+use super::{Engine, Event};
 
 impl Engine {
     // ---- kernel lifecycle -------------------------------------------------
 
     pub(super) fn launch_kernel(&mut self, k: u32) -> Result<(), SimError> {
         debug_assert!(self.waiters.is_empty(), "stale page waiters across kernels");
-        let kernel: Arc<dyn Kernel> = Arc::from(self.workload.kernel(KernelId::new(k)));
+        let kernel = self.workload.kernel(KernelId::new(k));
         self.spec = kernel.spec();
         self.occ = occupancy(&self.cfg.gpu, &self.spec);
-        // Sharded execution: start fabricating this kernel's blocks before
-        // the first dispatch so the workers run ahead of the event loop.
-        if let Some(pool) = &mut self.pool {
-            pool.begin_kernel(&kernel, self.spec.num_blocks, self.occ.warps_per_block);
-        }
         let blocks = self.spec.num_blocks;
         self.probes
             .emit_with(self.clock, || ProbeEvent::KernelLaunched { kernel: k, blocks });
@@ -90,52 +75,34 @@ impl Engine {
         self.block_sm.push(sm);
         if active {
             self.sms[sm].active.push(idx);
-            self.activate_block(idx)?;
+            self.activate_block(idx);
         } else {
             self.sms[sm].inactive.push(idx);
         }
         Ok(true)
     }
 
-    /// Marks `idx` active and (on first activation) installs its warps and
-    /// schedules them — built on the spot on the serial path, consumed
-    /// from the shard pool under sharded execution.
-    fn activate_block(&mut self, idx: usize) -> Result<(), SimError> {
+    /// Marks `idx` active and (on first activation) builds its warps'
+    /// streams and schedules them.
+    fn activate_block(&mut self, idx: usize) {
         self.blocks[idx].residency = BlockResidency::Active;
         if !self.blocks[idx].started {
             let id = self.blocks[idx].id;
-            if let Some(pool) = &mut self.pool {
-                // The merge barrier: take the block's fabrication (waiting
-                // for its shard if it is still ahead of us) and replay the
-                // recorded activation effects into the global wheel at the
-                // activation cycle, in log order — reproducing the serial
-                // `(time, seq)` order exactly.
-                let clock = self.clock;
-                let fab = pool.take(id.index() as u32, clock)?;
-                debug_assert_eq!(fab.streams.len(), self.occ.warps_per_block as usize);
-                self.blocks[idx].warps =
-                    fab.streams.into_iter().map(WarpContext::new).collect();
-                self.blocks[idx].started = true;
-                self.merged_window = Some((clock, self.window.horizon_at(clock)));
-                merge_log(&mut self.events, clock, fab.log, |_grid| idx);
-            } else {
-                let kernel = self.kernel.as_ref().expect("kernel in flight");
-                let warps: Vec<WarpContext> = (0..self.occ.warps_per_block)
-                    .map(|w| WarpContext::new(kernel.warp_stream(id, w as u16)))
-                    .collect();
-                self.blocks[idx].warps = warps;
-                self.blocks[idx].started = true;
-                for w in 0..self.occ.warps_per_block as usize {
-                    self.cross(ShardEffect::WakeWarp { at: self.clock, block: idx, warp: w });
-                }
+            let kernel = self.kernel.as_ref().expect("kernel in flight");
+            let warps: Vec<WarpContext> = (0..self.occ.warps_per_block)
+                .map(|w| WarpContext::new(kernel.warp_stream(id, w as u16)))
+                .collect();
+            self.blocks[idx].warps = warps;
+            self.blocks[idx].started = true;
+            for w in 0..self.occ.warps_per_block as usize {
+                self.events.push(self.clock, Event::WarpWake { block: idx, warp: w });
             }
         } else {
             for w in self.blocks[idx].ready_inactive_warps() {
                 self.blocks[idx].warps[w].phase = WarpPhase::Ready;
-                self.cross(ShardEffect::WakeWarp { at: self.clock, block: idx, warp: w });
+                self.events.push(self.clock, Event::WarpWake { block: idx, warp: w });
             }
         }
-        Ok(())
     }
 
     pub(super) fn top_up_inactive(&mut self) -> Result<(), SimError> {
@@ -180,10 +147,6 @@ impl Engine {
         }
         match self.blocks[b].warps[w].take_next_op() {
             None => {
-                // Retirement may refill blocks, switch contexts, or launch
-                // the next kernel — all of which push and emit probes:
-                // flush deferred data-path work to preserve serial order.
-                self.flush_mem_batch()?;
                 let warp = &mut self.blocks[b].warps[w];
                 warp.phase = WarpPhase::Finished;
                 // The stream is spent: free it now, not when the block
@@ -197,16 +160,10 @@ impl Engine {
                 }
             }
             Some(WarpOp::Compute(c)) => {
-                // The compute wake pushes into the wheel: flush first so
-                // the deferred ops' wakes keep their earlier seq slots.
-                self.flush_mem_batch()?;
                 self.ops_consumed += 1;
                 self.blocks[b].warps[w].phase = WarpPhase::Computing;
-                self.cross(ShardEffect::WakeWarp {
-                    at: self.clock + Cycle::from(c),
-                    block: b,
-                    warp: w,
-                });
+                let at = self.clock + Cycle::from(c);
+                self.events.push(at, Event::WarpWake { block: b, warp: w });
             }
             Some(op) => {
                 self.ops_consumed += 1;
@@ -255,74 +212,35 @@ impl Engine {
         }
         if faulted.is_empty() {
             let cc = self.cc.access_penalty();
-            if self.pool.is_some() {
-                // Sharded execution: defer the data-path accesses to the
-                // cycle-barrier batch (replayed — bank-parallel when large
-                // enough — by `flush_mem_batch` before the clock advances
-                // or any non-wake handler runs). The translation latencies
-                // were resolved inline above, exactly as on the serial
-                // path; only the cache walk and the wake are deferred.
-                let start = self.batch_accesses.len();
-                let mut prev: Option<(_, Cycle)> = None;
-                for a in op.addrs() {
-                    let page = geom.page_of(*a);
-                    let tl = match prev {
-                        Some((p, l)) if p == page => l,
-                        _ => {
-                            let Some(l) =
-                                page_lat.iter().find(|&&(p, _)| p == page).map(|&(_, l)| l)
-                            else {
-                                return Err(SimError::Accounting {
-                                    cycle: self.clock,
-                                    detail: format!(
-                                        "mem op touched page {page} that was never translated"
-                                    ),
-                                });
-                            };
-                            prev = Some((page, l));
-                            l
-                        }
-                    };
-                    self.batch_accesses.push((sm as u16, *a, tl + cc));
-                }
-                self.batch_ops.push(super::DeferredOp { block: b, warp: w, start });
-                self.blocks[b].warps[w].phase = WarpPhase::MemWait;
-            } else {
-                let mut total: Cycle = 0;
-                let mut prev: Option<(_, Cycle)> = None;
-                for a in op.addrs() {
-                    let page = geom.page_of(*a);
-                    let tl = match prev {
-                        Some((p, l)) if p == page => l,
-                        _ => {
-                            let Some(l) =
-                                page_lat.iter().find(|&&(p, _)| p == page).map(|&(_, l)| l)
-                            else {
-                                return Err(SimError::Accounting {
-                                    cycle: self.clock,
-                                    detail: format!(
-                                        "mem op touched page {page} that was never translated"
-                                    ),
-                                });
-                            };
-                            prev = Some((page, l));
-                            l
-                        }
-                    };
-                    let dl = self.mem.access(sm, *a) + cc;
-                    total = total.max(tl + dl);
-                }
-                self.blocks[b].warps[w].phase = WarpPhase::MemWait;
-                self.cross(ShardEffect::WakeWarp { at: self.clock + total, block: b, warp: w });
+            let mut total: Cycle = 0;
+            let mut prev: Option<(_, Cycle)> = None;
+            for a in op.addrs() {
+                let page = geom.page_of(*a);
+                let tl = match prev {
+                    Some((p, l)) if p == page => l,
+                    _ => {
+                        let Some(l) = page_lat.iter().find(|&&(p, _)| p == page).map(|&(_, l)| l)
+                        else {
+                            return Err(SimError::Accounting {
+                                cycle: self.clock,
+                                detail: format!(
+                                    "mem op touched page {page} that was never translated"
+                                ),
+                            });
+                        };
+                        prev = Some((page, l));
+                        l
+                    }
+                };
+                let dl = self.mem.access(sm, *a) + cc;
+                total = total.max(tl + dl);
             }
+            self.blocks[b].warps[w].phase = WarpPhase::MemWait;
+            self.events.push(self.clock + total, Event::WarpWake { block: b, warp: w });
             page_lat.clear();
             self.scratch_page_lat = page_lat;
             self.scratch_faulted = faulted;
         } else {
-            // A faulting op pushes into the wheel and emits a probe below:
-            // replay any deferred data-path work first so push and probe
-            // order match the serial engine.
-            self.flush_mem_batch()?;
             // The warp stalls on its faulting pages. Replay is per-lane, as
             // on real hardware: lanes whose pages were resident complete
             // now, and only the faulted addresses re-issue — this also
@@ -365,7 +283,7 @@ impl Engine {
                     }
                 }
                 // The fault reaches the fault buffer when the walk fails.
-                self.cross(ShardEffect::RaiseFault { at: self.clock + tl, page });
+                self.events.push(self.clock + tl, Event::RaiseFault { page });
             }
             page_lat.clear();
             self.scratch_page_lat = page_lat;
@@ -409,13 +327,13 @@ impl Engine {
         self.blocks[out].residency = BlockResidency::Inactive;
         self.sms[sm].deactivate(out, self.clock)?;
         self.blocks[inc].residency = BlockResidency::SwitchingIn;
-        self.cross(ShardEffect::SwitchIn { at: done, sm, block: inc });
+        self.events.push(done, Event::SwitchInDone { sm, block: inc });
         Ok(())
     }
 
     pub(super) fn on_switch_in_done(&mut self, sm: usize, block: usize) -> Result<(), SimError> {
         self.sms[sm].activate(block, self.clock)?;
-        self.activate_block(block)?;
+        self.activate_block(block);
         // Chain: another active block may be stalled with another inactive
         // block ready.
         self.maybe_switch(sm)
@@ -465,7 +383,7 @@ impl Engine {
                     restore: true,
                 });
                 self.blocks[inc].residency = BlockResidency::SwitchingIn;
-                self.cross(ShardEffect::SwitchIn { at: done, sm, block: inc });
+                self.events.push(done, Event::SwitchInDone { sm, block: inc });
                 self.top_up_inactive()?;
                 return Ok(());
             }

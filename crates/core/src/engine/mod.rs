@@ -2,39 +2,20 @@
 //!
 //! Wires the GPU core model (`batmem-sim`) to the MMU (`batmem-vmem`), the
 //! UVM runtime (`batmem-uvm`), and the ETC baseline (`batmem-etc`), and
-//! drives them with a deterministic discrete-event loop.
+//! drives them with a single deterministic event loop (DESIGN.md §13 says
+//! why it runs on one thread).
 //!
 //! # Module layout
 //!
-//! The engine separates **SM-local** state and handlers from **shared**
-//! state (see DESIGN.md §13):
-//!
-//! * [`exec`] — SM-local execution: kernel lifecycle, warp wakes, memory
-//!   ops, TO context switching, block retirement. Everything here advances
-//!   a single SM's warps and blocks; any effect that escapes the SM crosses
-//!   the [`boundary::ShardBoundary`].
+//! * [`exec`] — SM-side execution: kernel lifecycle, warp wakes, memory
+//!   ops, TO context switching, block retirement.
 //! * [`uvm_glue`] — shared-state side: the UVM pipeline's outputs, fault
 //!   recording, page-arrival wakeups, and the periodic controllers.
-//! * [`boundary`] — the explicit [`ShardBoundary`](boundary::ShardBoundary)
-//!   trait naming every cross-shard effect, with the immediate (serial
-//!   reference) and recording (parallel shard) implementations plus the
-//!   deterministic log merge.
-//! * [`window`] — conservative time-window derivation: the horizon before
-//!   the next pending UVM interaction (batch window, PCIe completion,
-//!   fault-servicing occupancy, controller tick).
-//! * [`parallel`] — the sharded executor: a pool of shard workers that
-//!   prefabricate warp streams ahead of the coordinator and replay
-//!   bank-partitioned data-path batches at the cycle barrier,
-//!   bit-identical to the serial path for every thread count.
-//! * [`builder`] — [`Simulation`] / [`SimulationBuilder`], including the
-//!   [`threads`](SimulationBuilder::threads) knob.
+//! * [`builder`] — [`Simulation`] / [`SimulationBuilder`].
 
-mod boundary;
 mod builder;
 mod exec;
-mod parallel;
 mod uvm_glue;
-mod window;
 
 #[cfg(test)]
 mod tests;
@@ -50,20 +31,14 @@ use batmem_sim::ops::{Kernel, KernelSpec, Workload};
 use batmem_sim::sm::{Occupancy, Sm};
 use batmem_types::dense::{PageMap, PageSet};
 use batmem_types::probe::{ProbeEvent, ProbeHub, SharedProbes};
-use batmem_types::{AuditLevel, Cycle, PageId, SimConfig, SimError, VirtAddr};
+use batmem_types::{AuditLevel, Cycle, PageId, SimConfig, SimError};
 use batmem_uvm::{
     AdaptiveSignals, CoalesceStrategy, EvictionStrategy, FaultServicingModel, InjectConfig,
     OversubscriptionHandler, Prefetcher, UvmEvent, UvmRuntime,
 };
 use batmem_vmem::Mmu;
 
-use boundary::{merge_log, ImmediateBoundary, RecordingBoundary, ShardBoundary, ShardEffect};
-use parallel::{run_bank, BankJob, BankResult, ShardPool};
-use window::{BankLoad, WindowTracker};
-
-use std::sync::Arc;
-
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Event {
     WarpWake { block: usize, warp: usize },
     RaiseFault { page: PageId },
@@ -71,15 +46,6 @@ enum Event {
     SwitchInDone { sm: usize, block: usize },
     Sample,
     EtcTick,
-}
-
-/// One deferred (non-faulted) memory operation: its warp plus the start
-/// of its access run in the batch's flat access list (it extends to the
-/// next op's start, or the list's end).
-struct DeferredOp {
-    block: usize,
-    warp: usize,
-    start: usize,
 }
 
 struct Engine {
@@ -95,7 +61,7 @@ struct Engine {
     etc_enabled: bool,
     workload: Box<dyn Workload>,
     kernel_idx: u32,
-    kernel: Option<Arc<dyn Kernel>>,
+    kernel: Option<Box<dyn Kernel>>,
     spec: KernelSpec,
     occ: Occupancy,
     blocks: Vec<BlockContext>,
@@ -107,37 +73,12 @@ struct Engine {
     seen_fault_pages: PageSet,
     throttled_count: u16,
     probes: SharedProbes,
-    // The cross-shard boundary the SM-local handlers emit through (the
-    // coordinator always applies immediately; shard workers record).
-    boundary: ImmediateBoundary,
-    // Pending UVM-interaction times: the conservative window's horizon.
-    window: WindowTracker,
-    // The shard pool (threads > 1): prefabricates warp streams ahead of
-    // the coordinator. `None` is the serial reference path.
-    pool: Option<ShardPool>,
-    // Clock of the last shard-log merge and the window horizon it landed
-    // in, for wedged-run diagnostics.
-    merged_window: Option<(Cycle, Option<Cycle>)>,
     // Recycled hot-loop scratch: taken, filled, cleared, and put back so
     // the steady-state event loop performs no heap allocations.
     uvm_out: Vec<batmem_uvm::UvmOutput>,
     waiter_pool: Vec<Vec<(usize, usize)>>,
     scratch_page_lat: Vec<(PageId, Cycle)>,
     scratch_faulted: Vec<(PageId, Cycle)>,
-    // The deferred data-path batch (threads > 1 only; serial runs keep the
-    // inline path and never populate these). Non-faulted mem ops of one
-    // cycle collect here and replay — bank-parallel above the dispatch
-    // threshold — at the cycle barrier (`flush_mem_batch`).
-    batch_ops: Vec<DeferredOp>,
-    batch_accesses: Vec<(u16, VirtAddr, Cycle)>,
-    batch_bank: Vec<u32>,
-    batch_lat: Vec<Cycle>,
-    // Per-bank fan-out scratch, all recycled: arrival-order queues, replay
-    // outputs, and merge cursors.
-    bank_queues: Vec<Vec<(u16, VirtAddr)>>,
-    bank_lat: Vec<Vec<Cycle>>,
-    bank_cursor: Vec<usize>,
-    bank_load: BankLoad,
     // metrics
     finished_at: Option<Cycle>,
     memory_pages: Option<u64>,
@@ -167,7 +108,6 @@ impl Engine {
         oversub: Box<dyn OversubscriptionHandler>,
         servicing: Box<dyn FaultServicingModel>,
         signals: Option<AdaptiveSignals>,
-        threads: usize,
     ) -> Self {
         let probes = SharedProbes::new(probes);
         let mut uvm = UvmRuntime::with_strategies(
@@ -196,8 +136,6 @@ impl Engine {
         // Kernel launch wakes every schedulable warp at the same cycle:
         // size the same-cycle ring for that burst up front.
         let max_warps = num_sms * (cfg.gpu.threads_per_sm / cfg.gpu.warp_size).max(1) as usize;
-        let pool = (threads > 1).then(|| ShardPool::spawn(threads - 1));
-        let num_banks = mem.num_banks();
         Self {
             cfg,
             clock: 0,
@@ -223,10 +161,6 @@ impl Engine {
             seen_fault_pages: PageSet::with_capacity(footprint_pages as usize),
             throttled_count: 0,
             probes,
-            boundary: ImmediateBoundary,
-            window: WindowTracker::new(),
-            pool,
-            merged_window: None,
             finished_at: None,
             memory_pages,
             blocks_retired: 0,
@@ -241,14 +175,6 @@ impl Engine {
             waiter_pool: Vec::new(),
             scratch_page_lat: Vec::new(),
             scratch_faulted: Vec::new(),
-            batch_ops: Vec::new(),
-            batch_accesses: Vec::new(),
-            batch_bank: Vec::new(),
-            batch_lat: Vec::new(),
-            bank_queues: (0..num_banks).map(|_| Vec::new()).collect(),
-            bank_lat: (0..num_banks).map(|_| Vec::new()).collect(),
-            bank_cursor: vec![0; num_banks],
-            bank_load: BankLoad::default(),
         }
     }
 
@@ -256,149 +182,10 @@ impl Engine {
         self.cfg.policy.oversubscription.enabled
     }
 
-    /// Emits one cross-shard effect through the boundary. On the
-    /// coordinator the boundary is immediate (the effect lands in the
-    /// global wheel at once, exactly like the pre-split direct pushes);
-    /// shard workers record effects instead and the logs are merged at the
-    /// barrier (see [`boundary`]). UVM-interaction effects also feed the
-    /// conservative window horizon.
-    #[inline]
-    fn cross(&mut self, effect: ShardEffect) {
-        self.window.note(self.clock, &effect);
-        self.boundary.cross(&mut self.events, effect);
-    }
-
-    /// Replays the deferred data-path batch at the cycle barrier.
-    ///
-    /// Deferred accesses replay in arrival (pop) order against the caches
-    /// — bank-partitioned across the shard workers when the batch clears
-    /// [`MemConfig::bank_dispatch_min`](batmem_types::config::MemConfig),
-    /// serially on the coordinator otherwise — and the resulting wakes
-    /// merge into the wheel in op order through a [`RecordingBoundary`]
-    /// log, reproducing the serial engine's `(time, seq)` push order
-    /// exactly. Partitioning by bank preserves per-set access order (a
-    /// line's bank is a pure function of its address), so every hit/miss,
-    /// latency, and LRU update is bit-identical to the serial replay no
-    /// matter how the banks are scheduled.
-    fn flush_mem_batch(&mut self) -> Result<(), SimError> {
-        if self.batch_ops.is_empty() {
-            return Ok(());
-        }
-        debug_assert!(self.pool.is_some(), "serial runs never defer mem ops");
-        let banks = self.mem.num_banks();
-        let fan_out = banks > 1
-            && self.pool.is_some()
-            && self.batch_accesses.len() >= self.cfg.mem.bank_dispatch_min as usize;
-        self.bank_load.note_flush(fan_out);
-        debug_assert!(self.batch_lat.is_empty());
-        if fan_out {
-            // Partition by bank, preserving arrival order within each bank.
-            for &(sm, addr, _) in &self.batch_accesses {
-                let bank = self.mem.bank_of(addr);
-                self.batch_bank.push(bank as u32);
-                self.bank_queues[bank].push((sm, addr));
-            }
-            self.bank_load.note_counts(&self.bank_queues);
-            // Ship every non-empty bank but the first to the workers; the
-            // coordinator replays that first one itself while they run.
-            // Which thread replays which bank never affects the outcome.
-            let mut inline_bank = None;
-            let mut outstanding = 0usize;
-            for bank in 0..banks {
-                if self.bank_queues[bank].is_empty() {
-                    continue;
-                }
-                if inline_bank.is_none() {
-                    inline_bank = Some(bank);
-                    continue;
-                }
-                let job = BankJob {
-                    view: self.mem.detach_bank(bank),
-                    queue: std::mem::take(&mut self.bank_queues[bank]),
-                    latencies: std::mem::take(&mut self.bank_lat[bank]),
-                };
-                match self.pool.as_mut().expect("fan-out requires a pool").dispatch_bank(job) {
-                    None => outstanding += 1,
-                    // The worker died (the run is about to be reported
-                    // wedged); the replay completed inline instead.
-                    Some(result) => self.finish_bank(result),
-                }
-            }
-            if let Some(bank) = inline_bank {
-                let job = BankJob {
-                    view: self.mem.detach_bank(bank),
-                    queue: std::mem::take(&mut self.bank_queues[bank]),
-                    latencies: std::mem::take(&mut self.bank_lat[bank]),
-                };
-                let result = run_bank(job);
-                self.finish_bank(result);
-            }
-            while outstanding > 0 {
-                let clock = self.clock;
-                let result =
-                    self.pool.as_mut().expect("fan-out requires a pool").collect_bank(clock)?;
-                self.finish_bank(result);
-                outstanding -= 1;
-            }
-            // Stitch per-bank latencies back into arrival order.
-            for &bank in &self.batch_bank {
-                let cursor = &mut self.bank_cursor[bank as usize];
-                self.batch_lat.push(self.bank_lat[bank as usize][*cursor]);
-                *cursor += 1;
-            }
-            for bank in 0..banks {
-                debug_assert_eq!(self.bank_cursor[bank], self.bank_lat[bank].len());
-                self.bank_lat[bank].clear();
-                self.bank_cursor[bank] = 0;
-            }
-            self.batch_bank.clear();
-        } else {
-            // Below the dispatch threshold (or a single bank): replay the
-            // whole batch serially — identical outcome, no fan-out cost.
-            for &(sm, addr, _) in &self.batch_accesses {
-                let lat = self.mem.access(sm as usize, addr);
-                self.batch_lat.push(lat);
-            }
-        }
-        // Emit each op's wake at its max (translation + data) latency, in
-        // op order, through the recording boundary + merge — the same seam
-        // prefabricated activation wakes use.
-        let mut rec = RecordingBoundary::new();
-        for (i, op) in self.batch_ops.iter().enumerate() {
-            let end =
-                self.batch_ops.get(i + 1).map_or(self.batch_accesses.len(), |next| next.start);
-            let mut total: Cycle = 0;
-            for k in op.start..end {
-                let (_, _, tl_cc) = self.batch_accesses[k];
-                total = total.max(tl_cc + self.batch_lat[k]);
-            }
-            rec.record(ShardEffect::MemDone { at: total, block: op.block, warp: op.warp });
-        }
-        merge_log(&mut self.events, self.clock, rec.into_log(), |slot| slot);
-        self.batch_ops.clear();
-        self.batch_accesses.clear();
-        self.batch_lat.clear();
-        Ok(())
-    }
-
-    /// Reattaches a replayed bank and parks its buffers for the merge.
-    fn finish_bank(&mut self, result: BankResult) {
-        let bank = result.view.bank();
-        self.mem.attach_bank(result.view);
-        let mut queue = result.queue;
-        queue.clear();
-        self.bank_queues[bank] = queue;
-        debug_assert!(self.bank_lat[bank].is_empty());
-        self.bank_lat[bank] = result.latencies;
-    }
-
     /// Everything that counts as forward progress for the watchdog: warp
     /// ops consumed, faults accepted by the runtime, pages installed,
-    /// context switches, retirements — and, under sharded execution, warp
-    /// streams prefabricated by shard workers (a pool that is still
-    /// fabricating is progressing even while the coordinator waits).
-    /// Purely periodic events (Sample, EtcTick) and parked wakes leave
-    /// this unchanged.
+    /// context switches, retirements. Purely periodic events (Sample,
+    /// EtcTick) and parked wakes leave this unchanged.
     fn progress_signature(&self) -> u64 {
         self.ops_consumed
             + self.faults_recorded
@@ -406,17 +193,13 @@ impl Engine {
             + self.ctx_switches
             + self.warps_retired
             + self.blocks_retired
-            + self.pool.as_ref().map_or(0, |p| p.blocks_fabricated())
     }
 
     /// One-line dump of what is outstanding, for livelock/deadlock errors.
-    /// Under sharded execution this names per-shard fabrication occupancy
-    /// and the merged-window position, so a wedged shard is identified
-    /// instead of appearing as a global livelock.
     fn describe_stuck(&self) -> String {
         let occ = self.events.occupancy();
-        let mut s = format!(
-            "kernel {}/{}, {} blocks outstanding, {} pages awaited, {} events queued (ring {} / wheel {} / overflow {}); {}; window [{}, {})",
+        format!(
+            "kernel {}/{}, {} blocks outstanding, {} pages awaited, {} events queued (ring {} / wheel {} / overflow {}); {}",
             self.kernel_idx,
             self.workload.num_kernels(),
             self.blocks_remaining,
@@ -426,25 +209,7 @@ impl Engine {
             occ.wheel,
             occ.overflow,
             self.uvm.describe_state(),
-            self.clock,
-            self.window
-                .horizon_at(self.clock)
-                .map_or("∞".to_string(), |h| h.to_string()),
-        );
-        if let Some(pool) = &self.pool {
-            s.push_str("; ");
-            s.push_str(&pool.describe_occupancy());
-            if let Some((at, horizon)) = self.merged_window {
-                s.push_str(&format!(
-                    ", last merge at cycle {} (window horizon {})",
-                    at,
-                    horizon.map_or("∞".to_string(), |h| h.to_string()),
-                ));
-            }
-            s.push_str("; ");
-            s.push_str(&self.bank_load.describe());
-        }
-        s
+        )
     }
 
     /// Cross-checks engine-level state against the MMU under `Full` audit:
@@ -468,31 +233,17 @@ impl Engine {
         self.launch_kernel(0)?;
         if self.to_enabled() {
             let period = self.cfg.policy.oversubscription.lifetime_sample_period;
-            self.cross(ShardEffect::Sample { at: period });
+            self.events.push(period, Event::Sample);
         }
         if self.etc_enabled {
-            self.cross(ShardEffect::EtcTick { at: self.throttle.next_tick() });
+            self.events.push(self.throttle.next_tick(), Event::EtcTick);
         }
         let budget = self.cfg.watchdog_event_budget;
         let mut last_sig = self.progress_signature();
         let mut stagnant: u64 = 0;
-        loop {
-            // The cycle barrier: deferred data-path work must replay
-            // before the clock can advance past it (its wakes may precede
-            // whatever is queued next) and before the queue can drain.
-            if !self.batch_ops.is_empty() && self.events.peek_time() != Some(self.clock) {
-                self.flush_mem_batch()?;
-            }
-            let Some((t, ev)) = self.events.pop() else { break };
+        while let Some((t, ev)) = self.events.pop() {
             debug_assert!(t >= self.clock, "time went backwards");
             self.clock = t;
-            // Any non-wake handler may push events, emit probes, or touch
-            // shared state the deferred accesses were ordered against:
-            // flush first so the (time, seq) order matches the serial
-            // engine's direct pushes.
-            if !matches!(ev, Event::WarpWake { .. }) {
-                self.flush_mem_batch()?;
-            }
             match ev {
                 Event::WarpWake { block, warp } => self.on_warp_wake(block, warp)?,
                 Event::RaiseFault { page } => self.on_raise_fault(page)?,
@@ -540,7 +291,6 @@ impl Engine {
                 }
             }
         }
-        debug_assert!(self.batch_ops.is_empty(), "deferred mem ops survived the drain");
         if self.blocks_remaining > 0 || self.kernel_idx < self.workload.num_kernels() {
             return Err(SimError::Deadlock { cycle: self.clock, detail: self.describe_stuck() });
         }

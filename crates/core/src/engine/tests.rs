@@ -4,6 +4,7 @@ use batmem_types::policy::{EvictionPolicy, PolicyConfig, PrefetchPolicy, SwitchT
 use batmem_types::{BlockId, KernelId};
 use batmem_workloads::synthetic::{SharedPages, Strided};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn no_prefetch(mut p: PolicyConfig) -> PolicyConfig {
     p.prefetch = PrefetchPolicy::None;
@@ -136,33 +137,6 @@ fn zero_ratio_panics() {
     let _ = Simulation::builder().memory_ratio(0.0);
 }
 
-#[test]
-fn sharded_run_matches_serial_on_unit_tests_shape() {
-    // The cheap in-crate determinism check (the full differential matrix
-    // lives in tests/threads.rs): a TO+UE run under pressure, serial vs
-    // sharded, compared field-for-field via Debug formatting.
-    let run = |threads: usize| {
-        let w = Strided::new(64, 256, 56, 2, 50, 3);
-        let mut policy = no_prefetch(PolicyConfig::to_only());
-        policy.oversubscription = ToConfig { max_extra_blocks: 3, ..ToConfig::enabled() };
-        Simulation::builder()
-            .policy(policy)
-            .memory_ratio(0.25)
-            .threads(threads)
-            .try_run(Box::new(w))
-            .unwrap()
-    };
-    let serial = run(1);
-    for threads in [2, 3, 8] {
-        let sharded = run(threads);
-        assert_eq!(
-            format!("{serial:?}"),
-            format!("{sharded:?}"),
-            "metrics diverged at {threads} threads"
-        );
-    }
-}
-
 /// Live warp streams of a [`Census`] workload: built and not yet dropped.
 #[derive(Default)]
 struct StreamCensus {
@@ -239,41 +213,23 @@ fn warp_streams_are_released_when_their_warps_retire() {
     // ends would peak at every warp of the grid.
     const BLOCKS: u32 = 400;
     const EXTRA_BLOCKS: u32 = 3;
-    for threads in [1, 2] {
-        let census = Arc::new(StreamCensus::default());
-        let inner = Box::new(Strided::new(BLOCKS, 256, 56, 2, 50, 3));
-        let spec = inner.kernel(KernelId::new(0)).spec();
-        let w = Census { inner, census: Arc::clone(&census) };
-        let mut policy = no_prefetch(PolicyConfig::to_only());
-        policy.oversubscription =
-            ToConfig { max_extra_blocks: EXTRA_BLOCKS, ..ToConfig::enabled() };
-        let m = Simulation::builder()
-            .policy(policy)
-            .memory_ratio(0.25)
-            .threads(threads)
-            .try_run(Box::new(w))
-            .unwrap();
-        assert!(m.ctx_switches > 0, "TO never switched");
-        let gpu = SimConfig::default().gpu;
-        let occ = batmem_sim::sm::occupancy(&gpu, &spec);
-        let wpb = occ.warps_per_block as usize;
-        // Resident blocks: the active slots plus TO's inactive extras.
-        let resident = usize::from(gpu.num_sms) * (occ.active_limit + EXTRA_BLOCKS) as usize;
-        // The shard pool runs ahead by its channel (4 blocks per shard)
-        // plus one finished block held by each shard.
-        let lookahead = (threads - 1) * 5;
-        let bound = (resident + lookahead) * wpb;
-        let total = BLOCKS as usize * wpb;
-        assert_eq!(census.built.load(Ordering::SeqCst), total, "threads {threads}");
-        let peak = census.peak.load(Ordering::SeqCst);
-        assert!(peak <= bound, "{peak} live streams > bound {bound} at threads {threads}");
-        assert!(bound < total, "the grid must outsize the bound for the test to mean anything");
-        assert_eq!(census.live.load(Ordering::SeqCst), 0, "streams leaked at threads {threads}");
-    }
-}
-
-#[test]
-#[should_panic(expected = "threads must be at least 1")]
-fn zero_threads_panics() {
-    let _ = Simulation::builder().threads(0);
+    let census = Arc::new(StreamCensus::default());
+    let inner = Box::new(Strided::new(BLOCKS, 256, 56, 2, 50, 3));
+    let spec = inner.kernel(KernelId::new(0)).spec();
+    let w = Census { inner, census: Arc::clone(&census) };
+    let mut policy = no_prefetch(PolicyConfig::to_only());
+    policy.oversubscription = ToConfig { max_extra_blocks: EXTRA_BLOCKS, ..ToConfig::enabled() };
+    let m = Simulation::builder().policy(policy).memory_ratio(0.25).try_run(Box::new(w)).unwrap();
+    assert!(m.ctx_switches > 0, "TO never switched");
+    let gpu = SimConfig::default().gpu;
+    let occ = batmem_sim::sm::occupancy(&gpu, &spec);
+    let wpb = occ.warps_per_block as usize;
+    // Resident blocks: the active slots plus TO's inactive extras.
+    let bound = usize::from(gpu.num_sms) * (occ.active_limit + EXTRA_BLOCKS) as usize * wpb;
+    let total = BLOCKS as usize * wpb;
+    assert_eq!(census.built.load(Ordering::SeqCst), total);
+    let peak = census.peak.load(Ordering::SeqCst);
+    assert!(peak <= bound, "{peak} live streams > bound {bound}");
+    assert!(bound < total, "the grid must outsize the bound for the test to mean anything");
+    assert_eq!(census.live.load(Ordering::SeqCst), 0, "streams leaked");
 }

@@ -1,11 +1,5 @@
 //! Shared-state handlers: the UVM runtime's outputs, fault recording,
 //! page-arrival wakeups, and the periodic controllers.
-//!
-//! These run only on the coordinator thread — the far-fault buffer, the
-//! MMU residency map, the ETC throttle, and the TO sampler are global
-//! structures whose update order is part of the simulated semantics. The
-//! wakes they emit toward SM shards cross the boundary like any other
-//! effect.
 
 use batmem_sim::block::BlockResidency;
 use batmem_sim::warp::WarpPhase;
@@ -13,8 +7,7 @@ use batmem_types::probe::ProbeEvent;
 use batmem_types::{PageId, SimError};
 use batmem_uvm::UvmOutput;
 
-use super::boundary::ShardEffect;
-use super::Engine;
+use super::{Engine, Event};
 
 impl Engine {
     pub(super) fn on_raise_fault(&mut self, page: PageId) -> Result<(), SimError> {
@@ -43,7 +36,7 @@ impl Engine {
         for o in outs.drain(..) {
             match o {
                 UvmOutput::Schedule { at, event } => {
-                    self.cross(ShardEffect::Uvm { at: at.max(self.clock), event });
+                    self.events.push(at.max(self.clock), Event::Uvm(event));
                 }
                 UvmOutput::Install { page, frame } => {
                     self.mmu.install(page, frame, self.clock)?;
@@ -78,7 +71,7 @@ impl Engine {
                 match self.blocks[b].residency {
                     BlockResidency::Active => {
                         self.blocks[b].warps[w].phase = WarpPhase::Ready;
-                        self.cross(ShardEffect::WakeWarp { at: self.clock, block: b, warp: w });
+                        self.events.push(self.clock, Event::WarpWake { block: b, warp: w });
                     }
                     _ => {
                         self.blocks[b].warps[w].phase = WarpPhase::ReadyInactive;
@@ -108,7 +101,7 @@ impl Engine {
         self.top_up_inactive()?;
         if self.kernel_idx < self.workload.num_kernels() {
             let period = self.cfg.policy.oversubscription.lifetime_sample_period;
-            self.cross(ShardEffect::Sample { at: self.clock + period });
+            self.events.push(self.clock + period, Event::Sample);
         }
         Ok(())
     }
@@ -118,7 +111,7 @@ impl Engine {
             self.apply_throttle();
         }
         if self.kernel_idx < self.workload.num_kernels() {
-            self.cross(ShardEffect::EtcTick { at: self.throttle.next_tick().max(self.clock + 1) });
+            self.events.push(self.throttle.next_tick().max(self.clock + 1), Event::EtcTick);
         }
     }
 
@@ -137,11 +130,7 @@ impl Engine {
                     let b = self.sms[sm].active[i];
                     for w in 0..self.blocks[b].warps.len() {
                         if self.blocks[b].warps[w].phase == WarpPhase::Ready {
-                            self.cross(ShardEffect::WakeWarp {
-                                at: self.clock,
-                                block: b,
-                                warp: w,
-                            });
+                            self.events.push(self.clock, Event::WarpWake { block: b, warp: w });
                         }
                     }
                 }

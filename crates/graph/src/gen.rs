@@ -160,68 +160,14 @@ pub fn uniform(n: u32, m: u64, seed: u64) -> Csr {
 /// Generates a weighted variant of [`rmat`]; weights are uniform in
 /// `1..=max_weight` (for SSSP).
 pub fn rmat_weighted(scale: u32, edge_factor: u32, max_weight: u32, seed: u64) -> Csr {
-    rmat_weighted_par(scale, edge_factor, max_weight, seed, 1)
-}
-
-/// [`rmat_weighted`] on `threads` worker threads, bit-identical to the
-/// serial generator (see [`rmat_par`]).
-///
-/// The weight pass consumes exactly two raw draws per edge
-/// ([`DetRng::range_inclusive`]) in CSR order, so workers jump to
-/// `2 × edges-before-their-vertex-range` and weight disjoint vertex ranges
-/// independently.
-pub fn rmat_weighted_par(
-    scale: u32,
-    edge_factor: u32,
-    max_weight: u32,
-    seed: u64,
-    threads: usize,
-) -> Csr {
-    let unweighted = rmat_par(scale, edge_factor, seed, threads);
+    let unweighted = rmat(scale, edge_factor, seed);
     let n = unweighted.num_vertices();
-    let m = unweighted.num_edges();
-    let weights: Vec<u32> = if threads <= 1 || m < 2 {
-        let mut rng = DetRng::new(seed ^ 0x5eed);
-        (0..m).map(|_| rng.range_inclusive(1, u64::from(max_weight)) as u32).collect()
-    } else {
-        // Split the vertex space so each worker owns a contiguous CSR edge
-        // range; `skip` aligns its generator with the serial draw stream.
-        let workers = threads.min(n.max(1) as usize);
-        let cuts: Vec<u32> = (0..=workers as u64).map(|i| (i * u64::from(n) / workers as u64) as u32).collect();
-        std::thread::scope(|scope| {
-            let unweighted = &unweighted;
-            let handles: Vec<_> = cuts
-                .windows(2)
-                .map(|w| {
-                    let (v0, v1) = (w[0], w[1]);
-                    scope.spawn(move || {
-                        let edges_before: u64 =
-                            (0..v0).map(|v| u64::from(unweighted.degree(v))).sum();
-                        let mut rng = DetRng::new(seed ^ 0x5eed);
-                        rng.skip(2 * edges_before);
-                        let mut out = Vec::new();
-                        for v in v0..v1 {
-                            for _ in 0..unweighted.degree(v) {
-                                out.push(rng.range_inclusive(1, u64::from(max_weight)) as u32);
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            let mut all = Vec::with_capacity(m as usize);
-            for h in handles {
-                all.extend(h.join().expect("weight worker panicked"));
-            }
-            all
-        })
-    };
+    let mut rng = DetRng::new(seed ^ 0x5eed);
     let mut builder = CsrBuilder::new(n);
-    let mut i = 0usize;
     for v in 0..n {
         for &t in unweighted.neighbors(v) {
-            builder = builder.weighted_edge(v, t, weights[i]);
-            i += 1;
+            let w = rng.range_inclusive(1, u64::from(max_weight)) as u32;
+            builder = builder.weighted_edge(v, t, w);
         }
     }
     builder.build()
@@ -326,13 +272,5 @@ mod tests {
         }
         // Thread counts exceeding the edge count degrade gracefully.
         assert_eq!(rmat(2, 1, 3), rmat_par(2, 1, 3, 64));
-    }
-
-    #[test]
-    fn parallel_weighted_rmat_is_bit_identical_to_serial() {
-        let serial = rmat_weighted(8, 5, 16, 21);
-        for threads in [2, 4, 7] {
-            assert_eq!(serial, rmat_weighted_par(8, 5, 16, 21, threads), "threads = {threads}");
-        }
     }
 }

@@ -1,19 +1,13 @@
 //! Data caches and the L1 → L2 → DRAM data path.
-//!
-//! # Banking
-//!
-//! Both cache levels are organized into `banks` address-interleaved
-//! stripes of sets (bank `b` owns every set `s` with `s ≡ b (mod banks)`),
-//! the way real GPU L2s are sliced per memory partition. Because hit/miss
-//! under per-set true LRU depends only on the access order *within a set*,
-//! and a line's bank is the same at both levels (the bank count divides
-//! both set counts and the levels share a line size whenever `banks > 1`),
-//! a bank's stripe can be detached with [`MemPath::detach_bank`], replayed
-//! on another thread, and reattached — producing bit-identical hits,
-//! misses, latencies, and stats to a serial replay of the same stream.
 
 use batmem_types::config::{CacheGeometry, MemConfig};
 use batmem_types::{Cycle, VirtAddr};
+
+/// Banks the L2 keeps statistics for. Bank `line mod L2_BANKS` owns a
+/// line, the address interleaving real GPU L2s use to slice the cache per
+/// memory partition; the per-bank counts show how evenly a workload
+/// spreads over those slices.
+pub const L2_BANKS: usize = 8;
 
 /// Statistics for one data cache (or one bank of it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,126 +33,48 @@ impl CacheStats {
     }
 }
 
-/// Set-index arithmetic shared by a cache and its detached bank views.
-///
-/// The modulo in `line % num_sets` is a `u64` division on the hottest
-/// path of the data model; when the set count is a power of two (every
-/// realistic geometry) it collapses to a mask.
-#[derive(Debug, Clone, Copy)]
-struct SetIndexer {
-    num_sets: u64,
-    /// `Some(num_sets - 1)` when the set count is a power of two.
-    mask: Option<u64>,
-    /// log2 of the bank count; a set's slot within its bank is the set
-    /// index shifted right by this (banks own low set bits).
-    bank_shift: u32,
-}
-
-impl SetIndexer {
-    fn new(num_sets: u64, banks: u32) -> Self {
-        debug_assert!(banks.is_power_of_two(), "bank count must be a power of two");
-        Self {
-            num_sets,
-            mask: num_sets.is_power_of_two().then(|| num_sets - 1),
-            bank_shift: banks.trailing_zeros(),
-        }
-    }
-
-    #[inline]
-    fn set_of(&self, line: u64) -> u64 {
-        match self.mask {
-            Some(m) => line & m,
-            None => line % self.num_sets,
-        }
-    }
-
-    #[inline]
-    fn slot_of(&self, set: u64) -> usize {
-        (set >> self.bank_shift) as usize
-    }
-}
-
-/// One bank's stripe of sets plus that stripe's statistics — the movable
-/// unit of parallel replay.
-#[derive(Debug, Clone, Default)]
-struct CacheBank {
-    /// Indexed by slot (= set index >> bank_shift).
-    sets: Vec<Vec<u64>>,
-    stats: CacheStats,
-}
-
-impl CacheBank {
-    fn with_slots(slots: usize, ways: usize) -> Self {
-        Self {
-            sets: vec![Vec::with_capacity(ways); slots],
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// The true-LRU set update: returns `true` on hit, fills the line
-    /// (evicting LRU on a full set) on miss.
-    fn access(&mut self, line: u64, slot: usize, ways: usize) -> bool {
-        let entries = &mut self.sets[slot];
-        // Scan from the MRU end: temporal locality means the hit is usually
-        // near the back. Rotating in place keeps recency order without the
-        // double shift of a remove-then-push.
-        if let Some(pos) = entries.iter().rposition(|&l| l == line) {
-            entries[pos..].rotate_left(1);
-            self.stats.hits += 1;
-            true
-        } else {
-            if entries.len() == ways {
-                entries.rotate_left(1);
-                *entries.last_mut().expect("set is non-empty") = line;
-                self.stats.conflict_evictions += 1;
-            } else {
-                entries.push(line);
-            }
-            self.stats.misses += 1;
-            false
-        }
-    }
-}
-
 /// A set-associative, true-LRU data cache over cache-line ids.
 ///
 /// Purely a tag model: hit/miss drives latency, no data is stored.
 #[derive(Debug, Clone)]
 pub struct DataCache {
-    banks: Vec<CacheBank>,
-    indexer: SetIndexer,
-    bank_mask: u64,
+    sets: Vec<Vec<u64>>,
+    /// `Some(sets - 1)` when the set count is a power of two (every
+    /// realistic geometry): the set index is then a mask instead of a
+    /// `u64` division on the hottest path of the data model.
+    set_mask: Option<u64>,
     ways: usize,
     line_shift: u32,
     hit_latency: Cycle,
+    /// Statistics per bank, indexed by `line & bank_mask`.
+    stats: Vec<CacheStats>,
+    bank_mask: u64,
 }
 
 impl DataCache {
-    /// Builds a single-bank cache from its geometry.
+    /// Builds a cache from its geometry, with one statistics bank.
     pub fn new(geom: CacheGeometry) -> Self {
         Self::with_banks(geom, 1)
     }
 
-    /// Builds a cache striped into `banks` banks.
+    /// Builds a cache that keeps its statistics per bank, for `banks`
+    /// address-interleaved banks. Banking changes only how the counts are
+    /// split, never an outcome.
     ///
     /// # Panics
     ///
-    /// Panics if `banks` is not a power of two dividing the set count
-    /// ([`MemConfig::validate`] rejects such configurations up front).
-    pub fn with_banks(geom: CacheGeometry, banks: u32) -> Self {
-        let sets = geom.num_sets() as u64;
-        assert!(
-            banks.is_power_of_two() && sets.is_multiple_of(u64::from(banks)),
-            "{banks} banks must be a power of two dividing {sets} sets"
-        );
-        let slots = (sets / u64::from(banks)) as usize;
+    /// Panics if `banks` is not a power of two.
+    pub fn with_banks(geom: CacheGeometry, banks: usize) -> Self {
+        assert!(banks.is_power_of_two(), "{banks} banks is not a power of two");
+        let sets = geom.num_sets() as usize;
         Self {
-            banks: (0..banks).map(|_| CacheBank::with_slots(slots, geom.ways as usize)).collect(),
-            indexer: SetIndexer::new(sets, banks),
-            bank_mask: u64::from(banks) - 1,
+            sets: vec![Vec::with_capacity(geom.ways as usize); sets],
+            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
             ways: geom.ways as usize,
             line_shift: geom.line_shift,
             hit_latency: geom.hit_latency,
+            stats: vec![CacheStats::default(); banks],
+            bank_mask: banks as u64 - 1,
         }
     }
 
@@ -171,12 +87,31 @@ impl DataCache {
     /// fills the line (evicting LRU) on miss.
     pub fn access(&mut self, addr: VirtAddr) -> bool {
         let line = self.line_of(addr);
-        let set = self.indexer.set_of(line);
-        // Banks divide the set count, so `set & bank_mask == line mod banks`
-        // — the bank of a line is cache-independent.
-        let bank = (set & self.bank_mask) as usize;
-        let slot = self.indexer.slot_of(set);
-        self.banks[bank].access(line, slot, self.ways)
+        let set = match self.set_mask {
+            Some(m) => line & m,
+            None => line % self.sets.len() as u64,
+        };
+        let ways = self.ways;
+        let entries = &mut self.sets[set as usize];
+        let stats = &mut self.stats[(line & self.bank_mask) as usize];
+        // Scan from the MRU end: temporal locality means the hit is usually
+        // near the back. Rotating in place keeps recency order without the
+        // double shift of a remove-then-push.
+        if let Some(pos) = entries.iter().rposition(|&l| l == line) {
+            entries[pos..].rotate_left(1);
+            stats.hits += 1;
+            true
+        } else {
+            if entries.len() == ways {
+                entries.rotate_left(1);
+                *entries.last_mut().expect("set is non-empty") = line;
+                stats.conflict_evictions += 1;
+            } else {
+                entries.push(line);
+            }
+            stats.misses += 1;
+            false
+        }
     }
 
     /// The hit latency of this cache.
@@ -184,60 +119,18 @@ impl DataCache {
         self.hit_latency
     }
 
-    /// Number of banks.
-    pub fn num_banks(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Accumulated statistics, summed over banks.
     pub fn stats(&self) -> CacheStats {
         let mut s = CacheStats::default();
-        for b in &self.banks {
-            s.add(&b.stats);
+        for b in &self.stats {
+            s.add(b);
         }
         s
     }
 
     /// Per-bank statistics, in bank order.
     pub fn bank_stats(&self) -> Vec<CacheStats> {
-        self.banks.iter().map(|b| b.stats).collect()
-    }
-
-    fn detach(&mut self, bank: usize) -> BankView {
-        BankView {
-            bank: std::mem::take(&mut self.banks[bank]),
-            idx: self.indexer,
-            ways: self.ways,
-            line_shift: self.line_shift,
-            hit_latency: self.hit_latency,
-        }
-    }
-
-    fn attach(&mut self, bank: usize, view: BankView) {
-        debug_assert!(self.banks[bank].sets.is_empty(), "bank attached twice");
-        self.banks[bank] = view.bank;
-    }
-}
-
-/// One cache's stripe of a single bank, detached together with its
-/// indexing parameters so another thread can replay accesses against it.
-#[derive(Debug)]
-struct BankView {
-    bank: CacheBank,
-    idx: SetIndexer,
-    ways: usize,
-    line_shift: u32,
-    hit_latency: Cycle,
-}
-
-impl BankView {
-    /// Identical update to [`DataCache::access`], restricted to this
-    /// bank's stripe (callers route only this bank's lines here).
-    #[inline]
-    fn access(&mut self, addr: VirtAddr) -> bool {
-        let line = addr.line(self.line_shift);
-        let slot = self.idx.slot_of(self.idx.set_of(line));
-        self.bank.access(line, slot, self.ways)
+        self.stats.clone()
     }
 }
 
@@ -252,30 +145,16 @@ pub struct MemPath {
     l1: Vec<DataCache>,
     l2: DataCache,
     dram_latency: Cycle,
-    bank_mask: u64,
 }
 
 impl MemPath {
-    /// Builds the data path for `num_sms` SMs, striped into
-    /// [`MemConfig::l2_banks`] banks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bank count does not satisfy the partition invariants
-    /// (validate the config first; see [`MemConfig::validate`]).
+    /// Builds the data path for `num_sms` SMs, with the L2 statistics
+    /// kept per [`L2_BANKS`] bank.
     pub fn new(config: &MemConfig, num_sms: u16) -> Self {
-        let banks = config.l2_banks;
-        if banks > 1 {
-            assert_eq!(
-                config.l1d.line_shift, config.l2d.line_shift,
-                "banked data path needs equal L1/L2 line sizes"
-            );
-        }
         Self {
-            l1: (0..num_sms).map(|_| DataCache::with_banks(config.l1d, banks)).collect(),
-            l2: DataCache::with_banks(config.l2d, banks),
+            l1: (0..num_sms).map(|_| DataCache::new(config.l1d)).collect(),
+            l2: DataCache::with_banks(config.l2d, L2_BANKS),
             dram_latency: config.dram_latency,
-            bank_mask: u64::from(banks) - 1,
         }
     }
 
@@ -283,7 +162,7 @@ impl MemPath {
     ///
     /// # Panics
     ///
-    /// Panics if `sm` is out of range or `addr`'s bank is detached.
+    /// Panics if `sm` is out of range.
     pub fn access(&mut self, sm: usize, addr: VirtAddr) -> Cycle {
         let l1 = &mut self.l1[sm];
         if l1.access(addr) {
@@ -294,38 +173,6 @@ impl MemPath {
             return l1_lat + self.l2.hit_latency();
         }
         l1_lat + self.l2.hit_latency() + self.dram_latency
-    }
-
-    /// Number of banks the path is striped into.
-    pub fn num_banks(&self) -> usize {
-        self.l2.num_banks()
-    }
-
-    /// The bank owning `addr` (the low line bits, identical at both cache
-    /// levels by the partition invariants).
-    pub fn bank_of(&self, addr: VirtAddr) -> usize {
-        (self.l2.line_of(addr) & self.bank_mask) as usize
-    }
-
-    /// Detaches `bank`'s stripe of every cache level for replay on another
-    /// thread. The stripe must be [reattached](MemPath::attach_bank)
-    /// before any access routed to that bank.
-    pub fn detach_bank(&mut self, bank: usize) -> MemPathBank {
-        MemPathBank {
-            bank,
-            l1: self.l1.iter_mut().map(|c| c.detach(bank)).collect(),
-            l2: self.l2.detach(bank),
-            dram_latency: self.dram_latency,
-        }
-    }
-
-    /// Reattaches a stripe detached by [`MemPath::detach_bank`].
-    pub fn attach_bank(&mut self, view: MemPathBank) {
-        let bank = view.bank;
-        for (c, v) in self.l1.iter_mut().zip(view.l1) {
-            c.attach(bank, v);
-        }
-        self.l2.attach(bank, view.l2);
     }
 
     /// Combined L1 statistics over all SMs.
@@ -345,50 +192,6 @@ impl MemPath {
     /// Per-bank L2 statistics, in bank order.
     pub fn l2_bank_stats(&self) -> Vec<CacheStats> {
         self.l2.bank_stats()
-    }
-}
-
-/// One bank's slice of the whole data path — its stripe of every SM's L1
-/// plus its stripe of the L2 — detached for serial replay off-thread.
-#[derive(Debug)]
-pub struct MemPathBank {
-    bank: usize,
-    l1: Vec<BankView>,
-    l2: BankView,
-    dram_latency: Cycle,
-}
-
-impl MemPathBank {
-    /// The bank index this slice was detached from.
-    pub fn bank(&self) -> usize {
-        self.bank
-    }
-
-    /// The latency of one transaction from SM `sm` to `addr`, identical to
-    /// [`MemPath::access`] for addresses of this bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sm` is out of range.
-    pub fn access(&mut self, sm: usize, addr: VirtAddr) -> Cycle {
-        let l1 = &mut self.l1[sm];
-        if l1.access(addr) {
-            return l1.hit_latency;
-        }
-        let l1_lat = l1.hit_latency;
-        if self.l2.access(addr) {
-            return l1_lat + self.l2.hit_latency;
-        }
-        l1_lat + self.l2.hit_latency + self.dram_latency
-    }
-
-    /// Replays `queue` in order, appending each access's latency to `out`.
-    pub fn replay(&mut self, queue: &[(u16, VirtAddr)], out: &mut Vec<Cycle>) {
-        out.reserve(queue.len());
-        for &(sm, addr) in queue {
-            let lat = self.access(sm as usize, addr);
-            out.push(lat);
-        }
     }
 }
 
@@ -429,7 +232,7 @@ mod tests {
         // 768 B / (2 ways * 128 B) = 3 sets: no mask possible.
         let geom = CacheGeometry { capacity_bytes: 768, ways: 2, line_shift: 7, hit_latency: 4 };
         let mut c = DataCache::new(geom);
-        assert!(c.indexer.mask.is_none());
+        assert!(c.set_mask.is_none());
         let line = |i: u64| VirtAddr::new(i * 128);
         // Lines 0 and 3 share set 0; line 1 does not.
         c.access(line(0));
@@ -457,6 +260,16 @@ mod tests {
     }
 
     #[test]
+    fn bank_of_is_the_low_line_bits() {
+        let mut m = MemPath::new(&MemConfig::default(), 1);
+        for line in [0u64, 1, 9, 15] {
+            m.access(0, VirtAddr::new(line * 128));
+        }
+        let accesses: Vec<u64> = m.l2_bank_stats().iter().map(CacheStats::accesses).collect();
+        assert_eq!(accesses, [1, 2, 0, 0, 0, 0, 0, 1]);
+    }
+
+    #[test]
     fn mempath_latency_composition() {
         let mut m = MemPath::new(&MemConfig::default(), 2);
         let a = VirtAddr::new(0x1000);
@@ -477,52 +290,5 @@ mod tests {
         m.access(1, a);
         assert_eq!(m.l1_stats().misses, 2);
         assert_eq!(m.l2_stats().hits, 1);
-    }
-
-    #[test]
-    fn detached_bank_replay_matches_inline_access() {
-        let config = MemConfig::default();
-        let mut inline = MemPath::new(&config, 2);
-        let mut banked = MemPath::new(&config, 2);
-        assert_eq!(banked.num_banks(), 8);
-        // A stream striding across lines so every bank sees traffic.
-        let stream: Vec<(u16, VirtAddr)> =
-            (0..500u64).map(|i| ((i % 2) as u16, VirtAddr::new(i * 37 % 256 * 128))).collect();
-        let serial: Vec<Cycle> = stream.iter().map(|&(sm, a)| inline.access(sm as usize, a)).collect();
-        // Partition by bank preserving order, replay each bank detached.
-        let mut latencies = vec![0u64; stream.len()];
-        for bank in 0..banked.num_banks() {
-            let mut view = banked.detach_bank(bank);
-            assert_eq!(view.bank(), bank);
-            let mut out = Vec::new();
-            let queue: Vec<(usize, (u16, VirtAddr))> = stream
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, (_, a))| {
-                    // bank_of needs the caches intact; compute from the line.
-                    (a.line(7) & 7) as usize == bank
-                })
-                .collect();
-            let flat: Vec<(u16, VirtAddr)> = queue.iter().map(|&(_, q)| q).collect();
-            view.replay(&flat, &mut out);
-            banked.attach_bank(view);
-            for (&(i, _), &lat) in queue.iter().zip(&out) {
-                latencies[i] = lat;
-            }
-        }
-        assert_eq!(latencies, serial);
-        assert_eq!(format!("{:?}", inline.l2_stats()), format!("{:?}", banked.l2_stats()));
-        assert_eq!(inline.l1_stats(), banked.l1_stats());
-        assert_eq!(banked.l2_bank_stats().len(), 8);
-    }
-
-    #[test]
-    fn bank_of_is_the_low_line_bits() {
-        let m = MemPath::new(&MemConfig::default(), 1);
-        assert_eq!(m.bank_of(VirtAddr::new(0)), 0);
-        assert_eq!(m.bank_of(VirtAddr::new(128)), 1);
-        assert_eq!(m.bank_of(VirtAddr::new(128 * 9)), 1);
-        assert_eq!(m.bank_of(VirtAddr::new(128 * 15)), 7);
     }
 }

@@ -177,23 +177,19 @@ impl KernelSpec {
 
 /// One kernel of a workload: geometry plus per-warp stream construction.
 ///
-/// The `Sync` bound (plus the purity requirement on
-/// [`warp_stream`](Kernel::warp_stream)) is what lets the engine's sharded
-/// executor prefabricate warp streams on worker threads: a kernel is shared
-/// immutably across shards, and every `(block, warp)` stream is built
-/// exactly once regardless of which thread builds it.
+/// The `Send + Sync` bound lets callers share a kernel across threads; the
+/// engine itself builds and consumes every stream on its one event-loop
+/// thread.
 pub trait Kernel: Send + Sync {
     /// The kernel's launch geometry.
     fn spec(&self) -> KernelSpec;
 
     /// Builds the access stream of warp `warp_in_block` of `block`.
     ///
-    /// Called exactly once per warp, when the block is dispatched (lazily
-    /// on the serial path; eagerly, possibly from another thread, under
-    /// sharded execution). Implementations must be pure functions of
-    /// `(block, warp_in_block)` — the stream's contents may not depend on
-    /// call order or timing, which is what keeps multi-threaded runs
-    /// bit-identical to serial ones.
+    /// The engine calls this exactly once per warp, when the block is
+    /// first activated. Implementations must be pure functions of
+    /// `(block, warp_in_block)`: the stream's contents may not depend on
+    /// call order or timing.
     fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> BoxedStream;
 }
 

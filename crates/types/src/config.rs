@@ -168,19 +168,6 @@ pub struct MemConfig {
     pub l2d: CacheGeometry,
     /// DRAM access latency (Table 1: 200 cycles).
     pub dram_latency: Cycle,
-    /// L2 banks (address-interleaved groups of cache sets, as real GPU L2s
-    /// are sliced per memory partition). Bank `line mod l2_banks` owns a
-    /// stripe of both cache levels, which is what lets the engine replay
-    /// different banks' accesses on different threads without changing any
-    /// per-set LRU order. Must be a power of two that divides both set
-    /// counts; when > 1 the two levels must share a line size so a line's
-    /// bank is the same at L1 and L2.
-    pub l2_banks: u32,
-    /// Smallest deferred-transaction batch the engine will fan out to bank
-    /// workers; smaller batches replay inline on the coordinator (the
-    /// outcome is bit-identical either way, so this is purely a dispatch
-    /// overhead threshold).
-    pub bank_dispatch_min: u32,
 }
 
 impl Default for MemConfig {
@@ -199,8 +186,6 @@ impl Default for MemConfig {
                 hit_latency: 60,
             },
             dram_latency: 200,
-            l2_banks: 8,
-            bank_dispatch_min: 256,
         }
     }
 }
@@ -230,43 +215,10 @@ pub struct TlbConfig {
 }
 
 impl MemConfig {
-    /// Validates both cache shapes and the bank partition.
+    /// Validates both cache shapes.
     pub fn validate(&self) -> Result<(), SimError> {
         self.l1d.validate("mem.l1d")?;
-        self.l2d.validate("mem.l2d")?;
-        if self.l2_banks == 0 || !self.l2_banks.is_power_of_two() {
-            return Err(SimError::invalid_config(
-                "mem.l2_banks",
-                format!("must be a nonzero power of two, got {}", self.l2_banks),
-            ));
-        }
-        if self.l2_banks > 1 {
-            // Bank-parallel replay is only order-preserving when the bank
-            // of a line is the same at both cache levels: the bank id must
-            // be derivable from the line id alone, which requires a shared
-            // line size and a bank count dividing both set counts.
-            if self.l1d.line_shift != self.l2d.line_shift {
-                return Err(SimError::invalid_config(
-                    "mem.l2_banks",
-                    format!(
-                        "banked data path needs equal L1/L2 line sizes, got shifts {} and {}",
-                        self.l1d.line_shift, self.l2d.line_shift
-                    ),
-                ));
-            }
-            for (field, sets) in [("l1d", self.l1d.num_sets()), ("l2d", self.l2d.num_sets())] {
-                if !sets.is_multiple_of(self.l2_banks) {
-                    return Err(SimError::invalid_config(
-                        "mem.l2_banks",
-                        format!(
-                            "{} banks must divide every set count, but {field} has {sets} sets",
-                            self.l2_banks
-                        ),
-                    ));
-                }
-            }
-        }
-        Ok(())
+        self.l2d.validate("mem.l2d")
     }
 }
 
@@ -603,47 +555,6 @@ mod tests {
         let mut c = SimConfig::default();
         c.mem.l2d.ways = 0;
         assert_eq!(rejected_field(&c), "mem.l2d");
-    }
-
-    #[test]
-    fn default_bank_partition_is_valid() {
-        let c = MemConfig::default();
-        assert_eq!(c.l2_banks, 8);
-        // 8 banks divide both 32 L1 sets and 1024 L2 sets.
-        assert!(c.l1d.num_sets().is_multiple_of(c.l2_banks));
-        assert!(c.l2d.num_sets().is_multiple_of(c.l2_banks));
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn bank_count_must_be_a_power_of_two() {
-        let mut c = SimConfig::default();
-        c.mem.l2_banks = 0;
-        assert_eq!(rejected_field(&c), "mem.l2_banks");
-        c.mem.l2_banks = 6;
-        assert_eq!(rejected_field(&c), "mem.l2_banks");
-    }
-
-    #[test]
-    fn bank_count_must_divide_both_set_counts() {
-        let mut c = SimConfig::default();
-        // 64 banks exceed the 32 L1 sets.
-        c.mem.l2_banks = 64;
-        assert_eq!(rejected_field(&c), "mem.l2_banks");
-        // 32 banks divide both 32 and 1024 sets.
-        c.mem.l2_banks = 32;
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn banked_path_requires_equal_line_sizes() {
-        let mut c = SimConfig::default();
-        c.mem.l1d.line_shift = 6; // 64 B L1 lines vs 128 B L2 lines
-        c.mem.l1d.capacity_bytes = 16 * 1024;
-        assert_eq!(rejected_field(&c), "mem.l2_banks");
-        // A single bank (fully serial data path) lifts the constraint.
-        c.mem.l2_banks = 1;
-        c.validate().unwrap();
     }
 
     #[test]

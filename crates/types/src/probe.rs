@@ -241,7 +241,7 @@ pub enum ProbeEvent {
         l2_misses: u64,
         /// L2 misses that evicted a resident line from a full set.
         l2_conflict_evictions: u64,
-        /// Number of banks the L2 is striped into.
+        /// Number of address-interleaved L2 banks (`line mod banks`).
         l2_banks: u32,
         /// Share of L2 accesses landing on the busiest bank, in percent
         /// (100 / banks for a perfectly balanced stripe; 0 if no traffic).

@@ -21,8 +21,8 @@ pub const LINE_SHIFT: u32 = 7;
 
 thread_local! {
     /// Line-id scratch for gathers, shared by every builder on the thread.
-    /// A stream is built per warp on the engine's hot path (or on a shard
-    /// worker), so the sort-dedup working set must not allocate per warp.
+    /// A stream is built per warp on the engine's hot path, so the
+    /// sort-dedup working set must not allocate per warp.
     static LINES: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
 }
 

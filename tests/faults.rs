@@ -12,6 +12,48 @@ use batmem_uvm::InjectConfig;
 use batmem_workloads::registry;
 use std::sync::Arc;
 
+/// The counts a stuck-run dump names: blocks outstanding, pages awaited,
+/// and the event queue's length split into ring / wheel / overflow.
+#[derive(Debug)]
+struct StuckDump {
+    blocks: u64,
+    pages: u64,
+    queued: u64,
+    ring: u64,
+    wheel: u64,
+    overflow: u64,
+}
+
+impl StuckDump {
+    /// Parses `kernel k/n, B blocks outstanding, P pages awaited, Q events
+    /// queued (ring R / wheel W / overflow O); ...`, panicking with the
+    /// dump if any count is missing.
+    fn parse(dump: &str) -> Self {
+        let find = |label: &str| {
+            dump.find(label).unwrap_or_else(|| panic!("dump lacks `{label}`: {dump}"))
+        };
+        let count = |digits: Option<&str>, label: &str| -> u64 {
+            digits
+                .and_then(|d| d.parse().ok())
+                .unwrap_or_else(|| panic!("no count next to `{label}`: {dump}"))
+        };
+        let not_digit = |c: char| !c.is_ascii_digit();
+        let before = |label: &str| count(dump[..find(label)].rsplit(not_digit).next(), label);
+        let after =
+            |label: &str| count(dump[find(label) + label.len()..].split(not_digit).next(), label);
+        let d = Self {
+            blocks: before(" blocks outstanding"),
+            pages: before(" pages awaited"),
+            queued: before(" events queued"),
+            ring: after("(ring "),
+            wheel: after(" / wheel "),
+            overflow: after(" / overflow "),
+        };
+        assert_eq!(d.ring + d.wheel + d.overflow, d.queued, "occupancy does not add up: {dump}");
+        d
+    }
+}
+
 fn presets() -> Vec<(&'static str, PolicyConfig)> {
     vec![
         ("baseline", policies::baseline()),
@@ -129,7 +171,10 @@ fn lost_completion_deadlocks_the_baseline() {
     match err {
         SimError::Deadlock { cycle, detail } => {
             assert!(cycle > 0);
-            assert!(!detail.is_empty(), "deadlock dump is empty");
+            let d = StuckDump::parse(&detail);
+            assert!(d.blocks > 0, "a deadlock leaves blocks outstanding: {d:?}");
+            assert!(d.pages > 0, "the stranded batch's pages are still awaited: {d:?}");
+            assert_eq!(d.queued, 0, "a deadlock is a drained queue: {d:?}");
         }
         other => panic!("expected deadlock, got {other}"),
     }
@@ -156,7 +201,10 @@ fn watchdog_catches_the_livelock_from_lost_completions() {
                 events_without_progress >= budget,
                 "watchdog fired early: {events_without_progress} < {budget}"
             );
-            assert!(!snapshot.is_empty(), "livelock dump is empty");
+            let d = StuckDump::parse(&snapshot);
+            assert!(d.blocks > 0, "a livelock leaves blocks outstanding: {d:?}");
+            assert!(d.pages > 0, "the stranded batch's pages are still awaited: {d:?}");
+            assert!(d.queued > 0, "a livelock keeps events queued: {d:?}");
         }
         other => panic!("expected livelock, got {other}"),
     }

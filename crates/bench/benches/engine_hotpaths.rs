@@ -9,7 +9,6 @@
 use batmem::{policies, Simulation};
 use batmem_graph::gen;
 use batmem_sim::EventQueue;
-use batmem_types::policy::PcieCompression;
 use batmem_types::{FrameId, PageId, SimConfig, SmId};
 use batmem_uvm::{
     FaultBuffer, MemoryManager, PciePipes, PolicyRegistry, StrategyCtx, TreePrefetcher, UvmRuntime,
@@ -170,7 +169,7 @@ fn bench_mmu_translate() {
 
 fn bench_pcie() {
     bench("pcie/schedule_1024_pages", 200, || {
-        let mut p = PciePipes::new(15_750_000_000, 17_300_000_000, PcieCompression::default());
+        let mut p = PciePipes::new(15_750_000_000, 17_300_000_000);
         for _ in 0..1024 {
             black_box(p.schedule_h2d(0, 65_536));
         }
@@ -205,31 +204,30 @@ fn drive_512_faults(mut rt: UvmRuntime) -> u64 {
     rt.stats().num_batches()
 }
 
-fn bench_uvm_batch() {
+/// A fresh runtime with 256 frames whose eviction strategy is `eviction`,
+/// with tree prefetching, built through the registry as every run is.
+fn uvm_runtime(reg: &PolicyRegistry, eviction: &str) -> UvmRuntime {
     let cfg = batmem_types::config::UvmConfig { gpu_mem_pages: Some(256), ..Default::default() };
-    let policy = batmem_types::policy::PolicyConfig::baseline();
-    bench("uvm/batch_512_faults", 100, || {
-        drive_512_faults(UvmRuntime::new(&cfg, &policy, 100_000))
-    });
+    let ctx = StrategyCtx { pages_per_region: cfg.pages_per_region() };
+    UvmRuntime::with_strategies(
+        &cfg,
+        &batmem_types::policy::PolicyConfig::default(),
+        100_000,
+        reg.build_eviction(eviction, &ctx).expect("builtin spec"),
+        reg.build_prefetcher("tree:50", &ctx).expect("builtin spec"),
+        reg.build_coalesce("off").expect("builtin spec"),
+    )
+}
+
+fn bench_uvm_batch() {
+    let reg = PolicyRegistry::builtin();
+    bench("uvm/batch_512_faults", 100, || drive_512_faults(uvm_runtime(&reg, "lru")));
 }
 
 fn bench_uvm_batch_registry() {
-    // The same workload through the refactored construction path: UE +
-    // tree strategies resolved by registry name, so any overhead of the
-    // spec-driven plumbing (or of dynamic dispatch in the pipeline) shows
-    // up against the enum-built row above.
-    let cfg = batmem_types::config::UvmConfig { gpu_mem_pages: Some(256), ..Default::default() };
-    let policy = batmem_types::policy::PolicyConfig::ue_only();
+    // The same workload under UE: pipelined evictions on the D2H pipe.
     let reg = PolicyRegistry::builtin();
-    let ctx = StrategyCtx { pages_per_region: cfg.pages_per_region() };
-    bench("uvm/batch_512_faults_registry_ue", 100, || {
-        let eviction = reg.build_eviction("ue", &ctx).expect("builtin spec");
-        let prefetcher = reg.build_prefetcher("tree:50", &ctx).expect("builtin spec");
-        let coalesce = reg.build_coalesce("off").expect("builtin spec");
-        drive_512_faults(UvmRuntime::with_strategies(
-            &cfg, &policy, 100_000, eviction, prefetcher, coalesce,
-        ))
-    });
+    bench("uvm/batch_512_faults_registry_ue", 100, || drive_512_faults(uvm_runtime(&reg, "ue")));
 }
 
 fn bench_graph_gen() {

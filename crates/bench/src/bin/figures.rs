@@ -6,12 +6,11 @@
 //! BATMEM_SCALE=16 cargo run -p batmem-bench --release --bin figures -- fig17
 //! ```
 
-use batmem_bench::runner::{
-    run_custom_injected, suite_results, ConfigName, CustomPolicy, SuiteConfig,
-};
+use batmem_bench::runner::{run_one, suite_results, ConfigName, SuiteConfig};
 use batmem_bench::sweep::{self, ArtifactStore, CellPolicy, PoolConfig, SweepPlan};
 use batmem_bench::figures;
-use batmem::PolicyRegistry;
+use batmem::policies::PolicySpec;
+use batmem::{PolicyAxis, PolicyRegistry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -287,29 +286,28 @@ fn list_policies() {
 /// Exits non-zero if any run fails (e.g. an unknown spec name).
 fn run_custom_combo(
     suite: &SuiteConfig,
-    custom: &CustomPolicy,
+    custom: &PolicySpec,
     inject: Option<&str>,
     workloads: &[String],
 ) {
     let graph = suite.graph();
+    let policy = CellPolicy::Custom(custom.clone());
     let mut failed = false;
     for w in workloads {
-        match run_custom_injected(w, custom, inject, suite, &graph) {
+        match run_one(w, &policy, inject, suite, &graph) {
             Ok(m) => {
                 println!(
-                    "custom: {w}/{} {} cycles, {} batches, {} evictions",
-                    custom.label(),
+                    "custom: {w}/{custom} {} cycles, {} batches, {} evictions",
                     m.cycles,
                     m.uvm.num_batches(),
                     m.uvm.evictions,
                 );
                 // Coalescing runs get a translation summary; the line is
                 // gated so plain runs keep their historical output.
-                if custom.coalesce != "off" {
+                if !PolicySpec::is_default(PolicyAxis::Coalesce, &custom.coalesce) {
                     println!(
-                        "custom: {w}/{} tlb: {} large hits, {} L1 hits, {} walks \
+                        "custom: {w}/{custom} tlb: {} large hits, {} L1 hits, {} walks \
                          ({} large), {} coalesces, {} splinters",
-                        custom.label(),
                         m.mmu.large_hits(),
                         m.mmu.l1.hits,
                         m.mmu.walks,
@@ -321,18 +319,17 @@ fn run_custom_combo(
                 // Same gating for the fault-servicing summary: only a
                 // non-default model prints (and only it charges the
                 // handler-occupancy counters).
-                if custom.fault_servicing != "cpu" {
+                if !PolicySpec::is_default(PolicyAxis::FaultServicing, &custom.fault_servicing) {
                     println!(
-                        "custom: {w}/{} servicing: {} faults handled on-GPU, \
+                        "custom: {w}/{custom} servicing: {} faults handled on-GPU, \
                          {} handler-occupancy cycles",
-                        custom.label(),
                         m.uvm.gpu_serviced_faults,
                         m.uvm.handler_occupancy_cycles,
                     );
                 }
             }
             Err(e) => {
-                eprintln!("custom: {w}/{} failed: {e}", custom.label());
+                eprintln!("custom: {w}/{custom} failed: {e}");
                 failed = true;
             }
         }
@@ -356,7 +353,7 @@ fn main() {
     }
     // Custom-combo flags: any policy flag switches from figure mode to a
     // single run per requested workload.
-    let mut custom = CustomPolicy::default();
+    let mut custom = PolicySpec::default();
     let mut custom_mode = false;
     let mut inject: Option<String> = None;
     let mut workloads: Vec<String> = Vec::new();

@@ -7,9 +7,9 @@
 
 use crate::error::BenchError;
 use crate::runner::{parallel_map, run_one, ConfigName, SuiteConfig, SuiteResults};
+use crate::sweep::CellPolicy;
 use batmem::experiments::working_set_curve;
-use batmem::{policies, SimConfig, Simulation};
-use batmem_types::policy::{SwitchTrigger, ToConfig};
+use batmem::{policies, Simulation};
 use batmem_types::time::us;
 use batmem_workloads::registry;
 use batmem_workloads::regular::TiledRegular;
@@ -73,7 +73,8 @@ pub fn fig1(suite: &SuiteConfig) {
 pub fn fig3(suite: &SuiteConfig) {
     header("Fig. 3", "Per-page fault handling time (us) vs. batch size (BFS)");
     let graph = suite.graph();
-    let m = match run_one("BFS-TTC", ConfigName::Baseline, suite, &graph) {
+    let baseline = CellPolicy::Preset(ConfigName::Baseline);
+    let m = match run_one("BFS-TTC", &baseline, None, suite, &graph) {
         Ok(m) => m,
         Err(e) => return skipped("Fig. 3", "BFS-TTC/BASELINE", &e),
     };
@@ -119,12 +120,9 @@ pub fn fig5(suite: &SuiteConfig) {
             .policy(policies::baseline())
             .memory_ratio(1.0)
             .try_run(build(name)?)?;
-        let mut policy = policies::to_only();
-        policy.oversubscription =
-            ToConfig { trigger: SwitchTrigger::AnyStall, ..ToConfig::enabled() };
         let switched = Simulation::builder()
             .config(suite.sim.clone())
-            .policy(policy)
+            .oversubscription("to:any")
             .memory_ratio(1.0)
             .try_run(build(name)?)?;
         Ok((*name, base.cycles as f64 / switched.cycles as f64, switched.ctx_switches))
@@ -353,7 +351,7 @@ pub fn fig17(suite: &SuiteConfig) {
     let metrics = parallel_map(jobs.clone(), |(r, w, c)| {
         let mut s = suite.clone();
         s.ratio = *r;
-        run_one(w, *c, &s, &graph)
+        run_one(w, &CellPolicy::Preset(*c), None, &s, &graph)
     });
     for ((_, w, c), m) in jobs.iter().zip(&metrics) {
         if let Err(e) = m {
@@ -394,7 +392,7 @@ pub fn fig18(suite: &SuiteConfig) {
     let metrics = parallel_map(jobs.clone(), |(h, w, c)| {
         let mut s = suite.clone();
         s.sim.uvm.fault_handling_base = us(*h);
-        run_one(w, *c, &s, &graph)
+        run_one(w, &CellPolicy::Preset(*c), None, &s, &graph)
     });
     for ((_, w, c), m) in jobs.iter().zip(&metrics) {
         if let Err(e) = m {
@@ -421,13 +419,14 @@ pub fn ctxswitch(suite: &SuiteConfig) {
     let graph = suite.graph();
     let names: Vec<&str> = registry::irregular_names().to_vec();
     let rows = parallel_map(names, |name| -> Result<_, BenchError> {
-        let modeled = run_one(name, ConfigName::ToUe, suite, &graph)?;
+        let to_ue = CellPolicy::Preset(ConfigName::ToUe);
+        let modeled = run_one(name, &to_ue, None, suite, &graph)?;
         let mut fast = suite.clone();
         // Close-to-ideal: shared-memory-bandwidth switching (eq. 1 of VT):
         // 1024 bits/cycle and no fixed drain cost.
         fast.sim.gpu.ctx_switch_bytes_per_cycle = 128 * 1024;
         fast.sim.gpu.ctx_switch_fixed_cycles = 0;
-        let ideal = run_one(name, ConfigName::ToUe, &fast, &graph)?;
+        let ideal = run_one(name, &to_ue, None, &fast, &graph)?;
         Ok((*name, modeled.cycles as f64 / ideal.cycles as f64))
     });
     println!("{:<10} {:>26}", "workload", "modeled/ideal exec time");
@@ -446,21 +445,18 @@ pub fn pe_ablation(suite: &SuiteConfig) {
     header("PE ablation", "ETC with vs. without proactive eviction (irregular workloads)");
     let names: Vec<&str> = registry::irregular_names().to_vec();
     let rows = parallel_map(names, |name| -> Result<_, BenchError> {
-        let run = |pe: bool| -> Result<_, BenchError> {
-            let (policy, mut etc) = batmem::policies::etc();
-            etc.proactive_eviction = pe;
+        let run = |oversub: &str| -> Result<_, BenchError> {
             let w = registry::build(name, suite.graph_for(name))
                 .ok_or_else(|| BenchError::msg(format!("unknown workload `{name}`")))?;
             Simulation::builder()
                 .config(suite.sim.clone())
-                .policy(policy)
-                .etc(etc)
+                .oversubscription(oversub)
                 .memory_ratio(suite.ratio)
                 .try_run(w)
                 .map_err(BenchError::from)
         };
-        let off = run(false)?;
-        let on = run(true)?;
+        let off = run("etc")?;
+        let on = run("etc:50:pe")?;
         Ok((
             *name,
             off.cycles as f64 / on.cycles as f64,
@@ -491,9 +487,4 @@ fn geomean(values: impl Iterator<Item = f64>) -> f64 {
         n += 1;
     }
     (sum / n.max(1) as f64).exp()
-}
-
-/// Returns a default `SimConfig` (helper for binaries).
-pub fn default_sim() -> SimConfig {
-    SimConfig::default()
 }

@@ -1,9 +1,10 @@
 //! Parallel execution of the evaluation suite.
 
 use crate::error::BenchError;
-use batmem::probes::{MetricsRow, MetricsSink, Tracer};
-use batmem::{policies, RunMetrics, SimConfig, Simulation};
+use crate::sweep::CellPolicy;
+use batmem::{RunMetrics, SimConfig, Simulation};
 use batmem_graph::{gen, Csr};
+use batmem_uvm::InjectConfig;
 use batmem_workloads::registry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -168,212 +169,40 @@ impl SuiteResults {
     }
 }
 
-/// A policy combination assembled from registry spec strings rather than a
-/// named preset — what `figures --eviction random:7 --prefetch none` runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CustomPolicy {
-    /// Eviction strategy spec (`lru`, `ue`, `ideal`, `random:7`).
-    pub eviction: String,
-    /// Prefetcher spec (`none`, `tree:50`).
-    pub prefetch: String,
-    /// Oversubscription spec (`none`, `to`, `to:any`, `etc`, `etc:25`).
-    pub oversubscription: String,
-    /// Enables PCIe compression on the transfer pipes.
-    pub compression: bool,
-    /// Coalescing spec (`off`, `greedy`, `greedy:75`, `splinter:on-evict`).
-    /// `off` keeps the classic single-granularity translation path.
-    pub coalesce: String,
-    /// Base page size in KB; `None` keeps the suite's geometry (64 KB by
-    /// default). Large pages/regions stay at 2 MB or the base size,
-    /// whichever is larger.
-    pub page_size_kb: Option<u64>,
-    /// Fault-servicing spec (`cpu`, `gpu-driven`, `gpu-driven:500`). `cpu`
-    /// keeps the classic host-driver far-fault timing.
-    pub fault_servicing: String,
-}
-
-impl Default for CustomPolicy {
-    /// The baseline combination, as spec strings.
-    fn default() -> Self {
-        let base = policies::registry_specs(ConfigName::Baseline);
-        Self {
-            eviction: base.eviction.to_string(),
-            prefetch: base.prefetch.to_string(),
-            oversubscription: base.oversubscription.to_string(),
-            compression: base.compression,
-            coalesce: "off".to_string(),
-            page_size_kb: None,
-            fault_servicing: "cpu".to_string(),
-        }
-    }
-}
-
-impl CustomPolicy {
-    /// Display label, e.g. `lru/tree:50/none`. Non-default coalescing,
-    /// fault-servicing, and page-size settings are appended (`+co:greedy`,
-    /// `+fs:gpu-driven`, `+pg:4k`) so default labels are unchanged from
-    /// the three-axis era.
-    pub fn label(&self) -> String {
-        let mut s = format!("{}/{}/{}", self.eviction, self.prefetch, self.oversubscription);
-        if self.compression {
-            s.push_str("/+pciec");
-        }
-        if self.coalesce != "off" {
-            s.push_str("/+co:");
-            s.push_str(&self.coalesce);
-        }
-        if self.fault_servicing != "cpu" {
-            s.push_str("/+fs:");
-            s.push_str(&self.fault_servicing);
-        }
-        if let Some(kb) = self.page_size_kb {
-            s.push_str(&format!("/+pg:{kb}k"));
-        }
-        s
-    }
-
-    /// The page geometry this combination runs under, derived from `base`
-    /// when [`page_size_kb`](Self::page_size_kb) overrides the base page:
-    /// large pages and regions sit at 2 MB, or the base page size when it
-    /// is larger.
-    ///
-    /// # Errors
-    ///
-    /// Returns the geometry's typed [`batmem_types::SimError::InvalidConfig`]
-    /// when the requested size is not a power of two in range.
-    pub fn geometry(
-        &self,
-        base: batmem_types::addr::PageGeometry,
-    ) -> Result<batmem_types::addr::PageGeometry, batmem_types::SimError> {
-        let Some(kb) = self.page_size_kb else { return Ok(base) };
-        let bytes = kb.saturating_mul(1024);
-        if !bytes.is_power_of_two() {
-            return Err(batmem_types::SimError::invalid_config(
-                "uvm.geometry.base_shift",
-                format!("--page-size must be a power-of-two KB count, got {kb}"),
-            ));
-        }
-        let base_shift = bytes.trailing_zeros();
-        let region_shift = base_shift.max(21);
-        batmem_types::addr::PageGeometry::base_region(base_shift, region_shift)
-    }
-}
-
-/// Runs one workload under an arbitrary registry-resolved policy
-/// combination. Unknown spec names come back as [`BenchError`] (wrapping
-/// the registry's typed `UnknownPolicy` error), like every other failure.
-pub fn run_custom(
+/// Runs one workload under `policy`, with an optional fault-injection spec
+/// (`noisy:42`, `lost:1:3`, `off`) — the CLI's `--inject` flag. Every
+/// policy runs at the suite's memory ratio except UNLIMITED, which runs
+/// with unsized memory.
+///
+/// Never panics: unknown workloads, unknown policy or inject specs (the
+/// registry's typed errors, listing the known names), invalid
+/// configurations, and simulation failures all come back as
+/// [`BenchError`] so sweeps can skip the row.
+pub fn run_one(
     name: &str,
-    custom: &CustomPolicy,
-    suite: &SuiteConfig,
-    graph: &Arc<Csr>,
-) -> Result<RunMetrics, BenchError> {
-    run_custom_injected(name, custom, None, suite, graph)
-}
-
-/// Like [`run_custom`], with an optional fault-injection spec (`noisy:42`,
-/// `lost:1:3`, `off`) parsed next to the policy specs — the CLI's
-/// `--inject` flag. Unknown spec names come back as the registry-style
-/// typed error listing the known presets.
-pub fn run_custom_injected(
-    name: &str,
-    custom: &CustomPolicy,
+    policy: &CellPolicy,
     inject: Option<&str>,
     suite: &SuiteConfig,
     graph: &Arc<Csr>,
 ) -> Result<RunMetrics, BenchError> {
-    let context = format!("{name}/{}", custom.label());
+    let context = format!("{name}/{}", policy.label());
     let inject = match inject {
-        Some(spec) => batmem_uvm::InjectConfig::parse_spec(spec)
-            .map_err(|e| BenchError::context(&context, &e))?,
+        Some(spec) => {
+            InjectConfig::parse_spec(spec).map_err(|e| BenchError::context(&context, &e))?
+        }
         None => None,
     };
     let graph = if name.starts_with("GC-") { suite.graph_for(name) } else { Arc::clone(graph) };
     let workload = registry::build(name, graph)
         .ok_or_else(|| BenchError::msg(format!("unknown workload `{name}`")))?;
-    let policy = if custom.compression {
-        batmem::PolicyConfig::baseline_with_compression()
-    } else {
-        batmem::PolicyConfig::baseline()
-    };
-    let mut sim = suite.sim.clone();
-    sim.uvm.geometry =
-        custom.geometry(sim.uvm.geometry).map_err(|e| BenchError::context(&context, &e))?;
-    let mut b = Simulation::builder()
-        .config(sim)
-        .policy(policy)
-        .eviction(custom.eviction.clone())
-        .prefetch(custom.prefetch.clone())
-        .oversubscription(custom.oversubscription.clone())
-        .coalesce(custom.coalesce.clone())
-        .fault_servicing(custom.fault_servicing.clone())
-        .memory_ratio(suite.ratio);
+    let mut b = Simulation::builder().config(suite.sim.clone()).policy(policy.spec());
+    if let Some(ratio) = policy.memory_ratio(suite.ratio) {
+        b = b.memory_ratio(ratio);
+    }
     if let Some(inject) = inject {
         b = b.inject(inject);
     }
     b.try_run(workload).map_err(|e| BenchError::context(&context, &e))
-}
-
-/// Runs one workload under one configuration.
-///
-/// Never panics: unknown workloads, invalid configurations, and simulation
-/// failures all come back as [`BenchError`] so sweeps can skip the row.
-pub fn run_one(
-    name: &str,
-    config: ConfigName,
-    suite: &SuiteConfig,
-    graph: &Arc<Csr>,
-) -> Result<RunMetrics, BenchError> {
-    let (policy, etc) = policies::preset(config);
-    let graph = if name.starts_with("GC-") { suite.graph_for(name) } else { Arc::clone(graph) };
-    let workload = registry::build(name, graph)
-        .ok_or_else(|| BenchError::msg(format!("unknown workload `{name}`")))?;
-    let mut b = Simulation::builder().config(suite.sim.clone()).policy(policy);
-    if config != ConfigName::Unlimited {
-        b = b.memory_ratio(suite.ratio);
-    }
-    if let Some(e) = etc {
-        b = b.etc(e);
-    }
-    b.try_run(workload)
-        .map_err(|e| BenchError::context(&format!("{name}/{}", config.label()), &e))
-}
-
-/// Like [`run_one`], but with a [`MetricsSink`] and a bounded [`Tracer`]
-/// attached: returns the metrics plus the sink's machine-readable row and
-/// the retained trace as JSON Lines.
-///
-/// The probes are constructed inside the call, so this composes with
-/// [`parallel_map`] — everything returned is plain `Send` data.
-pub fn run_one_traced(
-    name: &str,
-    config: ConfigName,
-    suite: &SuiteConfig,
-    graph: &Arc<Csr>,
-    trace_capacity: usize,
-) -> Result<(RunMetrics, MetricsRow, String), BenchError> {
-    let (policy, etc) = policies::preset(config);
-    let graph = if name.starts_with("GC-") { suite.graph_for(name) } else { Arc::clone(graph) };
-    let workload = registry::build(name, graph)
-        .ok_or_else(|| BenchError::msg(format!("unknown workload `{name}`")))?;
-    let sink = MetricsSink::labeled(format!("{name}/{}", config.label()));
-    let tracer = Tracer::bounded(trace_capacity);
-    let mut b = Simulation::builder()
-        .config(suite.sim.clone())
-        .policy(policy)
-        .probe(sink.clone())
-        .probe(tracer.clone());
-    if config != ConfigName::Unlimited {
-        b = b.memory_ratio(suite.ratio);
-    }
-    if let Some(e) = etc {
-        b = b.etc(e);
-    }
-    let metrics = b
-        .try_run(workload)
-        .map_err(|e| BenchError::context(&format!("{name}/{}", config.label()), &e))?;
-    let row = sink.rows().pop().expect("finished run seals one row");
-    Ok((metrics, row, tracer.to_jsonl()))
 }
 
 /// The host's available parallelism (4 when it cannot be determined).
@@ -422,7 +251,9 @@ pub fn suite_results(configs: &[ConfigName], suite: &SuiteConfig) -> SuiteResult
             jobs.push((w, c));
         }
     }
-    let outcomes = parallel_map(jobs, |&(w, c)| (w, c, run_one(w, c, suite, &graph)));
+    let outcomes = parallel_map(jobs, |&(w, c)| {
+        (w, c, run_one(w, &CellPolicy::Preset(c), None, suite, &graph))
+    });
     let mut results = HashMap::new();
     let mut failures = Vec::new();
     for (w, c, outcome) in outcomes {
@@ -439,6 +270,7 @@ pub fn suite_results(configs: &[ConfigName], suite: &SuiteConfig) -> SuiteResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batmem::policies::PolicySpec;
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -455,9 +287,11 @@ mod tests {
 
     #[test]
     fn etc_config_carries_framework() {
-        let (_, etc) = policies::preset(ConfigName::Etc);
-        assert!(etc.unwrap().enabled);
-        assert!(policies::preset(ConfigName::Baseline).1.is_none());
+        let reg = batmem::PolicyRegistry::builtin();
+        let etc =
+            |c: ConfigName| reg.build_oversubscription(&c.spec().oversubscription).unwrap().etc;
+        assert!(etc(ConfigName::Etc).unwrap().enabled);
+        assert!(etc(ConfigName::Baseline).is_none());
     }
 
     #[test]
@@ -474,26 +308,26 @@ mod tests {
         let suite =
             SuiteConfig::new(8, 4).with_seed(1);
         let graph = suite.graph();
-        let m = run_one("BFS-TTC", ConfigName::Baseline, &suite, &graph).unwrap();
-        assert!(m.cycles > 0);
-        let unlimited = run_one("BFS-TTC", ConfigName::Unlimited, &suite, &graph).unwrap();
-        assert!(unlimited.memory_pages.is_none());
+        let run = |c| run_one("BFS-TTC", &CellPolicy::Preset(c), None, &suite, &graph).unwrap();
+        assert!(run(ConfigName::Baseline).cycles > 0);
+        assert!(run(ConfigName::Unlimited).memory_pages.is_none());
     }
 
     #[test]
     fn custom_combo_runs_and_unknown_spec_is_an_error() {
         let suite = SuiteConfig::new(8, 4).with_seed(1);
         let graph = suite.graph();
-        let custom = CustomPolicy {
+        let custom = PolicySpec {
             eviction: "random:7".into(),
             prefetch: "none".into(),
-            ..CustomPolicy::default()
+            ..PolicySpec::default()
         };
-        assert_eq!(custom.label(), "random:7/none/none");
-        let m = run_custom("BFS-TTC", &custom, &suite, &graph).unwrap();
+        assert_eq!(custom.to_string(), "random:7/none/none");
+        let m = run_one("BFS-TTC", &CellPolicy::Custom(custom), None, &suite, &graph).unwrap();
         assert!(m.cycles > 0);
-        let bad = CustomPolicy { eviction: "mru".into(), ..CustomPolicy::default() };
-        let err = run_custom("BFS-TTC", &bad, &suite, &graph).unwrap_err();
+        let bad =
+            CellPolicy::Custom(PolicySpec { eviction: "mru".into(), ..PolicySpec::default() });
+        let err = run_one("BFS-TTC", &bad, None, &suite, &graph).unwrap_err();
         assert!(err.to_string().contains("unknown eviction policy"), "{err}");
     }
 
@@ -501,18 +335,14 @@ mod tests {
     fn inject_spec_is_parsed_next_to_the_policy_specs() {
         let suite = SuiteConfig::new(8, 4).with_seed(1);
         let graph = suite.graph();
-        let custom = CustomPolicy::default();
-        let clean = run_custom_injected("BFS-TTC", &custom, Some("off"), &suite, &graph).unwrap();
-        let noisy =
-            run_custom_injected("BFS-TTC", &custom, Some("noisy:7"), &suite, &graph).unwrap();
-        assert_eq!(
-            clean.cycles,
-            run_custom("BFS-TTC", &custom, &suite, &graph).unwrap().cycles,
-            "`off` must be identical to no injection"
-        );
+        let custom = CellPolicy::Custom(PolicySpec::default());
+        let run = |inject| run_one("BFS-TTC", &custom, inject, &suite, &graph);
+        let clean = run(Some("off")).unwrap();
+        let noisy = run(Some("noisy:7")).unwrap();
+        let plain = run(None).unwrap();
+        assert_eq!(clean.cycles, plain.cycles, "`off` must be identical to no injection");
         assert_ne!(clean.cycles, noisy.cycles, "noisy injection must perturb the run");
-        let err =
-            run_custom_injected("BFS-TTC", &custom, Some("chaos"), &suite, &graph).unwrap_err();
+        let err = run(Some("chaos")).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("unknown inject policy") && msg.contains("noisy"), "{msg}");
     }
@@ -522,7 +352,8 @@ mod tests {
         let suite =
             SuiteConfig::new(8, 4).with_seed(1);
         let graph = suite.graph();
-        let err = run_one("NO-SUCH-WORKLOAD", ConfigName::Baseline, &suite, &graph).unwrap_err();
+        let baseline = CellPolicy::Preset(ConfigName::Baseline);
+        let err = run_one("NO-SUCH-WORKLOAD", &baseline, None, &suite, &graph).unwrap_err();
         assert!(err.to_string().contains("NO-SUCH-WORKLOAD"));
     }
 
@@ -532,8 +363,15 @@ mod tests {
             SuiteConfig::new(8, 4).with_seed(1);
         suite.sim.gpu.num_sms = 0;
         let graph = suite.graph();
-        let err = run_one("BFS-TTC", ConfigName::Baseline, &suite, &graph).unwrap_err();
+        let baseline = CellPolicy::Preset(ConfigName::Baseline);
+        let err = run_one("BFS-TTC", &baseline, None, &suite, &graph).unwrap_err();
         assert!(err.to_string().contains("num_sms"), "{err}");
+        // A degenerate suite ratio is a per-row error too, not a panic.
+        for ratio in [0.0, f64::NAN] {
+            let suite = SuiteConfig::new(8, 4).with_seed(1).with_ratio(ratio);
+            let err = run_one("BFS-TTC", &baseline, None, &suite, &graph).unwrap_err();
+            assert!(err.to_string().contains("memory_ratio"), "{err}");
+        }
     }
 
     #[test]
@@ -541,7 +379,8 @@ mod tests {
         let suite =
             SuiteConfig::new(8, 4).with_seed(1);
         let graph = suite.graph();
-        let m = run_one("PR", ConfigName::Baseline, &suite, &graph).unwrap();
+        let baseline = CellPolicy::Preset(ConfigName::Baseline);
+        let m = run_one("PR", &baseline, None, &suite, &graph).unwrap();
         let mut results = HashMap::new();
         for w in registry::irregular_names() {
             results.insert((w.to_string(), ConfigName::Baseline), m.clone());

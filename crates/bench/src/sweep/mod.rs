@@ -35,7 +35,6 @@ pub use pool::{run_sweep, CellRunner, PoolConfig, SweepReport};
 pub use store::{ArtifactStore, LoadedStore};
 
 use crate::error::BenchError;
-use batmem::policies::{self, ConfigName};
 use batmem::probes::{MetricsRow, MetricsSink};
 use batmem::{SimConfig, Simulation};
 use batmem_graph::{gen, Csr};
@@ -111,48 +110,10 @@ pub fn run_cell(
     let workload = registry::build(&cell.workload, graph)
         .ok_or_else(|| BenchError::msg(format!("unknown workload `{}`", cell.workload)))?;
     let sink = MetricsSink::labeled(cell.label());
-    let mut sim = sim.clone();
-    if let CellPolicy::Custom(custom) = &cell.policy {
-        sim.uvm.geometry = custom
-            .geometry(sim.uvm.geometry)
-            .map_err(|e| BenchError::context(&cell.label(), &e))?;
-    }
-    let mut b = Simulation::builder().config(sim).probe(sink.clone());
-    match &cell.policy {
-        CellPolicy::Preset(name) => {
-            let (policy, etc) = policies::preset(*name);
-            b = b.policy(policy);
-            if let Some(e) = etc {
-                b = b.etc(e);
-            }
-            if *name != ConfigName::Unlimited {
-                b = b.memory_ratio(cell.ratio);
-            }
-        }
-        CellPolicy::Custom(custom) => {
-            let policy = if custom.compression {
-                batmem::PolicyConfig::baseline_with_compression()
-            } else {
-                batmem::PolicyConfig::baseline()
-            };
-            b = b
-                .policy(policy)
-                .eviction(custom.eviction.clone())
-                .prefetch(custom.prefetch.clone())
-                .oversubscription(custom.oversubscription.clone())
-                .coalesce(custom.coalesce.clone())
-                .fault_servicing(custom.fault_servicing.clone())
-                .memory_ratio(cell.ratio);
-        }
-    }
-    // The plan-level coalesce and fault-servicing axes apply to presets
-    // and customs alike (and, set last, win over a custom combo's own
-    // spec).
-    if let Some(spec) = cell.coalesce_spec() {
-        b = b.coalesce(spec);
-    }
-    if let Some(spec) = cell.fault_servicing_spec() {
-        b = b.fault_servicing(spec);
+    let mut b =
+        Simulation::builder().config(sim.clone()).policy(cell.policy_spec()).probe(sink.clone());
+    if let Some(ratio) = cell.policy.memory_ratio(cell.ratio) {
+        b = b.memory_ratio(ratio);
     }
     if let Some(spec) = &cell.inject {
         if let Some(inject) = InjectConfig::parse_spec(spec)
@@ -176,6 +137,7 @@ pub fn cell_runner(sim: SimConfig) -> CellRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batmem::policies::ConfigName;
 
     #[test]
     fn graph_cache_shares_instances() {

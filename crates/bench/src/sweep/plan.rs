@@ -2,8 +2,8 @@
 //! seed) expanded into content-hashed cells.
 
 use crate::error::BenchError;
-use crate::runner::CustomPolicy;
-use batmem::policies::ConfigName;
+use batmem::policies::{ConfigName, PolicySpec};
+use batmem::{PolicyAxis, PolicyRegistry};
 use batmem_types::sweep::{CellId, StableHasher};
 use batmem_uvm::InjectConfig;
 use batmem_workloads::registry;
@@ -15,18 +15,55 @@ pub enum CellPolicy {
     /// A Fig. 11 preset (`BASELINE`, `TO+UE`, …).
     Preset(ConfigName),
     /// Registry spec strings (`--eviction random:7 --prefetch none`).
-    Custom(CustomPolicy),
+    Custom(PolicySpec),
 }
 
 impl CellPolicy {
     /// Display label: the preset's figure label, or the custom combo's
-    /// spec triple.
+    /// spec label.
     pub fn label(&self) -> String {
         match self {
             CellPolicy::Preset(c) => c.label().to_string(),
-            CellPolicy::Custom(c) => c.label(),
+            CellPolicy::Custom(c) => c.to_string(),
         }
     }
+
+    /// The policy spec this runs: the preset's row, or the custom spec.
+    pub fn spec(&self) -> PolicySpec {
+        match self {
+            CellPolicy::Preset(c) => c.spec(),
+            CellPolicy::Custom(c) => c.clone(),
+        }
+    }
+
+    /// The memory ratio a run of this policy uses: `ratio`, or `None`
+    /// (unsized memory) for UNLIMITED.
+    pub fn memory_ratio(&self, ratio: f64) -> Option<f64> {
+        (!matches!(self, CellPolicy::Preset(ConfigName::Unlimited))).then_some(ratio)
+    }
+}
+
+/// `spec` unless it is unset or `axis`'s default. A plan-level spec that
+/// is left out neither overrides a cell's policy nor perturbs its id.
+fn set_spec(axis: PolicyAxis, spec: Option<&str>) -> Option<&str> {
+    spec.filter(|s| !PolicySpec::is_default(axis, s))
+}
+
+/// `policy`'s spec with the plan-level coalesce and fault-servicing specs,
+/// when set, in place of its own.
+fn effective_spec(
+    policy: &CellPolicy,
+    coalesce: Option<&str>,
+    fault_servicing: Option<&str>,
+) -> PolicySpec {
+    let mut spec = policy.spec();
+    if let Some(co) = set_spec(PolicyAxis::Coalesce, coalesce) {
+        spec.coalesce = co.to_string();
+    }
+    if let Some(fs) = set_spec(PolicyAxis::FaultServicing, fault_servicing) {
+        spec.fault_servicing = fs.to_string();
+    }
+    spec
 }
 
 /// One fully-specified simulation run within a sweep.
@@ -90,13 +127,19 @@ impl SweepCell {
     /// The coalescing spec, normalized: `None` when the axis is off
     /// (unset or literally `off`).
     pub fn coalesce_spec(&self) -> Option<&str> {
-        self.coalesce.as_deref().filter(|s| *s != "off")
+        set_spec(PolicyAxis::Coalesce, self.coalesce.as_deref())
     }
 
     /// The fault-servicing spec, normalized: `None` when the axis is at
     /// its default (unset or literally `cpu`).
     pub fn fault_servicing_spec(&self) -> Option<&str> {
-        self.fault_servicing.as_deref().filter(|s| *s != "cpu")
+        set_spec(PolicyAxis::FaultServicing, self.fault_servicing.as_deref())
+    }
+
+    /// The policy this cell runs: its policy's spec, with the plan-level
+    /// coalesce and fault-servicing specs, when set, in place of its own.
+    pub fn policy_spec(&self) -> PolicySpec {
+        effective_spec(&self.policy, self.coalesce.as_deref(), self.fault_servicing.as_deref())
     }
 
     /// Human-readable slug: `workload/policy@s<scale>e<ef>r<ratio>x<seed>`
@@ -179,12 +222,15 @@ impl Default for SweepPlan {
 
 impl SweepPlan {
     /// Checks the plan before expansion: every axis non-empty, every
-    /// workload known to the registry, and the inject spec parseable.
+    /// workload known to the registry, the inject spec parseable, and
+    /// every policy's effective spec (plan-level coalesce and
+    /// fault-servicing applied, page size included) resolvable as
+    /// [`try_run`](batmem::SimulationBuilder::try_run) resolves it.
     ///
     /// # Errors
     ///
     /// Returns a [`BenchError`] naming the offending axis or spec; unknown
-    /// inject specs carry the registry-style known-names list.
+    /// inject and policy specs carry the registry-style known-names list.
     pub fn validate(&self) -> Result<(), BenchError> {
         for (axis, empty) in [
             ("workloads", self.workloads.is_empty()),
@@ -209,15 +255,13 @@ impl SweepPlan {
         if let Some(spec) = &self.inject {
             InjectConfig::parse_spec(spec).map_err(|e| BenchError::context("sweep plan", &e))?;
         }
-        if let Some(spec) = &self.coalesce {
-            batmem::PolicyRegistry::builtin()
-                .build_coalesce(spec)
-                .map_err(|e| BenchError::context("sweep plan", &e))?;
-        }
-        if let Some(spec) = &self.fault_servicing {
-            batmem::PolicyRegistry::builtin()
-                .build_servicing(spec)
-                .map_err(|e| BenchError::context("sweep plan", &e))?;
+        let registry = PolicyRegistry::builtin();
+        for policy in &self.policies {
+            let spec =
+                effective_spec(policy, self.coalesce.as_deref(), self.fault_servicing.as_deref());
+            spec.validate(&registry).map_err(|e| {
+                BenchError::context(&format!("sweep plan policy {}", policy.label()), &e)
+            })?;
         }
         for &r in &self.ratios {
             if !r.is_finite() || r <= 0.0 {
@@ -301,6 +345,33 @@ mod tests {
         let want: Vec<(String, String)> =
             pinned.iter().map(|&(id, label)| (id.to_string(), label.to_string())).collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn custom_cell_ids_and_labels_are_pinned() {
+        // Pinned when custom cells held a struct of their own, before the
+        // spec type replaced it: stores with custom cells must resume.
+        let every_axis = PolicySpec {
+            eviction: "random:7".into(),
+            prefetch: "none".into(),
+            oversubscription: "to:any".into(),
+            compression: true,
+            coalesce: "greedy:75".into(),
+            page_size_kb: Some(4),
+            fault_servicing: "gpu-driven:500".into(),
+        };
+        let pinned = [
+            ("531b7b76f5afd82e", "BFS-TTC/lru/tree:50/none@s8e4r0.5x42", PolicySpec::default()),
+            (
+                "3c7ea761719f5df4",
+                "BFS-TTC/random:7/none/to:any/+pciec/+co:greedy:75/+fs:gpu-driven:500/+pg:4k@s8e4r0.5x42",
+                every_axis,
+            ),
+        ];
+        for (id, label, policy) in pinned {
+            let c = SweepCell { policy: CellPolicy::Custom(policy), ..cell() };
+            assert_eq!((c.id().to_string(), c.label()), (id.to_string(), label.to_string()));
+        }
     }
 
     #[test]
@@ -389,6 +460,10 @@ mod tests {
         p = SweepPlan { fault_servicing: Some("dma".into()), ..SweepPlan::default() };
         let err = p.validate().unwrap_err().to_string();
         assert!(err.contains("dma") && err.contains("gpu-driven"), "{err}");
+        let mru = PolicySpec { eviction: "mru".into(), ..PolicySpec::default() };
+        p = SweepPlan { policies: vec![CellPolicy::Custom(mru)], ..SweepPlan::default() };
+        let err = p.validate().unwrap_err().to_string();
+        assert!(err.contains("mru"), "{err}");
     }
 
     #[test]
@@ -397,7 +472,7 @@ mod tests {
             workloads: vec!["BFS-TTC".into(), "PR".into()],
             policies: vec![
                 CellPolicy::Preset(ConfigName::Baseline),
-                CellPolicy::Custom(CustomPolicy::default()),
+                CellPolicy::Custom(PolicySpec::default()),
             ],
             scales: vec![8, 9],
             edge_factors: vec![4],

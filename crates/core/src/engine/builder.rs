@@ -1,18 +1,13 @@
 //! [`Simulation`] and [`SimulationBuilder`]: the public entry point.
 
-use batmem_etc::EtcConfig;
 use batmem_sim::ops::Workload;
-use batmem_types::policy::PolicyConfig;
 use batmem_types::probe::{Probe, ProbeHub};
 use batmem_types::{AuditLevel, SimConfig, SimError};
-use batmem_uvm::registry::{eviction_spec_of, prefetch_spec_of};
-use batmem_uvm::{
-    CoalesceStrategy, EvictionStrategy, FaultServicingModel, InjectConfig, OversubscriptionHandler,
-    PolicyRegistry, Prefetcher, StrategyCtx,
-};
+use batmem_uvm::{InjectConfig, PolicyRegistry};
 
 use super::Engine;
 use crate::metrics::RunMetrics;
+use crate::policies::PolicySpec;
 
 /// Entry point: configure with [`Simulation::builder`], then
 /// [`SimulationBuilder::try_run`] (returns a typed [`SimError`]).
@@ -27,19 +22,19 @@ impl Simulation {
 }
 
 /// Builder for a simulation run.
+///
+/// The run's policy is one [`PolicySpec`] (default `BASELINE`).
+/// [`policy`](Self::policy) replaces the whole spec and each per-axis
+/// setter replaces one axis of it, so call `policy` first: an axis set
+/// before it is lost.
 #[derive(Debug, Default)]
 pub struct SimulationBuilder {
     config: SimConfig,
-    etc: EtcConfig,
+    policy: PolicySpec,
     memory_ratio: Option<f64>,
     inject: Option<InjectConfig>,
     probes: ProbeHub,
     registry: PolicyRegistry,
-    eviction_spec: Option<String>,
-    prefetch_spec: Option<String>,
-    oversub_spec: Option<String>,
-    coalesce_spec: Option<String>,
-    fault_servicing_spec: Option<String>,
 }
 
 impl SimulationBuilder {
@@ -49,15 +44,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the policy knobs (see [`crate::policies`]).
-    pub fn policy(mut self, policy: PolicyConfig) -> Self {
-        self.config.policy = policy;
-        self
-    }
-
-    /// Enables the ETC framework with `etc`.
-    pub fn etc(mut self, etc: EtcConfig) -> Self {
-        self.etc = etc;
+    /// Replaces the policy spec (see [`crate::policies`]).
+    pub fn policy(mut self, policy: PolicySpec) -> Self {
+        self.policy = policy;
         self
     }
 
@@ -72,60 +61,51 @@ impl SimulationBuilder {
         self
     }
 
-    /// Selects the eviction strategy by registry spec (`lru`, `ue`,
-    /// `ideal`, `random:7`). Overrides the [`policy`](Self::policy)
-    /// preset's eviction knob.
+    /// Sets the eviction spec (`lru`, `ue`, `ideal`, `random:7`).
     pub fn eviction(mut self, spec: impl Into<String>) -> Self {
-        self.eviction_spec = Some(spec.into());
+        self.policy.eviction = spec.into();
         self
     }
 
-    /// Selects the prefetcher by registry spec (`none`, `tree:50`).
-    /// Overrides the [`policy`](Self::policy) preset's prefetch knob.
+    /// Sets the prefetch spec (`none`, `tree:50`).
     pub fn prefetch(mut self, spec: impl Into<String>) -> Self {
-        self.prefetch_spec = Some(spec.into());
+        self.policy.prefetch = spec.into();
         self
     }
 
-    /// Selects the oversubscription handling by registry spec (`none`,
-    /// `to`, `to:any`, `etc`, `etc:25`, `adaptive`, `adaptive:100000`).
-    /// Overrides both the [`policy`](Self::policy) preset's TO knob and
-    /// any [`etc`](Self::etc) framework configuration. The `adaptive`
-    /// spec additionally attaches an internal probe that closes the
-    /// sensing loop; it reads only in-simulation events, so runs stay
+    /// Sets the oversubscription spec (`none`, `to`, `to:any`, `etc`,
+    /// `etc:25`, `etc:50:pe`, `adaptive`, `adaptive:100000`). The
+    /// `adaptive` spec additionally attaches an internal probe that closes
+    /// the sensing loop; it reads only in-simulation events, so runs stay
     /// deterministic.
     pub fn oversubscription(mut self, spec: impl Into<String>) -> Self {
-        self.oversub_spec = Some(spec.into());
+        self.policy.oversubscription = spec.into();
         self
     }
 
-    /// Selects the fault-servicing cost model by registry spec (`cpu`,
-    /// `gpu-driven`, `gpu-driven:500`). Defaults to `cpu`, the classic
-    /// host-driver far-fault path, which keeps the timing arithmetic
-    /// bit-identical to the classic model.
+    /// Sets the fault-servicing spec (`cpu`, `gpu-driven`,
+    /// `gpu-driven:500`). `cpu`, the default, is the classic host-driver
+    /// far-fault path, which keeps the timing arithmetic bit-identical to
+    /// the classic model.
     pub fn fault_servicing(mut self, spec: impl Into<String>) -> Self {
-        self.fault_servicing_spec = Some(spec.into());
+        self.policy.fault_servicing = spec.into();
         self
     }
 
-    /// Selects the large-page coalescing policy by registry spec (`off`,
-    /// `greedy`, `greedy:75`, `splinter:on-evict`). Defaults to `off`,
-    /// which keeps the single-granularity translation path bit-identical
-    /// to the classic model.
+    /// Sets the large-page coalescing spec (`off`, `greedy`, `greedy:75`,
+    /// `splinter:on-evict`). `off`, the default, keeps the
+    /// single-granularity translation path bit-identical to the classic
+    /// model.
     pub fn coalesce(mut self, spec: impl Into<String>) -> Self {
-        self.coalesce_spec = Some(spec.into());
+        self.policy.coalesce = spec.into();
         self
     }
 
     /// Sizes GPU memory as `ratio` × the workload footprint (the paper's
     /// oversubscription ratio; 0.5 = "50% memory oversubscription", 1.0 or
-    /// more = everything fits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ratio` is not positive.
+    /// more = everything fits). [`try_run`](Self::try_run) rejects a ratio
+    /// that is not a positive finite number.
     pub fn memory_ratio(mut self, ratio: f64) -> Self {
-        assert!(ratio > 0.0, "memory ratio must be positive");
         self.memory_ratio = Some(ratio);
         self
     }
@@ -178,9 +158,10 @@ impl SimulationBuilder {
     /// # Errors
     ///
     /// * [`SimError::InvalidConfig`] / [`SimError::UnknownPolicy`] — the
-    ///   configuration failed [`SimConfig::validate`], a policy spec did
-    ///   not resolve, or the memory ratio / workload shape is degenerate;
-    ///   nothing was simulated.
+    ///   configuration failed [`SimConfig::validate`], a policy spec or its
+    ///   page size did not resolve, the memory ratio is not a positive
+    ///   finite number, or the workload launches no kernels; nothing was
+    ///   simulated.
     /// * [`SimError::StateMachine`] / [`SimError::Accounting`] — an engine
     ///   bug surfaced mid-run; the error carries the cycle and state.
     /// * [`SimError::InvariantViolated`] — an enabled audit found a
@@ -189,42 +170,12 @@ impl SimulationBuilder {
     ///   the end-of-run check caught a run that stopped making progress.
     pub fn try_run(mut self, workload: Box<dyn Workload>) -> Result<RunMetrics, SimError> {
         self.config.validate()?;
-        // Resolve the oversubscription spec first: it rewrites the TO knobs
-        // and the ETC framework configuration that the sizing logic below
-        // consumes.
-        let (oversub, signals) = match &self.oversub_spec {
-            Some(spec) => {
-                let sel = self.registry.build_oversubscription(spec)?;
-                self.config.policy.oversubscription = sel.to;
-                self.etc = sel.etc.unwrap_or_default();
-                // A closed-loop handler ships its own sensor: attach it to
-                // the hub like any user probe so it sees the event stream.
-                if let Some(probe) = sel.probe {
-                    self.probes.attach(probe);
-                }
-                (sel.handler, sel.signals)
-            }
-            None => (
-                Box::new(batmem_uvm::OversubController::new(self.config.policy.oversubscription))
-                    as Box<dyn OversubscriptionHandler>,
-                None,
-            ),
-        };
-        let servicing: Box<dyn FaultServicingModel> =
-            self.registry.build_servicing(self.fault_servicing_spec.as_deref().unwrap_or("cpu"))?;
-        let ctx = StrategyCtx { pages_per_region: self.config.uvm.pages_per_region() };
-        let eviction: Box<dyn EvictionStrategy> = match &self.eviction_spec {
-            Some(spec) => self.registry.build_eviction(spec, &ctx)?,
-            None => self.registry.build_eviction(eviction_spec_of(self.config.policy.eviction), &ctx)?,
-        };
-        let prefetcher: Box<dyn Prefetcher> = match &self.prefetch_spec {
-            Some(spec) => self.registry.build_prefetcher(spec, &ctx)?,
-            None => {
-                self.registry.build_prefetcher(&prefetch_spec_of(self.config.policy.prefetch), &ctx)?
-            }
-        };
-        let coalesce: Box<dyn CoalesceStrategy> =
-            self.registry.build_coalesce(self.coalesce_spec.as_deref().unwrap_or("off"))?;
+        let mut policy = self.policy.resolve(&self.registry, &mut self.config.uvm)?;
+        // A closed-loop handler ships its own sensor: attach it to the hub
+        // like any user probe so it sees the event stream.
+        if let Some(probe) = policy.oversub.probe.take() {
+            self.probes.attach(probe);
+        }
         if let Some(ratio) = self.memory_ratio {
             if !ratio.is_finite() || ratio <= 0.0 {
                 return Err(SimError::invalid_config(
@@ -243,29 +194,16 @@ impl SimulationBuilder {
             let pages = ((footprint_pages as f64 * ratio).ceil() as u64).max(1);
             self.config.uvm.gpu_mem_pages = Some(pages);
         }
-        if self.etc.enabled {
+        let etc = policy.oversub.etc.unwrap_or_default();
+        if etc.enabled {
             if let Some(p) = self.config.uvm.gpu_mem_pages {
                 // Capacity compression inflates effective capacity.
-                self.config.uvm.gpu_mem_pages = Some(self.etc.effective_capacity(p));
+                self.config.uvm.gpu_mem_pages = Some(etc.effective_capacity(p));
             }
-            if self.etc.proactive_eviction {
+            if etc.proactive_eviction {
                 self.config.policy.proactive_eviction = true;
             }
         }
-        Engine::new(
-            self.config,
-            self.etc,
-            self.inject,
-            self.probes,
-            workload,
-            footprint_pages,
-            eviction,
-            prefetcher,
-            coalesce,
-            oversub,
-            servicing,
-            signals,
-        )
-        .run()
+        Engine::new(self.config, self.inject, self.probes, workload, footprint_pages, policy).run()
     }
 }

@@ -145,9 +145,10 @@ impl Engine {
             self.blocks[b].warps[w].phase = WarpPhase::Ready;
             return Ok(());
         }
-        match self.blocks[b].warps[w].take_next_op() {
+        let warp = &mut self.blocks[b].warps[w];
+        let from_stream = warp.pending_retry.is_none();
+        match warp.take_next_op() {
             None => {
-                let warp = &mut self.blocks[b].warps[w];
                 warp.phase = WarpPhase::Finished;
                 // The stream is spent: free it now, not when the block
                 // retires or the next kernel launches.
@@ -160,13 +161,13 @@ impl Engine {
                 }
             }
             Some(WarpOp::Compute(c)) => {
-                self.ops_consumed += 1;
+                self.stream_ops += 1;
                 self.blocks[b].warps[w].phase = WarpPhase::Computing;
                 let at = self.clock + Cycle::from(c);
                 self.events.push(at, Event::WarpWake { block: b, warp: w });
             }
             Some(op) => {
-                self.ops_consumed += 1;
+                self.stream_ops += u64::from(from_stream);
                 self.exec_mem(b, w, op)?;
             }
         }
@@ -299,7 +300,7 @@ impl Engine {
         if !self.to_enabled() || !self.oversub.switching_allowed() {
             return Ok(());
         }
-        let trigger = self.cfg.policy.oversubscription.trigger;
+        let trigger = self.to.trigger;
         let out = self.sms[sm]
             .active
             .iter()

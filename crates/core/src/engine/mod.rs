@@ -23,19 +23,18 @@ mod tests;
 pub use builder::{Simulation, SimulationBuilder};
 
 use crate::metrics::RunMetrics;
-use batmem_etc::{CapacityCompression, EtcConfig, ThrottleController};
+use crate::policies::ResolvedPolicy;
+use batmem_etc::{CapacityCompression, ThrottleController};
 use batmem_sim::block::BlockContext;
 use batmem_sim::cache::MemPath;
 use batmem_sim::events::EventQueue;
 use batmem_sim::ops::{Kernel, KernelSpec, Workload};
 use batmem_sim::sm::{Occupancy, Sm};
 use batmem_types::dense::{PageMap, PageSet};
+use batmem_types::policy::ToConfig;
 use batmem_types::probe::{ProbeEvent, ProbeHub, SharedProbes};
 use batmem_types::{AuditLevel, Cycle, PageId, SimConfig, SimError};
-use batmem_uvm::{
-    AdaptiveSignals, CoalesceStrategy, EvictionStrategy, FaultServicingModel, InjectConfig,
-    OversubscriptionHandler, Prefetcher, UvmEvent, UvmRuntime,
-};
+use batmem_uvm::{InjectConfig, OversubscriptionHandler, UvmEvent, UvmRuntime};
 use batmem_vmem::Mmu;
 
 #[derive(Debug)]
@@ -55,6 +54,8 @@ struct Engine {
     mmu: Mmu,
     mem: MemPath,
     uvm: UvmRuntime,
+    /// Thread oversubscription, as the oversubscription spec resolved it.
+    to: ToConfig,
     oversub: Box<dyn OversubscriptionHandler>,
     throttle: ThrottleController,
     cc: CapacityCompression,
@@ -87,44 +88,40 @@ struct Engine {
     mem_ops: u64,
     ctx_switches: u64,
     ctx_switch_cycles: Cycle,
-    // watchdog progress counters
-    ops_consumed: u64,
-    pages_installed: u64,
-    faults_recorded: u64,
+    /// Ops taken from warp streams (replays of faulted ops excluded): the
+    /// watchdog's measure of forward progress, with `warps_retired`.
+    stream_ops: u64,
 }
 
 impl Engine {
-    #[allow(clippy::too_many_arguments)] // private constructor, one call site
     fn new(
         cfg: SimConfig,
-        etc: EtcConfig,
         inject: Option<InjectConfig>,
         probes: ProbeHub,
         workload: Box<dyn Workload>,
         footprint_pages: u64,
-        eviction: Box<dyn EvictionStrategy>,
-        prefetcher: Box<dyn Prefetcher>,
-        coalesce: Box<dyn CoalesceStrategy>,
-        oversub: Box<dyn OversubscriptionHandler>,
-        servicing: Box<dyn FaultServicingModel>,
-        signals: Option<AdaptiveSignals>,
+        policy: ResolvedPolicy,
     ) -> Self {
         let probes = SharedProbes::new(probes);
+        let etc = policy.oversub.etc.unwrap_or_default();
         let mut uvm = UvmRuntime::with_strategies(
             &cfg.uvm,
             &cfg.policy,
             footprint_pages,
-            eviction,
-            prefetcher,
-            coalesce,
+            policy.eviction,
+            policy.prefetcher,
+            policy.coalesce,
         );
+        if policy.compression {
+            uvm.enable_compression();
+        }
         uvm.set_audit(cfg.audit);
         uvm.set_probes(probes.clone());
         if let Some(i) = inject {
             uvm.set_injector(i);
         }
-        uvm.set_servicing(servicing);
-        if let Some(s) = signals {
+        uvm.set_servicing(policy.servicing);
+        if let Some(s) = policy.oversub.signals {
             uvm.set_adaptive_signals(s);
         }
         let mmu = Mmu::new(&cfg);
@@ -143,7 +140,8 @@ impl Engine {
             mmu,
             mem,
             uvm,
-            oversub,
+            to: policy.oversub.to,
+            oversub: policy.oversub.handler,
             throttle,
             cc,
             etc_enabled: etc.enabled,
@@ -168,9 +166,7 @@ impl Engine {
             mem_ops: 0,
             ctx_switches: 0,
             ctx_switch_cycles: 0,
-            ops_consumed: 0,
-            pages_installed: 0,
-            faults_recorded: 0,
+            stream_ops: 0,
             uvm_out: Vec::new(),
             waiter_pool: Vec::new(),
             scratch_page_lat: Vec::new(),
@@ -179,20 +175,15 @@ impl Engine {
     }
 
     fn to_enabled(&self) -> bool {
-        self.cfg.policy.oversubscription.enabled
+        self.to.enabled
     }
 
-    /// Everything that counts as forward progress for the watchdog: warp
-    /// ops consumed, faults accepted by the runtime, pages installed,
-    /// context switches, retirements. Purely periodic events (Sample,
-    /// EtcTick) and parked wakes leave this unchanged.
+    /// What counts as forward progress for the watchdog: ops taken from a
+    /// warp's stream, and warps retired. Fault replays, fault records, page
+    /// installs and context switches do not count: a replay-evict-switch
+    /// cycle produces all four forever without advancing any warp.
     fn progress_signature(&self) -> u64 {
-        self.ops_consumed
-            + self.faults_recorded
-            + self.pages_installed
-            + self.ctx_switches
-            + self.warps_retired
-            + self.blocks_retired
+        self.stream_ops + self.warps_retired
     }
 
     /// One-line dump of what is outstanding, for livelock/deadlock errors.
@@ -232,7 +223,7 @@ impl Engine {
     fn run(mut self) -> Result<RunMetrics, SimError> {
         self.launch_kernel(0)?;
         if self.to_enabled() {
-            let period = self.cfg.policy.oversubscription.lifetime_sample_period;
+            let period = self.to.lifetime_sample_period;
             self.events.push(period, Event::Sample);
         }
         if self.etc_enabled {

@@ -1,15 +1,11 @@
 use super::*;
 use batmem_sim::ops::{AccessStream, BoxedStream, WarpOp};
-use batmem_types::policy::{EvictionPolicy, PolicyConfig, PrefetchPolicy, SwitchTrigger, ToConfig};
+use crate::policies;
+use batmem_types::policy::ToConfig;
 use batmem_types::{BlockId, KernelId};
 use batmem_workloads::synthetic::{SharedPages, Strided};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-fn no_prefetch(mut p: PolicyConfig) -> PolicyConfig {
-    p.prefetch = PrefetchPolicy::None;
-    p
-}
 
 #[test]
 fn single_warp_single_page_timing() {
@@ -17,7 +13,7 @@ fn single_warp_single_page_timing() {
     // handling + transfer + retry pipeline.
     let w = Strided::new(1, 32, 32, 1, 0, 1);
     let m = Simulation::builder()
-        .policy(no_prefetch(PolicyConfig::baseline()))
+        .prefetch("none")
         .try_run(Box::new(w)).unwrap();
     assert_eq!(m.uvm.num_batches(), 1);
     assert_eq!(m.uvm.batches[0].faults, 1);
@@ -31,7 +27,7 @@ fn shared_page_fault_wakes_all_waiters() {
     // 64 blocks all reading the same 3 pages: one batch serves everyone.
     let w = SharedPages::new(64, 256, 32, 3, 10);
     let m = Simulation::builder()
-        .policy(no_prefetch(PolicyConfig::baseline()))
+        .prefetch("none")
         .try_run(Box::new(w)).unwrap();
     let faults: u64 = m.uvm.batches.iter().map(|b| u64::from(b.faults)).sum();
     assert_eq!(faults, 3, "shared pages must fault once each");
@@ -43,9 +39,12 @@ fn to_context_switches_on_fault_stalls() {
     // Tiny capacity + per-warp disjoint pages: active blocks stall fully
     // and the provisioned inactive blocks must switch in.
     let w = Strided::new(200, 256, 56, 2, 50, 3);
-    let mut policy = no_prefetch(PolicyConfig::to_only());
-    policy.oversubscription = ToConfig { max_extra_blocks: 3, ..ToConfig::enabled() };
-    let m = Simulation::builder().policy(policy).memory_ratio(0.25).try_run(Box::new(w)).unwrap();
+    let m = Simulation::builder()
+        .policy(policies::to_only())
+        .prefetch("none")
+        .memory_ratio(0.25)
+        .try_run(Box::new(w))
+        .unwrap();
     assert!(m.ctx_switches > 0, "no switches despite fault stalls");
     assert!(m.ctx_switch_cycles > 0);
     assert_eq!(m.blocks_retired, 200);
@@ -54,10 +53,11 @@ fn to_context_switches_on_fault_stalls() {
 #[test]
 fn any_stall_trigger_switches_without_faults() {
     let w = Strided::new(200, 256, 56, 2, 0, 4);
-    let mut policy = no_prefetch(PolicyConfig::to_only());
-    policy.oversubscription =
-        ToConfig { trigger: SwitchTrigger::AnyStall, ..ToConfig::enabled() };
-    let m = Simulation::builder().policy(policy).try_run(Box::new(w)).unwrap();
+    let m = Simulation::builder()
+        .oversubscription("to:any")
+        .prefetch("none")
+        .try_run(Box::new(w))
+        .unwrap();
     assert_eq!(m.uvm.evictions, 0);
     assert!(m.ctx_switches > 0, "AnyStall must switch on memory stalls");
 }
@@ -67,14 +67,16 @@ fn fault_stall_trigger_switches_no_more_than_any_stall() {
     // First-touch demand faults exist even with unlimited memory, so
     // FaultStall may switch — but AnyStall adds every memory stall as a
     // trigger, so it can never switch less.
-    let run = |trigger: SwitchTrigger| {
+    let run = |oversub: &str| {
         let w = Strided::new(200, 256, 56, 2, 0, 4);
-        let mut policy = no_prefetch(PolicyConfig::to_only());
-        policy.oversubscription = ToConfig { trigger, ..ToConfig::enabled() };
-        Simulation::builder().policy(policy).try_run(Box::new(w)).unwrap()
+        Simulation::builder()
+            .oversubscription(oversub)
+            .prefetch("none")
+            .try_run(Box::new(w))
+            .unwrap()
     };
-    let fault_stall = run(SwitchTrigger::FaultStall);
-    let any_stall = run(SwitchTrigger::AnyStall);
+    let fault_stall = run("to");
+    let any_stall = run("to:any");
     assert!(fault_stall.ctx_switches <= any_stall.ctx_switches);
     assert!(any_stall.ctx_switches > 0);
 }
@@ -85,7 +87,7 @@ fn severe_oversubscription_still_terminates() {
     // per-lane replay rule must guarantee forward progress.
     let w = SharedPages::new(8, 256, 32, 12, 5);
     let m = Simulation::builder()
-        .policy(no_prefetch(PolicyConfig::baseline()))
+        .prefetch("none")
         .memory_pages(2)
         .try_run(Box::new(w)).unwrap();
     assert_eq!(m.blocks_retired, 8);
@@ -96,9 +98,12 @@ fn severe_oversubscription_still_terminates() {
 #[test]
 fn severe_oversubscription_terminates_under_ue() {
     let w = SharedPages::new(8, 256, 32, 12, 5);
-    let mut policy = no_prefetch(PolicyConfig::ue_only());
-    policy.eviction = EvictionPolicy::Unobtrusive;
-    let m = Simulation::builder().policy(policy).memory_pages(2).try_run(Box::new(w)).unwrap();
+    let m = Simulation::builder()
+        .policy(policies::ue_only())
+        .prefetch("none")
+        .memory_pages(2)
+        .try_run(Box::new(w))
+        .unwrap();
     assert_eq!(m.blocks_retired, 8);
 }
 
@@ -107,7 +112,7 @@ fn compute_only_workload_never_faults() {
     // repeats * compute with one page per warp: after the first touch,
     // everything is compute; the page count equals warps.
     let w = Strided::new(4, 64, 16, 1, 1_000, 16);
-    let m = Simulation::builder().policy(no_prefetch(PolicyConfig::baseline())).try_run(Box::new(w)).unwrap();
+    let m = Simulation::builder().prefetch("none").try_run(Box::new(w)).unwrap();
     let faults: u64 = m.uvm.batches.iter().map(|b| u64::from(b.faults)).sum();
     assert_eq!(faults, 4 * 2); // 4 blocks x 2 warps x 1 page
     assert!(m.mem_ops > faults);
@@ -116,7 +121,7 @@ fn compute_only_workload_never_faults() {
 #[test]
 fn mem_ops_count_replays() {
     let w = Strided::new(1, 32, 32, 4, 0, 1);
-    let m = Simulation::builder().policy(no_prefetch(PolicyConfig::baseline())).try_run(Box::new(w)).unwrap();
+    let m = Simulation::builder().prefetch("none").try_run(Box::new(w)).unwrap();
     // 4 loads + 4 replays after their faults.
     assert_eq!(m.mem_ops, 8);
 }
@@ -125,16 +130,22 @@ fn mem_ops_count_replays() {
 fn builder_ratio_sets_capacity_from_footprint() {
     let w = Strided::new(4, 256, 32, 4, 10, 1); // 4*8*4 = 128 pages
     let m = Simulation::builder()
-        .policy(no_prefetch(PolicyConfig::baseline()))
+        .prefetch("none")
         .memory_ratio(0.25)
         .try_run(Box::new(w)).unwrap();
     assert_eq!(m.memory_pages, Some(32));
 }
 
 #[test]
-#[should_panic(expected = "memory ratio must be positive")]
-fn zero_ratio_panics() {
-    let _ = Simulation::builder().memory_ratio(0.0);
+fn degenerate_ratios_are_typed_errors() {
+    for ratio in [0.0, f64::NAN, f64::INFINITY] {
+        let w = Strided::new(1, 32, 32, 1, 0, 1);
+        let err = Simulation::builder().memory_ratio(ratio).try_run(Box::new(w)).unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidConfig { field: "memory_ratio", .. }),
+            "ratio {ratio}: {err:?}"
+        );
+    }
 }
 
 /// Live warp streams of a [`Census`] workload: built and not yet dropped.
@@ -212,20 +223,23 @@ fn warp_streams_are_released_when_their_warps_retire() {
     // A grid far larger than the GPU holds: streams kept until the kernel
     // ends would peak at every warp of the grid.
     const BLOCKS: u32 = 400;
-    const EXTRA_BLOCKS: u32 = 3;
     let census = Arc::new(StreamCensus::default());
     let inner = Box::new(Strided::new(BLOCKS, 256, 56, 2, 50, 3));
     let spec = inner.kernel(KernelId::new(0)).spec();
     let w = Census { inner, census: Arc::clone(&census) };
-    let mut policy = no_prefetch(PolicyConfig::to_only());
-    policy.oversubscription = ToConfig { max_extra_blocks: EXTRA_BLOCKS, ..ToConfig::enabled() };
-    let m = Simulation::builder().policy(policy).memory_ratio(0.25).try_run(Box::new(w)).unwrap();
+    let m = Simulation::builder()
+        .policy(policies::to_only())
+        .prefetch("none")
+        .memory_ratio(0.25)
+        .try_run(Box::new(w))
+        .unwrap();
     assert!(m.ctx_switches > 0, "TO never switched");
     let gpu = SimConfig::default().gpu;
     let occ = batmem_sim::sm::occupancy(&gpu, &spec);
     let wpb = occ.warps_per_block as usize;
     // Resident blocks: the active slots plus TO's inactive extras.
-    let bound = usize::from(gpu.num_sms) * (occ.active_limit + EXTRA_BLOCKS) as usize * wpb;
+    let extra_blocks = ToConfig::enabled().max_extra_blocks;
+    let bound = usize::from(gpu.num_sms) * (occ.active_limit + extra_blocks) as usize * wpb;
     let total = BLOCKS as usize * wpb;
     assert_eq!(census.built.load(Ordering::SeqCst), total);
     let peak = census.peak.load(Ordering::SeqCst);

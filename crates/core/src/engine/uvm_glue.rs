@@ -21,10 +21,10 @@ impl Engine {
             self.throttle.on_fault(refault);
         }
         let mut outs = std::mem::take(&mut self.uvm_out);
-        let res = self.uvm.record_fault_into(page, self.clock, &mut outs).and_then(|()| {
-            self.faults_recorded += 1;
-            self.apply_outputs(&mut outs)
-        });
+        let res = self
+            .uvm
+            .record_fault_into(page, self.clock, &mut outs)
+            .and_then(|()| self.apply_outputs(&mut outs));
         outs.clear();
         self.uvm_out = outs;
         res
@@ -40,7 +40,6 @@ impl Engine {
                 }
                 UvmOutput::Install { page, frame } => {
                     self.mmu.install(page, frame, self.clock)?;
-                    self.pages_installed += 1;
                     self.wake_waiters(page)?;
                 }
                 UvmOutput::Evict { page } => {
@@ -100,7 +99,7 @@ impl Engine {
         // A raised degree provisions more inactive blocks immediately.
         self.top_up_inactive()?;
         if self.kernel_idx < self.workload.num_kernels() {
-            let period = self.cfg.policy.oversubscription.lifetime_sample_period;
+            let period = self.to.lifetime_sample_period;
             self.events.push(self.clock + period, Event::Sample);
         }
         Ok(())

@@ -59,6 +59,7 @@
 mod engine;
 pub mod experiments;
 mod metrics;
+pub mod policies;
 pub mod probes;
 
 pub use engine::{Simulation, SimulationBuilder};
@@ -70,167 +71,3 @@ pub use batmem_etc::EtcConfig;
 pub use batmem_types::config::SimConfig;
 pub use batmem_types::policy::{PolicyAxis, PolicyConfig, PolicyDescriptor};
 pub use batmem_uvm::{OversubSelection, PolicyRegistry, StrategyCtx};
-
-/// The policy presets of Fig. 11, by their names in the paper.
-pub mod policies {
-    use batmem_etc::EtcConfig;
-    use batmem_types::policy::PolicyConfig;
-
-    /// The named configurations of Fig. 11, in presentation order.
-    ///
-    /// [`preset`] maps each name to its policy knobs; this is the single
-    /// source of truth the bench harness and examples share.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-    pub enum ConfigName {
-        /// `BASELINE` (tree prefetching, serialized eviction).
-        Baseline,
-        /// `BASELINE with PCIe Compression`.
-        BaselineCompressed,
-        /// `TO`.
-        To,
-        /// `UE`.
-        Ue,
-        /// `TO+UE`.
-        ToUe,
-        /// `ETC`.
-        Etc,
-        /// `IDEAL EVICTION` (Fig. 8).
-        IdealEviction,
-        /// Unlimited GPU memory (the Fig. 8 normalization point).
-        Unlimited,
-    }
-
-    impl ConfigName {
-        /// Every preset, in presentation order — the sweep service's
-        /// default policy axis.
-        pub fn all() -> &'static [ConfigName] {
-            &[
-                ConfigName::Baseline,
-                ConfigName::BaselineCompressed,
-                ConfigName::To,
-                ConfigName::Ue,
-                ConfigName::ToUe,
-                ConfigName::Etc,
-                ConfigName::IdealEviction,
-                ConfigName::Unlimited,
-            ]
-        }
-
-        /// Parses a figure label (`BASELINE`, `TO+UE`, …) back into the
-        /// preset; `None` for unknown labels. Inverse of
-        /// [`ConfigName::label`], used by sweep plans and artifact resume.
-        pub fn from_label(s: &str) -> Option<ConfigName> {
-            Self::all().iter().copied().find(|c| c.label() == s)
-        }
-
-        /// Display label matching the paper's figures.
-        pub fn label(self) -> &'static str {
-            match self {
-                ConfigName::Baseline => "BASELINE",
-                ConfigName::BaselineCompressed => "BASELINE+PCIeC",
-                ConfigName::To => "TO",
-                ConfigName::Ue => "UE",
-                ConfigName::ToUe => "TO+UE",
-                ConfigName::Etc => "ETC",
-                ConfigName::IdealEviction => "IDEAL-EVICT",
-                ConfigName::Unlimited => "UNLIMITED",
-            }
-        }
-
-        /// The policy knobs of this configuration; shorthand for
-        /// [`preset`].
-        pub fn preset(self) -> (PolicyConfig, Option<EtcConfig>) {
-            preset(self)
-        }
-    }
-
-    /// The policy knobs (and, for `ETC`, the framework configuration) of
-    /// the named preset. `Unlimited` shares the baseline policy — only its
-    /// memory sizing differs, which is the caller's concern.
-    pub fn preset(name: ConfigName) -> (PolicyConfig, Option<EtcConfig>) {
-        match name {
-            ConfigName::Baseline | ConfigName::Unlimited => (baseline(), None),
-            ConfigName::BaselineCompressed => (baseline_with_compression(), None),
-            ConfigName::To => (to_only(), None),
-            ConfigName::Ue => (ue_only(), None),
-            ConfigName::ToUe => (to_ue(), None),
-            ConfigName::Etc => {
-                let (p, e) = etc();
-                (p, Some(e))
-            }
-            ConfigName::IdealEviction => (ideal_eviction(), None),
-        }
-    }
-
-    /// `BASELINE`: state-of-the-art tree prefetching, serialized eviction.
-    pub fn baseline() -> PolicyConfig {
-        PolicyConfig::baseline()
-    }
-
-    /// `BASELINE with PCIe Compression`.
-    pub fn baseline_with_compression() -> PolicyConfig {
-        PolicyConfig::baseline_with_compression()
-    }
-
-    /// `TO`: thread oversubscription only.
-    pub fn to_only() -> PolicyConfig {
-        PolicyConfig::to_only()
-    }
-
-    /// `UE`: unobtrusive eviction only.
-    pub fn ue_only() -> PolicyConfig {
-        PolicyConfig::ue_only()
-    }
-
-    /// `TO+UE`: the paper's full proposal.
-    pub fn to_ue() -> PolicyConfig {
-        PolicyConfig::to_ue()
-    }
-
-    /// `IDEAL EVICTION` (Fig. 8 limit study).
-    pub fn ideal_eviction() -> PolicyConfig {
-        PolicyConfig::ideal_eviction()
-    }
-
-    /// `ETC` (Li et al.), irregular-application mode.
-    pub fn etc() -> (PolicyConfig, EtcConfig) {
-        (PolicyConfig::baseline(), EtcConfig::irregular())
-    }
-
-    /// A preset expressed as the registry spec strings that reproduce it —
-    /// what `--eviction`/`--prefetch`/`--oversubscription` would be passed
-    /// on a bench binary's command line to run the same configuration.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct PresetSpecs {
-        /// Eviction strategy spec (`lru`, `ue`, `ideal`).
-        pub eviction: &'static str,
-        /// Prefetcher spec (`none`, `tree:50`).
-        pub prefetch: &'static str,
-        /// Oversubscription spec (`none`, `to`, `etc`).
-        pub oversubscription: &'static str,
-        /// Whether PCIe compression is on. Not a registry axis — it shapes
-        /// the transfer pipes rather than a pipeline decision point.
-        pub compression: bool,
-    }
-
-    /// The registry spec strings of each named preset: the same knobs as
-    /// [`preset`], expressed as the names the
-    /// [`PolicyRegistry`](crate::PolicyRegistry) resolves.
-    pub fn registry_specs(name: ConfigName) -> PresetSpecs {
-        let base = PresetSpecs {
-            eviction: "lru",
-            prefetch: "tree:50",
-            oversubscription: "none",
-            compression: false,
-        };
-        match name {
-            ConfigName::Baseline | ConfigName::Unlimited => base,
-            ConfigName::BaselineCompressed => PresetSpecs { compression: true, ..base },
-            ConfigName::To => PresetSpecs { oversubscription: "to", ..base },
-            ConfigName::Ue => PresetSpecs { eviction: "ue", ..base },
-            ConfigName::ToUe => PresetSpecs { eviction: "ue", oversubscription: "to", ..base },
-            ConfigName::Etc => PresetSpecs { oversubscription: "etc", ..base },
-            ConfigName::IdealEviction => PresetSpecs { eviction: "ideal", ..base },
-        }
-    }
-}

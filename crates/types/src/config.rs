@@ -366,7 +366,8 @@ pub struct SimConfig {
     pub tlb: TlbConfig,
     /// UVM runtime configuration.
     pub uvm: UvmConfig,
-    /// Policy selections (prefetching, eviction, oversubscription, …).
+    /// Policy settings no policy spec names (eviction granularity, PCIe
+    /// compression parameters, proactive eviction).
     pub policy: PolicyConfig,
     /// Invariant-audit level applied while the simulation runs.
     pub audit: AuditLevel,
@@ -601,8 +602,8 @@ mod tests {
     #[test]
     fn policy_knobs_are_validated_through_sim_config() {
         let mut c = SimConfig::default();
-        c.policy.prefetch = crate::policy::PrefetchPolicy::Tree { threshold_percent: 0 };
-        assert_eq!(rejected_field(&c), "policy.prefetch.threshold_percent");
+        c.policy.compression.ratio_x100 = 99;
+        assert_eq!(rejected_field(&c), "policy.compression.ratio_x100");
     }
 
     #[test]

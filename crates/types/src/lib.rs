@@ -11,9 +11,9 @@
 //! * [`config`] — the full simulated-system configuration, whose defaults
 //!   reproduce Table 1 of Kim et al., *Batch-Aware Unified Memory Management
 //!   in GPUs for Irregular Workloads* (ASPLOS 2020).
-//! * [`policy`] — the policy knobs that select between the paper's baseline
-//!   and proposed mechanisms (thread oversubscription, unobtrusive eviction,
-//!   prefetching, PCIe compression).
+//! * [`policy`] — the policy settings no policy spec names (eviction
+//!   granularity, PCIe compression parameters, proactive eviction) and the
+//!   types the specs resolve to.
 //! * [`dense`] — dense page-indexed collections (flat tables and epoch
 //!   sets) backing the simulator's per-event hot paths.
 //! * [`error`] — structured simulation errors ([`SimError`]) and the

@@ -1,4 +1,4 @@
-//! Policy knobs selecting between the paper's baseline and proposed mechanisms.
+//! Policy settings and the types policy specs resolve to.
 //!
 //! The evaluation in the paper compares six configurations (Fig. 11):
 //!
@@ -11,49 +11,15 @@
 //! * `TO+UE` — both (the paper's proposal);
 //! * `ETC` — the Li et al. ASPLOS'19 framework (see `batmem-etc`).
 //!
-//! All of these are expressible as a [`PolicyConfig`] value.
+//! A run names its configuration as a policy spec (`batmem::policies`):
+//! one registry spec string per axis, resolved by the policy registry. This
+//! module holds what a spec resolves to ([`ToConfig`]), the settings no
+//! spec names ([`PolicyConfig`]), and the registry's self-description
+//! ([`PolicyAxis`], [`PolicyDescriptor`]).
 
 use crate::error::SimError;
 use crate::time::Cycle;
 use std::fmt;
-
-/// Page prefetching policy applied while a batch is preprocessed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefetchPolicy {
-    /// No prefetching: only faulted pages migrate.
-    None,
-    /// Tree-based prefetcher (Zheng et al., HPCA'16 / the NVIDIA UVM
-    /// driver): when the faulted 64 KB subpages of a 2 MB region reach
-    /// `threshold_percent` density (counting already-resident pages), the
-    /// region's remaining non-resident pages are appended to the batch.
-    Tree {
-        /// Density threshold, in percent of the region's pages.
-        threshold_percent: u8,
-    },
-}
-
-impl Default for PrefetchPolicy {
-    fn default() -> Self {
-        PrefetchPolicy::Tree { threshold_percent: 50 }
-    }
-}
-
-/// Page eviction engine used when device memory is at capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// The baseline, modeled on the NVIDIA driver (§3 of the paper): an
-    /// eviction is requested reactively when an allocation fails, and the
-    /// incoming page's transfer is **serialized** behind the eviction.
-    #[default]
-    SerializedLru,
-    /// Unobtrusive Eviction (§4.2): one preemptive eviction is issued by the
-    /// top-half ISR at batch start (overlapping the runtime fault-handling
-    /// window), and subsequent evictions are pipelined on the
-    /// device-to-host direction concurrently with host-to-device migrations.
-    Unobtrusive,
-    /// Ideal (zero-latency) eviction — the limit study of Fig. 8.
-    Ideal,
-}
 
 /// The granularity at which the physical memory manager evicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,7 +45,8 @@ pub enum SwitchTrigger {
     AnyStall,
 }
 
-/// Thread Oversubscription (TO) configuration (§4.1).
+/// Thread Oversubscription (TO) configuration (§4.1): what the `to`,
+/// `adaptive` and `none` oversubscription specs resolve to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ToConfig {
     /// Master switch.
@@ -120,11 +87,10 @@ impl ToConfig {
     }
 }
 
-/// PCIe link compression (the `BASELINE with PCIe Compression` bar of Fig. 11).
+/// PCIe link compression parameters (the `BASELINE with PCIe Compression`
+/// bar of Fig. 11). Whether a run compresses is part of its policy spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcieCompression {
-    /// Master switch.
-    pub enabled: bool,
     /// Compression ratio ×100 (150 ⇒ transfers shrink to 2⁄3 size).
     pub ratio_x100: u32,
     /// Added (de)compression latency per page transfer.
@@ -133,18 +99,14 @@ pub struct PcieCompression {
 
 impl Default for PcieCompression {
     fn default() -> Self {
-        Self { enabled: false, ratio_x100: 150, per_page_latency: 500 }
+        Self { ratio_x100: 150, per_page_latency: 500 }
     }
 }
 
 impl PcieCompression {
-    /// Effective wire bytes for a logical transfer of `bytes`.
+    /// Wire bytes for a compressed logical transfer of `bytes`.
     pub fn wire_bytes(&self, bytes: u64) -> u64 {
-        if self.enabled {
-            (bytes * 100).div_ceil(u64::from(self.ratio_x100))
-        } else {
-            bytes
-        }
+        (bytes * 100).div_ceil(u64::from(self.ratio_x100))
     }
 }
 
@@ -201,99 +163,25 @@ pub struct PolicyDescriptor {
     pub summary: &'static str,
 }
 
-/// The combined policy configuration.
+/// The policy settings no policy spec names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PolicyConfig {
-    /// Batch-time page prefetching.
-    pub prefetch: PrefetchPolicy,
-    /// Eviction engine.
-    pub eviction: EvictionPolicy,
     /// ETC-style proactive eviction: at batch start, evict enough pages to
     /// cover the batch's predicted frame demand, overlapped with the
     /// handling window. Mispredictions surface as premature evictions —
-    /// the reason the ETC authors disable it for irregular workloads.
+    /// the reason the ETC authors disable it for irregular workloads. The
+    /// `etc:<throttle>:pe` spec also turns it on.
     pub proactive_eviction: bool,
     /// Eviction granularity.
     pub eviction_granularity: EvictionGranularity,
-    /// Thread oversubscription.
-    pub oversubscription: ToConfig,
-    /// PCIe link compression.
+    /// PCIe link compression parameters, used when the spec compresses.
     pub compression: PcieCompression,
 }
 
 impl PolicyConfig {
-    /// The paper's `BASELINE`: prefetching on, serialized eviction, no TO.
-    pub fn baseline() -> Self {
-        Self::default()
-    }
-
-    /// `BASELINE with PCIe Compression`.
-    pub fn baseline_with_compression() -> Self {
-        Self {
-            compression: PcieCompression { enabled: true, ..PcieCompression::default() },
-            ..Self::default()
-        }
-    }
-
-    /// `TO`: thread oversubscription only.
-    pub fn to_only() -> Self {
-        Self { oversubscription: ToConfig::enabled(), ..Self::default() }
-    }
-
-    /// `UE`: unobtrusive eviction only.
-    pub fn ue_only() -> Self {
-        Self { eviction: EvictionPolicy::Unobtrusive, ..Self::default() }
-    }
-
-    /// `TO+UE`: the paper's full proposal.
-    pub fn to_ue() -> Self {
-        Self {
-            oversubscription: ToConfig::enabled(),
-            eviction: EvictionPolicy::Unobtrusive,
-            ..Self::default()
-        }
-    }
-
-    /// Ideal-eviction limit study (Fig. 8).
-    pub fn ideal_eviction() -> Self {
-        Self { eviction: EvictionPolicy::Ideal, ..Self::default() }
-    }
-
-    /// Rejects policy knobs outside their meaningful ranges.
+    /// Rejects policy settings outside their meaningful ranges.
     pub fn validate(&self) -> Result<(), SimError> {
-        if let PrefetchPolicy::Tree { threshold_percent } = self.prefetch {
-            if threshold_percent == 0 || threshold_percent > 100 {
-                return Err(SimError::invalid_config(
-                    "policy.prefetch.threshold_percent",
-                    format!("must be in 1..=100, got {threshold_percent}"),
-                ));
-            }
-        }
-        let to = &self.oversubscription;
-        if to.enabled {
-            if to.max_extra_blocks == 0 || to.max_extra_blocks < to.initial_extra_blocks {
-                return Err(SimError::invalid_config(
-                    "policy.oversubscription.max_extra_blocks",
-                    format!(
-                        "must be nonzero and >= initial_extra_blocks ({}), got {}",
-                        to.initial_extra_blocks, to.max_extra_blocks
-                    ),
-                ));
-            }
-            if to.lifetime_sample_period == 0 {
-                return Err(SimError::invalid_config(
-                    "policy.oversubscription.lifetime_sample_period",
-                    "must be nonzero (the dynamic controller samples on this period)",
-                ));
-            }
-            if to.lifetime_drop_threshold_percent > 100 {
-                return Err(SimError::invalid_config(
-                    "policy.oversubscription.lifetime_drop_threshold_percent",
-                    format!("must be <= 100, got {}", to.lifetime_drop_threshold_percent),
-                ));
-            }
-        }
-        if self.compression.enabled && self.compression.ratio_x100 < 100 {
+        if self.compression.ratio_x100 < 100 {
             return Err(SimError::invalid_config(
                 "policy.compression.ratio_x100",
                 format!("compression must not expand data (>= 100), got {}", self.compression.ratio_x100),
@@ -308,58 +196,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preset_shapes() {
-        let b = PolicyConfig::baseline();
-        assert!(!b.oversubscription.enabled);
-        assert_eq!(b.eviction, EvictionPolicy::SerializedLru);
-        assert!(matches!(b.prefetch, PrefetchPolicy::Tree { .. }));
-
-        let p = PolicyConfig::to_ue();
-        assert!(p.oversubscription.enabled);
-        assert_eq!(p.eviction, EvictionPolicy::Unobtrusive);
-
-        assert!(PolicyConfig::baseline_with_compression().compression.enabled);
-        assert_eq!(PolicyConfig::ideal_eviction().eviction, EvictionPolicy::Ideal);
-    }
-
-    #[test]
     fn compression_shrinks_wire_bytes() {
-        let c = PcieCompression { enabled: true, ratio_x100: 150, per_page_latency: 0 };
+        let c = PcieCompression { ratio_x100: 150, per_page_latency: 0 };
         assert_eq!(c.wire_bytes(150), 100);
         assert_eq!(c.wire_bytes(65536), 43691); // rounds up
-        let off = PcieCompression::default();
-        assert_eq!(off.wire_bytes(65536), 65536);
-    }
-
-    #[test]
-    fn every_preset_validates() {
-        for p in [
-            PolicyConfig::baseline(),
-            PolicyConfig::baseline_with_compression(),
-            PolicyConfig::to_only(),
-            PolicyConfig::ue_only(),
-            PolicyConfig::to_ue(),
-            PolicyConfig::ideal_eviction(),
-        ] {
-            p.validate().unwrap();
-        }
+        let neutral = PcieCompression { ratio_x100: 100, per_page_latency: 0 };
+        assert_eq!(neutral.wire_bytes(65536), 65536);
     }
 
     #[test]
     fn degenerate_policy_knobs_are_rejected() {
-        let mut p = PolicyConfig::baseline();
-        p.prefetch = PrefetchPolicy::Tree { threshold_percent: 101 };
-        assert!(p.validate().is_err());
-
-        let mut p = PolicyConfig::to_only();
-        p.oversubscription.max_extra_blocks = 0;
-        assert!(p.validate().is_err());
-
-        let mut p = PolicyConfig::to_only();
-        p.oversubscription.lifetime_sample_period = 0;
-        assert!(p.validate().is_err());
-
-        let mut p = PolicyConfig::baseline_with_compression();
+        PolicyConfig::default().validate().unwrap();
+        let mut p = PolicyConfig::default();
         p.compression.ratio_x100 = 50;
         assert!(p.validate().is_err());
     }

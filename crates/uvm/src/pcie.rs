@@ -25,7 +25,7 @@ pub struct Transfer {
 pub struct PciePipes {
     h2d_bytes_per_sec: u64,
     d2h_bytes_per_sec: u64,
-    compression: PcieCompression,
+    compression: Option<PcieCompression>,
     h2d_free: Cycle,
     d2h_free: Cycle,
     h2d_bytes: u64,
@@ -35,13 +35,12 @@ pub struct PciePipes {
 }
 
 impl PciePipes {
-    /// Creates the pipes with the given per-direction bandwidths and
-    /// optional link compression.
-    pub fn new(h2d_bytes_per_sec: u64, d2h_bytes_per_sec: u64, compression: PcieCompression) -> Self {
+    /// Creates uncompressed pipes with the given per-direction bandwidths.
+    pub fn new(h2d_bytes_per_sec: u64, d2h_bytes_per_sec: u64) -> Self {
         Self {
             h2d_bytes_per_sec,
             d2h_bytes_per_sec,
-            compression,
+            compression: None,
             h2d_free: 0,
             d2h_free: 0,
             h2d_bytes: 0,
@@ -49,6 +48,11 @@ impl PciePipes {
             h2d_transfers: 0,
             d2h_transfers: 0,
         }
+    }
+
+    /// Compresses every later transfer in both directions.
+    pub fn enable_compression(&mut self, compression: PcieCompression) {
+        self.compression = Some(compression);
     }
 
     /// Cycles a host-to-device transfer of `bytes` occupies the pipe
@@ -63,9 +67,10 @@ impl PciePipes {
     }
 
     fn cycles(&self, bytes: u64, bw: u64) -> Cycle {
-        let wire = self.compression.wire_bytes(bytes);
-        let extra = if self.compression.enabled { self.compression.per_page_latency } else { 0 };
-        transfer_cycles(wire, bw) + extra
+        match self.compression {
+            Some(c) => transfer_cycles(c.wire_bytes(bytes), bw) + c.per_page_latency,
+            None => transfer_cycles(bytes, bw),
+        }
     }
 
     /// Schedules a host-to-device transfer of `bytes` that may not start
@@ -127,7 +132,7 @@ mod tests {
     use super::*;
 
     fn pipes() -> PciePipes {
-        PciePipes::new(15_750_000_000, 17_300_000_000, PcieCompression::default())
+        PciePipes::new(15_750_000_000, 17_300_000_000)
     }
 
     #[test]
@@ -176,8 +181,8 @@ mod tests {
 
     #[test]
     fn compression_shortens_transfers_but_adds_latency() {
-        let comp = PcieCompression { enabled: true, ratio_x100: 200, per_page_latency: 100 };
-        let p = PciePipes::new(15_750_000_000, 17_300_000_000, comp);
+        let mut p = pipes();
+        p.enable_compression(PcieCompression { ratio_x100: 200, per_page_latency: 100 });
         let plain = pipes().h2d_cycles(64 * 1024);
         let compressed = p.h2d_cycles(64 * 1024);
         // Half the bytes plus 100 cycles: still a clear win for big pages.

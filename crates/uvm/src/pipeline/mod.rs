@@ -61,16 +61,14 @@ use crate::inject::{FaultInjector, InjectConfig, InjectStats};
 use crate::lifetime::{LifetimeSample, LifetimeTracker};
 use crate::memmgr::MemoryManager;
 use crate::pcie::PciePipes;
-use crate::prefetch::TreePrefetcher;
 use crate::stats::UvmStats;
 use crate::strategies::{
-    CoalesceOff, CoalesceStrategy, CpuServicing, EvictionStrategy, FaultServicingModel,
-    IdealEviction, NoPrefetch, Prefetcher, SerializedLruEviction, ServicingCounters,
-    UnobtrusiveEviction,
+    CoalesceStrategy, CpuServicing, EvictionStrategy, FaultServicingModel, Prefetcher,
+    ServicingCounters,
 };
 use batmem_types::config::UvmConfig;
 use batmem_types::dense::{EpochPageMap, EpochPageSet, PageMap, RegionSet, TieredPageMap};
-use batmem_types::policy::{EvictionPolicy, PolicyConfig, PrefetchPolicy};
+use batmem_types::policy::PolicyConfig;
 use batmem_types::probe::{ProbeEvent, SharedProbes};
 use batmem_types::{AuditLevel, Cycle, FrameId, PageId, RegionId, SimError};
 use std::cmp::Reverse;
@@ -211,26 +209,10 @@ pub struct UvmRuntime {
 }
 
 impl UvmRuntime {
-    /// Creates the runtime for an address space of `valid_pages` pages,
-    /// mapping the policy enums onto the built-in strategies.
-    pub fn new(cfg: &UvmConfig, policy: &PolicyConfig, valid_pages: u64) -> Self {
-        let eviction: Box<dyn EvictionStrategy> = match policy.eviction {
-            EvictionPolicy::SerializedLru => Box::new(SerializedLruEviction),
-            EvictionPolicy::Unobtrusive => Box::new(UnobtrusiveEviction),
-            EvictionPolicy::Ideal => Box::new(IdealEviction),
-        };
-        let prefetcher: Box<dyn Prefetcher> = match policy.prefetch {
-            PrefetchPolicy::None => Box::new(NoPrefetch),
-            PrefetchPolicy::Tree { threshold_percent } => {
-                Box::new(TreePrefetcher::new(cfg.pages_per_region(), threshold_percent))
-            }
-        };
-        Self::with_strategies(cfg, policy, valid_pages, eviction, prefetcher, Box::new(CoalesceOff))
-    }
-
-    /// Creates the runtime around externally constructed strategies — the
-    /// entry point used by the registry-driven builder, and by anything
-    /// plugging in a strategy the policy enums cannot express.
+    /// Creates the runtime for an address space of `valid_pages` pages
+    /// around strategies resolved from a policy spec (see
+    /// [`PolicyRegistry`](crate::registry::PolicyRegistry)). The PCIe link
+    /// starts uncompressed; see [`enable_compression`](Self::enable_compression).
     pub fn with_strategies(
         cfg: &UvmConfig,
         policy: &PolicyConfig,
@@ -249,11 +231,7 @@ impl UvmRuntime {
                 policy.eviction_granularity,
                 cfg.pages_per_region(),
             ),
-            pipes: PciePipes::new(
-                cfg.pcie_h2d_bytes_per_sec,
-                cfg.pcie_d2h_bytes_per_sec,
-                policy.compression,
-            ),
+            pipes: PciePipes::new(cfg.pcie_h2d_bytes_per_sec, cfg.pcie_d2h_bytes_per_sec),
             eviction,
             prefetcher,
             coalesce,
@@ -281,6 +259,12 @@ impl UvmRuntime {
             injector: None,
             probes: SharedProbes::disabled(),
         }
+    }
+
+    /// Compresses PCIe transfers with the policy's compression parameters
+    /// (a spec with `compression` set).
+    pub fn enable_compression(&mut self) {
+        self.pipes.enable_compression(self.policy.compression);
     }
 
     /// Sets the invariant-audit level. When enabled, the runtime re-checks

@@ -11,11 +11,27 @@ fn p(i: u64) -> PageId {
     PageId::new(i)
 }
 
-/// Shared policy constructor: the given preset with prefetching disabled,
-/// so batches contain exactly their faulted pages and timing assertions
-/// stay page-exact.
-fn no_prefetch(base: PolicyConfig) -> PolicyConfig {
-    PolicyConfig { prefetch: PrefetchPolicy::None, ..base }
+/// A runtime over `cfg` with its eviction, prefetch and coalesce strategies
+/// built from registry specs. Most tests pass prefetch `none`, so batches
+/// contain exactly their faulted pages and timing assertions stay
+/// page-exact.
+fn runtime(
+    cfg: &UvmConfig,
+    eviction: &str,
+    prefetch: &str,
+    coalesce: &str,
+    valid_pages: u64,
+) -> UvmRuntime {
+    let reg = crate::registry::PolicyRegistry::builtin();
+    let ctx = crate::registry::StrategyCtx { pages_per_region: cfg.pages_per_region() };
+    UvmRuntime::with_strategies(
+        cfg,
+        &PolicyConfig::default(),
+        valid_pages,
+        reg.build_eviction(eviction, &ctx).unwrap(),
+        reg.build_prefetcher(prefetch, &ctx).unwrap(),
+        reg.build_coalesce(coalesce).unwrap(),
+    )
 }
 
 /// Per-page (page, cycle) event times, in occurrence order.
@@ -51,7 +67,7 @@ fn drain(rt: &mut UvmRuntime, initial: Vec<UvmOutput>) -> (Timeline, Timeline) {
 
 #[test]
 fn single_fault_single_batch() {
-    let mut rt = UvmRuntime::new(&cfg(None), &no_prefetch(PolicyConfig::baseline()), 1000);
+    let mut rt = runtime(&cfg(None), "lru", "none", "off", 1000);
     let outs = rt.record_fault(p(5), 100).unwrap();
     let (installs, _) = drain(&mut rt, outs);
     assert_eq!(installs.len(), 1);
@@ -67,7 +83,7 @@ fn single_fault_single_batch() {
 
 #[test]
 fn faults_during_batch_form_next_batch() {
-    let mut rt = UvmRuntime::new(&cfg(None), &no_prefetch(PolicyConfig::baseline()), 1000);
+    let mut rt = runtime(&cfg(None), "lru", "none", "off", 1000);
     let outs = rt.record_fault(p(1), 0).unwrap();
     assert_eq!(outs.len(), 1); // DrainBuffer scheduled
     let outs = rt.on_event(UvmEvent::DrainBuffer, 1_000).unwrap();
@@ -85,7 +101,7 @@ fn faults_during_batch_form_next_batch() {
 
 #[test]
 fn same_cycle_faults_join_via_isr_window() {
-    let mut rt = UvmRuntime::new(&cfg(None), &no_prefetch(PolicyConfig::baseline()), 1000);
+    let mut rt = runtime(&cfg(None), "lru", "none", "off", 1000);
     let mut outs = rt.record_fault(p(1), 0).unwrap();
     outs.extend(rt.record_fault(p(2), 400).unwrap()); // inside the 1 us ISR window
     let (installs, _) = drain(&mut rt, outs);
@@ -95,7 +111,7 @@ fn same_cycle_faults_join_via_isr_window() {
 
 #[test]
 fn batch_groups_simultaneous_faults() {
-    let mut rt = UvmRuntime::new(&cfg(None), &no_prefetch(PolicyConfig::baseline()), 1000);
+    let mut rt = runtime(&cfg(None), "lru", "none", "off", 1000);
     let mut outs = rt.record_fault(p(3), 0).unwrap();
     outs.extend(rt.record_fault(p(1), 0).unwrap());
     outs.extend(rt.record_fault(p(2), 0).unwrap());
@@ -110,7 +126,7 @@ fn batch_groups_simultaneous_faults() {
 
 #[test]
 fn prefetcher_fills_dense_regions() {
-    let mut rt = UvmRuntime::new(&cfg(None), &PolicyConfig::baseline(), 64);
+    let mut rt = runtime(&cfg(None), "lru", "tree:50", "off", 64);
     // 16 of 32 pages of region 0 fault: 50% threshold fires.
     let mut outs = Vec::new();
     for i in 0..16 {
@@ -125,8 +141,7 @@ fn prefetcher_fills_dense_regions() {
 
 #[test]
 fn serialized_eviction_blocks_migration() {
-    let policy = no_prefetch(PolicyConfig::baseline());
-    let mut rt = UvmRuntime::new(&cfg(Some(1)), &policy, 1000);
+    let mut rt = runtime(&cfg(Some(1)), "lru", "none", "off", 1000);
     let outs = rt.record_fault(p(1), 0).unwrap();
     let (installs, _) = drain(&mut rt, outs);
     let first_arrival = installs[0].1;
@@ -145,8 +160,7 @@ fn serialized_eviction_blocks_migration() {
 
 #[test]
 fn unobtrusive_eviction_overlaps_handling() {
-    let policy = no_prefetch(PolicyConfig::ue_only());
-    let mut rt = UvmRuntime::new(&cfg(Some(1)), &policy, 1000);
+    let mut rt = runtime(&cfg(Some(1)), "ue", "none", "off", 1000);
     let outs = rt.record_fault(p(1), 0).unwrap();
     let (installs, _) = drain(&mut rt, outs);
     let t = installs[0].1;
@@ -164,8 +178,7 @@ fn unobtrusive_eviction_overlaps_handling() {
 
 #[test]
 fn ideal_eviction_is_free() {
-    let policy = no_prefetch(PolicyConfig::ideal_eviction());
-    let mut rt = UvmRuntime::new(&cfg(Some(1)), &policy, 1000);
+    let mut rt = runtime(&cfg(Some(1)), "ideal", "none", "off", 1000);
     let outs = rt.record_fault(p(1), 0).unwrap();
     drain(&mut rt, outs);
     let outs = rt.record_fault(p(2), 100_000).unwrap();
@@ -180,8 +193,7 @@ fn ideal_eviction_is_free() {
 
 #[test]
 fn premature_eviction_detected_on_refault() {
-    let policy = no_prefetch(PolicyConfig::baseline());
-    let mut rt = UvmRuntime::new(&cfg(Some(1)), &policy, 1000);
+    let mut rt = runtime(&cfg(Some(1)), "lru", "none", "off", 1000);
     let outs = rt.record_fault(p(1), 0).unwrap();
     drain(&mut rt, outs);
     let outs = rt.record_fault(p(2), 100_000).unwrap(); // evicts p1
@@ -195,8 +207,7 @@ fn premature_eviction_detected_on_refault() {
 
 #[test]
 fn fault_on_inflight_page_is_absorbed() {
-    let policy = no_prefetch(PolicyConfig::baseline());
-    let mut rt = UvmRuntime::new(&cfg(None), &policy, 1000);
+    let mut rt = runtime(&cfg(None), "lru", "none", "off", 1000);
     let outs = rt.record_fault(p(1), 0).unwrap();
     // A duplicate inside the ISR window coalesces in the buffer.
     assert!(rt.record_fault(p(1), 10).unwrap().is_empty());
@@ -216,8 +227,7 @@ fn fault_on_inflight_page_is_absorbed() {
 
 #[test]
 fn capacity_is_never_exceeded() {
-    let policy = no_prefetch(PolicyConfig::baseline());
-    let mut rt = UvmRuntime::new(&cfg(Some(4)), &policy, 1000);
+    let mut rt = runtime(&cfg(Some(4)), "lru", "none", "off", 1000);
     for round in 0..5u64 {
         let mut outs = Vec::new();
         for i in 0..3 {
@@ -230,8 +240,7 @@ fn capacity_is_never_exceeded() {
 
 #[test]
 fn batch_larger_than_capacity_forces_pinned_evictions() {
-    let policy = no_prefetch(PolicyConfig::baseline());
-    let mut rt = UvmRuntime::new(&cfg(Some(2)), &policy, 1000);
+    let mut rt = runtime(&cfg(Some(2)), "lru", "none", "off", 1000);
     let mut outs = Vec::new();
     for i in 0..5 {
         outs.extend(rt.record_fault(p(i), 0).unwrap());
@@ -246,7 +255,7 @@ fn batch_larger_than_capacity_forces_pinned_evictions() {
 
 #[test]
 fn unlimited_memory_never_evicts() {
-    let mut rt = UvmRuntime::new(&cfg(None), &PolicyConfig::baseline(), 10_000);
+    let mut rt = runtime(&cfg(None), "lru", "tree:50", "off", 10_000);
     let mut outs = Vec::new();
     for i in 0..200 {
         outs.extend(rt.record_fault(p(i * 7), i).unwrap());
@@ -258,8 +267,7 @@ fn unlimited_memory_never_evicts() {
 
 #[test]
 fn handling_time_scales_with_batch_size() {
-    let policy = no_prefetch(PolicyConfig::baseline());
-    let mut rt = UvmRuntime::new(&cfg(None), &policy, 10_000);
+    let mut rt = runtime(&cfg(None), "lru", "none", "off", 10_000);
     let mut outs = Vec::new();
     for i in 0..100 {
         outs.extend(rt.record_fault(p(i), 0).unwrap());
@@ -274,8 +282,7 @@ fn refault_of_force_evicted_batch_page_is_not_absorbed() {
     // Capacity 2, batch of 5: later migrations force-evict earlier
     // pages of the same batch. A fault for such a page while the batch
     // is still open must be recorded for the next batch, not absorbed.
-    let policy = no_prefetch(PolicyConfig::baseline());
-    let mut rt = UvmRuntime::new(&cfg(Some(2)), &policy, 1000);
+    let mut rt = runtime(&cfg(Some(2)), "lru", "none", "off", 1000);
     let mut outs = Vec::new();
     for i in 0..5 {
         outs.extend(rt.record_fault(p(i), 0).unwrap());
@@ -295,11 +302,8 @@ fn refault_of_force_evicted_batch_page_is_not_absorbed() {
 
 #[test]
 fn proactive_eviction_frees_frames_ahead_of_demand() {
-    let policy = PolicyConfig {
-        proactive_eviction: true,
-        ..no_prefetch(PolicyConfig::baseline())
-    };
-    let mut rt = UvmRuntime::new(&cfg(Some(2)), &policy, 1000);
+    let mut rt = runtime(&cfg(Some(2)), "lru", "none", "off", 1000);
+    rt.policy.proactive_eviction = true;
     // Fill memory.
     let mut outs = Vec::new();
     for i in 0..2 {
@@ -325,11 +329,10 @@ fn proactive_eviction_frees_frames_ahead_of_demand() {
 #[test]
 fn per_page_time_amortizes_with_batch_size() {
     // Fig. 3's shape: bigger batches => lower per-page cost.
-    let policy = no_prefetch(PolicyConfig::baseline());
-    let mut small = UvmRuntime::new(&cfg(None), &policy, 10_000);
+    let mut small = runtime(&cfg(None), "lru", "none", "off", 10_000);
     let outs = small.record_fault(p(0), 0).unwrap();
     drain(&mut small, outs);
-    let mut large = UvmRuntime::new(&cfg(None), &policy, 10_000);
+    let mut large = runtime(&cfg(None), "lru", "none", "off", 10_000);
     let mut outs = Vec::new();
     for i in 0..64 {
         outs.extend(large.record_fault(p(i), 0).unwrap());
@@ -341,58 +344,10 @@ fn per_page_time_amortizes_with_batch_size() {
 }
 
 #[test]
-fn registry_built_strategies_match_enum_built_runtime() {
-    // The same faults through `new` (enum mapping) and `with_strategies`
-    // (registry construction) must produce identical timelines.
-    use crate::registry::{PolicyRegistry, StrategyCtx};
-    let policy = no_prefetch(PolicyConfig::ue_only());
-    let reg = PolicyRegistry::builtin();
-    let ctx = StrategyCtx { pages_per_region: cfg(Some(2)).pages_per_region() };
-    let mut via_enum = UvmRuntime::new(&cfg(Some(2)), &policy, 1000);
-    let mut via_registry = UvmRuntime::with_strategies(
-        &cfg(Some(2)),
-        &policy,
-        1000,
-        reg.build_eviction("ue", &ctx).unwrap(),
-        reg.build_prefetcher("none", &ctx).unwrap(),
-        reg.build_coalesce("off").unwrap(),
-    );
-    let drive = |rt: &mut UvmRuntime| {
-        let mut all = (Vec::new(), Vec::new());
-        for round in 0..4u64 {
-            let mut outs = Vec::new();
-            for i in 0..3 {
-                outs.extend(rt.record_fault(p(round * 3 + i), round * 1_000_000).unwrap());
-            }
-            let (ins, evs) = drain(rt, outs);
-            all.0.extend(ins);
-            all.1.extend(evs);
-        }
-        all
-    };
-    assert_eq!(drive(&mut via_enum), drive(&mut via_registry));
-    assert_eq!(
-        format!("{:?}", via_enum.stats()),
-        format!("{:?}", via_registry.stats())
-    );
-}
-
-#[test]
 fn random_victim_plugs_in_without_touching_the_pipeline() {
     // The registry-only strategy drives the full pipeline: victims come
     // from the RNG, capacity holds, and transfers are serialized.
-    use crate::registry::{PolicyRegistry, StrategyCtx};
-    let policy = no_prefetch(PolicyConfig::baseline());
-    let reg = PolicyRegistry::builtin();
-    let ctx = StrategyCtx { pages_per_region: cfg(Some(4)).pages_per_region() };
-    let mut rt = UvmRuntime::with_strategies(
-        &cfg(Some(4)),
-        &policy,
-        1000,
-        reg.build_eviction("random:7", &ctx).unwrap(),
-        reg.build_prefetcher("none", &ctx).unwrap(),
-        reg.build_coalesce("off").unwrap(),
-    );
+    let mut rt = runtime(&cfg(Some(4)), "random:7", "none", "off", 1000);
     rt.set_audit(AuditLevel::Full);
     let mut evict_count = 0;
     for round in 0..6u64 {
@@ -412,22 +367,11 @@ fn random_victim_plugs_in_without_touching_the_pipeline() {
 /// 0, displace it with group 1, then refill group 0 — returning the
 /// coalesced regions, splintered regions, and final promoted-group count.
 fn drive_coalesce_rounds(spec: &str) -> (Vec<RegionId>, Vec<RegionId>, usize) {
-    use crate::registry::{PolicyRegistry, StrategyCtx};
     use batmem_types::PageGeometry;
     let mut c = cfg(Some(4));
     // 4 base pages per large-page group.
     c.geometry = PageGeometry::new(16, 18, 21).unwrap();
-    let policy = no_prefetch(PolicyConfig::baseline());
-    let reg = PolicyRegistry::builtin();
-    let ctx = StrategyCtx { pages_per_region: c.pages_per_region() };
-    let mut rt = UvmRuntime::with_strategies(
-        &c,
-        &policy,
-        1000,
-        reg.build_eviction("lru", &ctx).unwrap(),
-        reg.build_prefetcher("none", &ctx).unwrap(),
-        reg.build_coalesce(spec).unwrap(),
-    );
+    let mut rt = runtime(&c, "lru", "none", spec, 1000);
     rt.set_audit(AuditLevel::Full);
     let mut coalesced = Vec::new();
     let mut splintered = Vec::new();
@@ -484,21 +428,10 @@ fn splinter_on_evict_never_repromotes_a_splintered_group() {
 
 #[test]
 fn coalescing_completion_pulls_in_missing_group_pages() {
-    use crate::registry::{PolicyRegistry, StrategyCtx};
     use batmem_types::PageGeometry;
     let mut c = cfg(None);
     c.geometry = PageGeometry::new(16, 18, 21).unwrap(); // 4 pages per group
-    let policy = no_prefetch(PolicyConfig::baseline());
-    let reg = PolicyRegistry::builtin();
-    let ctx = StrategyCtx { pages_per_region: c.pages_per_region() };
-    let mut rt = UvmRuntime::with_strategies(
-        &c,
-        &policy,
-        1000,
-        reg.build_eviction("lru", &ctx).unwrap(),
-        reg.build_prefetcher("none", &ctx).unwrap(),
-        reg.build_coalesce("greedy:75").unwrap(),
-    );
+    let mut rt = runtime(&c, "lru", "none", "greedy:75", 1000);
     rt.set_audit(AuditLevel::Full);
     // 3 of 4 group pages fault (75%): the batch completes the group, the
     // non-faulted page migrates as a prefetch, and the group promotes.

@@ -6,7 +6,7 @@
 //! pipeline core, the builder, and the CLI all pick it up unchanged.
 //!
 //! A **spec** is `name[:param[:param...]]`, e.g. `lru`, `tree:50`,
-//! `random:7`, `etc:25`. Unknown names resolve to
+//! `random:7`, `etc:25:pe`. Unknown names resolve to
 //! [`SimError::UnknownPolicy`] (listing what *is* registered); malformed
 //! parameters resolve to [`SimError::InvalidConfig`].
 
@@ -20,9 +20,7 @@ use crate::strategies::{
 use crate::OversubController;
 use crate::TreePrefetcher;
 use batmem_etc::EtcConfig;
-use batmem_types::policy::{
-    EvictionPolicy, PolicyAxis, PolicyDescriptor, PrefetchPolicy, SwitchTrigger, ToConfig,
-};
+use batmem_types::policy::{PolicyAxis, PolicyDescriptor, SwitchTrigger, ToConfig};
 use batmem_types::probe::Probe;
 use batmem_types::SimError;
 use std::collections::BTreeMap;
@@ -262,13 +260,25 @@ impl PolicyRegistry {
             PolicyDescriptor {
                 axis: PolicyAxis::Oversubscription,
                 name: "etc",
-                params: ":<throttle_percent>",
-                summary: "ETC framework (ASPLOS'19): MT + CC, PE off (irregular preset)",
+                params: ":<throttle_percent>[:pe]",
+                summary: "ETC framework (ASPLOS'19): MT + CC; PE only with `:pe` (irregular preset)",
             },
             |params| {
-                let etc = match params {
-                    [] => EtcConfig::irregular(),
-                    [s] => {
+                let (throttle, pe) = match params {
+                    [] => (None, false),
+                    [s] => (Some(*s), false),
+                    [s, "pe"] => (Some(*s), true),
+                    [_, other] => {
+                        return Err(SimError::invalid_config(
+                            "oversubscription.etc.pe",
+                            format!("expected `pe`, got `{other}`"),
+                        ))
+                    }
+                    _ => return Err(too_many_params("oversubscription", "etc", params)),
+                };
+                let mut etc = match throttle {
+                    None => EtcConfig::irregular(),
+                    Some(s) => {
                         let pct = parse_u64("etc.throttle_percent", s)?;
                         if pct == 0 || pct > 100 {
                             return Err(SimError::invalid_config(
@@ -278,8 +288,8 @@ impl PolicyRegistry {
                         }
                         EtcConfig::irregular_with_throttle(pct as u8)?
                     }
-                    _ => return Err(too_many_params("oversubscription", "etc", params)),
                 };
+                etc.proactive_eviction = pe;
                 let to = ToConfig::default();
                 Ok(OversubSelection {
                     to,
@@ -605,25 +615,6 @@ impl PolicyRegistry {
     }
 }
 
-/// Canonical spec string for an [`EvictionPolicy`] enum value — the bridge
-/// from [`PolicyConfig`](batmem_types::policy::PolicyConfig) presets to
-/// registry names.
-pub fn eviction_spec_of(policy: EvictionPolicy) -> &'static str {
-    match policy {
-        EvictionPolicy::SerializedLru => "lru",
-        EvictionPolicy::Unobtrusive => "ue",
-        EvictionPolicy::Ideal => "ideal",
-    }
-}
-
-/// Canonical spec string for a [`PrefetchPolicy`] enum value.
-pub fn prefetch_spec_of(policy: PrefetchPolicy) -> String {
-    match policy {
-        PrefetchPolicy::None => "none".to_string(),
-        PrefetchPolicy::Tree { threshold_percent } => format!("tree:{threshold_percent}"),
-    }
-}
-
 /// Splits `name[:p1[:p2...]]` into the name and its parameter list.
 fn split_spec(spec: &str) -> (&str, Vec<&str>) {
     let mut parts = spec.split(':');
@@ -677,9 +668,17 @@ mod tests {
             let s = r.build_prefetcher(spec, &ctx()).unwrap();
             assert_eq!(s.name(), split_spec(spec).0);
         }
-        for spec in
-            ["none", "to", "to:fault", "to:any", "etc", "etc:25", "adaptive", "adaptive:100000"]
-        {
+        for spec in [
+            "none",
+            "to",
+            "to:fault",
+            "to:any",
+            "etc",
+            "etc:25",
+            "etc:50:pe",
+            "adaptive",
+            "adaptive:100000",
+        ] {
             r.build_oversubscription(spec).unwrap();
         }
         for spec in ["off", "greedy", "greedy:75", "splinter", "splinter:on-evict"] {
@@ -756,7 +755,7 @@ mod tests {
         // The etc bound is validated at the parse site: 0, the 101..=255
         // band the old u8 conversion let through, and >255 all fail the
         // same way.
-        for spec in ["etc:0", "etc:101", "etc:200", "etc:300"] {
+        for spec in ["etc:0", "etc:101", "etc:200", "etc:300", "etc:50:x", "etc:50:pe:1"] {
             assert!(matches!(
                 r.build_oversubscription(spec),
                 Err(SimError::InvalidConfig { .. })
@@ -804,6 +803,11 @@ mod tests {
         let etc = r.build_oversubscription("etc:30").unwrap();
         assert!(!etc.to.enabled);
         assert_eq!(etc.etc.unwrap().throttle_percent, 30);
+        assert!(!etc.etc.unwrap().proactive_eviction);
+
+        // `etc:50:pe` is the irregular preset with proactive eviction on.
+        let pe = r.build_oversubscription("etc:50:pe").unwrap().etc.unwrap();
+        assert_eq!(pe, EtcConfig { proactive_eviction: true, ..EtcConfig::irregular() });
 
         // Static handlers carry no probe; the adaptive handler carries the
         // probe half of its closed loop plus the shared signal block.
@@ -816,18 +820,6 @@ mod tests {
         assert!(adaptive.probe.is_some());
         assert!(adaptive.signals.is_some());
         assert_eq!(adaptive.handler.degree(), 1);
-    }
-
-    #[test]
-    fn enum_to_spec_bridges_round_trip() {
-        let r = PolicyRegistry::builtin();
-        for p in [EvictionPolicy::SerializedLru, EvictionPolicy::Unobtrusive, EvictionPolicy::Ideal]
-        {
-            r.build_eviction(eviction_spec_of(p), &ctx()).unwrap();
-        }
-        for p in [PrefetchPolicy::None, PrefetchPolicy::Tree { threshold_percent: 50 }] {
-            r.build_prefetcher(&prefetch_spec_of(p), &ctx()).unwrap();
-        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!
 //! Strategies are constructed by name through
 //! [`PolicyRegistry`](crate::registry::PolicyRegistry); the pipeline core
-//! never matches on policy enums, so a new strategy is a new module plus a
-//! registry entry — zero diff inside the pipeline.
+//! never matches on a strategy's name, so a new strategy is a new module
+//! plus a registry entry — zero diff inside the pipeline.
 
 pub mod coalesce;
 pub mod ideal;

@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn schedule_serializes_behind_h2d() {
-        let mut pipes = PciePipes::new(1_000_000_000, 1_000_000_000, Default::default());
+        let mut pipes = PciePipes::new(1_000_000_000, 1_000_000_000);
         let _ = pipes.schedule_h2d(0, 65_536);
         let busy_until = pipes.h2d_free_at();
         let mut s = RandomVictim::new(1);

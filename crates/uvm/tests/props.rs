@@ -2,9 +2,12 @@
 //! hold for arbitrary fault sequences under every eviction policy.
 
 use batmem_types::config::UvmConfig;
-use batmem_types::policy::{EvictionGranularity, EvictionPolicy, PolicyConfig, PrefetchPolicy};
+use batmem_types::policy::{EvictionGranularity, PolicyConfig};
 use batmem_types::{AuditLevel, Cycle, PageId};
-use batmem_uvm::{FaultBuffer, MemoryManager, TreePrefetcher, UvmEvent, UvmOutput, UvmRuntime};
+use batmem_uvm::{
+    FaultBuffer, MemoryManager, PolicyRegistry, StrategyCtx, TreePrefetcher, UvmEvent, UvmOutput,
+    UvmRuntime,
+};
 use proptest::prelude::*;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -305,15 +308,30 @@ proptest! {
 /// Per-page (page, cycle) event times, in occurrence order.
 type Timeline = Vec<(PageId, Cycle)>;
 
+/// A runtime over `cfg` with its eviction and prefetch strategies built
+/// from registry specs.
+fn runtime(cfg: &UvmConfig, eviction: &str, prefetch: &str, valid_pages: u64) -> UvmRuntime {
+    let reg = PolicyRegistry::builtin();
+    let ctx = StrategyCtx { pages_per_region: cfg.pages_per_region() };
+    UvmRuntime::with_strategies(
+        cfg,
+        &PolicyConfig::default(),
+        valid_pages,
+        reg.build_eviction(eviction, &ctx).unwrap(),
+        reg.build_prefetcher(prefetch, &ctx).unwrap(),
+        reg.build_coalesce("off").unwrap(),
+    )
+}
+
 /// Drives a `UvmRuntime` through its own scheduled events, applying faults
 /// at their prescribed times, and returns (installs, evicts, stats).
 fn simulate(
-    policy: &PolicyConfig,
+    (eviction, prefetch): (&str, &str),
     capacity: Option<u64>,
     faults: &[(u64, Cycle)],
 ) -> (Timeline, Timeline, batmem_uvm::UvmStats) {
     let cfg = UvmConfig { gpu_mem_pages: capacity, ..UvmConfig::default() };
-    let mut rt = UvmRuntime::new(&cfg, policy, 2_000);
+    let mut rt = runtime(&cfg, eviction, prefetch, 2_000);
     // Every property run doubles as an auditor stress test: conservation
     // laws are re-checked after each event the runtime processes.
     rt.set_audit(AuditLevel::Full);
@@ -385,14 +403,9 @@ fn simulate(
     (installs, evicts, stats)
 }
 
-fn policies() -> Vec<PolicyConfig> {
-    vec![
-        PolicyConfig { prefetch: PrefetchPolicy::None, ..PolicyConfig::baseline() },
-        PolicyConfig { prefetch: PrefetchPolicy::None, ..PolicyConfig::ue_only() },
-        PolicyConfig { prefetch: PrefetchPolicy::None, ..PolicyConfig::ideal_eviction() },
-        PolicyConfig::baseline(),
-    ]
-}
+/// (eviction, prefetch) spec pairs under test.
+const POLICIES: [(&str, &str); 4] =
+    [("lru", "none"), ("ue", "none"), ("ideal", "none"), ("lru", "tree:50")];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -402,8 +415,8 @@ proptest! {
         cap in 2u64..24,
         policy_idx in 0usize..4,
     ) {
-        let policy = policies()[policy_idx];
-        let (installs, _evicts, stats) = simulate(&policy, Some(cap), &faults);
+        let policy = POLICIES[policy_idx];
+        let (installs, _evicts, stats) = simulate(policy, Some(cap), &faults);
 
         // Batches are non-overlapping, well-ordered, and structurally sound.
         let mut prev_end = 0;
@@ -427,7 +440,7 @@ proptest! {
         let eviction_sum: u64 = stats.batches.iter().map(|b| u64::from(b.evictions)).sum();
         prop_assert_eq!(stats.evictions, eviction_sum);
         prop_assert!(stats.premature_evictions <= stats.evictions);
-        if policy.eviction == EvictionPolicy::Ideal {
+        if policy.0 == "ideal" {
             prop_assert_eq!(stats.d2h_bytes, 0);
         }
     }
@@ -436,8 +449,7 @@ proptest! {
     fn unlimited_memory_never_evicts_prop(
         faults in prop::collection::vec((0u64..200, 0u64..1_000_000), 1..60),
     ) {
-        let policy = PolicyConfig { prefetch: PrefetchPolicy::None, ..PolicyConfig::baseline() };
-        let (_, evicts, stats) = simulate(&policy, None, &faults);
+        let (_, evicts, stats) = simulate(("lru", "none"), None, &faults);
         prop_assert!(evicts.is_empty());
         prop_assert_eq!(stats.evictions, 0);
     }

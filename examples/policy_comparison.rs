@@ -3,18 +3,19 @@
 //! Usage: `cargo run --release --example policy_comparison [WORKLOAD] [RATIO]`
 //! (defaults: BFS-TTC at a 0.5 oversubscription ratio).
 
-use batmem::{policies, RunMetrics, Simulation};
+use batmem::policies::{self, PolicySpec};
+use batmem::{RunMetrics, Simulation};
 use batmem_graph::gen;
 use batmem_workloads::registry;
 use std::sync::Arc;
 
-fn run(name: &str, ratio: f64, policy: batmem::PolicyConfig, etc: Option<batmem::EtcConfig>, graph: &Arc<batmem_graph::Csr>) -> RunMetrics {
+fn run(name: &str, ratio: f64, policy: PolicySpec, graph: &Arc<batmem_graph::Csr>) -> RunMetrics {
     let workload = registry::build(name, Arc::clone(graph)).expect("known workload");
-    let mut b = Simulation::builder().policy(policy).memory_ratio(ratio);
-    if let Some(e) = etc {
-        b = b.etc(e);
-    }
-    b.try_run(workload).expect("simulation failed")
+    Simulation::builder()
+        .policy(policy)
+        .memory_ratio(ratio)
+        .try_run(workload)
+        .expect("simulation failed")
 }
 
 fn main() {
@@ -25,18 +26,15 @@ fn main() {
     let graph = Arc::new(gen::rmat(scale, 16, 42));
 
     println!("workload {name}, memory ratio {ratio}, graph: {:?}", graph);
-    let baseline = run(name, ratio, policies::baseline(), None, &graph);
+    let baseline = run(name, ratio, policies::baseline(), &graph);
     let configs: Vec<(&str, RunMetrics)> = vec![
         ("BASELINE", baseline.clone()),
-        ("BASELINE+PCIeComp", run(name, ratio, policies::baseline_with_compression(), None, &graph)),
-        ("TO", run(name, ratio, policies::to_only(), None, &graph)),
-        ("UE", run(name, ratio, policies::ue_only(), None, &graph)),
-        ("TO+UE", run(name, ratio, policies::to_ue(), None, &graph)),
-        ("ETC", {
-            let (p, e) = policies::etc();
-            run(name, ratio, p, Some(e), &graph)
-        }),
-        ("IDEAL-EVICT", run(name, ratio, policies::ideal_eviction(), None, &graph)),
+        ("BASELINE+PCIeComp", run(name, ratio, policies::baseline_with_compression(), &graph)),
+        ("TO", run(name, ratio, policies::to_only(), &graph)),
+        ("UE", run(name, ratio, policies::ue_only(), &graph)),
+        ("TO+UE", run(name, ratio, policies::to_ue(), &graph)),
+        ("ETC", run(name, ratio, policies::etc(), &graph)),
+        ("IDEAL-EVICT", run(name, ratio, policies::ideal_eviction(), &graph)),
     ];
 
     println!(

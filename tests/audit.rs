@@ -1,13 +1,14 @@
 //! Engine-level coverage for the opt-in invariant auditor, the watchdog
 //! knob, and `try_run`'s pre-flight config validation.
 
-use batmem::{policies, PolicyConfig, Simulation};
+use batmem::policies::{self, PolicySpec};
+use batmem::Simulation;
 use batmem_graph::gen;
 use batmem_types::{AuditLevel, SimConfig, SimError};
 use batmem_workloads::registry;
 use std::sync::Arc;
 
-fn presets() -> Vec<(&'static str, PolicyConfig)> {
+fn presets() -> Vec<(&'static str, PolicySpec)> {
     vec![
         ("baseline", policies::baseline()),
         ("compression", policies::baseline_with_compression()),
@@ -142,8 +143,8 @@ fn disabled_watchdog_still_completes_clean_runs() {
 #[test]
 fn tiny_watchdog_budget_does_not_false_positive() {
     // Even a very small budget must never fire on a healthy run: every
-    // event chain reaches a progress point (op consumed, page installed,
-    // warp or block retired) well within a few hundred events.
+    // event chain reaches a progress point (an op taken from a warp's
+    // stream, or a warp retired) well within a couple of thousand events.
     let graph = Arc::new(gen::rmat(10, 8, 3));
     for (label, policy) in presets() {
         let w = registry::build("BFS-TTC", Arc::clone(&graph)).unwrap();

@@ -5,7 +5,8 @@
 //! loss must trip the engine's deadlock detection or forward-progress
 //! watchdog, depending on whether the policy keeps the event queue alive.
 
-use batmem::{policies, PolicyConfig, Simulation};
+use batmem::policies::{self, PolicySpec};
+use batmem::Simulation;
 use batmem_graph::gen;
 use batmem_types::{AuditLevel, SimError};
 use batmem_uvm::InjectConfig;
@@ -54,7 +55,7 @@ impl StuckDump {
     }
 }
 
-fn presets() -> Vec<(&'static str, PolicyConfig)> {
+fn presets() -> Vec<(&'static str, PolicySpec)> {
     vec![
         ("baseline", policies::baseline()),
         ("compression", policies::baseline_with_compression()),
@@ -75,7 +76,7 @@ fn every_preset_survives_noisy_injection() {
         for seed in [1u64, 2, 3] {
             let w = registry::build("BFS-TTC", Arc::clone(&graph)).unwrap();
             let result = Simulation::builder()
-                .policy(policy)
+                .policy(policy.clone())
                 .memory_ratio(0.4)
                 .audit(AuditLevel::Full)
                 .inject(InjectConfig::noisy(seed))
@@ -208,4 +209,17 @@ fn watchdog_catches_the_livelock_from_lost_completions() {
         }
         other => panic!("expected livelock, got {other}"),
     }
+}
+
+#[test]
+fn to_ue_replay_cycle_at_two_frames_is_a_livelock() {
+    // Two frames under TO+UE: each replayed fault evicts the page another
+    // warp needs and switches blocks, forever, without a warp taking a new
+    // op from its stream. Replays, installs and switches are not progress,
+    // so the watchdog must end the run.
+    let graph = Arc::new(gen::rmat(10, 8, 1));
+    let w = registry::build("SSSP-TWC", graph).unwrap();
+    let err =
+        Simulation::builder().policy(policies::to_ue()).memory_ratio(0.25).try_run(w).unwrap_err();
+    assert!(matches!(err, SimError::Livelock { .. }), "expected livelock, got {err}");
 }

@@ -1,11 +1,12 @@
 //! Whole-run structural invariants over the batch records and counters.
 
-use batmem::{policies, RunMetrics, Simulation};
+use batmem::policies::{self, PolicySpec};
+use batmem::{RunMetrics, SimConfig, Simulation};
 use batmem_graph::gen;
 use batmem_workloads::registry;
 use std::sync::Arc;
 
-fn run(name: &str, policy: batmem::PolicyConfig, ratio: f64) -> RunMetrics {
+fn run(name: &str, policy: PolicySpec, ratio: f64) -> RunMetrics {
     let graph = Arc::new(gen::rmat(12, 8, 21));
     let w = registry::build(name, graph).unwrap();
     Simulation::builder().policy(policy).memory_ratio(ratio).try_run(w).unwrap()
@@ -88,9 +89,10 @@ fn faults_equal_walks_that_missed() {
 #[test]
 fn root_chunk_eviction_granularity_runs() {
     use batmem_types::policy::EvictionGranularity;
-    let mut policy = policies::baseline();
-    policy.eviction_granularity = EvictionGranularity::RootChunk;
-    let m = run("PR", policy, 0.5);
+    let mut config = SimConfig::default();
+    config.policy.eviction_granularity = EvictionGranularity::RootChunk;
+    let w = registry::build("PR", Arc::new(gen::rmat(12, 8, 21))).unwrap();
+    let m = Simulation::builder().config(config).memory_ratio(0.5).try_run(w).unwrap();
     check_batch_structure(&m, "root-chunk");
     assert!(m.uvm.evictions > 0);
 }

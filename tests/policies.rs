@@ -1,7 +1,8 @@
 //! Cross-policy behavioural checks: the paper's qualitative claims must
 //! hold on the simulator.
 
-use batmem::{policies, RunMetrics, Simulation};
+use batmem::policies::{self, PolicySpec};
+use batmem::{RunMetrics, Simulation};
 use batmem_graph::gen;
 use batmem_workloads::registry;
 use std::sync::Arc;
@@ -13,7 +14,7 @@ fn graph() -> Arc<batmem_graph::Csr> {
     Arc::new(gen::rmat(15, 16, 42))
 }
 
-fn run(name: &str, policy: batmem::PolicyConfig, ratio: f64) -> RunMetrics {
+fn run(name: &str, policy: PolicySpec, ratio: f64) -> RunMetrics {
     let w = registry::build(name, graph()).unwrap();
     Simulation::builder().policy(policy).memory_ratio(ratio).try_run(w).unwrap()
 }
@@ -86,15 +87,9 @@ fn to_is_harmless_when_memory_fits() {
 fn traditional_gpu_context_switching_hurts() {
     // Fig. 5: with memory fitting on-device, provisioning an extra block
     // per SM via context switching on any stall only degrades performance.
-    use batmem_types::policy::{SwitchTrigger, ToConfig};
     let base = run("BFS-TTC", policies::baseline(), 1.0);
-    let mut policy = policies::to_only();
-    policy.oversubscription = ToConfig {
-        trigger: SwitchTrigger::AnyStall,
-        ..ToConfig::enabled()
-    };
-    let w = registry::build("BFS-TTC", graph()).unwrap();
-    let any_stall = Simulation::builder().policy(policy).memory_ratio(1.0).try_run(w).unwrap();
+    let any_stall_to = PolicySpec { oversubscription: "to:any".into(), ..policies::baseline() };
+    let any_stall = run("BFS-TTC", any_stall_to, 1.0);
     assert!(any_stall.ctx_switches > 0, "AnyStall trigger never fired");
     assert!(
         any_stall.cycles > base.cycles,
@@ -113,11 +108,8 @@ fn compression_baseline_beats_plain_baseline() {
 
 #[test]
 fn prefetching_reduces_faults() {
-    use batmem_types::policy::PrefetchPolicy;
     let with = run("PR", policies::baseline(), 1.0);
-    let mut no_pf = policies::baseline();
-    no_pf.prefetch = PrefetchPolicy::None;
-    let without = run("PR", no_pf, 1.0);
+    let without = run("PR", PolicySpec { prefetch: "none".into(), ..policies::baseline() }, 1.0);
     assert!(with.uvm.prefetches > 0);
     let faults_with: u64 = with.uvm.batches.iter().map(|b| u64::from(b.faults)).sum();
     let faults_without: u64 = without.uvm.batches.iter().map(|b| u64::from(b.faults)).sum();
@@ -129,10 +121,8 @@ fn prefetching_reduces_faults() {
 
 #[test]
 fn etc_runs_and_uses_compression_capacity() {
-    let (policy, etc) = policies::etc();
-    let w = registry::build("BFS-TTC", graph()).unwrap();
     let base = run("BFS-TTC", policies::baseline(), 0.5);
-    let m = Simulation::builder().policy(policy).etc(etc).memory_ratio(0.5).try_run(w).unwrap();
+    let m = run("BFS-TTC", policies::etc(), 0.5);
     // CC inflates effective capacity over the plain baseline.
     assert!(m.memory_pages.unwrap() > base.memory_pages.unwrap());
     assert!(m.cycles > 0);

@@ -1,9 +1,9 @@
 //! Registry-level integration tests at the [`Simulation`] builder
-//! boundary: spec resolution, preset ↔ spec-string equivalence, and
-//! external plugin registration.
+//! boundary: spec resolution, every preset's pinned metrics, and external
+//! plugin registration.
 
 use batmem::policies::{self, ConfigName};
-use batmem::{PolicyAxis, PolicyConfig, PolicyDescriptor, PolicyRegistry, RunMetrics, Simulation};
+use batmem::{PolicyAxis, PolicyDescriptor, PolicyRegistry, Simulation};
 use batmem_graph::Csr;
 use batmem_types::{PageId, SimError};
 use batmem_uvm::{EvictionStrategy, EvictionTiming, MemoryManager, PciePipes};
@@ -25,42 +25,6 @@ fn graph() -> Arc<Csr> {
     Arc::new(batmem_graph::gen::rmat(8, 4, 1))
 }
 
-/// The seed path: policy enums + explicit ETC framework, as every caller
-/// ran before the registry existed.
-fn run_preset(name: ConfigName) -> RunMetrics {
-    let w = workloads::build("BFS-TTC", graph()).unwrap();
-    let (policy, etc) = policies::preset(name);
-    let mut b = Simulation::builder().policy(policy);
-    if name != ConfigName::Unlimited {
-        b = b.memory_ratio(0.5);
-    }
-    if let Some(e) = etc {
-        b = b.etc(e);
-    }
-    b.try_run(w).unwrap()
-}
-
-/// The refactored path: the same configuration expressed purely as
-/// registry spec strings.
-fn run_specs(name: ConfigName) -> RunMetrics {
-    let w = workloads::build("BFS-TTC", graph()).unwrap();
-    let specs = policies::registry_specs(name);
-    let policy = if specs.compression {
-        PolicyConfig::baseline_with_compression()
-    } else {
-        PolicyConfig::baseline()
-    };
-    let mut b = Simulation::builder()
-        .policy(policy)
-        .eviction(specs.eviction)
-        .prefetch(specs.prefetch)
-        .oversubscription(specs.oversubscription);
-    if name != ConfigName::Unlimited {
-        b = b.memory_ratio(0.5);
-    }
-    b.try_run(w).unwrap()
-}
-
 #[test]
 fn every_preset_resolves_through_the_registry() {
     let reg = PolicyRegistry::builtin();
@@ -78,17 +42,31 @@ fn every_preset_resolves_through_the_registry() {
 
 #[test]
 fn spec_driven_runs_match_preset_runs_exactly() {
-    // The differential check behind the refactor: a preset expressed as
-    // registry spec strings produces bit-identical metrics to the policy
-    // enums it replaced, for every named configuration.
-    for name in ALL_CONFIGS {
-        let preset = run_preset(name);
-        let specs = run_specs(name);
-        assert_eq!(
-            format!("{preset:?}"),
-            format!("{specs:?}"),
-            "{name:?}: spec-driven run diverged from the preset run"
-        );
+    // Every preset on an input where all eight differ, pinned as
+    // (cycles, context switches, batches, evictions). The values are the
+    // runs of the policy-enum path the specs replaced, which gave
+    // bit-identical metrics to the spec path on this input.
+    let graph = Arc::new(batmem_graph::gen::rmat(12, 4, 1));
+    let pinned: [(ConfigName, [u64; 4]); 8] = [
+        (ConfigName::Baseline, [1_661_044, 0, 38, 108]),
+        (ConfigName::BaselineCompressed, [1_480_183, 0, 38, 108]),
+        (ConfigName::To, [1_317_805, 3_524, 30, 84]),
+        (ConfigName::Ue, [1_251_280, 0, 38, 108]),
+        (ConfigName::ToUe, [2_921_145, 4_839, 88, 258]),
+        (ConfigName::Etc, [1_752_207, 0, 40, 114]),
+        (ConfigName::IdealEviction, [1_251_832, 0, 38, 108]),
+        (ConfigName::Unlimited, [89_777, 0, 3, 0]),
+    ];
+    assert_eq!(pinned.map(|(name, _)| name), ALL_CONFIGS);
+    for (name, want) in pinned {
+        let w = workloads::build("SSSP-TWC", Arc::clone(&graph)).unwrap();
+        let mut b = Simulation::builder().policy(name.spec());
+        if name != ConfigName::Unlimited {
+            b = b.memory_ratio(0.5);
+        }
+        let m = b.try_run(w).unwrap();
+        let got = [m.cycles, m.ctx_switches, m.uvm.num_batches(), m.uvm.evictions];
+        assert_eq!(got, want, "{name:?}: (cycles, ctx switches, batches, evictions)");
     }
 }
 

@@ -8,8 +8,9 @@
 
 use batmem::{policies, Simulation};
 use batmem_graph::gen;
-use batmem_sim::EventQueue;
-use batmem_types::{FrameId, PageId, SimConfig, SmId};
+use batmem_sim::{EventQueue, MemPath};
+use batmem_types::config::MemConfig;
+use batmem_types::{FrameId, PageId, SimConfig, SmId, VirtAddr};
 use batmem_uvm::{
     FaultBuffer, MemoryManager, PciePipes, PolicyRegistry, StrategyCtx, TreePrefetcher, UvmRuntime,
 };
@@ -152,6 +153,33 @@ fn bench_cache_index() {
     });
 }
 
+fn bench_mempath() {
+    // The Table 1 data path: 16 SMs' 4-way L1s over the shared 16-way L2.
+    // Half the stream reuses 64 lines per SM: three in four of those
+    // accesses hit the L1 and the rest hit the L2. The other half scatters
+    // over 2^20 lines, 64x the L2, so nearly all of it goes to DRAM and
+    // keeps evicting. Each iteration takes the next 4096 accesses of a
+    // 64 K stream, so the cold half does not settle into the L2.
+    const WINDOW: usize = 4096;
+    let stream: Vec<(usize, VirtAddr)> = (0..16 * WINDOW as u64)
+        .map(|i| {
+            let sm = i % 16;
+            let h = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let line = if h >> 63 == 0 { sm * 64 + (h >> 40) % 64 } else { (1 << 16) + (h >> 44) };
+            (sm as usize, VirtAddr::new(line << 7))
+        })
+        .collect();
+    let mut mem = MemPath::new(&MemConfig::default(), 16);
+    let mut windows = stream.chunks(WINDOW).cycle();
+    bench("mempath/table1_scattered_x4096", 500, || {
+        let mut latency = 0;
+        for &(sm, a) in windows.next().expect("the stream cycles") {
+            latency += mem.access(sm, a);
+        }
+        latency
+    });
+}
+
 fn bench_mmu_translate() {
     let mut mmu = Mmu::new(&SimConfig::default());
     for i in 0..64u64 {
@@ -249,6 +277,7 @@ fn main() {
     bench_prefetcher();
     bench_memory_manager();
     bench_cache_index();
+    bench_mempath();
     bench_mmu_translate();
     bench_pcie();
     bench_uvm_batch();

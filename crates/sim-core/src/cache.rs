@@ -33,22 +33,82 @@ impl CacheStats {
     }
 }
 
+/// The tag of an empty way. It is also the line id of the last byte of the
+/// address space at a 1-byte line; [`DataCache::access`] tells the two
+/// apart by the way's stamp.
+const EMPTY: u64 = u64::MAX;
+
 /// A set-associative, true-LRU data cache over cache-line ids.
 ///
 /// Purely a tag model: hit/miss drives latency, no data is stored.
+///
+/// Tags and last-use stamps live in two flat, set-major arrays: set `s`
+/// owns ways `s * ways .. (s + 1) * ways`. A hit writes the way's stamp
+/// from a per-cache tick and moves nothing; a miss fills the way with the
+/// lowest stamp. Empty ways carry stamp 0, so a set fills before it
+/// evicts, and ticks are unique, so the lowest stamp is exactly the line
+/// an LRU stack would evict (DESIGN.md §3). A direct-mapped cache keeps no
+/// recency: its stamp only marks the way filled.
 #[derive(Debug, Clone)]
 pub struct DataCache {
-    sets: Vec<Vec<u64>>,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    /// The last stamp handed out.
+    tick: u64,
     /// `Some(sets - 1)` when the set count is a power of two (every
     /// realistic geometry): the set index is then a mask instead of a
     /// `u64` division on the hottest path of the data model.
     set_mask: Option<u64>,
+    num_sets: u64,
     ways: usize,
     line_shift: u32,
     hit_latency: Cycle,
     /// Statistics per bank, indexed by `line & bank_mask`.
     stats: Vec<CacheStats>,
     bank_mask: u64,
+}
+
+/// What one access did to its set.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    Hit,
+    /// A miss that filled an empty way.
+    Fill,
+    /// A miss that evicted the set's least recently used line.
+    Evict,
+}
+
+/// Looks `line` up in one set and fills it on a miss. It is always
+/// inlined, so for a literal width the slices have a constant length.
+#[inline(always)]
+fn probe_set(tags: &mut [u64], stamps: &mut [u64], line: u64, tick: u64) -> Probe {
+    let ways = tags.len();
+    let stamps = &mut stamps[..ways];
+    // Compare every way, without an early exit; the lowest matching way
+    // wins. Fills take the first empty way and lines are never
+    // invalidated, so the filled ways are a prefix of the set: a match on
+    // an empty way (only the line id `EMPTY` can make one) wins only when
+    // no filled way matches, and its zero stamp makes it a miss.
+    let mut hit = ways;
+    for w in (0..ways).rev() {
+        if tags[w] == line {
+            hit = w;
+        }
+    }
+    if hit < ways && stamps[hit] != 0 {
+        stamps[hit] = tick;
+        return Probe::Hit;
+    }
+    let mut victim = 0;
+    for w in 1..ways {
+        if stamps[w] < stamps[victim] {
+            victim = w;
+        }
+    }
+    let probe = if stamps[victim] == 0 { Probe::Fill } else { Probe::Evict };
+    tags[victim] = line;
+    stamps[victim] = tick;
+    probe
 }
 
 impl DataCache {
@@ -67,10 +127,14 @@ impl DataCache {
     pub fn with_banks(geom: CacheGeometry, banks: usize) -> Self {
         assert!(banks.is_power_of_two(), "{banks} banks is not a power of two");
         let sets = geom.num_sets() as usize;
+        let ways = geom.ways as usize;
         Self {
-            sets: vec![Vec::with_capacity(geom.ways as usize); sets],
+            tags: vec![EMPTY; sets * ways],
+            stamps: vec![0; sets * ways],
+            tick: 0,
             set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
-            ways: geom.ways as usize,
+            num_sets: sets as u64,
+            ways,
             line_shift: geom.line_shift,
             hit_latency: geom.hit_latency,
             stats: vec![CacheStats::default(); banks],
@@ -89,29 +153,47 @@ impl DataCache {
         let line = self.line_of(addr);
         let set = match self.set_mask {
             Some(m) => line & m,
-            None => line % self.sets.len() as u64,
+            None => line % self.num_sets,
+        } as usize;
+        let probe = match self.ways {
+            1 => self.direct_mapped(set, line),
+            // Literal Table 1 widths: the compiler unrolls both of
+            // `probe_set`'s loops for them.
+            4 => self.probe(set, line, 4),
+            16 => self.probe(set, line, 16),
+            ways => self.probe(set, line, ways),
         };
-        let ways = self.ways;
-        let entries = &mut self.sets[set as usize];
         let stats = &mut self.stats[(line & self.bank_mask) as usize];
-        // Scan from the MRU end: temporal locality means the hit is usually
-        // near the back. Rotating in place keeps recency order without the
-        // double shift of a remove-then-push.
-        if let Some(pos) = entries.iter().rposition(|&l| l == line) {
-            entries[pos..].rotate_left(1);
-            stats.hits += 1;
-            true
-        } else {
-            if entries.len() == ways {
-                entries.rotate_left(1);
-                *entries.last_mut().expect("set is non-empty") = line;
+        match probe {
+            Probe::Hit => stats.hits += 1,
+            Probe::Fill => stats.misses += 1,
+            Probe::Evict => {
+                stats.misses += 1;
                 stats.conflict_evictions += 1;
-            } else {
-                entries.push(line);
             }
-            stats.misses += 1;
-            false
         }
+        probe == Probe::Hit
+    }
+
+    /// Probes one set of a `ways`-way cache.
+    #[inline(always)]
+    fn probe(&mut self, set: usize, line: u64, ways: usize) -> Probe {
+        self.tick += 1;
+        let range = set * ways..(set + 1) * ways;
+        probe_set(&mut self.tags[range.clone()], &mut self.stamps[range], line, self.tick)
+    }
+
+    /// A direct-mapped set: a hit writes nothing, and a fill marks the way
+    /// filled with stamp 1.
+    #[inline(always)]
+    fn direct_mapped(&mut self, set: usize, line: u64) -> Probe {
+        if self.tags[set] == line && (line != EMPTY || self.stamps[set] != 0) {
+            return Probe::Hit;
+        }
+        let probe = if self.stamps[set] == 0 { Probe::Fill } else { Probe::Evict };
+        self.tags[set] = line;
+        self.stamps[set] = 1;
+        probe
     }
 
     /// The hit latency of this cache.
@@ -240,6 +322,26 @@ mod tests {
         c.access(line(6)); // evicts 0 from set 0
         assert!(!c.access(line(0))); // line 0 was evicted, and re-filling evicts 3
         assert_eq!(c.stats().conflict_evictions, 2);
+    }
+
+    #[test]
+    fn the_empty_tag_is_a_line_like_any_other() {
+        // With 1-byte lines the last address's line id equals the tag of an
+        // empty way; the stamp tells the two apart at every width.
+        for ways in [1u32, 2, 4, 16] {
+            let geom = CacheGeometry { capacity_bytes: ways, ways, line_shift: 0, hit_latency: 4 };
+            let mut c = DataCache::new(geom);
+            let last = VirtAddr::new(u64::MAX);
+            assert!(!c.access(last), "{ways} ways: cold access hit an empty way");
+            assert!(c.access(last), "{ways} ways");
+            for i in 1..u64::from(ways) {
+                assert!(!c.access(VirtAddr::new(i)), "{ways} ways");
+            }
+            assert!(c.access(last), "{ways} ways: filling the set lost the line");
+            assert_eq!(c.stats().conflict_evictions, 0, "{ways} ways");
+            assert!(!c.access(VirtAddr::new(0)));
+            assert_eq!(c.stats().conflict_evictions, 1, "{ways} ways");
+        }
     }
 
     #[test]

@@ -1,10 +1,74 @@
 //! Property-based tests for the event queue and cache models.
 
-use batmem_sim::cache::DataCache;
+use batmem_sim::cache::{CacheStats, DataCache};
 use batmem_sim::EventQueue;
 use batmem_types::config::CacheGeometry;
 use batmem_types::VirtAddr;
 use proptest::prelude::*;
+
+/// The data cache as it was before its flat stamp-LRU layout, kept as the
+/// reference model: one LRU stack per set, most recently used at the back.
+struct StackCache {
+    sets: Vec<Vec<u64>>,
+    ways: usize,
+    line_shift: u32,
+    stats: Vec<CacheStats>,
+    bank_mask: u64,
+}
+
+impl StackCache {
+    fn new(geom: CacheGeometry, banks: usize) -> Self {
+        Self {
+            sets: vec![Vec::new(); geom.num_sets() as usize],
+            ways: geom.ways as usize,
+            line_shift: geom.line_shift,
+            stats: vec![CacheStats::default(); banks],
+            bank_mask: banks as u64 - 1,
+        }
+    }
+
+    fn access(&mut self, addr: VirtAddr) -> bool {
+        let line = addr.line(self.line_shift);
+        let set = (line % self.sets.len() as u64) as usize;
+        let entries = &mut self.sets[set];
+        let stats = &mut self.stats[(line & self.bank_mask) as usize];
+        if let Some(pos) = entries.iter().position(|&l| l == line) {
+            let l = entries.remove(pos);
+            entries.push(l);
+            stats.hits += 1;
+            true
+        } else {
+            if entries.len() == self.ways {
+                entries.remove(0);
+                stats.conflict_evictions += 1;
+            }
+            entries.push(line);
+            stats.misses += 1;
+            false
+        }
+    }
+}
+
+/// Associativities for the reference-model tests: any width in 1..=64,
+/// with the widths `DataCache` special-cases (1, and Table 1's 4 and 16)
+/// drawn more often.
+fn cache_ways() -> impl Strategy<Value = u32> {
+    prop_oneof![1u32..=64, 1u32..=64, Just(1u32), Just(4u32), Just(16u32)]
+}
+
+/// The `i`-th line of a stream of shape `kind` over a cache of `entries`
+/// lines, drawn from `r`: uniform over about twice the capacity, cycling
+/// through exactly `entries` lines (all hits once warm), cycling through
+/// `entries + 1` (LRU's worst case), or mostly reusing a few hot lines.
+fn stream_line(kind: u8, i: u64, r: u64, entries: u64) -> u64 {
+    match kind {
+        0 => r % (2 * entries + 1),
+        1 => i % entries,
+        2 => i % (entries + 1),
+        _ if !r.is_multiple_of(4) => r % 3,
+        _ => r % (4 * entries),
+    }
+}
 
 proptest! {
     #[test]
@@ -147,5 +211,43 @@ proptest! {
         for &l in &lines {
             prop_assert!(c.access(VirtAddr::new(l * 128)));
         }
+    }
+
+    /// The flat stamp-LRU cache against the stack model, on every access:
+    /// the same hit or miss, the same summed and per-bank statistics, and
+    /// so the same conflict evictions. Set counts run 1..=12, so both the
+    /// mask and the modulo set index are covered.
+    #[test]
+    fn data_cache_matches_the_lru_stack_model(
+        ways in cache_ways(),
+        sets in 1u32..=12,
+        banks_log in 0u32..4,
+        kind in 0u8..4,
+        draws in prop::collection::vec(0u64..1_000_000, 1..400),
+    ) {
+        let geom = CacheGeometry {
+            capacity_bytes: sets * ways * 128,
+            ways,
+            line_shift: 7,
+            hit_latency: 4,
+        };
+        let banks = 1usize << banks_log;
+        let mut cache = DataCache::with_banks(geom, banks);
+        let mut model = StackCache::new(geom, banks);
+        let entries = u64::from(sets * ways);
+        for (i, &r) in draws.iter().enumerate() {
+            let line = stream_line(kind, i as u64, r, entries);
+            // Any byte of the line: the offset must not matter.
+            let addr = VirtAddr::new((line << 7) | (r % 128));
+            prop_assert_eq!(cache.access(addr), model.access(addr), "access {} to line {}", i, line);
+            prop_assert_eq!(cache.bank_stats(), model.stats);
+        }
+        let mut summed = CacheStats::default();
+        for b in &model.stats {
+            summed.hits += b.hits;
+            summed.misses += b.misses;
+            summed.conflict_evictions += b.conflict_evictions;
+        }
+        prop_assert_eq!(cache.stats(), summed);
     }
 }

@@ -259,6 +259,9 @@ impl TlbConfig {
         if self.walker_threads == 0 {
             return Err(SimError::invalid_config("tlb.walker_threads", "must be nonzero"));
         }
+        if self.pwc_entries == 0 {
+            return Err(SimError::invalid_config("tlb.pwc_entries", "must be nonzero"));
+        }
         Ok(())
     }
 }
@@ -563,6 +566,13 @@ mod tests {
         let mut c = SimConfig::default();
         c.tlb.l2_entries = 1000; // not a multiple of 32 ways
         assert_eq!(rejected_field(&c), "tlb.l2_entries");
+    }
+
+    #[test]
+    fn empty_page_walk_cache_is_rejected() {
+        let mut c = SimConfig::default();
+        c.tlb.pwc_entries = 0;
+        assert_eq!(rejected_field(&c), "tlb.pwc_entries");
     }
 
     #[test]

@@ -618,7 +618,9 @@ impl<V> RegionMap<V> {
 #[derive(Debug, Clone)]
 pub struct TieredPageMap<V> {
     regions: RegionMap<PageMap<V>>,
-    pages_per_region: u64,
+    /// Log2 of the pages per region: a page splits into its region and
+    /// offset with a shift and a mask.
+    region_shift: u32,
     len: usize,
 }
 
@@ -636,23 +638,30 @@ impl<V> TieredPageMap<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `pages_per_region` is zero.
+    /// Panics if `pages_per_region` is not a power of two (every
+    /// [`PageGeometry`](crate::addr::PageGeometry) tier is one).
     pub fn with_pages_per_region(pages_per_region: u64) -> Self {
-        assert!(pages_per_region > 0, "pages_per_region must be nonzero");
-        Self { regions: RegionMap::new(), pages_per_region, len: 0 }
+        assert!(
+            pages_per_region.is_power_of_two(),
+            "pages_per_region must be a power of two, got {pages_per_region}"
+        );
+        Self { regions: RegionMap::new(), region_shift: pages_per_region.trailing_zeros(), len: 0 }
     }
 
     /// The region-tier granularity in base pages.
     pub fn pages_per_region(&self) -> u64 {
-        self.pages_per_region
+        1 << self.region_shift
+    }
+
+    /// The region containing `page`.
+    #[inline]
+    pub fn region_of(&self, page: PageId) -> RegionId {
+        RegionId::new(page.index() >> self.region_shift)
     }
 
     #[inline]
     fn split(&self, page: PageId) -> (RegionId, PageId) {
-        (
-            RegionId::new(page.index() / self.pages_per_region),
-            PageId::new(page.index() % self.pages_per_region),
-        )
+        (self.region_of(page), PageId::new(page.index() & (self.pages_per_region() - 1)))
     }
 
     /// Inserts `value` for `page`, returning the previous value if any.
@@ -710,7 +719,7 @@ impl<V> TieredPageMap<V> {
 
     /// Whether every page of `region` has a value.
     pub fn region_is_full(&self, region: RegionId) -> bool {
-        self.region_len(region) as u64 == self.pages_per_region
+        self.region_len(region) as u64 == self.pages_per_region()
     }
 
     /// Removes every entry, keeping the region allocations.
@@ -721,9 +730,9 @@ impl<V> TieredPageMap<V> {
 
     /// Iterates `(page, &value)` in ascending global page order.
     pub fn iter(&self) -> impl Iterator<Item = (PageId, &V)> {
-        let ppr = self.pages_per_region;
+        let shift = self.region_shift;
         self.regions.iter().flat_map(move |(r, pm)| {
-            pm.iter().map(move |(off, v)| (PageId::new(r.index() * ppr + off.index()), v))
+            pm.iter().map(move |(off, v)| (PageId::new((r.index() << shift) | off.index()), v))
         })
     }
 }
@@ -907,5 +916,11 @@ mod tests {
     fn tiered_map_default_matches_default_geometry() {
         let m: TieredPageMap<u8> = TieredPageMap::default();
         assert_eq!(m.pages_per_region(), 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn tiered_map_rejects_a_region_that_is_not_a_power_of_two() {
+        let _: TieredPageMap<u8> = TieredPageMap::with_pages_per_region(3);
     }
 }

@@ -66,7 +66,7 @@ impl GpuPageTable {
 
     /// The large-page group containing `page`.
     pub fn group_of(&self, page: PageId) -> RegionId {
-        RegionId::new(page.index() / self.entries.pages_per_region())
+        self.entries.region_of(page)
     }
 
     /// Looks up the frame backing `page`, if resident.

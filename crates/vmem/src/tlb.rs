@@ -5,7 +5,8 @@ use batmem_types::{PageId, RegionId};
 /// A tag a [`Tlb`] can cache: base pages for the classic TLBs, large-page
 /// groups ([`RegionId`]) for the coalesced-mapping TLBs.
 pub trait TlbKey: Copy + PartialEq + std::fmt::Debug {
-    /// Dense index used for set selection.
+    /// Dense index used for set selection and the TLB's slot index;
+    /// distinct keys have distinct indices.
     fn cache_index(self) -> u64;
 }
 
@@ -44,11 +45,23 @@ impl TlbStats {
     }
 }
 
+/// Slot-index entry of a key the TLB does not hold.
+const ABSENT: u32 = u32::MAX;
+
 /// A set-associative TLB with true-LRU replacement within each set.
 ///
 /// A fully associative TLB (the paper's per-SM L1 TLB) is one set whose way
 /// count equals the entry count. The tag type defaults to [`PageId`]; the
 /// large-page TLBs instantiate it with [`RegionId`] tags.
+///
+/// Entries live in flat, set-major slot arrays with a last-use stamp each
+/// (set `s` owns slots `s * ways .. (s + 1) * ways`), and a dense index
+/// maps each key's [`TlbKey::cache_index`] to its slot. A lookup is one
+/// index load and, on a hit, one stamp write, however old the entry is. An
+/// insert fills the set's lowest-stamp slot: empty slots carry stamp 0 and
+/// ticks are unique, so that is the entry an LRU stack would evict
+/// (DESIGN.md §3). The index grows to the highest key inserted, 4 bytes
+/// per key.
 ///
 /// # Examples
 ///
@@ -65,10 +78,23 @@ impl TlbStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tlb<K: TlbKey = PageId> {
-    /// `sets[s]` is an LRU stack: most recently used at the back.
-    sets: Vec<Vec<K>>,
+    /// Each slot's key; `None` for an empty slot.
+    keys: Vec<Option<K>>,
+    /// Each slot's last-use stamp; 0 for an empty slot.
+    stamps: Vec<u64>,
+    /// `index[key.cache_index()]` is the slot holding `key`, or `ABSENT`.
+    index: Vec<u32>,
+    /// The last stamp handed out.
+    tick: u64,
+    num_sets: u64,
     ways: usize,
     stats: TlbStats,
+}
+
+/// Where `key` sits in a TLB's slot index.
+#[inline]
+fn index_of<K: TlbKey>(key: K) -> usize {
+    usize::try_from(key.cache_index()).expect("TLB key index fits in usize")
 }
 
 impl<K: TlbKey> Tlb<K> {
@@ -80,9 +106,13 @@ impl<K: TlbKey> Tlb<K> {
     pub fn new(entries: u32, ways: u32) -> Self {
         assert!(ways > 0 && entries > 0, "TLB must have entries");
         assert_eq!(entries % ways, 0, "entries must divide into ways");
-        let num_sets = (entries / ways) as usize;
+        assert!(entries < ABSENT, "TLB slots must fit the u32 index");
         Self {
-            sets: vec![Vec::with_capacity(ways as usize); num_sets],
+            keys: vec![None; entries as usize],
+            stamps: vec![0; entries as usize],
+            index: Vec::new(),
+            tick: 0,
+            num_sets: u64::from(entries / ways),
             ways: ways as usize,
             stats: TlbStats::default(),
         }
@@ -93,63 +123,82 @@ impl<K: TlbKey> Tlb<K> {
         Self::new(entries, entries)
     }
 
-    fn set_of(&self, page: K) -> usize {
-        (page.cache_index() % self.sets.len() as u64) as usize
+    /// The slot holding `key`, if any.
+    #[inline]
+    fn slot_of(&self, key: K) -> Option<usize> {
+        match self.index.get(index_of(key)) {
+            Some(&slot) if slot != ABSENT => Some(slot as usize),
+            _ => None,
+        }
     }
 
     /// Looks up `page`, updating LRU state. Returns `true` on a hit.
     pub fn lookup(&mut self, page: K) -> bool {
-        let s = self.set_of(page);
-        let set = &mut self.sets[s];
-        if let Some(pos) = set.iter().position(|&p| p == page) {
-            let p = set.remove(pos);
-            set.push(p);
-            self.stats.hits += 1;
-            true
-        } else {
-            self.stats.misses += 1;
-            false
+        match self.slot_of(page) {
+            Some(slot) => {
+                self.tick += 1;
+                self.stamps[slot] = self.tick;
+                self.stats.hits += 1;
+                true
+            }
+            None => {
+                self.stats.misses += 1;
+                false
+            }
         }
     }
 
     /// Checks for `page` without perturbing LRU state or statistics.
     pub fn contains(&self, page: K) -> bool {
-        self.sets[self.set_of(page)].contains(&page)
+        self.slot_of(page).is_some()
     }
 
     /// Inserts `page` as most recently used, evicting the set's LRU entry
     /// if the set is full. Returns the evicted page, if any.
     pub fn insert(&mut self, page: K) -> Option<K> {
-        let ways = self.ways;
-        let s = self.set_of(page);
-        let set = &mut self.sets[s];
-        if let Some(pos) = set.iter().position(|&p| p == page) {
-            let p = set.remove(pos);
-            set.push(p);
+        self.tick += 1;
+        if let Some(slot) = self.slot_of(page) {
+            self.stamps[slot] = self.tick;
             return None;
         }
-        let victim = if set.len() == ways { Some(set.remove(0)) } else { None };
-        set.push(page);
-        victim
+        let first = (page.cache_index() % self.num_sets) as usize * self.ways;
+        let set = &self.stamps[first..first + self.ways];
+        let mut victim = 0;
+        for w in 1..set.len() {
+            if set[w] < set[victim] {
+                victim = w;
+            }
+        }
+        let slot = first + victim;
+        let evicted = self.keys[slot].replace(page);
+        if let Some(old) = evicted {
+            self.index[index_of(old)] = ABSENT;
+        }
+        self.stamps[slot] = self.tick;
+        let i = index_of(page);
+        if i >= self.index.len() {
+            self.index.resize(i + 1, ABSENT);
+        }
+        self.index[i] = slot as u32;
+        evicted
     }
 
     /// Invalidates `page` (TLB shootdown on eviction). Returns whether the
     /// page was present.
     pub fn invalidate(&mut self, page: K) -> bool {
-        let s = self.set_of(page);
-        let set = &mut self.sets[s];
-        if let Some(pos) = set.iter().position(|&p| p == page) {
-            set.remove(pos);
-            self.stats.shootdowns += 1;
-            true
-        } else {
-            false
-        }
+        let Some(slot) = self.slot_of(page) else {
+            return false;
+        };
+        self.index[index_of(page)] = ABSENT;
+        self.keys[slot] = None;
+        self.stamps[slot] = 0;
+        self.stats.shootdowns += 1;
+        true
     }
 
     /// Current number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.keys.iter().filter(|k| k.is_some()).count()
     }
 
     /// Accumulated statistics.

@@ -1,9 +1,161 @@
 //! Property-based tests for the virtual-memory substrate.
 
 use batmem_types::{FrameId, PageId, RegionId};
-use batmem_vmem::{GpuPageTable, Tlb};
+use batmem_vmem::{GpuPageTable, Tlb, TlbKey, TlbStats};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The TLB as it was before its flat stamp-LRU layout, kept as the
+/// reference model: one LRU stack per set, most recently used at the back.
+struct StackTlb<K> {
+    sets: Vec<Vec<K>>,
+    ways: usize,
+    stats: TlbStats,
+}
+
+impl<K: TlbKey> StackTlb<K> {
+    fn new(entries: u32, ways: u32) -> Self {
+        Self {
+            sets: (0..entries / ways).map(|_| Vec::new()).collect(),
+            ways: ways as usize,
+            stats: TlbStats::default(),
+        }
+    }
+
+    fn set(&mut self, key: K) -> &mut Vec<K> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(key.cache_index() % n) as usize]
+    }
+
+    fn lookup(&mut self, key: K) -> bool {
+        let set = self.set(key);
+        let hit = match set.iter().position(|&k| k == key) {
+            Some(pos) => {
+                let k = set.remove(pos);
+                set.push(k);
+                true
+            }
+            None => false,
+        };
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+        hit
+    }
+
+    fn contains(&self, key: K) -> bool {
+        self.sets.iter().any(|s| s.contains(&key))
+    }
+
+    fn insert(&mut self, key: K) -> Option<K> {
+        let ways = self.ways;
+        let set = self.set(key);
+        if let Some(pos) = set.iter().position(|&k| k == key) {
+            let k = set.remove(pos);
+            set.push(k);
+            return None;
+        }
+        let victim = if set.len() == ways { Some(set.remove(0)) } else { None };
+        set.push(key);
+        victim
+    }
+
+    fn invalidate(&mut self, key: K) -> bool {
+        let set = self.set(key);
+        let Some(pos) = set.iter().position(|&k| k == key) else {
+            return false;
+        };
+        set.remove(pos);
+        self.stats.shootdowns += 1;
+        true
+    }
+
+    fn occupancy(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
+/// One step of a TLB reference-model run. `Access` is the MMU's pattern:
+/// a lookup, then an insert on a miss.
+#[derive(Debug, Clone, Copy)]
+enum TlbOp {
+    Access,
+    Lookup,
+    Insert,
+    Invalidate,
+    Contains,
+}
+
+fn tlb_ops() -> impl Strategy<Value = Vec<(TlbOp, u64)>> {
+    let op = prop_oneof![
+        Just(TlbOp::Access),
+        Just(TlbOp::Access),
+        Just(TlbOp::Access),
+        Just(TlbOp::Lookup),
+        Just(TlbOp::Insert),
+        Just(TlbOp::Invalidate),
+        Just(TlbOp::Contains),
+    ];
+    prop::collection::vec((op, 0u64..1_000_000), 1..400)
+}
+
+/// Associativities for the reference-model tests: any width in 1..=64,
+/// with Table 1's fully associative L1 TLB (64) and 32-way L2 TLB drawn
+/// more often.
+fn tlb_ways() -> impl Strategy<Value = u32> {
+    prop_oneof![1u32..=64, 1u32..=64, Just(32u32), Just(64u32)]
+}
+
+/// The `i`-th key of a stream of shape `kind` over a TLB of `entries`
+/// entries, drawn from `r`: uniform over about twice the capacity, cycling
+/// through exactly `entries` keys (all hits once warm), cycling through
+/// `entries + 1` (LRU's worst case), or mostly reusing a few hot keys.
+fn stream_key(kind: u8, i: u64, r: u64, entries: u64) -> u64 {
+    match kind {
+        0 => r % (2 * entries + 1),
+        1 => i % entries,
+        2 => i % (entries + 1),
+        _ if !r.is_multiple_of(4) => r % 3,
+        _ => r % (4 * entries),
+    }
+}
+
+/// Runs `ops` against a flat [`Tlb`] and the stack model side by side and
+/// checks every answer: hits, evicted victims, invalidations, membership,
+/// occupancy and statistics.
+fn check_tlb_against_stack_model<K: TlbKey>(
+    key_of: fn(u64) -> K,
+    ways: u32,
+    sets: u32,
+    kind: u8,
+    ops: &[(TlbOp, u64)],
+) {
+    let entries = ways * sets;
+    let mut tlb: Tlb<K> = Tlb::new(entries, ways);
+    let mut model = StackTlb::new(entries, ways);
+    for (i, &(op, r)) in ops.iter().enumerate() {
+        let key = key_of(stream_key(kind, i as u64, r, u64::from(entries)));
+        match op {
+            TlbOp::Access => {
+                let hit = tlb.lookup(key);
+                assert_eq!(hit, model.lookup(key), "step {i}: lookup {key:?}");
+                if !hit {
+                    assert_eq!(tlb.insert(key), model.insert(key), "step {i}: fill {key:?}");
+                }
+            }
+            TlbOp::Lookup => assert_eq!(tlb.lookup(key), model.lookup(key), "step {i}"),
+            TlbOp::Insert => assert_eq!(tlb.insert(key), model.insert(key), "step {i}"),
+            TlbOp::Invalidate => {
+                assert_eq!(tlb.invalidate(key), model.invalidate(key), "step {i}");
+            }
+            TlbOp::Contains => assert_eq!(tlb.contains(key), model.contains(key), "step {i}"),
+        }
+        assert_eq!(tlb.occupancy(), model.occupancy(), "step {i}");
+        assert_eq!(tlb.stats(), model.stats, "step {i}");
+    }
+}
 
 #[derive(Debug, Clone)]
 enum PtOp {
@@ -206,5 +358,28 @@ proptest! {
                 prop_assert!(tlb.contains(PageId::new(p)));
             }
         }
+    }
+
+    /// The flat stamp-LRU TLB against the stack model over base pages.
+    /// Set counts run 1..=12, powers of two and not.
+    #[test]
+    fn page_tlb_matches_the_lru_stack_model(
+        ways in tlb_ways(),
+        sets in 1u32..=12,
+        kind in 0u8..4,
+        ops in tlb_ops(),
+    ) {
+        check_tlb_against_stack_model(PageId::new, ways, sets, kind, &ops);
+    }
+
+    /// The same model check for the large-page TLBs' `RegionId` tags.
+    #[test]
+    fn region_tlb_matches_the_lru_stack_model(
+        ways in tlb_ways(),
+        sets in 1u32..=12,
+        kind in 0u8..4,
+        ops in tlb_ops(),
+    ) {
+        check_tlb_against_stack_model(RegionId::new, ways, sets, kind, &ops);
     }
 }

@@ -80,6 +80,11 @@ fn invalid_config_is_rejected_before_simulation() {
             c.tlb.l2_entries = 0;
             c
         }),
+        ("tlb.pwc_entries", {
+            let mut c = SimConfig::default();
+            c.tlb.pwc_entries = 0;
+            c
+        }),
     ];
     for (want_field, cfg) in cases {
         let w = registry::build("BFS-TTC", Arc::clone(&graph)).unwrap();

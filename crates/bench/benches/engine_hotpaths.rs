@@ -260,6 +260,9 @@ fn bench_uvm_batch_registry() {
 
 fn bench_graph_gen() {
     bench("graph/rmat_scale12", 20, || gen::rmat(12, 8, 42));
+    // KCORE's and GC-*'s derived graph, built inside every sweep cell.
+    let graph = gen::rmat(15, 16, 42);
+    bench("graph/symmetrized_scale15", 10, || graph.symmetrized());
 }
 
 fn bench_end_to_end() {

@@ -11,6 +11,7 @@ use batmem_bench::sweep::{self, ArtifactStore, CellPolicy, PoolConfig, SweepPlan
 use batmem_bench::figures;
 use batmem::policies::PolicySpec;
 use batmem::{PolicyAxis, PolicyRegistry};
+use batmem_graph::gen;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -33,7 +34,7 @@ base page (default 64); `--inject` takes off|noisy[:seed]|lost[:seed[:every]]
 sweep mode: fault-tolerant parallel sweep into a resumable artifact store
 (default outdir `artifacts`); ctrl-C drains gracefully, `--resume` skips
 completed cells
-environment: BATMEM_SCALE (default 15), BATMEM_EDGE_FACTOR (default 16)";
+environment: BATMEM_SCALE (default 15, at most 31), BATMEM_EDGE_FACTOR (default 16)";
 
 /// Sweep-mode cancel flag, set by the SIGINT handler for a graceful drain.
 static CANCEL: AtomicBool = AtomicBool::new(false);
@@ -64,12 +65,29 @@ fn install_sigint_handler() {}
 /// Env-var overrides are a binary concern: the library's
 /// `SuiteConfig::default()` is pure (the paper's evaluation point), and
 /// this entry point layers `BATMEM_SCALE` / `BATMEM_EDGE_FACTOR` on top.
+/// A variable that is set but does not parse as a `u32`, or a scale past
+/// `gen::MAX_SCALE`, exits 2 with usage instead of falling back silently.
 fn suite_from_env() -> SuiteConfig {
+    fn env_u32(name: &str) -> Option<u32> {
+        let value = std::env::var_os(name)?;
+        let parsed = value.to_str().and_then(|s| s.parse().ok());
+        Some(parsed.unwrap_or_else(|| {
+            eprintln!("{name}: cannot parse `{}`\n{USAGE}", value.to_string_lossy());
+            std::process::exit(2);
+        }))
+    }
     let mut suite = SuiteConfig::paper();
-    if let Some(scale) = std::env::var("BATMEM_SCALE").ok().and_then(|s| s.parse().ok()) {
+    if let Some(scale) = env_u32("BATMEM_SCALE") {
+        if scale > gen::MAX_SCALE {
+            eprintln!(
+                "BATMEM_SCALE: scale {scale} exceeds {}: R-MAT vertex ids are u32\n{USAGE}",
+                gen::MAX_SCALE
+            );
+            std::process::exit(2);
+        }
         suite = suite.with_scale(scale);
     }
-    if let Some(ef) = std::env::var("BATMEM_EDGE_FACTOR").ok().and_then(|s| s.parse().ok()) {
+    if let Some(ef) = env_u32("BATMEM_EDGE_FACTOR") {
         suite = suite.with_edge_factor(ef);
     }
     suite

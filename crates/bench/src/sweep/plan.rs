@@ -4,6 +4,7 @@
 use crate::error::BenchError;
 use batmem::policies::{ConfigName, PolicySpec};
 use batmem::{PolicyAxis, PolicyRegistry};
+use batmem_graph::gen;
 use batmem_types::sweep::{CellId, StableHasher};
 use batmem_uvm::InjectConfig;
 use batmem_workloads::registry;
@@ -222,7 +223,8 @@ impl Default for SweepPlan {
 
 impl SweepPlan {
     /// Checks the plan before expansion: every axis non-empty, every
-    /// workload known to the registry, the inject spec parseable, and
+    /// workload known to the registry, every scale at most
+    /// [`gen::MAX_SCALE`], the inject spec parseable, and
     /// every policy's effective spec (plan-level coalesce and
     /// fault-servicing applied, page size included) resolvable as
     /// [`try_run`](batmem::SimulationBuilder::try_run) resolves it.
@@ -251,6 +253,12 @@ impl SweepPlan {
                     registry::irregular_names().join(", ")
                 )));
             }
+        }
+        if let Some(&s) = self.scales.iter().find(|&&s| s > gen::MAX_SCALE) {
+            return Err(BenchError::msg(format!(
+                "scale {s} exceeds {}: R-MAT vertex ids are u32",
+                gen::MAX_SCALE
+            )));
         }
         if let Some(spec) = &self.inject {
             InjectConfig::parse_spec(spec).map_err(|e| BenchError::context("sweep plan", &e))?;
@@ -464,6 +472,15 @@ mod tests {
         p = SweepPlan { policies: vec![CellPolicy::Custom(mru)], ..SweepPlan::default() };
         let err = p.validate().unwrap_err().to_string();
         assert!(err.contains("mru"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_scales_past_u32_vertex_ids() {
+        // A masked `1 << 36` would run a 16-vertex graph labelled `s36`.
+        let p = SweepPlan { scales: vec![10, 31, 36], ..SweepPlan::default() };
+        let err = p.cells().unwrap_err().to_string();
+        assert!(err.contains("scale 36"), "{err}");
+        assert!(SweepPlan { scales: vec![31], ..SweepPlan::default() }.validate().is_ok());
     }
 
     #[test]

@@ -112,25 +112,77 @@ impl Csr {
         8 * (self.offsets.len() as u64) + 4 * self.edges.len() as u64 + w
     }
 
+    /// Returns this graph with per-edge `weights`, given in edge-array
+    /// order (parallel to [`Csr::edges`]); any existing weights are
+    /// replaced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len() != num_edges()`.
+    pub fn with_weights(mut self, weights: Vec<u32>) -> Csr {
+        assert_eq!(weights.len(), self.edges.len(), "with_weights needs one weight per edge");
+        self.weights = Some(weights);
+        self
+    }
+
     /// Returns an undirected (symmetrized, deduplicated, loop-free) copy of
     /// this graph: for every edge `u -> v` with `u != v`, both `u -> v` and
-    /// `v -> u` appear exactly once. Weights are dropped.
+    /// `v -> u` appear exactly once, and each adjacency run is sorted.
+    /// Weights are dropped.
     ///
     /// Algorithms that require symmetric adjacency (e.g. Jones-Plassmann
     /// coloring, k-core) should run on a symmetrized graph.
     pub fn symmetrized(&self) -> Csr {
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(self.edges.len() * 2);
+        // Counting-sort both directions of every non-loop edge by source...
+        let n = self.num_vertices as usize;
+        let mut offsets = vec![0u64; n + 1];
         for v in 0..self.num_vertices {
             for &t in self.neighbors(v) {
                 if t != v {
-                    pairs.push((v, t));
-                    pairs.push((t, v));
+                    offsets[v as usize + 1] += 1;
+                    offsets[t as usize + 1] += 1;
                 }
             }
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        CsrBuilder::new(self.num_vertices).edges(pairs).build()
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor: Vec<u64> = offsets[..n].to_vec();
+        let mut edges = vec![0u32; offsets[n] as usize];
+        for v in 0..self.num_vertices {
+            for &t in self.neighbors(v) {
+                if t != v {
+                    edges[cursor[v as usize] as usize] = t;
+                    cursor[v as usize] += 1;
+                    edges[cursor[t as usize] as usize] = v;
+                    cursor[t as usize] += 1;
+                }
+            }
+        }
+        // ...then sort and deduplicate each run, compacting the runs in
+        // place: the write position `len` never passes the read position.
+        let mut len = 0;
+        let mut start = 0;
+        for v in 0..n {
+            let end = offsets[v + 1] as usize;
+            edges[start..end].sort_unstable();
+            offsets[v] = len as u64;
+            let first = len;
+            for i in start..end {
+                let t = edges[i];
+                if len == first || edges[len - 1] != t {
+                    edges[len] = t;
+                    len += 1;
+                }
+            }
+            start = end;
+        }
+        offsets[n] = len as u64;
+        edges.truncate(len);
+        edges.shrink_to_fit();
+        let csr = Csr { num_vertices: self.num_vertices, offsets, edges, weights: None };
+        debug_assert_eq!(csr.check_invariants(), Ok(()));
+        csr
     }
 
     /// Checks the CSR invariants; used by tests and the builder.
@@ -190,6 +242,16 @@ impl CsrBuilder {
         }
     }
 
+    /// A builder with room for `edges` unweighted edges, for generators
+    /// that know their edge count up front.
+    pub(crate) fn with_capacity(num_vertices: u32, edges: usize) -> Self {
+        Self {
+            srcs: Vec::with_capacity(edges),
+            dsts: Vec::with_capacity(edges),
+            ..Self::new(num_vertices)
+        }
+    }
+
     /// Adds an unweighted directed edge.
     ///
     /// # Panics
@@ -197,9 +259,14 @@ impl CsrBuilder {
     /// Panics if either endpoint is out of range, or if weighted edges were
     /// previously added.
     pub fn edge(mut self, src: u32, dst: u32) -> Self {
+        self.push_edge(src, dst);
+        self
+    }
+
+    /// [`CsrBuilder::edge`] in place.
+    pub(crate) fn push_edge(&mut self, src: u32, dst: u32) {
         assert!(!self.weighted, "cannot mix weighted and unweighted edges");
         self.push(src, dst, 0);
-        self
     }
 
     /// Adds a weighted directed edge.
@@ -235,8 +302,7 @@ impl CsrBuilder {
     /// Panics under the same conditions as [`CsrBuilder::edge`].
     pub fn edges<I: IntoIterator<Item = (u32, u32)>>(mut self, iter: I) -> Self {
         for (s, d) in iter {
-            assert!(!self.weighted, "cannot mix weighted and unweighted edges");
-            self.push(s, d, 0);
+            self.push_edge(s, d);
         }
         self
     }
@@ -329,6 +395,20 @@ mod tests {
     #[should_panic(expected = "cannot mix")]
     fn mixing_weighted_and_unweighted_panics() {
         let _ = CsrBuilder::new(2).edge(0, 1).weighted_edge(1, 0, 3);
+    }
+
+    #[test]
+    fn with_weights_attaches_in_edge_order() {
+        let g = diamond().with_weights(vec![1, 2, 3, 4, 5]);
+        assert_eq!(g.weights_of(0), &[1, 2]);
+        assert_eq!(g.weights_of(3), &[5]);
+        g.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "one weight per edge")]
+    fn with_weights_checks_the_length() {
+        let _ = diamond().with_weights(vec![1, 2]);
     }
 
     #[test]

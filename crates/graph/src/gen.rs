@@ -24,41 +24,82 @@ pub fn rmat(scale: u32, edge_factor: u32, seed: u64) -> Csr {
     rmat_with(scale, edge_factor, 0.57, 0.19, 0.19, seed)
 }
 
+/// The largest R-MAT scale: vertex ids are `u32`, so a graph holds at
+/// most `2^31` vertices.
+pub const MAX_SCALE: u32 = 31;
+
 /// [`rmat`] with explicit quadrant probabilities `a`, `b`, `c`
 /// (`d = 1 - a - b - c`).
 ///
 /// # Panics
 ///
-/// Panics if the probabilities are not a valid sub-distribution.
+/// Panics if the probabilities are not a valid sub-distribution, or if
+/// `scale` exceeds [`MAX_SCALE`].
 pub fn rmat_with(scale: u32, edge_factor: u32, a: f64, b: f64, c: f64, seed: u64) -> Csr {
     rmat_with_par(scale, edge_factor, a, b, c, seed, 1)
 }
 
-/// One R-MAT edge. The recursive bisection halves both coordinate ranges
-/// once per level, so it consumes **exactly `scale` draws** — the invariant
-/// [`rmat_par`] relies on to jump workers to their chunk offsets.
-fn rmat_edge(rng: &mut DetRng, n: u32, a: f64, b: f64, c: f64) -> (u32, u32) {
-    let (mut lo_s, mut hi_s) = (0u32, n);
-    let (mut lo_d, mut hi_d) = (0u32, n);
-    while hi_s - lo_s > 1 {
-        let mid_s = lo_s + (hi_s - lo_s) / 2;
-        let mid_d = lo_d + (hi_d - lo_d) / 2;
-        let r: f64 = rng.next_f64();
-        if r < a {
-            hi_s = mid_s;
-            hi_d = mid_d;
-        } else if r < a + b {
-            hi_s = mid_s;
-            lo_d = mid_d;
-        } else if r < a + b + c {
-            lo_s = mid_s;
-            hi_d = mid_d;
-        } else {
-            lo_s = mid_s;
-            lo_d = mid_d;
-        }
+/// R-MAT edges over `2^scale` vertices, with the quadrant odds held as
+/// integer thresholds on the top 53 bits of a draw.
+///
+/// The reference formulation draws `r = k · 2^-53` from `k = next_u64() >>
+/// 11` and walks `r < a`, `r < a + b`, `r < a + b + c`. Both `k · 2^-53`
+/// and `p · 2^53` are exact in `f64` (scaling by a power of two), and `k`
+/// is an integer, so `r < p` holds exactly when `k < ceil(p · 2^53)`. The
+/// quadrant is therefore the number of thresholds `k` reaches: the same
+/// decisions from the same draws, without a data-dependent branch.
+///
+/// # Examples
+///
+/// ```
+/// use batmem_graph::gen::RmatSampler;
+/// use batmem_types::rng::DetRng;
+///
+/// let sampler = RmatSampler::new(10, 0.57, 0.19, 0.19);
+/// let (s, d) = sampler.edge(&mut DetRng::new(7));
+/// assert!(s < 1024 && d < 1024);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RmatSampler {
+    scale: u32,
+    thresholds: [u64; 3],
+}
+
+impl RmatSampler {
+    /// Edges over `2^scale` vertices with odds `a`, `b`, `c`
+    /// (`d = 1 - a - b - c`), as thresholds on the same `f64` sums the
+    /// reference formulation compares against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the probabilities are not a valid sub-distribution, or if
+    /// `scale` exceeds [`MAX_SCALE`].
+    pub fn new(scale: u32, a: f64, b: f64, c: f64) -> Self {
+        assert!(
+            a >= 0.0 && b >= 0.0 && c >= 0.0 && a + b + c <= 1.0,
+            "invalid R-MAT probabilities"
+        );
+        assert!(scale <= MAX_SCALE, "R-MAT scale {scale} exceeds {MAX_SCALE}: vertex ids are u32");
+        let at = |p: f64| (p * (1u64 << 53) as f64).ceil() as u64;
+        Self { scale, thresholds: [at(a), at(a + b), at(a + b + c)] }
     }
-    (lo_s, lo_d)
+
+    /// One edge. Each level consumes **exactly one draw** and picks
+    /// quadrant `q` (0 = `a` … 3 = `d`), shifting `q >> 1` into the source
+    /// and `q & 1` into the target, most significant bit first. So an edge
+    /// consumes exactly `scale` draws, the invariant [`rmat_par`] relies on
+    /// to jump workers to their chunk offsets.
+    pub fn edge(&self, rng: &mut DetRng) -> (u32, u32) {
+        let [t0, t1, t2] = self.thresholds;
+        let (mut s, mut d) = (0u32, 0u32);
+        for _ in 0..self.scale {
+            let k = rng.next_u64() >> 11;
+            let q = u32::from(k >= t0) + u32::from(k >= t1) + u32::from(k >= t2);
+            s = (s << 1) | (q >> 1);
+            d = (d << 1) | (q & 1);
+        }
+        (s, d)
+    }
 }
 
 /// [`rmat`] computed on `threads` worker threads, **bit-identical** to the
@@ -93,15 +134,16 @@ pub fn rmat_with_par(
     seed: u64,
     threads: usize,
 ) -> Csr {
-    assert!(a >= 0.0 && b >= 0.0 && c >= 0.0 && a + b + c <= 1.0, "invalid R-MAT probabilities");
+    let sampler = RmatSampler::new(scale, a, b, c);
     let n: u32 = 1 << scale;
     let m = u64::from(edge_factor) * u64::from(n);
-    let mut builder = CsrBuilder::new(n);
+    let mut builder =
+        CsrBuilder::with_capacity(n, usize::try_from(m).expect("edge count exceeds usize"));
     if threads <= 1 || m < 2 {
         let mut rng = DetRng::new(seed);
         for _ in 0..m {
-            let (s, d) = rmat_edge(&mut rng, n, a, b, c);
-            builder = builder.edge(s, d);
+            let (s, d) = sampler.edge(&mut rng);
+            builder.push_edge(s, d);
         }
         return builder.build();
     }
@@ -123,7 +165,7 @@ pub fn rmat_with_par(
                 scope.spawn(move || {
                     let mut rng = DetRng::new(seed);
                     rng.skip(e0 * u64::from(scale));
-                    (e0..e1).map(|_| rmat_edge(&mut rng, n, a, b, c)).collect()
+                    (e0..e1).map(|_| sampler.edge(&mut rng)).collect()
                 })
             })
             .collect();
@@ -131,7 +173,7 @@ pub fn rmat_with_par(
     });
     for chunk in chunks {
         for (s, d) in chunk {
-            builder = builder.edge(s, d);
+            builder.push_edge(s, d);
         }
     }
     builder.build()
@@ -153,22 +195,6 @@ pub fn uniform(n: u32, m: u64, seed: u64) -> Csr {
         let s = rng.below(u64::from(n)) as u32;
         let d = rng.below(u64::from(n)) as u32;
         builder = builder.edge(s, d);
-    }
-    builder.build()
-}
-
-/// Generates a weighted variant of [`rmat`]; weights are uniform in
-/// `1..=max_weight` (for SSSP).
-pub fn rmat_weighted(scale: u32, edge_factor: u32, max_weight: u32, seed: u64) -> Csr {
-    let unweighted = rmat(scale, edge_factor, seed);
-    let n = unweighted.num_vertices();
-    let mut rng = DetRng::new(seed ^ 0x5eed);
-    let mut builder = CsrBuilder::new(n);
-    for v in 0..n {
-        for &t in unweighted.neighbors(v) {
-            let w = rng.range_inclusive(1, u64::from(max_weight)) as u32;
-            builder = builder.weighted_edge(v, t, w);
-        }
     }
     builder.build()
 }
@@ -227,27 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_rmat_weights_in_range() {
-        let g = rmat_weighted(7, 4, 16, 5);
-        assert!(g.is_weighted());
-        for v in 0..g.num_vertices() {
-            for &w in g.weights_of(v) {
-                assert!((1..=16).contains(&w));
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_rmat_preserves_structure() {
-        let g = rmat(7, 4, 5);
-        let w = rmat_weighted(7, 4, 16, 5);
-        assert_eq!(g.num_edges(), w.num_edges());
-        for v in 0..g.num_vertices() {
-            assert_eq!(g.neighbors(v), w.neighbors(v));
-        }
-    }
-
-    #[test]
     fn grid_degrees() {
         let g = grid2d(4, 3);
         assert_eq!(g.num_vertices(), 12);
@@ -262,6 +267,13 @@ mod tests {
     #[should_panic(expected = "invalid R-MAT probabilities")]
     fn bad_probabilities_panic() {
         let _ = rmat_with(4, 2, 0.9, 0.2, 0.2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "R-MAT scale 32 exceeds 31")]
+    fn scales_past_u32_vertex_ids_panic() {
+        // Release builds would mask `1 << 32` to a one-vertex graph.
+        let _ = rmat(32, 2, 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::common::{warp_centric_spec, warp_item, ArrayOptions, GraphArrays};
 use crate::stream::StreamBuilder;
-use batmem_graph::{alg, Csr, CsrBuilder};
+use batmem_graph::{alg, Csr};
 use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, Workload};
 use batmem_types::{BlockId, KernelId};
 use std::sync::Arc;
@@ -55,15 +55,16 @@ impl SsspTwc {
         let weighted = if graph.is_weighted() {
             graph
         } else {
-            let mut b = CsrBuilder::new(graph.num_vertices());
+            // Each weight hashes (vertex, position in its run), so the
+            // weights fill in CSR order over the unchanged structure.
+            let mut weights = Vec::with_capacity(graph.edges().len());
             for v in 0..graph.num_vertices() {
-                for (i, &t) in graph.neighbors(v).iter().enumerate() {
-                    let h = (u64::from(v).wrapping_mul(0x9E37_79B9))
-                        ^ (i as u64).wrapping_mul(0x85EB_CA6B);
-                    b = b.weighted_edge(v, t, (h % 15 + 1) as u32);
-                }
+                weights.extend((0..u64::from(graph.degree(v))).map(|i| {
+                    let h = (u64::from(v).wrapping_mul(0x9E37_79B9)) ^ i.wrapping_mul(0x85EB_CA6B);
+                    (h % 15 + 1) as u32
+                }));
             }
-            Arc::new(b.build())
+            Arc::new(Arc::unwrap_or_clone(graph).with_weights(weights))
         };
         let src = weighted.max_degree_vertex();
         let res = alg::sssp(&weighted, src);
@@ -157,6 +158,23 @@ mod tests {
         assert!(a.shared.graph.is_weighted());
         assert_eq!(a.shared.graph, b.shared.graph);
         assert_eq!(a.num_kernels(), b.num_kernels());
+    }
+
+    #[test]
+    fn weighted_graph_equals_a_builder_rebuild() {
+        // The reference: rebuild the graph edge by edge through a second
+        // `CsrBuilder`, attaching each weight as it goes.
+        let g = Arc::new(gen::rmat(9, 8, 4));
+        let mut b = batmem_graph::CsrBuilder::new(g.num_vertices());
+        for v in 0..g.num_vertices() {
+            for (i, &t) in g.neighbors(v).iter().enumerate() {
+                let h =
+                    (u64::from(v).wrapping_mul(0x9E37_79B9)) ^ (i as u64).wrapping_mul(0x85EB_CA6B);
+                b = b.weighted_edge(v, t, (h % 15 + 1) as u32);
+            }
+        }
+        let w = SsspTwc::new(Arc::clone(&g));
+        assert_eq!(*w.shared.graph, b.build());
     }
 
     #[test]

@@ -271,6 +271,15 @@ fn bench_end_to_end() {
         let w = registry::build("BFS-TTC", Arc::clone(&graph)).unwrap();
         Simulation::builder().policy(policies::to_ue()).memory_ratio(0.5).try_run(w).unwrap()
     });
+    // Thread oversubscription's switch path: tiny SSSP-TWC blocks at a
+    // quarter of the footprint stall, switch (4,070 times) and retry
+    // faulted ops. Edge factor 16, not 8: rmat(10..=12, 8, 42) at 0.25
+    // ends in TO+UE's two-frame livelock.
+    let graph = Arc::new(gen::rmat(12, 16, 42));
+    bench("end_to_end/sssp_twc_scale12_to_ue_r025", 10, || {
+        let w = registry::build("SSSP-TWC", Arc::clone(&graph)).unwrap();
+        Simulation::builder().policy(policies::to_ue()).memory_ratio(0.25).try_run(w).unwrap()
+    });
 }
 
 fn main() {

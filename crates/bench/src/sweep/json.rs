@@ -2,11 +2,10 @@
 //!
 //! The build is offline (no `serde`), and the store only needs flat
 //! objects of strings, unsigned integers, and booleans — so this is a
-//! strict ~100-line recursive-descent parser plus the matching escaper.
+//! strict ~100-line recursive-descent parser. Records are written with
+//! the core crate's escaper, [`batmem::probes::json_escape`].
 //! Anything it cannot parse is, by definition, a half-written or corrupt
 //! record, and the store re-runs the cell.
-
-use std::fmt::Write as _;
 
 /// A flat JSON value: the only shapes cell records use.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,25 +42,6 @@ impl Value {
             _ => None,
         }
     }
-}
-
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 struct Parser<'a> {
@@ -231,7 +211,7 @@ mod tests {
     #[test]
     fn escape_roundtrips_through_parse() {
         let nasty = "a\"b\\c\nd\te\u{1}é—🚀";
-        let doc = format!("{{\"k\":\"{}\"}}", escape(nasty));
+        let doc = format!("{{\"k\":\"{}\"}}", batmem::probes::json_escape(nasty));
         let pairs = parse_object(&doc).unwrap();
         assert_eq!(get(&pairs, "k").unwrap().as_str(), Some(nasty));
     }

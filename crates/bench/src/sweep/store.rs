@@ -17,7 +17,7 @@
 
 use super::json::{self, Value};
 use super::outcome::CellRecord;
-use batmem::probes::MetricsRow;
+use batmem::probes::{json_escape, MetricsRow};
 use batmem_types::sweep::{CellId, OutcomeKind};
 use std::fs;
 use std::io;
@@ -85,15 +85,15 @@ impl ArtifactStore {
         let mut s = format!(
             "{{\"v\":1,\"id\":\"{}\",\"label\":\"{}\",\"outcome\":\"{}\",\"attempts\":{}",
             rec.id,
-            json::escape(&rec.label),
+            json_escape(&rec.label),
             rec.outcome,
             rec.attempts
         );
         if let Some(row) = &rec.row {
-            s.push_str(&format!(",\"row\":\"{}\"", json::escape(&row.to_csv_row())));
+            s.push_str(&format!(",\"row\":\"{}\"", json_escape(&row.to_csv_row())));
         }
         if let Some(err) = &rec.error {
-            s.push_str(&format!(",\"error\":\"{}\"", json::escape(err)));
+            s.push_str(&format!(",\"error\":\"{}\"", json_escape(err)));
         }
         s.push_str(",\"complete\":true}");
         s

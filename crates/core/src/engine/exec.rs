@@ -2,11 +2,11 @@
 //! operations, TO context switching, and block retirement.
 
 use batmem_sim::block::BlockResidency;
-use batmem_sim::ops::WarpOp;
+use batmem_sim::ops::OpKind;
 use batmem_sim::sm::occupancy;
 use batmem_sim::warp::{WarpContext, WarpPhase};
 use batmem_types::probe::ProbeEvent;
-use batmem_types::{BlockId, Cycle, KernelId, SimError, SmId};
+use batmem_types::{BlockId, Cycle, KernelId, SimError, SmId, VirtAddr};
 use batmem_vmem::TranslationOutcome;
 
 use super::{Engine, Event};
@@ -85,22 +85,26 @@ impl Engine {
     /// Marks `idx` active and (on first activation) builds its warps'
     /// streams and schedules them.
     fn activate_block(&mut self, idx: usize) {
-        self.blocks[idx].residency = BlockResidency::Active;
-        if !self.blocks[idx].started {
-            let id = self.blocks[idx].id;
+        let block = &mut self.blocks[idx];
+        block.residency = BlockResidency::Active;
+        if !block.started() {
             let kernel = self.kernel.as_ref().expect("kernel in flight");
-            let warps: Vec<WarpContext> = (0..self.occ.warps_per_block)
-                .map(|w| WarpContext::new(kernel.warp_stream(id, w as u16)))
-                .collect();
-            self.blocks[idx].warps = warps;
-            self.blocks[idx].started = true;
+            // A retired block's emptied vector, when there is one.
+            let mut warps = self.warp_pool.pop().unwrap_or_default();
+            warps.extend(
+                (0..self.occ.warps_per_block)
+                    .map(|w| WarpContext::new(kernel.warp_stream(block.id, w as u16))),
+            );
+            block.start(warps);
             for w in 0..self.occ.warps_per_block as usize {
                 self.events.push(self.clock, Event::WarpWake { block: idx, warp: w });
             }
-        } else {
-            for w in self.blocks[idx].ready_inactive_warps() {
-                self.blocks[idx].warps[w].phase = WarpPhase::Ready;
-                self.events.push(self.clock, Event::WarpWake { block: idx, warp: w });
+        } else if block.count(WarpPhase::ReadyInactive) > 0 {
+            for w in 0..block.warps().len() {
+                if block.warps()[w].phase() == WarpPhase::ReadyInactive {
+                    block.set_phase(w, WarpPhase::Ready);
+                    self.events.push(self.clock, Event::WarpWake { block: idx, warp: w });
+                }
             }
         }
     }
@@ -135,46 +139,57 @@ impl Engine {
                 });
             }
             _ => {
-                self.blocks[b].warps[w].phase = WarpPhase::ReadyInactive;
+                self.blocks[b].set_phase(w, WarpPhase::ReadyInactive);
                 return Ok(());
             }
         }
         let sm = self.block_sm[b];
         if self.is_throttled(sm) {
             // ETC memory-aware throttling: the SM is disabled; park the warp.
-            self.blocks[b].warps[w].phase = WarpPhase::Ready;
+            self.blocks[b].set_phase(w, WarpPhase::Ready);
             return Ok(());
         }
-        let warp = &mut self.blocks[b].warps[w];
-        let from_stream = warp.pending_retry.is_none();
-        match warp.take_next_op() {
+        // The op's transactions land in the engine's recycled buffer, which
+        // is taken out for the issue and put back after it.
+        let mut txns = std::mem::take(&mut self.scratch_txns);
+        let warp = self.blocks[b].warp_mut(w);
+        let from_stream = !warp.has_retry();
+        let res = match warp.next_op_into(&mut txns) {
             None => {
-                warp.phase = WarpPhase::Finished;
                 // The stream is spent: free it now, not when the block
                 // retires or the next kernel launches.
                 warp.release_stream();
+                self.blocks[b].set_phase(w, WarpPhase::Finished);
                 self.warps_retired += 1;
                 if self.blocks[b].all_finished() {
-                    self.retire_block(b)?;
+                    self.retire_block(b)
                 } else {
-                    self.maybe_switch(sm)?;
+                    self.maybe_switch(sm)
                 }
             }
-            Some(WarpOp::Compute(c)) => {
+            Some(OpKind::Compute(c)) => {
                 self.stream_ops += 1;
-                self.blocks[b].warps[w].phase = WarpPhase::Computing;
+                self.blocks[b].set_phase(w, WarpPhase::Computing);
                 let at = self.clock + Cycle::from(c);
                 self.events.push(at, Event::WarpWake { block: b, warp: w });
+                Ok(())
             }
-            Some(op) => {
+            Some(kind) => {
                 self.stream_ops += u64::from(from_stream);
-                self.exec_mem(b, w, op)?;
+                self.exec_mem(b, w, kind == OpKind::Store, &txns)
             }
-        }
-        Ok(())
+        };
+        self.scratch_txns = txns;
+        res
     }
 
-    fn exec_mem(&mut self, b: usize, w: usize, op: WarpOp) -> Result<(), SimError> {
+    fn exec_mem(
+        &mut self,
+        b: usize,
+        w: usize,
+        store: bool,
+        txns: &[VirtAddr],
+    ) -> Result<(), SimError> {
         self.mem_ops += 1;
         let sm = self.block_sm[b];
         let geom = self.cfg.uvm.geometry;
@@ -190,8 +205,8 @@ impl Engine {
         // remembering the previous page skips most dedup scans (and the fall
         // through stays correct for unsorted streams).
         let mut prev_page = None;
-        for a in op.addrs() {
-            let page = geom.page_of(*a);
+        for &a in txns {
+            let page = geom.page_of(a);
             if prev_page == Some(page) {
                 continue;
             }
@@ -215,8 +230,8 @@ impl Engine {
             let cc = self.cc.access_penalty();
             let mut total: Cycle = 0;
             let mut prev: Option<(_, Cycle)> = None;
-            for a in op.addrs() {
-                let page = geom.page_of(*a);
+            for &a in txns {
+                let page = geom.page_of(a);
                 let tl = match prev {
                     Some((p, l)) if p == page => l,
                     _ => {
@@ -233,10 +248,10 @@ impl Engine {
                         l
                     }
                 };
-                let dl = self.mem.access(sm, *a) + cc;
+                let dl = self.mem.access(sm, a) + cc;
                 total = total.max(tl + dl);
             }
-            self.blocks[b].warps[w].phase = WarpPhase::MemWait;
+            self.blocks[b].set_phase(w, WarpPhase::MemWait);
             self.events.push(self.clock + total, Event::WarpWake { block: b, warp: w });
             page_lat.clear();
             self.scratch_page_lat = page_lat;
@@ -248,25 +263,11 @@ impl Engine {
             // guarantees forward progress when capacity is smaller than a
             // single op's page set (each replay resolves at least the page
             // that just arrived).
-            // Collects into an AddrList: at most the original op's (warp-
-            // bounded) transactions, so the retry stays allocation-free.
-            let retry_addrs: batmem_sim::ops::AddrList = op
-                .addrs()
-                .iter()
-                .filter(|a| faulted.iter().any(|&(p, _)| p == geom.page_of(**a)))
-                .copied()
-                .collect();
-            let retry_op = match &op {
-                WarpOp::Store(_) => WarpOp::Store(retry_addrs),
-                _ => WarpOp::Load(retry_addrs),
-            };
             let n = faulted.len() as u32;
-            {
-                let warp = &mut self.blocks[b].warps[w];
-                warp.pending_retry = Some(retry_op);
-                warp.waiting_pages = n;
-                warp.phase = WarpPhase::FaultBlocked;
-            }
+            let warp = self.blocks[b].warp_mut(w);
+            warp.park_retry(store, txns, |a| faulted.iter().any(|&(p, _)| p == geom.page_of(a)));
+            warp.waiting_pages = n;
+            self.blocks[b].set_phase(w, WarpPhase::FaultBlocked);
             let block_id = self.blocks[b].id;
             self.probes.emit_with(self.clock, || ProbeEvent::WarpStalled {
                 sm: sm as u16,
@@ -344,9 +345,10 @@ impl Engine {
 
     fn retire_block(&mut self, b: usize) -> Result<(), SimError> {
         let sm = self.block_sm[b];
-        self.blocks[b].residency = BlockResidency::Retired;
-        // Nothing reads a retired block's warps; drop their contexts.
-        self.blocks[b].warps = Vec::new();
+        // Nothing reads a retired block's warps: drop their contexts and
+        // keep the vector for the next block that starts.
+        let warps = self.blocks[b].retire();
+        self.warp_pool.push(warps);
         self.sms[sm].remove(b, self.clock)?;
         self.blocks_retired += 1;
         self.blocks_remaining -= 1;

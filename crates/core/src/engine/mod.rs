@@ -30,10 +30,11 @@ use batmem_sim::cache::MemPath;
 use batmem_sim::events::EventQueue;
 use batmem_sim::ops::{Kernel, KernelSpec, Workload};
 use batmem_sim::sm::{Occupancy, Sm};
+use batmem_sim::warp::WarpContext;
 use batmem_types::dense::{PageMap, PageSet};
 use batmem_types::policy::ToConfig;
 use batmem_types::probe::{ProbeEvent, ProbeHub, SharedProbes};
-use batmem_types::{AuditLevel, Cycle, PageId, SimConfig, SimError};
+use batmem_types::{AuditLevel, Cycle, PageId, SimConfig, SimError, VirtAddr};
 use batmem_uvm::{InjectConfig, OversubscriptionHandler, UvmEvent, UvmRuntime};
 use batmem_vmem::Mmu;
 
@@ -78,6 +79,10 @@ struct Engine {
     // the steady-state event loop performs no heap allocations.
     uvm_out: Vec<batmem_uvm::UvmOutput>,
     waiter_pool: Vec<Vec<(usize, usize)>>,
+    /// Retired blocks' emptied warp vectors.
+    warp_pool: Vec<Vec<WarpContext>>,
+    /// The issuing op's transactions.
+    scratch_txns: Vec<VirtAddr>,
     scratch_page_lat: Vec<(PageId, Cycle)>,
     scratch_faulted: Vec<(PageId, Cycle)>,
     // metrics
@@ -169,6 +174,8 @@ impl Engine {
             stream_ops: 0,
             uvm_out: Vec::new(),
             waiter_pool: Vec::new(),
+            warp_pool: Vec::new(),
+            scratch_txns: Vec::new(),
             scratch_page_lat: Vec::new(),
             scratch_faulted: Vec::new(),
         }

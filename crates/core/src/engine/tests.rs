@@ -157,7 +157,9 @@ struct StreamCensus {
 }
 
 /// Wraps a workload so that every stream it builds is counted live until
-/// the engine drops it.
+/// the engine drops it. Its streams implement only `next_op`, as a
+/// capturing wrapper's do, so the engine issues them through the provided
+/// `next_op_into`.
 struct Census {
     inner: Box<dyn Workload>,
     census: Arc<StreamCensus>,
@@ -246,4 +248,37 @@ fn warp_streams_are_released_when_their_warps_retire() {
     assert!(peak <= bound, "{peak} live streams > bound {bound}");
     assert!(bound < total, "the grid must outsize the bound for the test to mean anything");
     assert_eq!(census.live.load(Ordering::SeqCst), 0, "streams leaked");
+}
+
+#[test]
+fn default_issue_path_runs_identically_to_the_packed_override() {
+    // The same run twice: streams issued through `PackedStream`'s own
+    // `next_op_into`, and wrapped so they issue through the trait's
+    // default. Under TO+UE at 0.25 the SSSP run switches contexts and
+    // evicts (4,070 switches and 132 evictions), so retries, switch-ins
+    // and refills all take both paths.
+    let graph = Arc::new(batmem_graph::gen::rmat(12, 16, 42));
+    for name in ["BFS-TTC", "SSSP-TWC"] {
+        let run = |wrap: bool| {
+            let inner = batmem_workloads::registry::build(name, Arc::clone(&graph)).unwrap();
+            let census = Arc::new(StreamCensus::default());
+            let w: Box<dyn Workload> =
+                if wrap { Box::new(Census { inner, census: Arc::clone(&census) }) } else { inner };
+            let m = Simulation::builder()
+                .policy(policies::to_ue())
+                .memory_ratio(0.25)
+                .try_run(w)
+                .unwrap();
+            assert_eq!(census.live.load(Ordering::SeqCst), 0, "streams leaked");
+            (m, census.built.load(Ordering::SeqCst))
+        };
+        let (direct, _) = run(false);
+        let (wrapped, built) = run(true);
+        assert!(built > 0, "{name}: the wrapper saw no streams");
+        assert!(direct.uvm.evictions > 0, "{name}: nothing was evicted");
+        if name == "SSSP-TWC" {
+            assert!(direct.ctx_switches > 0, "{name}: TO never switched");
+        }
+        assert_eq!(format!("{wrapped:?}"), format!("{direct:?}"), "{name}");
+    }
 }

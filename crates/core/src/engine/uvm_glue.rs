@@ -59,7 +59,7 @@ impl Engine {
     fn wake_waiters(&mut self, page: PageId) -> Result<(), SimError> {
         let Some(mut list) = self.waiters.remove(page) else { return Ok(()) };
         for &(b, w) in &list {
-            if self.blocks[b].warps[w].page_arrived() {
+            if self.blocks[b].warp_mut(w).page_arrived() {
                 let block_id = self.blocks[b].id;
                 let sm = self.block_sm[b];
                 self.probes.emit_with(self.clock, || ProbeEvent::WarpResumed {
@@ -69,11 +69,11 @@ impl Engine {
                 });
                 match self.blocks[b].residency {
                     BlockResidency::Active => {
-                        self.blocks[b].warps[w].phase = WarpPhase::Ready;
+                        self.blocks[b].set_phase(w, WarpPhase::Ready);
                         self.events.push(self.clock, Event::WarpWake { block: b, warp: w });
                     }
                     _ => {
-                        self.blocks[b].warps[w].phase = WarpPhase::ReadyInactive;
+                        self.blocks[b].set_phase(w, WarpPhase::ReadyInactive);
                         // An inactive block just became runnable: a stalled
                         // active block can now yield to it.
                         let sm = self.block_sm[b];
@@ -127,8 +127,8 @@ impl Engine {
                 // it directly instead of cloning it per released SM.
                 for i in 0..self.sms[sm].active.len() {
                     let b = self.sms[sm].active[i];
-                    for w in 0..self.blocks[b].warps.len() {
-                        if self.blocks[b].warps[w].phase == WarpPhase::Ready {
+                    for (w, warp) in self.blocks[b].warps().iter().enumerate() {
+                        if warp.phase() == WarpPhase::Ready {
                             self.events.push(self.clock, Event::WarpWake { block: b, warp: w });
                         }
                     }

@@ -59,42 +59,6 @@ impl RunMetrics {
         assert!(self.cycles > 0, "run took zero cycles");
         baseline.cycles as f64 / self.cycles as f64
     }
-
-    /// The CSV column names matching [`RunMetrics::to_csv_row`].
-    pub fn csv_header() -> &'static str {
-        "workload,cycles,footprint_bytes,memory_pages,kernels,blocks,warps,mem_ops,\
-         batches,avg_batch_pages,avg_batch_time,avg_handling_time,faults,prefetches,\
-         evictions,premature_evictions,h2d_bytes,d2h_bytes,ctx_switches,\
-         throttle_engagements"
-    }
-
-    /// One CSV row of the headline quantities (for spreadsheet analysis of
-    /// harness sweeps).
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{:.2},{:.0},{:.0},{},{},{},{},{},{},{},{}",
-            self.workload,
-            self.cycles,
-            self.footprint_bytes,
-            self.memory_pages.map_or(String::from("unlimited"), |p| p.to_string()),
-            self.kernels,
-            self.blocks_retired,
-            self.warps_retired,
-            self.mem_ops,
-            self.uvm.num_batches(),
-            self.uvm.avg_batch_pages(),
-            self.uvm.avg_processing_time(),
-            self.uvm.avg_fault_handling_time(),
-            self.uvm.faults_raised,
-            self.uvm.prefetches,
-            self.uvm.evictions,
-            self.uvm.premature_evictions,
-            self.uvm.h2d_bytes,
-            self.uvm.d2h_bytes,
-            self.ctx_switches,
-            self.throttle_engagements,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -130,14 +94,5 @@ mod tests {
         let slow = metrics(200);
         assert_eq!(fast.speedup_over(&slow), 2.0);
         assert_eq!(slow.speedup_over(&fast), 0.5);
-    }
-
-    #[test]
-    fn csv_row_has_header_arity() {
-        let m = metrics(100);
-        let header_cols = RunMetrics::csv_header().split(',').count();
-        let row_cols = m.to_csv_row().split(',').count();
-        assert_eq!(header_cols, row_cols);
-        assert!(m.to_csv_row().contains("unlimited"));
     }
 }

@@ -46,7 +46,8 @@ use std::rc::Rc;
 
 // ---- JSON encoding (hand-rolled: the build is offline) ---------------------
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for embedding in a JSON string literal.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -31,6 +31,6 @@ mod wheel;
 pub use block::{BlockContext, BlockResidency};
 pub use cache::{DataCache, MemPath};
 pub use events::{EventQueue, SchedulerOccupancy};
-pub use ops::{AccessStream, Kernel, KernelSpec, WarpOp, Workload};
+pub use ops::{AccessStream, Kernel, KernelSpec, OpKind, WarpOp, Workload};
 pub use sm::{Occupancy, Sm};
 pub use warp::{WarpContext, WarpPhase};

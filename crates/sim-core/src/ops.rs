@@ -6,8 +6,10 @@
 //! addresses are touched, in what order, with what divergence) while
 //! abstracting per-instruction pipeline details (see DESIGN.md,
 //! "Substitutions"). Streams are stored packed ([`PackedStream`]: one
-//! word per op header and per transaction) and decoded into a [`WarpOp`]
-//! only when the warp issues.
+//! word per op header and per transaction). The engine issues each op
+//! through [`AccessStream::next_op_into`], which writes its transactions
+//! into a buffer the caller owns; a [`WarpOp`] is built only where a
+//! caller asks for one by value ([`AccessStream::next_op`]).
 
 use batmem_types::{BlockId, KernelId, VirtAddr};
 
@@ -15,21 +17,22 @@ use batmem_types::{BlockId, KernelId, VirtAddr};
 /// worth, which is the most a 32-lane coalescer emits per operation.
 pub const INLINE_TXNS: usize = 32;
 
-/// A coalesced memory operation's transaction addresses.
+/// A coalesced memory operation's transaction addresses, as a by-value
+/// [`WarpOp`] carries them.
 ///
-/// Up to [`INLINE_TXNS`] entries live inline — since the stream builders
-/// chunk coalesced transactions at warp size, every op they emit takes the
-/// inline path, so decoding, retrying and dropping ops on the engine's hot
-/// loop never touches the allocator. Wider lists (hand-built streams) spill
-/// to a heap vector transparently.
+/// Up to [`INLINE_TXNS`] entries live inline — the stream builders chunk
+/// coalesced transactions at warp size, so every op they emit takes the
+/// inline path and decoding one through [`AccessStream::next_op`] does not
+/// allocate. Wider lists (hand-built streams) spill to a heap vector
+/// transparently. The engine does not use this type: it issues through
+/// [`AccessStream::next_op_into`] into a recycled buffer.
 #[derive(Clone)]
 pub struct AddrList(Repr);
 
 // The size asymmetry is the point: the inline variant IS the intended
-// storage. An op of this size exists only transiently — decoded from a
-// [`PackedStream`] at issue, held at most once per warp as a faulted
-// retry — so it is never stored in bulk; the malloc/free pair a heap list
-// would cost per issue is what it saves.
+// storage. An op of this size exists only transiently, at the `next_op`
+// boundary (tests, stream wrappers), so it is never stored in bulk; the
+// malloc/free pair a heap list would cost per decode is what it saves.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 enum Repr {
@@ -129,16 +132,50 @@ impl WarpOp {
     pub fn is_mem(&self) -> bool {
         !matches!(self, WarpOp::Compute(_))
     }
+
+    /// The op without its addresses.
+    pub fn kind(&self) -> OpKind {
+        match self {
+            WarpOp::Compute(c) => OpKind::Compute(*c),
+            WarpOp::Load(_) => OpKind::Load,
+            WarpOp::Store(_) => OpKind::Store,
+        }
+    }
+}
+
+/// What [`AccessStream::next_op_into`] issued: a [`WarpOp`] whose
+/// transactions went to the caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpKind {
+    /// `cycles` of computation; the buffer is left empty.
+    Compute(u32),
+    /// A load of the buffer's transactions.
+    Load,
+    /// A store to the buffer's transactions.
+    Store,
 }
 
 /// A lazy per-warp instruction stream.
 ///
-/// Implementations are single-pass iterators; the engine calls
-/// [`AccessStream::next_op`] each time the warp is ready to issue.
+/// Implementations are single-pass iterators. The engine calls
+/// [`AccessStream::next_op_into`] each time the warp is ready to issue;
+/// a stream that implements only [`AccessStream::next_op`] gets it by
+/// decoding that op.
 pub trait AccessStream {
     /// Produces the warp's next operation, or `None` when the warp has
     /// retired all its work.
     fn next_op(&mut self) -> Option<WarpOp>;
+
+    /// Produces the same op as [`AccessStream::next_op`] without building
+    /// it by value: clears `txns`, writes a memory op's transactions into
+    /// it in order, and returns the op's kind (`None` at the end, with
+    /// `txns` empty).
+    fn next_op_into(&mut self, txns: &mut Vec<VirtAddr>) -> Option<OpKind> {
+        txns.clear();
+        let op = self.next_op()?;
+        txns.extend_from_slice(op.addrs());
+        Some(op.kind())
+    }
 }
 
 /// A boxed access stream, as returned by [`Kernel::warp_stream`].
@@ -255,8 +292,10 @@ impl PackedHeader {
 /// Each op is one [`PackedHeader`] word, followed for memory ops by one
 /// raw [`VirtAddr`] word per transaction: 8 bytes per op plus 8 per
 /// transaction, where a stored [`WarpOp`] would take its full inline size.
-/// [`next_op`](AccessStream::next_op) decodes in place; a truncated tail
-/// (a header promising more words than remain) ends the stream.
+/// [`next_op_into`](AccessStream::next_op_into) copies an op's address
+/// words straight into the caller's buffer. A truncated tail (a header
+/// promising more words than remain) ends the stream: every later call
+/// returns `None` as well.
 #[derive(Debug, Clone)]
 pub struct PackedStream {
     words: Vec<u64>,
@@ -269,11 +308,20 @@ impl PackedStream {
         Self { words, pos: 0 }
     }
 
-    fn take_addrs(&mut self, n: u32) -> Option<AddrList> {
-        let end = self.pos.checked_add(n as usize)?;
-        let addrs = self.words.get(self.pos..end)?.iter().map(|&w| VirtAddr::new(w)).collect();
+    /// Decodes the op at the cursor into its header and its address
+    /// words, and moves past both; at the end or a truncated tail it
+    /// returns `None` and stays put.
+    fn decode_next(&mut self) -> Option<(PackedHeader, &[u64])> {
+        let header = PackedHeader::decode(*self.words.get(self.pos)?);
+        let n = match header {
+            PackedHeader::Compute(_) => 0,
+            PackedHeader::Load(n) | PackedHeader::Store(n) => n as usize,
+        };
+        let start = self.pos + 1;
+        let end = start.checked_add(n)?;
+        let addrs = self.words.get(start..end)?;
         self.pos = end;
-        Some(addrs)
+        Some((header, addrs))
     }
 }
 
@@ -296,14 +344,24 @@ impl FromIterator<WarpOp> for PackedStream {
 
 impl AccessStream for PackedStream {
     fn next_op(&mut self) -> Option<WarpOp> {
-        let header = PackedHeader::decode(*self.words.get(self.pos)?);
-        self.pos += 1;
-        let op = match header {
+        let (header, words) = self.decode_next()?;
+        let addrs = || words.iter().map(|&w| VirtAddr::new(w)).collect();
+        Some(match header {
             PackedHeader::Compute(c) => WarpOp::Compute(c),
-            PackedHeader::Load(n) => WarpOp::Load(self.take_addrs(n)?),
-            PackedHeader::Store(n) => WarpOp::Store(self.take_addrs(n)?),
-        };
-        Some(op)
+            PackedHeader::Load(_) => WarpOp::Load(addrs()),
+            PackedHeader::Store(_) => WarpOp::Store(addrs()),
+        })
+    }
+
+    fn next_op_into(&mut self, txns: &mut Vec<VirtAddr>) -> Option<OpKind> {
+        txns.clear();
+        let (header, words) = self.decode_next()?;
+        txns.extend(words.iter().map(|&w| VirtAddr::new(w)));
+        Some(match header {
+            PackedHeader::Compute(c) => OpKind::Compute(c),
+            PackedHeader::Load(_) => OpKind::Load,
+            PackedHeader::Store(_) => OpKind::Store,
+        })
     }
 }
 
@@ -385,6 +443,7 @@ mod tests {
         ]);
         assert_eq!(s.next_op(), Some(WarpOp::Compute(3)));
         assert_eq!(s.next_op(), None);
+        assert_eq!(s.next_op(), None, "the truncated header is not re-read as an address");
     }
 
     #[test]

@@ -39,8 +39,6 @@ pub struct Sm {
     /// The context-switch engine is busy until this time (switches through
     /// global memory serialize per SM).
     pub switch_busy_until: Cycle,
-    /// Completed context switches on this SM.
-    pub ctx_switches: u64,
 }
 
 impl Sm {
@@ -129,7 +127,6 @@ impl Sm {
     pub fn begin_switch(&mut self, now: Cycle, duration: Cycle) -> Cycle {
         let start = self.switch_busy_until.max(now);
         self.switch_busy_until = start + duration;
-        self.ctx_switches += 1;
         self.switch_busy_until
     }
 }
@@ -216,6 +213,6 @@ mod tests {
         assert_eq!(a, 150);
         let b = sm.begin_switch(120, 50); // must queue behind the first
         assert_eq!(b, 200);
-        assert_eq!(sm.ctx_switches, 2);
+        assert_eq!(sm.switch_busy_until, 200);
     }
 }

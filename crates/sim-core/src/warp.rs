@@ -1,6 +1,7 @@
 //! Warp execution state.
 
-use crate::ops::{BoxedStream, EmptyStream, WarpOp};
+use crate::ops::{BoxedStream, EmptyStream, OpKind};
+use batmem_types::VirtAddr;
 use std::fmt;
 
 /// What a warp is currently doing.
@@ -22,6 +23,10 @@ pub enum WarpPhase {
 }
 
 impl WarpPhase {
+    /// Number of phases: the length of a per-phase count array indexed by
+    /// `phase as usize`.
+    pub const COUNT: usize = 6;
+
     /// Whether the warp counts as stalled for the
     /// [`SwitchTrigger::FaultStall`](batmem_types::policy::SwitchTrigger)
     /// policy (page-fault blocked).
@@ -43,15 +48,22 @@ impl WarpPhase {
 }
 
 /// The execution context of one warp.
+///
+/// Its phase changes only through
+/// [`BlockContext::set_phase`](crate::block::BlockContext::set_phase),
+/// which keeps the block's per-phase counts.
 pub struct WarpContext {
     /// The warp's remaining instruction stream.
-    pub stream: BoxedStream,
-    /// Current phase.
-    pub phase: WarpPhase,
-    /// A memory op that faulted and must be retried once the pages arrive.
-    pub pending_retry: Option<WarpOp>,
+    stream: BoxedStream,
+    /// The faulted transactions of the warp's last memory op, in issue
+    /// order, awaiting re-issue; empty when no retry is pending.
+    retry: Vec<VirtAddr>,
     /// Outstanding faulted pages this warp is waiting on.
     pub waiting_pages: u32,
+    /// Current phase.
+    pub(crate) phase: WarpPhase,
+    /// Whether the pending retry is a store.
+    retry_store: bool,
 }
 
 impl fmt::Debug for WarpContext {
@@ -59,7 +71,7 @@ impl fmt::Debug for WarpContext {
         f.debug_struct("WarpContext")
             .field("phase", &self.phase)
             .field("waiting_pages", &self.waiting_pages)
-            .field("has_retry", &self.pending_retry.is_some())
+            .field("retry", &self.retry)
             .finish()
     }
 }
@@ -67,13 +79,51 @@ impl fmt::Debug for WarpContext {
 impl WarpContext {
     /// Creates a ready warp over `stream`.
     pub fn new(stream: BoxedStream) -> Self {
-        Self { stream, phase: WarpPhase::Ready, pending_retry: None, waiting_pages: 0 }
+        Self {
+            stream,
+            retry: Vec::new(),
+            waiting_pages: 0,
+            phase: WarpPhase::Ready,
+            retry_store: false,
+        }
     }
 
-    /// Takes the next op to execute: a pending faulted retry first,
-    /// otherwise the next stream op.
-    pub fn take_next_op(&mut self) -> Option<WarpOp> {
-        self.pending_retry.take().or_else(|| self.stream.next_op())
+    /// Current phase.
+    pub fn phase(&self) -> WarpPhase {
+        self.phase
+    }
+
+    /// Whether a faulted op's lanes wait to re-issue.
+    pub fn has_retry(&self) -> bool {
+        !self.retry.is_empty()
+    }
+
+    /// Issues the next op into `txns`, as
+    /// [`AccessStream::next_op_into`](crate::ops::AccessStream::next_op_into)
+    /// does: a pending retry first, otherwise the next stream op. A retry's
+    /// lanes are swapped into `txns`, not copied; the warp keeps the
+    /// caller's old buffer, emptied, for its next retry.
+    pub fn next_op_into(&mut self, txns: &mut Vec<VirtAddr>) -> Option<OpKind> {
+        if self.retry.is_empty() {
+            return self.stream.next_op_into(txns);
+        }
+        std::mem::swap(&mut self.retry, txns);
+        self.retry.clear();
+        Some(if self.retry_store { OpKind::Store } else { OpKind::Load })
+    }
+
+    /// Parks the lanes of a memory op that faulted: the transactions of
+    /// `txns` for which `faulted` holds, in their original order, re-issue
+    /// ahead of the stream (as a store if `store`).
+    pub fn park_retry(
+        &mut self,
+        store: bool,
+        txns: &[VirtAddr],
+        mut faulted: impl FnMut(VirtAddr) -> bool,
+    ) {
+        debug_assert!(self.retry.is_empty(), "a retry is already pending");
+        self.retry.extend(txns.iter().copied().filter(|&a| faulted(a)));
+        self.retry_store = store;
     }
 
     /// Frees the stream of a warp that has retired, leaving an
@@ -98,29 +148,49 @@ impl WarpContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::PackedStream;
-    use batmem_types::VirtAddr;
+    use crate::ops::{PackedStream, WarpOp};
 
     fn warp(ops: Vec<WarpOp>) -> WarpContext {
         WarpContext::new(Box::new(ops.into_iter().collect::<PackedStream>()))
     }
 
+    fn addrs(lines: &[u64]) -> Vec<VirtAddr> {
+        lines.iter().map(|&l| VirtAddr::new(l * 128)).collect()
+    }
+
+    #[test]
+    fn warp_context_fits_in_a_cache_line() {
+        assert!(std::mem::size_of::<WarpContext>() <= 64, "{}", std::mem::size_of::<WarpContext>());
+    }
+
     #[test]
     fn released_stream_yields_nothing_but_a_pending_retry() {
-        let mut w = warp(vec![WarpOp::Compute(1), WarpOp::Compute(2)]);
-        w.pending_retry = Some(WarpOp::Compute(9));
+        let mut w = warp(vec![WarpOp::Store(addrs(&[1, 2]).into()), WarpOp::Compute(2)]);
+        let mut txns = Vec::new();
+        assert_eq!(w.next_op_into(&mut txns), Some(OpKind::Store));
+        w.park_retry(true, &txns, |_| true);
         w.release_stream();
-        assert_eq!(w.take_next_op(), Some(WarpOp::Compute(9)));
-        assert_eq!(w.take_next_op(), None);
+        assert_eq!(w.next_op_into(&mut txns), Some(OpKind::Store));
+        assert_eq!(txns, addrs(&[1, 2]));
+        assert_eq!(w.next_op_into(&mut txns), None);
+        assert!(txns.is_empty());
     }
 
     #[test]
     fn retry_takes_priority_over_stream() {
-        let mut w = warp(vec![WarpOp::Compute(1)]);
-        w.pending_retry = Some(WarpOp::Load(vec![VirtAddr::new(0)].into()));
-        assert_eq!(w.take_next_op(), Some(WarpOp::Load(vec![VirtAddr::new(0)].into())));
-        assert_eq!(w.take_next_op(), Some(WarpOp::Compute(1)));
-        assert_eq!(w.take_next_op(), None);
+        let mut w = warp(vec![WarpOp::Load(addrs(&[0, 1, 2, 3]).into()), WarpOp::Compute(1)]);
+        let mut txns = Vec::new();
+        assert!(!w.has_retry());
+        assert_eq!(w.next_op_into(&mut txns), Some(OpKind::Load));
+        // Lanes 1 and 3 fault: only they re-issue, in their original order.
+        w.park_retry(false, &txns, |a| a.raw() / 128 % 2 == 1);
+        assert!(w.has_retry());
+        assert_eq!(w.next_op_into(&mut txns), Some(OpKind::Load));
+        assert_eq!(txns, addrs(&[1, 3]));
+        assert!(!w.has_retry(), "a retry issues once");
+        assert_eq!(w.next_op_into(&mut txns), Some(OpKind::Compute(1)));
+        assert!(txns.is_empty());
+        assert_eq!(w.next_op_into(&mut txns), None);
     }
 
     #[test]

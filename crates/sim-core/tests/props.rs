@@ -1,9 +1,14 @@
-//! Property-based tests for the event queue and cache models.
+//! Property-based tests for the event queue, the cache models, the warp
+//! issue path and the block phase counts.
 
+use batmem_sim::block::BlockContext;
 use batmem_sim::cache::{CacheStats, DataCache};
+use batmem_sim::ops::{AccessStream, EmptyStream, OpKind, PackedHeader, PackedStream, WarpOp};
+use batmem_sim::warp::{WarpContext, WarpPhase};
 use batmem_sim::EventQueue;
 use batmem_types::config::CacheGeometry;
-use batmem_types::VirtAddr;
+use batmem_types::policy::SwitchTrigger;
+use batmem_types::{BlockId, VirtAddr};
 use proptest::prelude::*;
 
 /// The data cache as it was before its flat stamp-LRU layout, kept as the
@@ -249,5 +254,226 @@ proptest! {
             summed.conflict_evictions += b.conflict_evictions;
         }
         prop_assert_eq!(cache.stats(), summed);
+    }
+}
+
+// ---- the issue path --------------------------------------------------------
+
+/// One op to pack: compute cycles, or a load/store of `txns` transactions
+/// (0, warp-sized, or wider than a warp) drawn from `seed`.
+fn warp_op() -> impl Strategy<Value = WarpOp> {
+    let compute =
+        prop_oneof![0u32..3, 3u32..1_000, (u32::MAX - 2)..=u32::MAX].prop_map(WarpOp::Compute);
+    let mem = (0u8..2, prop_oneof![Just(0usize), 1usize..=32, 33usize..80], 0u64..u64::MAX)
+        .prop_map(|(store, txns, seed)| {
+            let addrs: Vec<VirtAddr> = (0..txns as u64)
+                .map(|i| VirtAddr::new(seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15))))
+                .collect();
+            if store == 1 {
+                WarpOp::Store(addrs.into())
+            } else {
+                WarpOp::Load(addrs.into())
+            }
+        });
+    prop_oneof![compute, mem]
+}
+
+/// The packed encoding of `ops`, written word by word from the header
+/// format rather than through `PackedStream`'s own packer.
+fn pack(ops: &[WarpOp]) -> Vec<u64> {
+    let mut words = Vec::new();
+    for op in ops {
+        let header = match op {
+            WarpOp::Compute(c) => PackedHeader::Compute(*c),
+            WarpOp::Load(a) => PackedHeader::Load(a.len() as u32),
+            WarpOp::Store(a) => PackedHeader::Store(a.len() as u32),
+        };
+        words.push(header.encode());
+        words.extend(op.addrs().iter().map(|a| a.raw()));
+    }
+    words
+}
+
+/// A stream that implements only `next_op`, as a wrapper that records or
+/// times ops does, so it issues through the default `next_op_into`.
+struct OpsOnly(std::vec::IntoIter<WarpOp>);
+
+impl AccessStream for OpsOnly {
+    fn next_op(&mut self) -> Option<WarpOp> {
+        self.0.next()
+    }
+}
+
+/// Drains `by_value` through `next_op` and `into` through `next_op_into`
+/// side by side: the same op at every step (the buffer holding exactly the
+/// op's transactions, whatever it held before), the same end, and both
+/// still ended on a second call. Returns the ops drained.
+fn assert_issue_paths_agree(by_value: &mut dyn AccessStream, into: &mut dyn AccessStream) -> usize {
+    let mut txns = vec![VirtAddr::new(0xdead_beef); 7];
+    let mut n = 0;
+    loop {
+        let op = by_value.next_op();
+        let kind = into.next_op_into(&mut txns);
+        match op {
+            Some(op) => {
+                assert_eq!(kind, Some(op.kind()), "op {n}");
+                assert_eq!(txns, op.addrs(), "op {n}");
+            }
+            None => {
+                assert_eq!(kind, None, "op {n}: next_op_into kept going");
+                assert!(txns.is_empty(), "the end leaves the buffer empty");
+                break;
+            }
+        }
+        n += 1;
+    }
+    assert_eq!(by_value.next_op(), None);
+    assert_eq!(into.next_op_into(&mut txns), None);
+    n
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `PackedStream`'s own `next_op_into` against its `next_op`, over
+    /// whole and truncated encodings: a cut inside an op's address words
+    /// ends both paths at that op.
+    #[test]
+    fn packed_next_op_into_matches_next_op(
+        ops in prop::collection::vec(warp_op(), 0..24),
+        cut in 0u64..u64::MAX,
+        truncate in 0u8..2,
+    ) {
+        let mut words = pack(&ops);
+        if truncate == 1 {
+            words.truncate((cut % (words.len() as u64 + 1)) as usize);
+        }
+        let whole = words.len() == pack(&ops).len();
+        let mut by_value = PackedStream::new(words.clone());
+        let mut into = PackedStream::new(words);
+        let n = assert_issue_paths_agree(&mut by_value, &mut into);
+        if whole {
+            prop_assert_eq!(n, ops.len());
+        }
+        prop_assert!(n <= ops.len());
+    }
+
+    /// The provided `next_op_into` of a stream that implements only
+    /// `next_op` decodes exactly the ops it returns.
+    #[test]
+    fn default_next_op_into_decodes_next_op(ops in prop::collection::vec(warp_op(), 0..24)) {
+        let mut by_value = OpsOnly(ops.clone().into_iter());
+        let mut into = OpsOnly(ops.clone().into_iter());
+        prop_assert_eq!(assert_issue_paths_agree(&mut by_value, &mut into), ops.len());
+    }
+}
+
+#[test]
+fn default_next_op_into_clears_a_stale_buffer() {
+    let addr = |l: u64| VirtAddr::new(l << 7);
+    let mut s = OpsOnly(
+        vec![
+            WarpOp::Load(vec![addr(1), addr(2)].into()),
+            WarpOp::Compute(5),
+            WarpOp::Store(vec![addr(3)].into()),
+        ]
+        .into_iter(),
+    );
+    let mut txns = vec![addr(9); 40];
+    assert_eq!(s.next_op_into(&mut txns), Some(OpKind::Load));
+    assert_eq!(txns, [addr(1), addr(2)]);
+    assert_eq!(s.next_op_into(&mut txns), Some(OpKind::Compute(5)));
+    assert!(txns.is_empty());
+    assert_eq!(s.next_op_into(&mut txns), Some(OpKind::Store));
+    assert_eq!(txns, [addr(3)]);
+    assert_eq!(s.next_op_into(&mut txns), None);
+    assert!(txns.is_empty());
+}
+
+// ---- block phase counts ----------------------------------------------------
+
+/// The warp-scanning predicates the counted ones replaced, kept as the
+/// reference models.
+fn scan_is_fully_stalled(b: &BlockContext, trigger: SwitchTrigger) -> bool {
+    if !b.started() || b.warps().is_empty() {
+        return false;
+    }
+    let stalled = |p: WarpPhase| match trigger {
+        SwitchTrigger::FaultStall => p.is_fault_stalled(),
+        SwitchTrigger::AnyStall => p.is_any_stalled(),
+    };
+    let mut any = false;
+    for w in b.warps() {
+        if stalled(w.phase()) {
+            any = true;
+        } else if !w.phase().is_finished() {
+            return false;
+        }
+    }
+    any
+}
+
+fn scan_is_switch_in_ready(b: &BlockContext) -> bool {
+    !b.started() || b.warps().iter().any(|w| w.phase() == WarpPhase::ReadyInactive)
+}
+
+fn scan_all_finished(b: &BlockContext) -> bool {
+    b.started() && b.warps().iter().all(|w| w.phase().is_finished())
+}
+
+const PHASES: [WarpPhase; WarpPhase::COUNT] = [
+    WarpPhase::Ready,
+    WarpPhase::Computing,
+    WarpPhase::MemWait,
+    WarpPhase::FaultBlocked,
+    WarpPhase::ReadyInactive,
+    WarpPhase::Finished,
+];
+
+fn assert_counts_match_a_scan(b: &BlockContext) {
+    for trigger in [SwitchTrigger::FaultStall, SwitchTrigger::AnyStall] {
+        assert_eq!(
+            b.is_fully_stalled(trigger),
+            scan_is_fully_stalled(b, trigger),
+            "{trigger:?} {b:?}"
+        );
+    }
+    assert_eq!(b.is_switch_in_ready(), scan_is_switch_in_ready(b), "{b:?}");
+    assert_eq!(b.all_finished(), scan_all_finished(b), "{b:?}");
+    for p in PHASES {
+        let scanned = b.warps().iter().filter(|w| w.phase() == p).count();
+        assert_eq!(b.count(p) as usize, scanned, "{p:?} {b:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random phase walks: before the block starts, after every
+    /// `set_phase`, and after it retires, the counted predicates equal the
+    /// warp scans. Walks are biased toward the stalled and finished phases
+    /// so fully-stalled blocks actually occur.
+    #[test]
+    fn counted_predicates_match_the_warp_scans(
+        warps in 0usize..10,
+        moves in prop::collection::vec((0usize..64, prop_oneof![0usize..6, 2usize..4, Just(5usize)]), 0..80),
+        retire in 0u8..2,
+    ) {
+        let mut b = BlockContext::new(BlockId::new(1));
+        assert_counts_match_a_scan(&b);
+        b.start((0..warps).map(|_| WarpContext::new(Box::new(EmptyStream))).collect());
+        assert_counts_match_a_scan(&b);
+        for &(w, p) in &moves {
+            if warps == 0 {
+                break;
+            }
+            b.set_phase(w % warps, PHASES[p]);
+            assert_counts_match_a_scan(&b);
+        }
+        if retire == 1 {
+            let emptied = b.retire();
+            prop_assert!(emptied.is_empty());
+            assert_counts_match_a_scan(&b);
+        }
     }
 }

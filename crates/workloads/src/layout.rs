@@ -116,7 +116,10 @@ mod tests {
         assert!(!a.is_empty());
     }
 
+    // `ArrayRef::addr` checks bounds with `debug_assert!`, which release
+    // builds drop.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "out of bounds")]
     fn oob_index_panics_in_debug() {
         let mut l = LayoutBuilder::new(65_536);

@@ -125,17 +125,11 @@ impl Kernel for SsspKernel {
                     b.load_seq(weights, start, u64::from(deg));
                     let nbrs = sh.graph.neighbors(v);
                     b.load_gather(&sh.arrays.vprops[0], nbrs.iter().map(|&n| u64::from(n)));
-                    // Relaxations that succeed this round write back.
-                    let improved: Vec<u64> = match sh.active_in_round.get(self.round + 1) {
-                        Some(next) => nbrs
-                            .iter()
-                            .filter(|&&n| next.contains(n))
-                            .map(|&n| u64::from(n))
-                            .collect(),
-                        None => Vec::new(),
-                    };
-                    if !improved.is_empty() {
-                        b.store_gather(&sh.arrays.vprops[0], improved.iter().copied());
+                    // Relaxations that succeed this round write back (an
+                    // empty gather appends nothing).
+                    if let Some(next) = sh.active_in_round.get(self.round + 1) {
+                        let improved = nbrs.iter().filter(|&&n| next.contains(n));
+                        b.store_gather(&sh.arrays.vprops[0], improved.map(|&n| u64::from(n)));
                     }
                     b.compute(2 + deg / 8);
                 }

@@ -9,7 +9,9 @@
 //! The builder writes the [`PackedStream`] encoding directly: one header
 //! word per op, followed by that op's transaction addresses. A finished
 //! warp stream is therefore one `Vec<u64>` sized by its transactions, not
-//! a vector of full-size [`WarpOp`]s.
+//! a vector of full-size [`WarpOp`]s. The builder encodes into a scratch
+//! vector shared by the thread's builders, so a finished stream is one
+//! allocation of exactly its length.
 
 use crate::layout::ArrayRef;
 use batmem_sim::ops::{AccessStream, BoxedStream, PackedHeader, PackedStream, WarpOp};
@@ -24,12 +26,17 @@ thread_local! {
     /// A stream is built per warp on the engine's hot path, so the
     /// sort-dedup working set must not allocate per warp.
     static LINES: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+    /// Encoding scratch: a builder takes it at creation and puts it back
+    /// when dropped. (Two live builders on one thread work; the second
+    /// just starts from an empty vector.)
+    static WORDS: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
 }
 
 /// Builds one warp's coalesced operation stream.
 #[derive(Debug, Clone)]
 pub struct StreamBuilder {
-    /// The stream so far, in [`PackedStream`] encoding.
+    /// The stream so far, in [`PackedStream`] encoding, in the thread's
+    /// scratch vector.
     words: Vec<u64>,
     /// Ops encoded so far.
     ops: usize,
@@ -43,13 +50,9 @@ pub struct StreamBuilder {
 impl StreamBuilder {
     /// Creates a builder with the default 128-byte line and 32-lane warp.
     pub fn new() -> Self {
-        Self {
-            words: Vec::new(),
-            ops: 0,
-            last_compute: None,
-            line_shift: LINE_SHIFT,
-            warp_size: 32,
-        }
+        let mut words = WORDS.take();
+        words.clear();
+        Self { words, ops: 0, last_compute: None, line_shift: LINE_SHIFT, warp_size: 32 }
     }
 
     /// Appends `cycles` of computation (no-op when zero).
@@ -175,15 +178,24 @@ impl StreamBuilder {
         self.ops == 0
     }
 
-    /// Finishes the stream.
+    /// Finishes the stream, copied out of the scratch at its exact size.
     pub fn build(self) -> BoxedStream {
-        Box::new(PackedStream::new(self.words))
+        Box::new(PackedStream::new(self.words.to_vec()))
     }
 
     /// Decodes the queued ops (testing).
     pub fn into_ops(self) -> Vec<WarpOp> {
-        let mut stream = PackedStream::new(self.words);
+        let mut stream = PackedStream::new(self.words.to_vec());
         std::iter::from_fn(|| stream.next_op()).collect()
+    }
+}
+
+impl Drop for StreamBuilder {
+    fn drop(&mut self) {
+        // `try_with`: a builder dropped while the thread's locals are torn
+        // down just frees its vector.
+        let words = std::mem::take(&mut self.words);
+        let _ = WORDS.try_with(|w| w.set(words));
     }
 }
 

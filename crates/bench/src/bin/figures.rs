@@ -217,18 +217,6 @@ fn sweep_main(mut args: Vec<String>, suite: &SuiteConfig) -> ! {
             std::process::exit(2);
         }
     };
-    // Refuse to silently mix plans: an existing store needs an explicit
-    // `--resume` (or a fresh outdir).
-    let has_prior_cells = std::fs::read_dir(std::path::Path::new(&outdir).join("cells"))
-        .map(|d| d.count() > 0)
-        .unwrap_or(false);
-    if has_prior_cells && !resume {
-        eprintln!(
-            "sweep: `{outdir}` already holds cell records; pass --resume to \
-             continue that sweep or point at a fresh directory"
-        );
-        std::process::exit(2);
-    }
     let store = match ArtifactStore::open(&outdir) {
         Ok(store) => store,
         Err(e) => {
@@ -236,6 +224,15 @@ fn sweep_main(mut args: Vec<String>, suite: &SuiteConfig) -> ! {
             std::process::exit(1);
         }
     };
+    // Refuse to silently mix plans: an existing store needs an explicit
+    // `--resume` (or a fresh outdir).
+    if store.has_cells() && !resume {
+        eprintln!(
+            "sweep: `{outdir}` already holds cell records; pass --resume to \
+             continue that sweep or point at a fresh directory"
+        );
+        std::process::exit(2);
+    }
 
     install_sigint_handler();
     eprintln!(
@@ -266,7 +263,7 @@ fn sweep_main(mut args: Vec<String>, suite: &SuiteConfig) -> ! {
         report.resumed.len(),
         report.abandoned,
         if report.discarded > 0 {
-            format!(", {} half-written records discarded", report.discarded)
+            format!(", {} unreadable records discarded", report.discarded)
         } else {
             String::new()
         },

@@ -1,7 +1,7 @@
 //! Parallel execution of the evaluation suite.
 
 use crate::error::BenchError;
-use crate::sweep::CellPolicy;
+use crate::sweep::{input_scale, CellPolicy};
 use batmem::{RunMetrics, SimConfig, Simulation};
 use batmem_graph::{gen, Csr};
 use batmem_uvm::InjectConfig;
@@ -86,22 +86,11 @@ impl SuiteConfig {
         Arc::new(gen::rmat_par(self.scale, self.edge_factor, self.seed, available_cores()))
     }
 
-    /// The input graph for `workload`. Like the paper (whose GraphBIG
-    /// datasets differ per benchmark), the coloring workloads run a
-    /// smaller input: their kernels re-expand every still-uncolored hub
-    /// each round, which costs quadratically more simulation work per
-    /// vertex than the traversal workloads.
+    /// The input graph for `workload`: the coloring workloads run a
+    /// smaller one (`sweep::input_scale`).
     pub fn graph_for(&self, workload: &str) -> Arc<Csr> {
-        if workload.starts_with("GC-") {
-            Arc::new(gen::rmat_par(
-                self.scale.saturating_sub(3).max(8),
-                self.edge_factor,
-                self.seed,
-                available_cores(),
-            ))
-        } else {
-            self.graph()
-        }
+        let scale = input_scale(workload, self.scale);
+        Arc::new(gen::rmat_par(scale, self.edge_factor, self.seed, available_cores()))
     }
 }
 

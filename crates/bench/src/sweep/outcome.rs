@@ -16,7 +16,8 @@ pub struct CellRecord {
     pub outcome: OutcomeKind,
     /// Attempts made, including the first (1 = succeeded immediately).
     pub attempts: u32,
-    /// The sealed metrics row; `Some` iff `outcome` is `Completed`.
+    /// The sealed metrics row, labelled `label`; `Some` iff `outcome` is
+    /// `Completed`.
     pub row: Option<MetricsRow>,
     /// The last attempt's failure rendering (typed `SimError`/`BenchError`
     /// display, panic message, or deadline description); `None` on
@@ -25,8 +26,10 @@ pub struct CellRecord {
 }
 
 impl CellRecord {
-    /// A completed record sealing `row` after `attempts` tries.
-    pub fn completed(id: CellId, label: String, attempts: u32, row: MetricsRow) -> Self {
+    /// A completed record sealing `row` after `attempts` tries. The row
+    /// carries the record's `label`, which the store writes once.
+    pub fn completed(id: CellId, label: String, attempts: u32, mut row: MetricsRow) -> Self {
+        row.label.clone_from(&label);
         Self { id, label, outcome: OutcomeKind::Completed, attempts, row: Some(row), error: None }
     }
 

@@ -73,7 +73,8 @@ pub struct SweepReport {
     pub records: Vec<CellRecord>,
     /// Completed records found in the store and skipped (resume).
     pub resumed: Vec<CellRecord>,
-    /// Store files discarded as half-written or corrupt.
+    /// Store files discarded as unreadable: half-written, corrupt, or of
+    /// another record version.
     pub discarded: usize,
     /// Cells neither decided nor skipped (queue abandoned on cancel).
     pub abandoned: usize,

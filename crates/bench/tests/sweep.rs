@@ -12,7 +12,7 @@ use batmem_bench::BenchError;
 use batmem_types::sweep::{Backoff, OutcomeKind};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -304,6 +304,43 @@ fn cancelled_sweep_drains_and_resumes() {
     assert_eq!(report.resumed.len(), 1);
     assert_eq!(report.records.len(), 3);
     assert_eq!(report.completed(), 3);
+    let _ = std::fs::remove_dir_all(store.dir());
+}
+
+/// A record of the v1 layout, which kept the counters as one positional
+/// CSV string, as a scale-8 sweep wrote it.
+const V1_RECORD: &str = r#"{"v":1,"id":"6c4a1344be2e23f4","label":"BFS-TTC/BASELINE@s8e16r0.5x42","outcome":"completed","attempts":1,"row":"BFS-TTC/BASELINE@s8e16r0.5x42,136448,4,4,11,0,3,7,458752,4,0,1,11,11,0,0,40,736,16,0,16,0,0,0,13","complete":true}"#;
+
+/// Older-format records are unreadable: `load` discards them, and a
+/// resumed sweep re-runs their cells and writes them in the current layout.
+#[test]
+fn v1_records_are_discarded_and_their_cells_rerun() {
+    let cell =
+        SweepCell { scale: 8, edge_factor: 16, tag: String::new(), ..synthetic_cell("BFS-TTC") };
+    assert_eq!(cell.id().to_string(), "6c4a1344be2e23f4");
+    assert_eq!(cell.label(), "BFS-TTC/BASELINE@s8e16r0.5x42");
+    let store = ArtifactStore::open(tmpdir("v1")).unwrap();
+    let file = store.dir().join("cells").join(format!("{}.json", cell.id()));
+    std::fs::write(&file, V1_RECORD).unwrap();
+    let loaded = store.load().unwrap();
+    assert!(loaded.records.is_empty());
+    assert_eq!(loaded.discarded, 1);
+    assert!(!file.exists(), "the unreadable record is deleted");
+
+    std::fs::write(&file, V1_RECORD).unwrap();
+    let runs = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&runs);
+    let runner: CellRunner = Arc::new(move |cell: &SweepCell| {
+        counted.fetch_add(1, Ordering::SeqCst);
+        Ok(fake_row(cell.label()))
+    });
+    let cancel = AtomicBool::new(false);
+    let report = run_sweep(&[cell], &store, &fast_pool(1, 0), &cancel, runner).unwrap();
+    assert_eq!(report.discarded, 1);
+    assert!(report.resumed.is_empty());
+    assert_eq!((report.completed(), runs.load(Ordering::SeqCst)), (1, 1));
+    let rewritten = std::fs::read_to_string(&file).unwrap();
+    assert!(rewritten.starts_with("{\"v\":2,"), "{rewritten}");
     let _ = std::fs::remove_dir_all(store.dir());
 }
 

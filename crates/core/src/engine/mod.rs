@@ -323,17 +323,10 @@ impl Engine {
             });
         }
         let l2d = self.mem.l2_stats();
-        let l2d_banks = self.mem.l2_bank_stats();
-        self.probes.emit_with(self.clock.max(finished_at), || {
-            let total: u64 = l2d_banks.iter().map(|s| s.accesses()).sum();
-            let hottest = l2d_banks.iter().map(|s| s.accesses()).max().unwrap_or(0);
-            ProbeEvent::DataPathSummary {
-                l2_hits: l2d.hits,
-                l2_misses: l2d.misses,
-                l2_conflict_evictions: l2d.conflict_evictions,
-                l2_banks: l2d_banks.len() as u32,
-                l2_hot_bank_pct: (hottest * 100).checked_div(total).unwrap_or(0) as u32,
-            }
+        self.probes.emit_with(self.clock.max(finished_at), || ProbeEvent::DataPathSummary {
+            l2_hits: l2d.hits,
+            l2_misses: l2d.misses,
+            l2_conflict_evictions: l2d.conflict_evictions,
         });
         self.probes.finish(finished_at);
         Ok(RunMetrics {
@@ -349,7 +342,6 @@ impl Engine {
             mmu: mmu_stats,
             l1d: self.mem.l1_stats(),
             l2d,
-            l2d_banks,
             ctx_switches: self.ctx_switches,
             ctx_switch_cycles: self.ctx_switch_cycles,
             final_oversub_degree: self.oversub.degree(),

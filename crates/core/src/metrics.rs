@@ -35,8 +35,6 @@ pub struct RunMetrics {
     pub l1d: CacheStats,
     /// L2 data-cache statistics.
     pub l2d: CacheStats,
-    /// Per-bank L2 statistics, in bank order (sums to [`RunMetrics::l2d`]).
-    pub l2d_banks: Vec<CacheStats>,
     /// Thread-block context switches performed.
     pub ctx_switches: u64,
     /// Cycles spent in context-switch transfers.
@@ -79,7 +77,6 @@ mod tests {
             mmu: MmuStats::default(),
             l1d: CacheStats::default(),
             l2d: CacheStats::default(),
-            l2d_banks: Vec::new(),
             ctx_switches: 0,
             ctx_switch_cycles: 0,
             final_oversub_degree: 0,

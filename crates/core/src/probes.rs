@@ -9,8 +9,8 @@
 //! * [`Timeline`] — a per-batch aggregator that regenerates the paper's
 //!   Fig. 6/10-style data (batch sizes, batch processing times, phase
 //!   cycle breakdowns) directly from the event stream.
-//! * [`MetricsSink`] — a per-run counter sink with CSV and JSON export,
-//!   used by the bench harness for machine-readable sweep output.
+//! * [`MetricsSink`] — a per-run counter sink with CSV export; the bench
+//!   harness's sweep store keeps its rows as named JSON records.
 //!
 //! All three are cheap **handles** over shared state: clone one, attach
 //! the clone via [`SimulationBuilder::probe`], and read the results from
@@ -161,18 +161,11 @@ pub fn event_to_json(at: Cycle, event: &ProbeEvent) -> String {
                 ",\"batches\":{batches},\"faults\":{faults},\"occupancy_cycles\":{occupancy_cycles}"
             );
         }
-        ProbeEvent::DataPathSummary {
-            l2_hits,
-            l2_misses,
-            l2_conflict_evictions,
-            l2_banks,
-            l2_hot_bank_pct,
-        } => {
+        ProbeEvent::DataPathSummary { l2_hits, l2_misses, l2_conflict_evictions } => {
             let _ = write!(
                 s,
                 ",\"l2_hits\":{l2_hits},\"l2_misses\":{l2_misses},\
-                 \"l2_conflict_evictions\":{l2_conflict_evictions},\"l2_banks\":{l2_banks},\
-                 \"l2_hot_bank_pct\":{l2_hot_bank_pct}"
+                 \"l2_conflict_evictions\":{l2_conflict_evictions}"
             );
         }
         // `ProbeEvent` is non_exhaustive: future variants export their
@@ -530,205 +523,112 @@ impl Probe for Timeline {
 
 // ---- MetricsSink -----------------------------------------------------------
 
-/// One run's event-derived counters, as recorded by [`MetricsSink`].
-///
-/// Plain data (`Clone + Send`), so rows can cross the bench harness's
-/// worker threads even though the sink itself is single-threaded.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsRow {
-    /// Caller-supplied row label (workload/config), may be empty.
-    pub label: String,
-    /// Completion time of the run.
-    pub cycles: Cycle,
+/// Defines [`MetricsRow`] from its one list of counters, in column order:
+/// the struct's fields, [`MetricsRow::COUNTERS`], the CSV header and the
+/// counter iterators that every writer and reader loops over.
+macro_rules! metrics_row {
+    ($($(#[$attr:meta])+ $field:ident,)+) => {
+        /// One run's event-derived counters, as recorded by [`MetricsSink`].
+        ///
+        /// Plain data (`Clone + Send`), so rows can cross the bench
+        /// harness's worker threads even though the sink itself is
+        /// single-threaded.
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct MetricsRow {
+            /// Caller-supplied row label (workload/config), may be empty.
+            pub label: String,
+            $($(#[$attr])+ pub $field: u64,)+
+        }
+
+        impl MetricsRow {
+            /// The counters' names, in column order.
+            pub const COUNTERS: &'static [&'static str] = &[$(stringify!($field)),+];
+
+            /// CSV column names: `label`, then [`MetricsRow::COUNTERS`].
+            pub fn csv_header() -> &'static str {
+                concat!("label" $(, ",", stringify!($field))+)
+            }
+
+            /// The counters' values, in column order.
+            pub fn counters(&self) -> impl Iterator<Item = u64> {
+                [$(self.$field),+].into_iter()
+            }
+
+            /// The counters, mutably, in column order.
+            pub fn counters_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+                [$(&mut self.$field),+].into_iter()
+            }
+        }
+    };
+}
+
+metrics_row! {
+    /// Completion time of the run, in cycles.
+    cycles,
     /// Kernels launched.
-    pub kernels: u64,
+    kernels,
     /// Fault batches closed.
-    pub batches: u64,
+    batches,
     /// Faults that entered the fault buffer.
-    pub faults_raised: u64,
+    faults_raised,
     /// Faults absorbed by an already-open batch.
-    pub faults_absorbed: u64,
+    faults_absorbed,
     /// Prefetched pages migrated.
-    pub prefetches: u64,
+    prefetches,
     /// Page migrations completed.
-    pub migrations: u64,
+    migrations,
     /// Bytes migrated host-to-device.
-    pub migrated_bytes: u64,
+    migrated_bytes,
     /// Evictions begun.
-    pub evictions: u64,
+    evictions,
     /// Evictions forced to take a pinned victim.
-    pub forced_pinned_evictions: u64,
+    forced_pinned_evictions,
     /// Premature evictions (re-faulted victims).
-    pub premature_evictions: u64,
+    premature_evictions,
     /// Warp fault-stalls.
-    pub warp_stalls: u64,
+    warp_stalls,
     /// Warp resumes.
-    pub warp_resumes: u64,
+    warp_resumes,
     /// Context switches.
-    pub ctx_switches: u64,
+    ctx_switches,
     /// Cycles spent in context-switch transfers.
-    pub ctx_switch_cycles: Cycle,
+    ctx_switch_cycles,
     /// Watchdog ticks (events observed without forward progress).
-    pub watchdog_ticks: u64,
+    watchdog_ticks,
     /// L1 TLB hits (base-page entries), from the end-of-run summary.
-    pub l1_tlb_hits: u64,
+    l1_tlb_hits,
     /// L1 TLB misses.
-    pub l1_tlb_misses: u64,
+    l1_tlb_misses,
     /// Translations served by a promoted large-page mapping.
-    pub large_tlb_hits: u64,
+    large_tlb_hits,
     /// Page-table walks performed.
-    pub walks: u64,
+    walks,
     /// Large-page promotions (coalesces) over the run.
-    pub coalesces: u64,
+    coalesces,
     /// Large-page demotions (splinters) over the run.
-    pub splinters: u64,
+    splinters,
     /// L2 misses that evicted a resident line from a full set.
-    pub l2_conflict_evictions: u64,
-    /// Share of L2 accesses landing on the busiest bank, in percent.
-    pub l2_hot_bank_pct: u64,
+    l2_conflict_evictions,
 }
 
 impl MetricsRow {
-    /// CSV column names matching [`MetricsRow::to_csv_row`].
-    pub fn csv_header() -> &'static str {
-        "label,cycles,kernels,batches,faults_raised,faults_absorbed,prefetches,migrations,\
-         migrated_bytes,evictions,forced_pinned_evictions,premature_evictions,warp_stalls,\
-         warp_resumes,ctx_switches,ctx_switch_cycles,watchdog_ticks,l1_tlb_hits,l1_tlb_misses,\
-         large_tlb_hits,walks,coalesces,splinters,l2_conflict_evictions,l2_hot_bank_pct"
-    }
-
     /// One CSV row (label first, counters in header order).
     pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.label,
-            self.cycles,
-            self.kernels,
-            self.batches,
-            self.faults_raised,
-            self.faults_absorbed,
-            self.prefetches,
-            self.migrations,
-            self.migrated_bytes,
-            self.evictions,
-            self.forced_pinned_evictions,
-            self.premature_evictions,
-            self.warp_stalls,
-            self.warp_resumes,
-            self.ctx_switches,
-            self.ctx_switch_cycles,
-            self.watchdog_ticks,
-            self.l1_tlb_hits,
-            self.l1_tlb_misses,
-            self.large_tlb_hits,
-            self.walks,
-            self.coalesces,
-            self.splinters,
-            self.l2_conflict_evictions,
-            self.l2_hot_bank_pct,
-        )
-    }
-
-    /// Parses a row previously rendered by [`MetricsRow::to_csv_row`].
-    ///
-    /// Labels never contain commas (they are `workload/policy@point`
-    /// slugs), but the parser is defensive anyway: the 16 counters are
-    /// taken from the right, and everything left of them is the label. The
-    /// sweep artifact store round-trips rows through this, so resume can
-    /// merge completed cells without re-running them.
-    ///
-    /// Returns `None` when the text has neither 24 (current layout), 22
-    /// (pre-bank-columns layout), nor 16 (pre-translation-columns layout)
-    /// trailing integers — i.e. a truncated or corrupt record. Rows written
-    /// before the newer columns existed parse with those counters as zero,
-    /// so archived sweep stores stay readable.
-    pub fn parse_csv_row(line: &str) -> Option<Self> {
-        let fields: Vec<&str> = line.trim_end_matches(['\r', '\n']).split(',').collect();
-        // Each legacy fallback only applies to rows too short to hold the
-        // next-newer layout; a corrupt current-layout row must fail, not
-        // have its leading counters reinterpreted as label text.
-        Self::parse_fields(&fields, 24)
-            .or_else(|| if fields.len() < 25 { Self::parse_fields(&fields, 22) } else { None })
-            .or_else(|| if fields.len() < 23 { Self::parse_fields(&fields, 16) } else { None })
-    }
-
-    fn parse_fields(fields: &[&str], counters: usize) -> Option<Self> {
-        if fields.len() < counters + 1 {
-            return None;
+        let mut s = self.label.clone();
+        for value in self.counters() {
+            let _ = write!(s, ",{value}");
         }
-        let label = fields[..fields.len() - counters].join(",");
-        let mut nums = [0u64; 24];
-        for (slot, text) in nums.iter_mut().zip(&fields[fields.len() - counters..]) {
-            *slot = text.parse().ok()?;
-        }
-        let [cycles, kernels, batches, faults_raised, faults_absorbed, prefetches, migrations, migrated_bytes, evictions, forced_pinned_evictions, premature_evictions, warp_stalls, warp_resumes, ctx_switches, ctx_switch_cycles, watchdog_ticks, l1_tlb_hits, l1_tlb_misses, large_tlb_hits, walks, coalesces, splinters, l2_conflict_evictions, l2_hot_bank_pct] =
-            nums;
-        Some(Self {
-            label,
-            cycles,
-            kernels,
-            batches,
-            faults_raised,
-            faults_absorbed,
-            prefetches,
-            migrations,
-            migrated_bytes,
-            evictions,
-            forced_pinned_evictions,
-            premature_evictions,
-            warp_stalls,
-            warp_resumes,
-            ctx_switches,
-            ctx_switch_cycles,
-            watchdog_ticks,
-            l1_tlb_hits,
-            l1_tlb_misses,
-            large_tlb_hits,
-            walks,
-            coalesces,
-            splinters,
-            l2_conflict_evictions,
-            l2_hot_bank_pct,
-        })
+        s
     }
 
-    /// The row as one JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"label\":\"{}\",\"cycles\":{},\"kernels\":{},\"batches\":{},\
-             \"faults_raised\":{},\"faults_absorbed\":{},\"prefetches\":{},\"migrations\":{},\
-             \"migrated_bytes\":{},\"evictions\":{},\"forced_pinned_evictions\":{},\
-             \"premature_evictions\":{},\"warp_stalls\":{},\"warp_resumes\":{},\
-             \"ctx_switches\":{},\"ctx_switch_cycles\":{},\"watchdog_ticks\":{},\
-             \"l1_tlb_hits\":{},\"l1_tlb_misses\":{},\"large_tlb_hits\":{},\"walks\":{},\
-             \"coalesces\":{},\"splinters\":{},\"l2_conflict_evictions\":{},\
-             \"l2_hot_bank_pct\":{}}}",
-            json_escape(&self.label),
-            self.cycles,
-            self.kernels,
-            self.batches,
-            self.faults_raised,
-            self.faults_absorbed,
-            self.prefetches,
-            self.migrations,
-            self.migrated_bytes,
-            self.evictions,
-            self.forced_pinned_evictions,
-            self.premature_evictions,
-            self.warp_stalls,
-            self.warp_resumes,
-            self.ctx_switches,
-            self.ctx_switch_cycles,
-            self.watchdog_ticks,
-            self.l1_tlb_hits,
-            self.l1_tlb_misses,
-            self.large_tlb_hits,
-            self.walks,
-            self.coalesces,
-            self.splinters,
-            self.l2_conflict_evictions,
-            self.l2_hot_bank_pct,
-        )
+    /// `rows` as CSV: the header line, then one line per row.
+    pub fn csv<'a>(rows: impl IntoIterator<Item = &'a MetricsRow>) -> String {
+        let mut out = format!("{}\n", Self::csv_header());
+        for row in rows {
+            out.push_str(&row.to_csv_row());
+            out.push('\n');
+        }
+        out
     }
 }
 
@@ -738,7 +638,7 @@ struct MetricsSinkInner {
     rows: Vec<MetricsRow>,
 }
 
-/// A per-run metrics sink with CSV/JSON export.
+/// A per-run metrics sink with CSV export.
 ///
 /// Accumulates event counters into a [`MetricsRow`]; when the run
 /// finishes, the row is sealed and appended to [`MetricsSink::rows`]. The
@@ -775,20 +675,7 @@ impl MetricsSink {
 
     /// The sealed rows as CSV with a header line.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(MetricsRow::csv_header());
-        out.push('\n');
-        for row in &self.0.borrow().rows {
-            out.push_str(&row.to_csv_row());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The sealed rows as a JSON array.
-    pub fn to_json(&self) -> String {
-        let rows = self.0.borrow();
-        let body: Vec<String> = rows.rows.iter().map(MetricsRow::to_json).collect();
-        format!("[{}]", body.join(","))
+        MetricsRow::csv(&self.0.borrow().rows)
     }
 }
 
@@ -834,10 +721,9 @@ impl Probe for MetricsSink {
                 row.coalesces = coalesces;
                 row.splinters = splinters;
             }
-            ProbeEvent::DataPathSummary { l2_conflict_evictions, l2_hot_bank_pct, .. } => {
+            ProbeEvent::DataPathSummary { l2_conflict_evictions, .. } => {
                 // Emitted once at end of run with absolute totals.
                 row.l2_conflict_evictions = l2_conflict_evictions;
-                row.l2_hot_bank_pct = u64::from(l2_hot_bank_pct);
             }
             _ => {}
         }
@@ -931,13 +817,7 @@ mod tests {
                 splinters: 6,
             },
             ProbeEvent::FaultServicingSummary { batches: 1, faults: 2, occupancy_cycles: 3 },
-            ProbeEvent::DataPathSummary {
-                l2_hits: 1,
-                l2_misses: 2,
-                l2_conflict_evictions: 3,
-                l2_banks: 8,
-                l2_hot_bank_pct: 13,
-            },
+            ProbeEvent::DataPathSummary { l2_hits: 1, l2_misses: 2, l2_conflict_evictions: 3 },
         ];
         for ev in events {
             let json = event_to_json(42, &ev);
@@ -1025,80 +905,10 @@ mod tests {
             csv.lines().next().unwrap().split(',').count(),
             rows[0].to_csv_row().split(',').count()
         );
-        let json = s.to_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert_eq!(json.matches("\"label\"").count(), 2);
     }
 
     #[test]
     fn json_escape_handles_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn metrics_row_roundtrips_through_csv() {
-        let row = MetricsRow {
-            label: "BFS-TTC/TO+UE@s8".into(),
-            cycles: 123,
-            kernels: 4,
-            batches: 5,
-            faults_raised: 6,
-            faults_absorbed: 7,
-            prefetches: 8,
-            migrations: 9,
-            migrated_bytes: 10,
-            evictions: 11,
-            forced_pinned_evictions: 12,
-            premature_evictions: 13,
-            warp_stalls: 14,
-            warp_resumes: 15,
-            ctx_switches: 16,
-            ctx_switch_cycles: 17,
-            watchdog_ticks: 18,
-            l1_tlb_hits: 19,
-            l1_tlb_misses: 20,
-            large_tlb_hits: 21,
-            walks: 22,
-            coalesces: 23,
-            splinters: 24,
-            l2_conflict_evictions: 25,
-            l2_hot_bank_pct: 26,
-        };
-        let parsed = MetricsRow::parse_csv_row(&row.to_csv_row()).unwrap();
-        assert_eq!(parsed, row);
-        // Defensive: a label with a comma still round-trips.
-        let odd = MetricsRow { label: "a,b".into(), ..row.clone() };
-        assert_eq!(MetricsRow::parse_csv_row(&odd.to_csv_row()).unwrap(), odd);
-        // Truncated or corrupt rows are rejected, not misparsed.
-        assert!(MetricsRow::parse_csv_row("x,1,2,3").is_none());
-        assert!(MetricsRow::parse_csv_row(&row.to_csv_row().replace("123", "xyz")).is_none());
-    }
-
-    #[test]
-    fn legacy_16_counter_rows_still_parse() {
-        // Rows archived before the translation columns existed carry 16
-        // counters; they must keep parsing (new counters read as zero) so
-        // existing sweep stores resume cleanly.
-        let legacy = "BFS-TTC/TO+UE@s8,123,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18";
-        let parsed = MetricsRow::parse_csv_row(legacy).unwrap();
-        assert_eq!(parsed.label, "BFS-TTC/TO+UE@s8");
-        assert_eq!(parsed.cycles, 123);
-        assert_eq!(parsed.watchdog_ticks, 18);
-        assert_eq!(parsed.l1_tlb_hits, 0);
-        assert_eq!(parsed.splinters, 0);
-    }
-
-    #[test]
-    fn legacy_22_counter_rows_still_parse() {
-        // Rows archived before the bank columns existed carry 22 counters;
-        // they must keep parsing (bank counters read as zero).
-        let legacy =
-            "BFS-TTC/TO+UE@s8,123,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24";
-        let parsed = MetricsRow::parse_csv_row(legacy).unwrap();
-        assert_eq!(parsed.label, "BFS-TTC/TO+UE@s8");
-        assert_eq!(parsed.cycles, 123);
-        assert_eq!(parsed.splinters, 24);
-        assert_eq!(parsed.l2_conflict_evictions, 0);
-        assert_eq!(parsed.l2_hot_bank_pct, 0);
     }
 }

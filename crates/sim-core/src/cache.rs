@@ -3,13 +3,7 @@
 use batmem_types::config::{CacheGeometry, MemConfig};
 use batmem_types::{Cycle, VirtAddr};
 
-/// Banks the L2 keeps statistics for. Bank `line mod L2_BANKS` owns a
-/// line, the address interleaving real GPU L2s use to slice the cache per
-/// memory partition; the per-bank counts show how evenly a workload
-/// spreads over those slices.
-pub const L2_BANKS: usize = 8;
-
-/// Statistics for one data cache (or one bank of it).
+/// Statistics for one data cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that hit.
@@ -63,9 +57,7 @@ pub struct DataCache {
     ways: usize,
     line_shift: u32,
     hit_latency: Cycle,
-    /// Statistics per bank, indexed by `line & bank_mask`.
-    stats: Vec<CacheStats>,
-    bank_mask: u64,
+    stats: CacheStats,
 }
 
 /// What one access did to its set.
@@ -112,20 +104,8 @@ fn probe_set(tags: &mut [u64], stamps: &mut [u64], line: u64, tick: u64) -> Prob
 }
 
 impl DataCache {
-    /// Builds a cache from its geometry, with one statistics bank.
+    /// Builds a cache from its geometry.
     pub fn new(geom: CacheGeometry) -> Self {
-        Self::with_banks(geom, 1)
-    }
-
-    /// Builds a cache that keeps its statistics per bank, for `banks`
-    /// address-interleaved banks. Banking changes only how the counts are
-    /// split, never an outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `banks` is not a power of two.
-    pub fn with_banks(geom: CacheGeometry, banks: usize) -> Self {
-        assert!(banks.is_power_of_two(), "{banks} banks is not a power of two");
         let sets = geom.num_sets() as usize;
         let ways = geom.ways as usize;
         Self {
@@ -137,8 +117,7 @@ impl DataCache {
             ways,
             line_shift: geom.line_shift,
             hit_latency: geom.hit_latency,
-            stats: vec![CacheStats::default(); banks],
-            bank_mask: banks as u64 - 1,
+            stats: CacheStats::default(),
         }
     }
 
@@ -163,13 +142,12 @@ impl DataCache {
             16 => self.probe(set, line, 16),
             ways => self.probe(set, line, ways),
         };
-        let stats = &mut self.stats[(line & self.bank_mask) as usize];
         match probe {
-            Probe::Hit => stats.hits += 1,
-            Probe::Fill => stats.misses += 1,
+            Probe::Hit => self.stats.hits += 1,
+            Probe::Fill => self.stats.misses += 1,
             Probe::Evict => {
-                stats.misses += 1;
-                stats.conflict_evictions += 1;
+                self.stats.misses += 1;
+                self.stats.conflict_evictions += 1;
             }
         }
         probe == Probe::Hit
@@ -201,18 +179,9 @@ impl DataCache {
         self.hit_latency
     }
 
-    /// Accumulated statistics, summed over banks.
+    /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
-        let mut s = CacheStats::default();
-        for b in &self.stats {
-            s.add(b);
-        }
-        s
-    }
-
-    /// Per-bank statistics, in bank order.
-    pub fn bank_stats(&self) -> Vec<CacheStats> {
-        self.stats.clone()
+        self.stats
     }
 }
 
@@ -230,12 +199,11 @@ pub struct MemPath {
 }
 
 impl MemPath {
-    /// Builds the data path for `num_sms` SMs, with the L2 statistics
-    /// kept per [`L2_BANKS`] bank.
+    /// Builds the data path for `num_sms` SMs.
     pub fn new(config: &MemConfig, num_sms: u16) -> Self {
         Self {
             l1: (0..num_sms).map(|_| DataCache::new(config.l1d)).collect(),
-            l2: DataCache::with_banks(config.l2d, L2_BANKS),
+            l2: DataCache::new(config.l2d),
             dram_latency: config.dram_latency,
         }
     }
@@ -269,11 +237,6 @@ impl MemPath {
     /// L2 statistics.
     pub fn l2_stats(&self) -> CacheStats {
         self.l2.stats()
-    }
-
-    /// Per-bank L2 statistics, in bank order.
-    pub fn l2_bank_stats(&self) -> Vec<CacheStats> {
-        self.l2.bank_stats()
     }
 }
 
@@ -342,33 +305,6 @@ mod tests {
             assert!(!c.access(VirtAddr::new(0)));
             assert_eq!(c.stats().conflict_evictions, 1, "{ways} ways");
         }
-    }
-
-    #[test]
-    fn banked_cache_matches_single_bank_exactly() {
-        // 4 sets, 4 banks: every set is its own bank. Outcomes and summed
-        // stats must be identical to the unbanked cache for any stream.
-        let mut flat = DataCache::new(small_geom());
-        let mut banked = DataCache::with_banks(small_geom(), 4);
-        let stream: Vec<VirtAddr> =
-            (0..200u64).map(|i| VirtAddr::new((i * 37 % 64) * 128)).collect();
-        for &a in &stream {
-            assert_eq!(flat.access(a), banked.access(a));
-        }
-        assert_eq!(flat.stats(), banked.stats());
-        assert_eq!(banked.bank_stats().len(), 4);
-        let summed: u64 = banked.bank_stats().iter().map(CacheStats::accesses).sum();
-        assert_eq!(summed, stream.len() as u64);
-    }
-
-    #[test]
-    fn bank_of_is_the_low_line_bits() {
-        let mut m = MemPath::new(&MemConfig::default(), 1);
-        for line in [0u64, 1, 9, 15] {
-            m.access(0, VirtAddr::new(line * 128));
-        }
-        let accesses: Vec<u64> = m.l2_bank_stats().iter().map(CacheStats::accesses).collect();
-        assert_eq!(accesses, [1, 2, 0, 0, 0, 0, 0, 1]);
     }
 
     #[test]

@@ -17,18 +17,16 @@ struct StackCache {
     sets: Vec<Vec<u64>>,
     ways: usize,
     line_shift: u32,
-    stats: Vec<CacheStats>,
-    bank_mask: u64,
+    stats: CacheStats,
 }
 
 impl StackCache {
-    fn new(geom: CacheGeometry, banks: usize) -> Self {
+    fn new(geom: CacheGeometry) -> Self {
         Self {
             sets: vec![Vec::new(); geom.num_sets() as usize],
             ways: geom.ways as usize,
             line_shift: geom.line_shift,
-            stats: vec![CacheStats::default(); banks],
-            bank_mask: banks as u64 - 1,
+            stats: CacheStats::default(),
         }
     }
 
@@ -36,19 +34,18 @@ impl StackCache {
         let line = addr.line(self.line_shift);
         let set = (line % self.sets.len() as u64) as usize;
         let entries = &mut self.sets[set];
-        let stats = &mut self.stats[(line & self.bank_mask) as usize];
         if let Some(pos) = entries.iter().position(|&l| l == line) {
             let l = entries.remove(pos);
             entries.push(l);
-            stats.hits += 1;
+            self.stats.hits += 1;
             true
         } else {
             if entries.len() == self.ways {
                 entries.remove(0);
-                stats.conflict_evictions += 1;
+                self.stats.conflict_evictions += 1;
             }
             entries.push(line);
-            stats.misses += 1;
+            self.stats.misses += 1;
             false
         }
     }
@@ -219,14 +216,13 @@ proptest! {
     }
 
     /// The flat stamp-LRU cache against the stack model, on every access:
-    /// the same hit or miss, the same summed and per-bank statistics, and
-    /// so the same conflict evictions. Set counts run 1..=12, so both the
-    /// mask and the modulo set index are covered.
+    /// the same hit or miss and the same statistics, and so the same
+    /// conflict evictions. Set counts run 1..=12, so both the mask and the
+    /// modulo set index are covered.
     #[test]
     fn data_cache_matches_the_lru_stack_model(
         ways in cache_ways(),
         sets in 1u32..=12,
-        banks_log in 0u32..4,
         kind in 0u8..4,
         draws in prop::collection::vec(0u64..1_000_000, 1..400),
     ) {
@@ -236,24 +232,16 @@ proptest! {
             line_shift: 7,
             hit_latency: 4,
         };
-        let banks = 1usize << banks_log;
-        let mut cache = DataCache::with_banks(geom, banks);
-        let mut model = StackCache::new(geom, banks);
+        let mut cache = DataCache::new(geom);
+        let mut model = StackCache::new(geom);
         let entries = u64::from(sets * ways);
         for (i, &r) in draws.iter().enumerate() {
             let line = stream_line(kind, i as u64, r, entries);
             // Any byte of the line: the offset must not matter.
             let addr = VirtAddr::new((line << 7) | (r % 128));
             prop_assert_eq!(cache.access(addr), model.access(addr), "access {} to line {}", i, line);
-            prop_assert_eq!(cache.bank_stats(), model.stats);
+            prop_assert_eq!(cache.stats(), model.stats);
         }
-        let mut summed = CacheStats::default();
-        for b in &model.stats {
-            summed.hits += b.hits;
-            summed.misses += b.misses;
-            summed.conflict_evictions += b.conflict_evictions;
-        }
-        prop_assert_eq!(cache.stats(), summed);
     }
 }
 

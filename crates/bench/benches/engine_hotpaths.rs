@@ -84,7 +84,7 @@ fn bench_fault_buffer() {
     bench("fault_buffer/record_drain_1024", 200, || {
         let mut buf = FaultBuffer::new(1024);
         for i in 0..1024u64 {
-            buf.record(PageId::new(i * 7 % 997), i);
+            buf.record(PageId::new(i * 7 % 997));
         }
         buf.drain_sorted()
     });

@@ -200,9 +200,6 @@ impl SimulationBuilder {
                 // Capacity compression inflates effective capacity.
                 self.config.uvm.gpu_mem_pages = Some(etc.effective_capacity(p));
             }
-            if etc.proactive_eviction {
-                self.config.policy.proactive_eviction = true;
-            }
         }
         Engine::new(self.config, self.inject, self.probes, workload, footprint_pages, policy).run()
     }

@@ -120,6 +120,9 @@ impl Engine {
         if policy.compression {
             uvm.enable_compression();
         }
+        if etc.enabled && etc.proactive_eviction {
+            uvm.enable_proactive_eviction();
+        }
         uvm.set_audit(cfg.audit);
         uvm.set_probes(probes.clone());
         if let Some(i) = inject {

@@ -51,6 +51,25 @@ fn to_context_switches_on_fault_stalls() {
 }
 
 #[test]
+fn only_the_etc_pe_spec_turns_on_proactive_eviction() {
+    // Proactive eviction has no config field: the `:pe` suffix of the ETC
+    // spec is the one switch, and plain `etc:50` leaves it off.
+    let run = |spec: &str| {
+        Simulation::builder()
+            .oversubscription(spec)
+            .prefetch("none")
+            .memory_ratio(0.25)
+            .try_run(Box::new(Strided::new(16, 256, 32, 2, 10, 2)))
+            .unwrap()
+    };
+    let pe = run("etc:50:pe");
+    let plain = run("etc:50");
+    assert!(pe.uvm.evictions > 0, "no eviction pressure");
+    assert!(pe.uvm.proactive_evictions > 0, "`etc:50:pe` never evicted ahead of demand");
+    assert_eq!(plain.uvm.proactive_evictions, 0);
+}
+
+#[test]
 fn any_stall_trigger_switches_without_faults() {
     let w = Strided::new(200, 256, 56, 2, 0, 4);
     let m = Simulation::builder()

@@ -4,8 +4,8 @@ use batmem_sim::ops::Workload;
 use batmem_sim::sm::occupancy;
 use batmem_types::addr::PageGeometry;
 use batmem_types::config::GpuConfig;
+use batmem_types::dense::{PageMap, PageSet};
 use batmem_types::{BlockId, KernelId};
-use std::collections::HashSet;
 
 /// Fig. 1's metric: the fraction of the workload's pages that the thread
 /// blocks *concurrently resident* on `active_sms` SMs touch, relative to
@@ -23,8 +23,8 @@ use std::collections::HashSet;
 pub fn working_set_fraction(workload: &dyn Workload, active_sms: u16, gpu: &GpuConfig) -> f64 {
     assert!(active_sms > 0, "need at least one active SM");
     let geom = PageGeometry::default();
-    let mut wave_pages: HashSet<u64> = HashSet::new();
-    let mut all_pages: HashSet<u64> = HashSet::new();
+    let mut wave_pages = PageSet::new();
+    let mut all_pages = PageSet::new();
     for k in 0..workload.num_kernels() {
         let kernel = workload.kernel(KernelId::new(k));
         let spec = kernel.spec();
@@ -35,7 +35,7 @@ pub fn working_set_fraction(workload: &dyn Workload, active_sms: u16, gpu: &GpuC
                 let mut s = kernel.warp_stream(BlockId::new(blk), warp as u16);
                 while let Some(op) = s.next_op() {
                     for a in op.addrs() {
-                        let p = geom.page_of(*a).index();
+                        let p = geom.page_of(*a);
                         all_pages.insert(p);
                         if u64::from(blk) < wave_blocks {
                             wave_pages.insert(p);
@@ -61,7 +61,7 @@ pub fn working_set_curve(workload: &dyn Workload, max_sms: u16, gpu: &GpuConfig)
     assert!(max_sms > 0, "need at least one SM");
     let geom = PageGeometry::default();
     // For each page, the smallest SM count whose first wave touches it.
-    let mut min_wave: std::collections::HashMap<u64, u16> = std::collections::HashMap::new();
+    let mut min_wave: PageMap<u16> = PageMap::new();
     for k in 0..workload.num_kernels() {
         let kernel = workload.kernel(KernelId::new(k));
         let spec = kernel.spec();
@@ -74,11 +74,13 @@ pub fn working_set_curve(workload: &dyn Workload, max_sms: u16, gpu: &GpuConfig)
                 let mut s = kernel.warp_stream(BlockId::new(blk), warp as u16);
                 while let Some(op) = s.next_op() {
                     for a in op.addrs() {
-                        let p = geom.page_of(*a).index();
-                        min_wave
-                            .entry(p)
-                            .and_modify(|m| *m = (*m).min(n_min))
-                            .or_insert(n_min);
+                        let p = geom.page_of(*a);
+                        match min_wave.get_mut(p) {
+                            Some(m) => *m = (*m).min(n_min),
+                            None => {
+                                min_wave.insert(p, n_min);
+                            }
+                        }
                     }
                 }
             }
@@ -86,7 +88,7 @@ pub fn working_set_curve(workload: &dyn Workload, max_sms: u16, gpu: &GpuConfig)
     }
     let total = min_wave.len().max(1) as f64;
     (1..=max_sms)
-        .map(|n| min_wave.values().filter(|&&m| m <= n).count() as f64 / total)
+        .map(|n| min_wave.iter().filter(|&(_, &m)| m <= n).count() as f64 / total)
         .collect()
 }
 

@@ -612,9 +612,15 @@ metrics_row! {
 }
 
 impl MetricsRow {
-    /// One CSV row (label first, counters in header order).
+    /// One CSV row (label first, counters in header order). A label holding
+    /// a comma, a quote, CR or LF is quoted per RFC 4180, its quotes
+    /// doubled; any other label is written as it is.
     pub fn to_csv_row(&self) -> String {
-        let mut s = self.label.clone();
+        let mut s = if self.label.contains([',', '"', '\r', '\n']) {
+            format!("\"{}\"", self.label.replace('"', "\"\""))
+        } else {
+            self.label.clone()
+        };
         for value in self.counters() {
             let _ = write!(s, ",{value}");
         }
@@ -905,6 +911,43 @@ mod tests {
             csv.lines().next().unwrap().split(',').count(),
             rows[0].to_csv_row().split(',').count()
         );
+    }
+
+    /// Splits one CSV line into fields, honouring RFC 4180 quotes.
+    fn split_quoted(line: &str) -> Vec<String> {
+        let mut fields = vec![String::new()];
+        let mut quoted = false;
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if quoted && chars.peek() == Some(&'"') => {
+                    chars.next();
+                    fields.last_mut().unwrap().push('"');
+                }
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields.push(String::new()),
+                _ => fields.last_mut().unwrap().push(c),
+            }
+        }
+        fields
+    }
+
+    #[test]
+    fn csv_rows_quote_labels_that_hold_separators_or_quotes() {
+        let columns = MetricsRow::csv_header().split(',').count();
+        for label in ["a,b", "say \"hi\"", "two\nlines"] {
+            let row = MetricsRow { label: label.to_string(), cycles: 7, ..MetricsRow::default() };
+            let fields = split_quoted(&row.to_csv_row());
+            assert_eq!(fields.len(), columns, "{label:?} shifted its row");
+            assert_eq!(fields[0], label);
+            assert_eq!(fields[1], "7");
+        }
+        let quoted = MetricsRow { label: "say \"hi\"".into(), ..MetricsRow::default() };
+        assert!(quoted.to_csv_row().starts_with("\"say \"\"hi\"\"\",0,"));
+        let plain = MetricsRow { label: "BFS-TTC/TO+UE@0.5".into(), ..MetricsRow::default() };
+        assert!(plain.to_csv_row().starts_with("BFS-TTC/TO+UE@0.5,0,"));
+        let csv = MetricsRow::csv([&plain, &MetricsRow { label: "a,b".into(), ..MetricsRow::default() }]);
+        assert!(csv.lines().all(|line| split_quoted(line).len() == columns));
     }
 
     #[test]

@@ -370,7 +370,7 @@ pub struct SimConfig {
     /// UVM runtime configuration.
     pub uvm: UvmConfig,
     /// Policy settings no policy spec names (eviction granularity, PCIe
-    /// compression parameters, proactive eviction).
+    /// compression parameters).
     pub policy: PolicyConfig,
     /// Invariant-audit level applied while the simulation runs.
     pub audit: AuditLevel,

@@ -1,25 +1,22 @@
-//! Dense page-indexed collections for the simulator's hot paths.
+//! Dense id-indexed collections for the simulator's per-page and
+//! per-region state.
 //!
 //! Page IDs in this simulator are dense: the workload footprint is fixed at
-//! kernel launch and pages are numbered `0..footprint_pages`, so any
-//! per-page state can live in a flat table indexed by [`PageId::index`]
-//! instead of a hash map. The collections here replace the
-//! `HashMap`/`HashSet`/`BTreeMap` containers that used to sit on the
-//! per-event paths (fault recording, batch planning, LRU maintenance,
-//! page-table installs) — same observable behaviour, no hashing, no
-//! rebalancing, and O(1) per-batch clears.
+//! kernel launch and pages are numbered `0..footprint_pages`, and region
+//! (large-page group) IDs are the page IDs shifted right. So any per-page
+//! or per-region state can live in a flat table indexed by the id instead
+//! of a hashed or ordered container: no hashing, no rebalancing, and
+//! ascending-id iteration for free.
 //!
-//! * [`PageSet`] — a growable bitmap over page indices.
-//! * [`PageMap`] — a growable `Vec<Option<V>>` keyed by page index.
-//! * [`EpochPageSet`] / [`EpochPageMap`] — epoch-stamped variants whose
-//!   `clear` is O(1) (bump the epoch) so per-batch scratch state can be
-//!   reused allocation-free across thousands of batches.
-//! * [`RegionSet`] / [`RegionMap`] — the same dense idea one tier up,
-//!   keyed by [`RegionId`].
-//! * [`TieredPageMap`] — a two-level `RegionMap<PageMap<V>>` that keeps a
-//!   per-region residency count alongside page-granular state, so the
-//!   multi-page-size machinery can answer "is this region fully resident?"
-//!   in O(1) while everything else keeps page-level access.
+//! * [`DenseKey`] — an id with a dense index, and back; implemented for
+//!   [`PageId`] and [`RegionId`].
+//! * [`DenseSet`] — a growable bitmap over a key; [`PageSet`] and
+//!   [`RegionSet`] are its two instances.
+//! * [`DenseMap`] — a growable `Vec<Option<V>>` over a key; [`PageMap`] is
+//!   its page instance.
+//! * [`TieredPageMap`] — a [`PageMap`] plus one page count per region, so
+//!   the multi-page-size machinery can answer "is this region fully
+//!   resident?" in O(1) while everything else keeps page-level access.
 //!
 //! All collections grow on insert and answer `false`/`None` for any index
 //! beyond what they have seen, so callers that cannot size them up front
@@ -27,8 +24,53 @@
 //! still work unchanged.
 
 use crate::addr::{PageId, RegionId};
+use std::fmt;
+use std::marker::PhantomData;
 
-/// A growable set of pages backed by a bitmap.
+/// An id with a dense index: distinct keys have distinct indices, and the
+/// index maps back to its key. The dense tables here and the TLBs are
+/// generic over it.
+pub trait DenseKey: Copy + PartialEq + fmt::Debug {
+    /// The key's slot in a dense table.
+    fn dense_index(self) -> usize;
+
+    /// The key whose slot is `index`.
+    fn from_dense_index(index: usize) -> Self;
+}
+
+impl DenseKey for PageId {
+    #[inline]
+    fn dense_index(self) -> usize {
+        usize::try_from(self.index()).expect("page index fits in usize")
+    }
+
+    #[inline]
+    fn from_dense_index(index: usize) -> Self {
+        PageId::new(index as u64)
+    }
+}
+
+impl DenseKey for RegionId {
+    #[inline]
+    fn dense_index(self) -> usize {
+        usize::try_from(self.index()).expect("region index fits in usize")
+    }
+
+    #[inline]
+    fn from_dense_index(index: usize) -> Self {
+        RegionId::new(index as u64)
+    }
+}
+
+/// A growable set of keys backed by a bitmap.
+#[derive(Debug, Clone)]
+pub struct DenseSet<K> {
+    words: Vec<u64>,
+    len: usize,
+    key: PhantomData<K>,
+}
+
+/// A set of pages.
 ///
 /// # Examples
 ///
@@ -43,33 +85,51 @@ use crate::addr::{PageId, RegionId};
 /// assert!(!s.contains(PageId::new(99)));
 /// assert_eq!(s.len(), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct PageSet {
-    words: Vec<u64>,
-    len: usize,
+pub type PageSet = DenseSet<PageId>;
+
+/// A set of regions (or large-page groups).
+///
+/// # Examples
+///
+/// ```
+/// use batmem_types::dense::RegionSet;
+/// use batmem_types::RegionId;
+///
+/// let mut s = RegionSet::new();
+/// assert!(s.insert(RegionId::new(3)));
+/// assert!(s.contains(RegionId::new(3)));
+/// assert!(s.remove(RegionId::new(3)));
+/// assert!(s.is_empty());
+/// ```
+pub type RegionSet = DenseSet<RegionId>;
+
+impl<K> Default for DenseSet<K> {
+    fn default() -> Self {
+        Self { words: Vec::new(), len: 0, key: PhantomData }
+    }
 }
 
-impl PageSet {
+impl<K: DenseKey> DenseSet<K> {
     /// Creates an empty set.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty set pre-sized for pages `0..pages`.
-    pub fn with_capacity(pages: usize) -> Self {
-        Self { words: vec![0; pages.div_ceil(64)], len: 0 }
+    /// Creates an empty set pre-sized for indices `0..keys`.
+    pub fn with_capacity(keys: usize) -> Self {
+        Self { words: vec![0; keys.div_ceil(64)], ..Self::default() }
     }
 
     #[inline]
-    fn slot(page: PageId) -> (usize, u64) {
-        let i = page.index() as usize;
+    fn slot(key: K) -> (usize, u64) {
+        let i = key.dense_index();
         (i / 64, 1u64 << (i % 64))
     }
 
-    /// Inserts `page`; returns `true` if it was not already present.
+    /// Inserts `key`; returns `true` if it was not already present.
     #[inline]
-    pub fn insert(&mut self, page: PageId) -> bool {
-        let (w, bit) = Self::slot(page);
+    pub fn insert(&mut self, key: K) -> bool {
+        let (w, bit) = Self::slot(key);
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
         }
@@ -79,26 +139,28 @@ impl PageSet {
         fresh
     }
 
-    /// Removes `page`; returns `true` if it was present.
+    /// Removes `key`; returns `true` if it was present.
     #[inline]
-    pub fn remove(&mut self, page: PageId) -> bool {
-        let (w, bit) = Self::slot(page);
-        if w >= self.words.len() || self.words[w] & bit == 0 {
-            return false;
+    pub fn remove(&mut self, key: K) -> bool {
+        let (w, bit) = Self::slot(key);
+        match self.words.get_mut(w) {
+            Some(word) if *word & bit != 0 => {
+                *word &= !bit;
+                self.len -= 1;
+                true
+            }
+            _ => false,
         }
-        self.words[w] &= !bit;
-        self.len -= 1;
-        true
     }
 
-    /// Whether `page` is in the set.
+    /// Whether `key` is in the set.
     #[inline]
-    pub fn contains(&self, page: PageId) -> bool {
-        let (w, bit) = Self::slot(page);
-        w < self.words.len() && self.words[w] & bit != 0
+    pub fn contains(&self, key: K) -> bool {
+        let (w, bit) = Self::slot(key);
+        self.words.get(w).is_some_and(|word| word & bit != 0)
     }
 
-    /// Number of pages in the set.
+    /// Number of keys in the set.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -108,18 +170,41 @@ impl PageSet {
         self.len == 0
     }
 
-    /// Removes every page, keeping the allocation.
+    /// Removes every key, keeping the allocation.
     pub fn clear(&mut self) {
         self.words.fill(0);
         self.len = 0;
     }
+
+    /// Iterates the keys in ascending index order.
+    pub fn iter(&self) -> impl Iterator<Item = K> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(K::from_dense_index(w * 64 + b))
+            })
+        })
+    }
 }
 
-/// A growable map from pages to values, backed by a flat `Vec<Option<V>>`.
+/// A growable map from keys to values, backed by a flat `Vec<Option<V>>`.
 ///
-/// Iteration order is ascending page index (deterministic, unlike the hash
+/// Iteration order is ascending key index (deterministic, unlike the hash
 /// maps this replaces — none of the replaced call sites depended on
 /// iteration order, as the determinism suite proves).
+#[derive(Debug, Clone)]
+pub struct DenseMap<K, V> {
+    slots: Vec<Option<V>>,
+    len: usize,
+    key: PhantomData<K>,
+}
+
+/// A map from pages to values.
 ///
 /// # Examples
 ///
@@ -134,35 +219,31 @@ impl PageSet {
 /// assert_eq!(m.remove(PageId::new(3)), Some(8));
 /// assert!(m.is_empty());
 /// ```
-#[derive(Debug, Clone)]
-pub struct PageMap<V> {
-    slots: Vec<Option<V>>,
-    len: usize,
-}
+pub type PageMap<V> = DenseMap<PageId, V>;
 
-impl<V> Default for PageMap<V> {
+impl<K, V> Default for DenseMap<K, V> {
     fn default() -> Self {
-        Self { slots: Vec::new(), len: 0 }
+        Self { slots: Vec::new(), len: 0, key: PhantomData }
     }
 }
 
-impl<V> PageMap<V> {
+impl<K: DenseKey, V> DenseMap<K, V> {
     /// Creates an empty map.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty map pre-sized for pages `0..pages`.
-    pub fn with_capacity(pages: usize) -> Self {
+    /// Creates an empty map pre-sized for indices `0..keys`.
+    pub fn with_capacity(keys: usize) -> Self {
         let mut slots = Vec::new();
-        slots.resize_with(pages, || None);
-        Self { slots, len: 0 }
+        slots.resize_with(keys, || None);
+        Self { slots, ..Self::default() }
     }
 
-    /// Inserts `value` for `page`, returning the previous value if any.
+    /// Inserts `value` for `key`, returning the previous value if any.
     #[inline]
-    pub fn insert(&mut self, page: PageId, value: V) -> Option<V> {
-        let i = page.index() as usize;
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let i = key.dense_index();
         if i >= self.slots.len() {
             self.slots.resize_with(i + 1, || None);
         }
@@ -171,33 +252,33 @@ impl<V> PageMap<V> {
         prev
     }
 
-    /// Returns a reference to `page`'s value, if present.
+    /// Returns a reference to `key`'s value, if present.
     #[inline]
-    pub fn get(&self, page: PageId) -> Option<&V> {
-        self.slots.get(page.index() as usize)?.as_ref()
+    pub fn get(&self, key: K) -> Option<&V> {
+        self.slots.get(key.dense_index())?.as_ref()
     }
 
-    /// Returns a mutable reference to `page`'s value, if present.
+    /// Returns a mutable reference to `key`'s value, if present.
     #[inline]
-    pub fn get_mut(&mut self, page: PageId) -> Option<&mut V> {
-        self.slots.get_mut(page.index() as usize)?.as_mut()
+    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
+        self.slots.get_mut(key.dense_index())?.as_mut()
     }
 
-    /// Removes and returns `page`'s value, if present.
+    /// Removes and returns `key`'s value, if present.
     #[inline]
-    pub fn remove(&mut self, page: PageId) -> Option<V> {
-        let taken = self.slots.get_mut(page.index() as usize)?.take();
+    pub fn remove(&mut self, key: K) -> Option<V> {
+        let taken = self.slots.get_mut(key.dense_index())?.take();
         self.len -= usize::from(taken.is_some());
         taken
     }
 
-    /// Whether `page` has a value.
+    /// Whether `key` has a value.
     #[inline]
-    pub fn contains(&self, page: PageId) -> bool {
-        self.get(page).is_some()
+    pub fn contains(&self, key: K) -> bool {
+        self.get(key).is_some()
     }
 
-    /// Number of pages with a value.
+    /// Number of keys with a value.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -209,397 +290,30 @@ impl<V> PageMap<V> {
 
     /// Removes every entry, keeping the allocation.
     pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
+        if self.len > 0 {
+            self.slots.fill_with(|| None);
+            self.len = 0;
         }
-        self.len = 0;
     }
 
-    /// Iterates `(page, &value)` in ascending page order.
-    pub fn iter(&self) -> impl Iterator<Item = (PageId, &V)> {
+    /// Iterates `(key, &value)` in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|v| (PageId::new(i as u64), v)))
+            .filter_map(|(i, s)| s.as_ref().map(|v| (K::from_dense_index(i), v)))
     }
 }
 
-/// A page set with O(1) `clear`, for per-batch scratch state.
+/// A page map that also counts its pages per region, with O(1)
+/// per-region residency counts.
 ///
-/// Membership is an epoch stamp per page: `clear` bumps the current epoch,
-/// invalidating every mark at once without touching the table. The table is
-/// allocated once and reused across every batch of a run.
-///
-/// # Examples
-///
-/// ```
-/// use batmem_types::dense::EpochPageSet;
-/// use batmem_types::PageId;
-///
-/// let mut s = EpochPageSet::new();
-/// s.insert(PageId::new(2));
-/// assert!(s.contains(PageId::new(2)));
-/// s.clear();
-/// assert!(!s.contains(PageId::new(2)));
-/// assert_eq!(s.len(), 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct EpochPageSet {
-    marks: Vec<u32>,
-    epoch: u32,
-    len: usize,
-}
-
-impl Default for EpochPageSet {
-    fn default() -> Self {
-        Self { marks: Vec::new(), epoch: 1, len: 0 }
-    }
-}
-
-impl EpochPageSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts `page`; returns `true` if it was not already present.
-    #[inline]
-    pub fn insert(&mut self, page: PageId) -> bool {
-        let i = page.index() as usize;
-        if i >= self.marks.len() {
-            self.marks.resize(i + 1, 0);
-        }
-        let fresh = self.marks[i] != self.epoch;
-        self.marks[i] = self.epoch;
-        self.len += usize::from(fresh);
-        fresh
-    }
-
-    /// Whether `page` is in the set (this epoch).
-    #[inline]
-    pub fn contains(&self, page: PageId) -> bool {
-        self.marks.get(page.index() as usize) == Some(&self.epoch)
-    }
-
-    /// Number of pages inserted this epoch.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Empties the set in O(1) by starting a new epoch.
-    pub fn clear(&mut self) {
-        if self.epoch == u32::MAX {
-            // Epoch wrap (once per 2^32 - 1 clears): reset every mark.
-            self.marks.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.len = 0;
-    }
-}
-
-/// A page map with O(1) `clear`, for per-batch scratch state.
-///
-/// Same epoch scheme as [`EpochPageSet`]; values stamped in an older epoch
-/// are dead and simply overwritten on the next insert.
-///
-/// # Examples
-///
-/// ```
-/// use batmem_types::dense::EpochPageMap;
-/// use batmem_types::PageId;
-///
-/// let mut m: EpochPageMap<u64> = EpochPageMap::new();
-/// m.insert(PageId::new(4), 900);
-/// assert_eq!(m.get(PageId::new(4)), Some(900));
-/// m.clear();
-/// assert_eq!(m.get(PageId::new(4)), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct EpochPageMap<V: Copy> {
-    marks: Vec<u32>,
-    values: Vec<V>,
-    epoch: u32,
-    len: usize,
-}
-
-impl<V: Copy + Default> Default for EpochPageMap<V> {
-    fn default() -> Self {
-        Self { marks: Vec::new(), values: Vec::new(), epoch: 1, len: 0 }
-    }
-}
-
-impl<V: Copy + Default> EpochPageMap<V> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts `value` for `page`, returning the previous value from this
-    /// epoch if any.
-    #[inline]
-    pub fn insert(&mut self, page: PageId, value: V) -> Option<V> {
-        let i = page.index() as usize;
-        if i >= self.marks.len() {
-            self.marks.resize(i + 1, 0);
-            self.values.resize(i + 1, V::default());
-        }
-        let prev = (self.marks[i] == self.epoch).then_some(self.values[i]);
-        self.marks[i] = self.epoch;
-        self.values[i] = value;
-        self.len += usize::from(prev.is_none());
-        prev
-    }
-
-    /// Returns `page`'s value from this epoch, if present.
-    #[inline]
-    pub fn get(&self, page: PageId) -> Option<V> {
-        let i = page.index() as usize;
-        (self.marks.get(i) == Some(&self.epoch)).then(|| self.values[i])
-    }
-
-    /// Whether `page` has a value this epoch.
-    #[inline]
-    pub fn contains(&self, page: PageId) -> bool {
-        self.marks.get(page.index() as usize) == Some(&self.epoch)
-    }
-
-    /// Number of pages with a value this epoch.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Empties the map in O(1) by starting a new epoch.
-    pub fn clear(&mut self) {
-        if self.epoch == u32::MAX {
-            self.marks.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.len = 0;
-    }
-}
-
-/// A growable set of regions backed by a bitmap — [`PageSet`] one tier up.
-///
-/// # Examples
-///
-/// ```
-/// use batmem_types::dense::RegionSet;
-/// use batmem_types::RegionId;
-///
-/// let mut s = RegionSet::new();
-/// assert!(s.insert(RegionId::new(3)));
-/// assert!(s.contains(RegionId::new(3)));
-/// assert!(s.remove(RegionId::new(3)));
-/// assert!(s.is_empty());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct RegionSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl RegionSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    fn slot(region: RegionId) -> (usize, u64) {
-        let i = region.index() as usize;
-        (i / 64, 1u64 << (i % 64))
-    }
-
-    /// Inserts `region`; returns `true` if it was not already present.
-    #[inline]
-    pub fn insert(&mut self, region: RegionId) -> bool {
-        let (w, bit) = Self::slot(region);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let fresh = self.words[w] & bit == 0;
-        self.words[w] |= bit;
-        self.len += usize::from(fresh);
-        fresh
-    }
-
-    /// Removes `region`; returns `true` if it was present.
-    #[inline]
-    pub fn remove(&mut self, region: RegionId) -> bool {
-        let (w, bit) = Self::slot(region);
-        if w >= self.words.len() || self.words[w] & bit == 0 {
-            return false;
-        }
-        self.words[w] &= !bit;
-        self.len -= 1;
-        true
-    }
-
-    /// Whether `region` is in the set.
-    #[inline]
-    pub fn contains(&self, region: RegionId) -> bool {
-        let (w, bit) = Self::slot(region);
-        w < self.words.len() && self.words[w] & bit != 0
-    }
-
-    /// Number of regions in the set.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Removes every region, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.len = 0;
-    }
-
-    /// Iterates the regions in ascending index order.
-    pub fn iter(&self) -> impl Iterator<Item = RegionId> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64)
-                .filter(move |b| word & (1u64 << b) != 0)
-                .map(move |b| RegionId::new((w * 64 + b) as u64))
-        })
-    }
-}
-
-/// A growable map from regions to values — [`PageMap`] one tier up.
-///
-/// # Examples
-///
-/// ```
-/// use batmem_types::dense::RegionMap;
-/// use batmem_types::RegionId;
-///
-/// let mut m: RegionMap<u32> = RegionMap::new();
-/// assert_eq!(m.insert(RegionId::new(2), 9), None);
-/// assert_eq!(m.get(RegionId::new(2)), Some(&9));
-/// ```
-#[derive(Debug, Clone)]
-pub struct RegionMap<V> {
-    slots: Vec<Option<V>>,
-    len: usize,
-}
-
-impl<V> Default for RegionMap<V> {
-    fn default() -> Self {
-        Self { slots: Vec::new(), len: 0 }
-    }
-}
-
-impl<V> RegionMap<V> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts `value` for `region`, returning the previous value if any.
-    #[inline]
-    pub fn insert(&mut self, region: RegionId, value: V) -> Option<V> {
-        let i = region.index() as usize;
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
-        }
-        let prev = self.slots[i].replace(value);
-        self.len += usize::from(prev.is_none());
-        prev
-    }
-
-    /// Returns a reference to `region`'s value, if present.
-    #[inline]
-    pub fn get(&self, region: RegionId) -> Option<&V> {
-        self.slots.get(region.index() as usize)?.as_ref()
-    }
-
-    /// Returns a mutable reference to `region`'s value, if present.
-    #[inline]
-    pub fn get_mut(&mut self, region: RegionId) -> Option<&mut V> {
-        self.slots.get_mut(region.index() as usize)?.as_mut()
-    }
-
-    /// Returns a mutable reference to `region`'s value, inserting the
-    /// default-constructed value first if absent.
-    #[inline]
-    pub fn entry_or_default(&mut self, region: RegionId) -> &mut V
-    where
-        V: Default,
-    {
-        let i = region.index() as usize;
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
-        }
-        if self.slots[i].is_none() {
-            self.slots[i] = Some(V::default());
-            self.len += 1;
-        }
-        self.slots[i].as_mut().expect("slot just filled")
-    }
-
-    /// Removes and returns `region`'s value, if present.
-    #[inline]
-    pub fn remove(&mut self, region: RegionId) -> Option<V> {
-        let taken = self.slots.get_mut(region.index() as usize)?.take();
-        self.len -= usize::from(taken.is_some());
-        taken
-    }
-
-    /// Whether `region` has a value.
-    #[inline]
-    pub fn contains(&self, region: RegionId) -> bool {
-        self.get(region).is_some()
-    }
-
-    /// Number of regions with a value.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Removes every entry, keeping the allocation.
-    pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
-        self.len = 0;
-    }
-
-    /// Iterates `(region, &value)` in ascending region order.
-    pub fn iter(&self) -> impl Iterator<Item = (RegionId, &V)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|v| (RegionId::new(i as u64), v)))
-    }
-}
-
-/// A two-level page map: per-region [`PageMap`]s under a [`RegionMap`],
-/// with page-granular API and O(1) per-region residency counts.
-///
-/// The region tier here is whatever granularity the caller's
+/// The region tier is whatever granularity the caller's
 /// [`PageGeometry`](crate::addr::PageGeometry) dictates — page tables use
 /// the large-page group size so "region fully resident" answers the
-/// coalescing question directly.
+/// coalescing question directly. Every page operation is one slot of the
+/// flat [`PageMap`]; an insert or remove that changes membership also
+/// moves its region's count.
 ///
 /// # Examples
 ///
@@ -617,11 +331,11 @@ impl<V> RegionMap<V> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TieredPageMap<V> {
-    regions: RegionMap<PageMap<V>>,
-    /// Log2 of the pages per region: a page splits into its region and
-    /// offset with a shift and a mask.
+    pages: PageMap<V>,
+    /// Pages with a value, per region index.
+    region_counts: Vec<u32>,
+    /// Log2 of the pages per region: a page's region is a shift away.
     region_shift: u32,
-    len: usize,
 }
 
 impl<V> Default for TieredPageMap<V> {
@@ -645,7 +359,11 @@ impl<V> TieredPageMap<V> {
             pages_per_region.is_power_of_two(),
             "pages_per_region must be a power of two, got {pages_per_region}"
         );
-        Self { regions: RegionMap::new(), region_shift: pages_per_region.trailing_zeros(), len: 0 }
+        Self {
+            pages: PageMap::new(),
+            region_counts: Vec::new(),
+            region_shift: pages_per_region.trailing_zeros(),
+        }
     }
 
     /// The region-tier granularity in base pages.
@@ -659,62 +377,60 @@ impl<V> TieredPageMap<V> {
         RegionId::new(page.index() >> self.region_shift)
     }
 
-    #[inline]
-    fn split(&self, page: PageId) -> (RegionId, PageId) {
-        (self.region_of(page), PageId::new(page.index() & (self.pages_per_region() - 1)))
-    }
-
     /// Inserts `value` for `page`, returning the previous value if any.
     #[inline]
     pub fn insert(&mut self, page: PageId, value: V) -> Option<V> {
-        let (r, off) = self.split(page);
-        let prev = self.regions.entry_or_default(r).insert(off, value);
-        self.len += usize::from(prev.is_none());
+        let prev = self.pages.insert(page, value);
+        if prev.is_none() {
+            let r = self.region_of(page).dense_index();
+            if r >= self.region_counts.len() {
+                self.region_counts.resize(r + 1, 0);
+            }
+            self.region_counts[r] += 1;
+        }
         prev
     }
 
     /// Returns a reference to `page`'s value, if present.
     #[inline]
     pub fn get(&self, page: PageId) -> Option<&V> {
-        let (r, off) = self.split(page);
-        self.regions.get(r)?.get(off)
+        self.pages.get(page)
     }
 
     /// Returns a mutable reference to `page`'s value, if present.
     #[inline]
     pub fn get_mut(&mut self, page: PageId) -> Option<&mut V> {
-        let (r, off) = self.split(page);
-        self.regions.get_mut(r)?.get_mut(off)
+        self.pages.get_mut(page)
     }
 
     /// Removes and returns `page`'s value, if present.
     #[inline]
     pub fn remove(&mut self, page: PageId) -> Option<V> {
-        let (r, off) = self.split(page);
-        let taken = self.regions.get_mut(r)?.remove(off);
-        self.len -= usize::from(taken.is_some());
-        taken
+        let taken = self.pages.remove(page)?;
+        let r = self.region_of(page).dense_index();
+        self.region_counts[r] -= 1;
+        Some(taken)
     }
 
     /// Whether `page` has a value.
     #[inline]
     pub fn contains(&self, page: PageId) -> bool {
-        self.get(page).is_some()
+        self.pages.contains(page)
     }
 
     /// Number of pages with a value.
     pub fn len(&self) -> usize {
-        self.len
+        self.pages.len()
     }
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.pages.is_empty()
     }
 
     /// Number of pages with a value inside `region` — O(1).
     pub fn region_len(&self, region: RegionId) -> usize {
-        self.regions.get(region).map_or(0, PageMap::len)
+        self.region_counts.get(region.dense_index()).map_or(0, |&n| n as usize)
     }
 
     /// Whether every page of `region` has a value.
@@ -722,18 +438,15 @@ impl<V> TieredPageMap<V> {
         self.region_len(region) as u64 == self.pages_per_region()
     }
 
-    /// Removes every entry, keeping the region allocations.
+    /// Removes every entry, keeping the allocations.
     pub fn clear(&mut self) {
-        self.regions.clear();
-        self.len = 0;
+        self.pages.clear();
+        self.region_counts.fill(0);
     }
 
-    /// Iterates `(page, &value)` in ascending global page order.
+    /// Iterates `(page, &value)` in ascending page order.
     pub fn iter(&self) -> impl Iterator<Item = (PageId, &V)> {
-        let shift = self.region_shift;
-        self.regions.iter().flat_map(move |(r, pm)| {
-            pm.iter().map(move |(off, v)| (PageId::new((r.index() << shift) | off.index()), v))
-        })
+        self.pages.iter()
     }
 }
 
@@ -743,6 +456,10 @@ mod tests {
 
     fn p(i: u64) -> PageId {
         PageId::new(i)
+    }
+
+    fn r(i: u64) -> RegionId {
+        RegionId::new(i)
     }
 
     #[test]
@@ -797,89 +514,7 @@ mod tests {
         assert_eq!(got, vec![(1, 10), (3, 30), (5, 50)]);
         m.clear();
         assert_eq!(m.iter().count(), 0);
-    }
-
-    #[test]
-    fn epoch_set_clear_is_logical() {
-        let mut s = EpochPageSet::new();
-        assert!(s.insert(p(7)));
-        assert!(!s.insert(p(7)));
-        assert_eq!(s.len(), 1);
-        s.clear();
-        assert!(s.is_empty());
-        assert!(!s.contains(p(7)));
-        assert!(s.insert(p(7))); // fresh again in the new epoch
-    }
-
-    #[test]
-    fn epoch_set_survives_epoch_wrap() {
-        let mut s = EpochPageSet::new();
-        s.insert(p(3));
-        s.epoch = u32::MAX - 1;
-        s.marks[3] = u32::MAX - 1; // keep page 3 current
-        s.clear(); // -> MAX
-        assert!(!s.contains(p(3)));
-        s.insert(p(2));
-        s.clear(); // wrap: marks reset
-        assert!(!s.contains(p(2)));
-        assert!(s.insert(p(2)));
-        assert!(s.contains(p(2)));
-    }
-
-    #[test]
-    fn epoch_map_stores_per_epoch_values() {
-        let mut m: EpochPageMap<u64> = EpochPageMap::new();
-        assert_eq!(m.insert(p(1), 100), None);
-        assert_eq!(m.insert(p(1), 200), Some(100));
-        assert_eq!(m.get(p(1)), Some(200));
-        assert_eq!(m.len(), 1);
-        m.clear();
-        assert_eq!(m.get(p(1)), None);
-        assert!(!m.contains(p(1)));
-        assert_eq!(m.insert(p(1), 300), None); // stale value not reported
-        assert_eq!(m.get(p(1)), Some(300));
-    }
-
-    #[test]
-    fn epoch_map_out_of_range_reads_are_none() {
-        let m: EpochPageMap<u64> = EpochPageMap::new();
-        assert_eq!(m.get(p(12345)), None);
-        assert!(!m.contains(p(12345)));
-        assert!(m.is_empty());
-    }
-
-    fn r(i: u64) -> RegionId {
-        RegionId::new(i)
-    }
-
-    #[test]
-    fn region_set_mirrors_page_set_semantics() {
-        let mut s = RegionSet::new();
-        assert!(s.insert(r(0)));
-        assert!(s.insert(r(65)));
-        assert!(!s.insert(r(65)));
-        assert_eq!(s.len(), 2);
-        assert!(s.contains(r(65)));
-        assert!(!s.contains(r(1_000_000)));
-        assert_eq!(s.iter().map(RegionId::index).collect::<Vec<_>>(), vec![0, 65]);
-        assert!(s.remove(r(0)));
-        assert!(!s.remove(r(0)));
-        s.clear();
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn region_map_mirrors_page_map_semantics() {
-        let mut m: RegionMap<u32> = RegionMap::new();
-        assert_eq!(m.insert(r(4), 40), None);
-        assert_eq!(m.insert(r(4), 44), Some(40));
-        *m.entry_or_default(r(2)) += 20;
-        assert_eq!(m.get(r(2)), Some(&20));
-        assert_eq!(m.len(), 2);
-        let got: Vec<_> = m.iter().map(|(k, v)| (k.index(), *v)).collect();
-        assert_eq!(got, vec![(2, 20), (4, 44)]);
-        assert_eq!(m.remove(r(4)), Some(44));
-        assert_eq!(m.get(r(4)), None);
+        assert_eq!(m.insert(p(5), 55), None, "a cleared slot reads as absent");
     }
 
     #[test]
@@ -898,6 +533,7 @@ mod tests {
         assert_eq!(m.region_len(r(9)), 0);
         assert_eq!(m.get(p(6)), Some(&60));
         assert_eq!(m.remove(p(6)), Some(60));
+        assert_eq!(m.remove(p(6)), None, "a second remove leaves the count alone");
         assert!(!m.region_is_full(r(1)));
         assert_eq!(m.region_len(r(1)), 3);
         // Global iteration order is ascending page index across regions.

@@ -12,10 +12,10 @@
 //!   reproduce Table 1 of Kim et al., *Batch-Aware Unified Memory Management
 //!   in GPUs for Irregular Workloads* (ASPLOS 2020).
 //! * [`policy`] — the policy settings no policy spec names (eviction
-//!   granularity, PCIe compression parameters, proactive eviction) and the
-//!   types the specs resolve to.
-//! * [`dense`] — dense page-indexed collections (flat tables and epoch
-//!   sets) backing the simulator's per-event hot paths.
+//!   granularity, PCIe compression parameters) and the types the specs
+//!   resolve to.
+//! * [`dense`] — one bitmap set and one flat map over dense page and
+//!   region ids, backing every per-page and per-region table.
 //! * [`error`] — structured simulation errors ([`SimError`]) and the
 //!   invariant-audit knob ([`AuditLevel`]).
 //! * [`probe`] — the pluggable observation layer: the [`Probe`] trait, the

@@ -166,12 +166,6 @@ pub struct PolicyDescriptor {
 /// The policy settings no policy spec names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PolicyConfig {
-    /// ETC-style proactive eviction: at batch start, evict enough pages to
-    /// cover the batch's predicted frame demand, overlapped with the
-    /// handling window. Mispredictions surface as premature evictions —
-    /// the reason the ETC authors disable it for irregular workloads. The
-    /// `etc:<throttle>:pe` spec also turns it on.
-    pub proactive_eviction: bool,
     /// Eviction granularity.
     pub eviction_granularity: EvictionGranularity,
     /// PCIe link compression parameters, used when the spec compresses.

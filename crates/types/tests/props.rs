@@ -1,8 +1,11 @@
-//! Property-based tests for address arithmetic and time conversion.
+//! Property-based tests for address arithmetic, time conversion and the
+//! dense page and region tables.
 
 use batmem_types::addr::{PageGeometry, PageId, RegionId, VirtAddr};
+use batmem_types::dense::{DenseKey, DenseSet, PageMap, TieredPageMap};
 use batmem_types::time::transfer_cycles;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 proptest! {
     #[test]
@@ -85,5 +88,129 @@ proptest! {
         prop_assert!(capacity >= need);
         // And it is tight to within one cycle.
         prop_assert!(capacity_minus_one < need);
+    }
+}
+
+/// Runs `ops` against a [`DenseSet`] and a `BTreeSet` side by side. Each
+/// op is `(kind, raw)`: kind 19 clears, the rest insert, remove or ask
+/// `contains` for key `raw % span`. Every answer, `len` and the ascending
+/// `iter` must match after every step.
+fn check_set_against_model<K: DenseKey + Ord>(key_of: fn(u64) -> K, span: u64, ops: &[(u8, u64)]) {
+    let mut set: DenseSet<K> = DenseSet::new();
+    let mut model: BTreeSet<K> = BTreeSet::new();
+    for &(kind, raw) in ops {
+        let key = key_of(raw % span);
+        match kind {
+            19 => {
+                set.clear();
+                model.clear();
+            }
+            0..=8 => assert_eq!(set.insert(key), model.insert(key), "insert {key:?}"),
+            9..=13 => assert_eq!(set.remove(key), model.remove(&key), "remove {key:?}"),
+            _ => assert_eq!(set.contains(key), model.contains(&key), "contains {key:?}"),
+        }
+        assert_eq!(set.len(), model.len());
+        assert_eq!(set.is_empty(), model.is_empty());
+        assert!(set.iter().eq(model.iter().copied()), "iteration order diverged");
+    }
+}
+
+/// The pages of `region` the model holds, and whether that is all of them.
+fn model_region(model: &BTreeMap<u64, u32>, region: u64, pages_per_region: u64) -> (usize, bool) {
+    let first = region * pages_per_region;
+    let n = model.range(first..first + pages_per_region).count();
+    (n, n as u64 == pages_per_region)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn page_and_region_sets_match_a_btree_set(
+        ops in prop::collection::vec((0u8..20, 0u64..(1 << 20)), 0..300),
+        span in 1u64..2048,
+    ) {
+        check_set_against_model(PageId::new, span, &ops);
+        check_set_against_model(RegionId::new, span, &ops);
+    }
+
+    /// A `PageMap<u32>` and a `TieredPageMap<u32>` under the same random
+    /// op sequence as one `BTreeMap`: kind 19 clears; the rest insert,
+    /// remove, `get`, `get_mut` (adding one) or ask `contains` for page
+    /// `raw % span`. After every step each return value, `len`, the
+    /// ascending `iter` and the touched regions' counts must match.
+    #[test]
+    fn page_maps_match_a_btree_map(
+        ops in prop::collection::vec((0u8..20, 0u64..(1 << 20), 0u32..1000), 0..300),
+        span in 1u64..2048,
+        shift in 0u32..7,
+    ) {
+        let ppr = 1u64 << shift;
+        let mut flat: PageMap<u32> = PageMap::new();
+        let mut tiered: TieredPageMap<u32> = TieredPageMap::with_pages_per_region(ppr);
+        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut touched: BTreeSet<u64> = BTreeSet::new();
+        for &(kind, raw, value) in &ops {
+            let i = raw % span;
+            let page = PageId::new(i);
+            match kind {
+                19 => {
+                    flat.clear();
+                    tiered.clear();
+                    model.clear();
+                }
+                0..=6 => {
+                    let want = model.insert(i, value);
+                    prop_assert_eq!(flat.insert(page, value), want);
+                    prop_assert_eq!(tiered.insert(page, value), want);
+                }
+                7..=10 => {
+                    let want = model.remove(&i);
+                    prop_assert_eq!(flat.remove(page), want);
+                    prop_assert_eq!(tiered.remove(page), want);
+                }
+                11..=13 => {
+                    let want = model.get(&i);
+                    prop_assert_eq!(flat.get(page), want);
+                    prop_assert_eq!(tiered.get(page), want);
+                }
+                14..=16 => {
+                    let want = model.get_mut(&i).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    let got_flat = flat.get_mut(page).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    let got_tiered = tiered.get_mut(page).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    prop_assert_eq!(got_flat, want);
+                    prop_assert_eq!(got_tiered, want);
+                }
+                _ => {
+                    let want = model.contains_key(&i);
+                    prop_assert_eq!(flat.contains(page), want);
+                    prop_assert_eq!(tiered.contains(page), want);
+                }
+            }
+            prop_assert_eq!(flat.len(), model.len());
+            prop_assert_eq!(tiered.len(), model.len());
+            prop_assert_eq!(tiered.is_empty(), model.is_empty());
+            let want: Vec<(u64, u32)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+            let got: Vec<(u64, u32)> = flat.iter().map(|(k, &v)| (k.index(), v)).collect();
+            prop_assert_eq!(&got, &want);
+            let got: Vec<(u64, u32)> = tiered.iter().map(|(k, &v)| (k.index(), v)).collect();
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(tiered.region_of(page), RegionId::new(i >> shift));
+            touched.insert(i >> shift);
+            for &r in &touched {
+                let (n, full) = model_region(&model, r, ppr);
+                prop_assert_eq!(tiered.region_len(RegionId::new(r)), n, "region {} count", r);
+                prop_assert_eq!(tiered.region_is_full(RegionId::new(r)), full, "region {} full", r);
+            }
+        }
     }
 }

@@ -4,11 +4,10 @@
 //! The first policy that *consumes* the probe stream as a sensor, in the
 //! spirit of the intelligent-framework line of work (PAPERS.md, arXiv
 //! 2204.02974). An [`AdaptiveProbe`] attaches to the run's probe hub and
-//! maintains per-epoch counters — distinct faulted pages (an
-//! [`EpochPageSet`] whose O(1) epoch bump *is* the epoch roll), evictions,
-//! and premature refaults. At each epoch boundary it publishes three
-//! boolean actuation signals through the lock-free [`AdaptiveSignals`]
-//! handle:
+//! maintains per-epoch counters — distinct faulted pages (a [`PageSet`],
+//! cleared at each epoch roll), evictions, and premature refaults. At each
+//! epoch boundary it publishes three boolean actuation signals through the
+//! lock-free [`AdaptiveSignals`] handle:
 //!
 //! * **throttle-prefetch** (premature ≥ 25% of evictions): prefetched pages
 //!   are being evicted before use, so the formation stage drops tree
@@ -34,7 +33,7 @@
 use crate::lifetime::LifetimeSample;
 use crate::oversub::OversubController;
 use crate::strategies::OversubscriptionHandler;
-use batmem_types::dense::EpochPageSet;
+use batmem_types::dense::PageSet;
 use batmem_types::policy::ToConfig;
 use batmem_types::probe::{Probe, ProbeEvent};
 use batmem_types::Cycle;
@@ -97,7 +96,7 @@ pub struct AdaptiveProbe {
     signals: AdaptiveSignals,
     window: Cycle,
     epoch_end: Cycle,
-    faulted: EpochPageSet,
+    faulted: PageSet,
     premature: u64,
     evictions: u64,
 }
@@ -110,7 +109,7 @@ impl AdaptiveProbe {
             signals,
             window,
             epoch_end: window,
-            faulted: EpochPageSet::new(),
+            faulted: PageSet::new(),
             premature: 0,
             evictions: 0,
         }

@@ -5,28 +5,26 @@
 //! raised while a batch is in flight accumulate for the next batch (§2.2).
 //! On overflow the hardware drops the entry and relies on replay — the warp
 //! stays stalled and the access re-faults after the current batch completes.
-//! We model replay precisely by keeping overflowed pages in a side set that
-//! merges into the next drain.
+//! We model replay precisely by keeping overflowed pages pending beside the
+//! buffered ones, so they merge into the next drain.
+//!
+//! The pending pages are one [`PageSet`] (the deduplication check) and one
+//! vector in arrival order: the buffered pages first, then the overflowed
+//! ones. Deduplication keeps the vector distinct, so a drain is one sort.
 
-use batmem_types::{Cycle, PageId};
-use std::collections::BTreeSet;
-
-/// A recorded page fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEntry {
-    /// The faulting page.
-    pub page: PageId,
-    /// When the fault was raised.
-    pub at: Cycle,
-}
+use batmem_types::dense::PageSet;
+use batmem_types::PageId;
 
 /// The bounded, deduplicating fault buffer plus the replay side set.
 #[derive(Debug, Clone)]
 pub struct FaultBuffer {
     capacity: usize,
-    entries: Vec<FaultEntry>,
-    present: BTreeSet<PageId>,
-    overflow: BTreeSet<PageId>,
+    /// Every pending page, buffered or overflowed.
+    pending: PageSet,
+    /// The pending pages in arrival order; the first `buffered` of them
+    /// hold buffer entries, the rest overflowed into replay.
+    arrivals: Vec<PageId>,
+    buffered: usize,
     raised: u64,
     duplicates: u64,
     overflows: u64,
@@ -42,31 +40,30 @@ impl FaultBuffer {
         assert!(capacity > 0, "fault buffer needs capacity");
         Self {
             capacity: capacity as usize,
-            entries: Vec::new(),
-            present: BTreeSet::new(),
-            overflow: BTreeSet::new(),
+            pending: PageSet::new(),
+            arrivals: Vec::new(),
+            buffered: 0,
             raised: 0,
             duplicates: 0,
             overflows: 0,
         }
     }
 
-    /// Records a fault for `page` at time `now`.
+    /// Records a fault for `page`.
     ///
-    /// Faults for pages already buffered are deduplicated (the runtime's
+    /// Faults for pages already pending are deduplicated (the runtime's
     /// preprocessing would coalesce them anyway); faults beyond capacity go
     /// to the replay set.
-    pub fn record(&mut self, page: PageId, now: Cycle) {
+    pub fn record(&mut self, page: PageId) {
         self.raised += 1;
-        if self.present.contains(&page) || self.overflow.contains(&page) {
+        if !self.pending.insert(page) {
             self.duplicates += 1;
             return;
         }
-        if self.entries.len() < self.capacity {
-            self.entries.push(FaultEntry { page, at: now });
-            self.present.insert(page);
+        self.arrivals.push(page);
+        if self.buffered < self.capacity {
+            self.buffered += 1;
         } else {
-            self.overflow.insert(page);
             self.overflows += 1;
         }
     }
@@ -75,24 +72,21 @@ impl FaultBuffer {
     /// returning them **sorted by ascending page address** — the first step
     /// of the runtime's `preprocess_fault_batch` (§2.2).
     pub fn drain_sorted(&mut self) -> Vec<PageId> {
-        let mut pages: Vec<PageId> = self.present.iter().copied().collect();
-        pages.extend(self.overflow.iter().copied());
+        let mut pages = std::mem::take(&mut self.arrivals);
         pages.sort_unstable();
-        pages.dedup();
-        self.entries.clear();
-        self.present.clear();
-        self.overflow.clear();
+        self.pending.clear();
+        self.buffered = 0;
         pages
     }
 
     /// Distinct pages currently pending (buffered + replay).
     pub fn pending(&self) -> usize {
-        self.present.len() + self.overflow.len()
+        self.arrivals.len()
     }
 
     /// Whether any fault is pending.
     pub fn is_empty(&self) -> bool {
-        self.pending() == 0
+        self.arrivals.is_empty()
     }
 
     /// Total faults raised (including duplicates and overflows).
@@ -122,9 +116,9 @@ mod tests {
     #[test]
     fn records_and_drains_sorted() {
         let mut b = FaultBuffer::new(8);
-        b.record(p(5), 0);
-        b.record(p(1), 1);
-        b.record(p(3), 2);
+        b.record(p(5));
+        b.record(p(1));
+        b.record(p(3));
         assert_eq!(b.pending(), 3);
         assert_eq!(b.drain_sorted(), vec![p(1), p(3), p(5)]);
         assert!(b.is_empty());
@@ -133,8 +127,8 @@ mod tests {
     #[test]
     fn duplicates_coalesce() {
         let mut b = FaultBuffer::new(8);
-        b.record(p(7), 0);
-        b.record(p(7), 5);
+        b.record(p(7));
+        b.record(p(7));
         assert_eq!(b.pending(), 1);
         assert_eq!(b.duplicates(), 1);
         assert_eq!(b.raised(), 2);
@@ -143,9 +137,9 @@ mod tests {
     #[test]
     fn overflow_goes_to_replay_set_and_merges_on_drain() {
         let mut b = FaultBuffer::new(2);
-        b.record(p(1), 0);
-        b.record(p(2), 0);
-        b.record(p(3), 0); // overflows
+        b.record(p(1));
+        b.record(p(2));
+        b.record(p(3)); // overflows
         assert_eq!(b.overflows(), 1);
         assert_eq!(b.pending(), 3);
         assert_eq!(b.drain_sorted(), vec![p(1), p(2), p(3)]);
@@ -154,9 +148,9 @@ mod tests {
     #[test]
     fn overflowed_page_still_dedupes() {
         let mut b = FaultBuffer::new(1);
-        b.record(p(1), 0);
-        b.record(p(9), 0); // overflow
-        b.record(p(9), 1); // duplicate of overflowed page
+        b.record(p(1));
+        b.record(p(9)); // overflow
+        b.record(p(9)); // duplicate of overflowed page
         assert_eq!(b.duplicates(), 1);
         assert_eq!(b.overflows(), 1);
     }
@@ -164,10 +158,10 @@ mod tests {
     #[test]
     fn drain_resets_capacity() {
         let mut b = FaultBuffer::new(2);
-        b.record(p(1), 0);
-        b.record(p(2), 0);
+        b.record(p(1));
+        b.record(p(2));
         let _ = b.drain_sorted();
-        b.record(p(3), 1);
+        b.record(p(3));
         assert_eq!(b.overflows(), 0);
         assert_eq!(b.pending(), 1);
     }

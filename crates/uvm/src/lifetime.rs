@@ -5,9 +5,12 @@
 //! tracking when each page is allocated and evicted." A **premature
 //! eviction** is an eviction of a page for which the GPU generates a fault
 //! again later (§4.1, §6.1).
+//!
+//! Both per-page records are dense tables: birth cycles in a [`PageMap`],
+//! evicted pages awaiting a refault in a [`PageSet`].
 
-use batmem_types::dense::{PageSet, TieredPageMap};
-use batmem_types::{AuditLevel, Cycle, PageId, RegionId, SimError};
+use batmem_types::dense::{PageMap, PageSet};
+use batmem_types::{AuditLevel, Cycle, PageId, SimError};
 
 /// A periodic lifetime sample handed to the oversubscription controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,9 +26,8 @@ pub struct LifetimeSample {
 /// eviction counts.
 #[derive(Debug, Clone, Default)]
 pub struct LifetimeTracker {
-    /// Birth cycle per live page, tiered by large-page group so the
-    /// coalescing path can read per-group live counts in O(1).
-    alloc_at: TieredPageMap<Cycle>,
+    /// Birth cycle per live page.
+    alloc_at: PageMap<Cycle>,
     evicted_awaiting_refault: PageSet,
     window_sum: u128,
     window_count: u64,
@@ -37,24 +39,9 @@ pub struct LifetimeTracker {
 }
 
 impl LifetimeTracker {
-    /// Creates an empty tracker with the default large-page-group span.
+    /// Creates an empty tracker.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty tracker whose group tier spans `pages_per_large`
-    /// base pages (matching the page table's large-page geometry).
-    pub fn with_pages_per_large(pages_per_large: u64) -> Self {
-        Self {
-            alloc_at: TieredPageMap::with_pages_per_region(pages_per_large),
-            ..Self::default()
-        }
-    }
-
-    /// Live (installed, not yet evicted) pages in large-page group
-    /// `group` — O(1), for coalescing diagnostics.
-    pub fn live_in_group(&self, group: RegionId) -> usize {
-        self.alloc_at.region_len(group)
     }
 
     /// Records that `page` became resident at `now`.
@@ -231,19 +218,6 @@ mod tests {
             matches!(err, SimError::InvariantViolated { cycle: 50, .. }),
             "wrong error shape: {err:?}"
         );
-    }
-
-    #[test]
-    fn group_tier_counts_live_pages() {
-        let mut t = LifetimeTracker::with_pages_per_large(4);
-        let g = RegionId::new(0);
-        t.on_install(p(0), 0);
-        t.on_install(p(1), 0);
-        t.on_install(p(4), 0); // next group
-        assert_eq!(t.live_in_group(g), 2);
-        assert_eq!(t.live_in_group(RegionId::new(1)), 1);
-        t.on_evict(p(1), 10, AuditLevel::Off).unwrap();
-        assert_eq!(t.live_in_group(g), 1);
     }
 
     #[test]

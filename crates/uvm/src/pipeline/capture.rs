@@ -59,12 +59,12 @@ impl UvmRuntime {
                 detail: format!("fault raised for planned-resident page {page}"),
             });
         }
-        self.buffer.record(page, now);
+        self.buffer.record(page);
         self.probes.emit_with(now, || ProbeEvent::FaultRaised { page });
         if self.injector.as_mut().is_some_and(|i| i.duplicate_fault()) {
             // Spurious duplicate fault delivery: coalesces in the buffer
             // (and shows up in the dedup counters), as on real hardware.
-            self.buffer.record(page, now);
+            self.buffer.record(page);
             self.probes.emit_with(now, || ProbeEvent::FaultRaised { page });
         }
         if self.state == State::Idle {

@@ -144,9 +144,9 @@ impl UvmRuntime {
         // which is why ETC disables PE for irregular applications. The
         // adaptive policy turns the same pass on for an epoch when its
         // probe saw healthy (non-premature) eviction behavior.
-        let eager = !self.policy.proactive_eviction
+        let eager = !self.proactive_eviction
             && self.signals.as_ref().is_some_and(AdaptiveSignals::eager_eviction);
-        if self.policy.proactive_eviction || eager {
+        if self.proactive_eviction || eager {
             let goal = plan.pages.len() as u64;
             let mut need = goal
                 .saturating_sub(self.mem.available_without_eviction() + self.pending_free.len() as u64);

@@ -67,7 +67,7 @@ use crate::strategies::{
     ServicingCounters,
 };
 use batmem_types::config::UvmConfig;
-use batmem_types::dense::{EpochPageMap, EpochPageSet, PageMap, RegionSet, TieredPageMap};
+use batmem_types::dense::{PageMap, PageSet, RegionSet, TieredPageMap};
 use batmem_types::policy::PolicyConfig;
 use batmem_types::probe::{ProbeEvent, SharedProbes};
 use batmem_types::{AuditLevel, Cycle, FrameId, PageId, RegionId, SimError};
@@ -184,11 +184,12 @@ pub struct UvmRuntime {
     pub(crate) lifetime: LifetimeTracker,
     pub(crate) state: State,
     pub(crate) current: Option<BatchPlan>,
-    /// Pages of the open batch (dense epoch set, cleared per batch; only
+    /// Pages of the open batch (cleared at batch formation; only
     /// meaningful while `current` is `Some`).
-    pub(crate) batch_pages: EpochPageSet,
-    /// Planned arrival time per open-batch page (same epoch discipline).
-    pub(crate) planned_arrival: EpochPageMap<Cycle>,
+    pub(crate) batch_pages: PageSet,
+    /// Planned arrival time per open-batch page (cleared with
+    /// `batch_pages`).
+    pub(crate) planned_arrival: PageMap<Cycle>,
     /// Frames freed by in-flight evictions, keyed by availability time.
     pub(crate) pending_free: BinaryHeap<Reverse<(Cycle, FrameId)>>,
     /// Pages of the current batch being migrated, with assigned frames.
@@ -202,6 +203,9 @@ pub struct UvmRuntime {
     pub(crate) finished_batches: Vec<BatchRecord>,
     pub(crate) faults_on_pending: u64,
     pub(crate) preemptive_evictions: u64,
+    /// Whether formation evicts ahead of each batch's frame demand (see
+    /// [`enable_proactive_eviction`](Self::enable_proactive_eviction)).
+    pub(crate) proactive_eviction: bool,
     pub(crate) proactive_evictions: u64,
     pub(crate) audit: AuditLevel,
     pub(crate) injector: Option<FaultInjector>,
@@ -212,7 +216,9 @@ impl UvmRuntime {
     /// Creates the runtime for an address space of `valid_pages` pages
     /// around strategies resolved from a policy spec (see
     /// [`PolicyRegistry`](crate::registry::PolicyRegistry)). The PCIe link
-    /// starts uncompressed; see [`enable_compression`](Self::enable_compression).
+    /// starts uncompressed and proactive eviction off; see
+    /// [`enable_compression`](Self::enable_compression) and
+    /// [`enable_proactive_eviction`](Self::enable_proactive_eviction).
     pub fn with_strategies(
         cfg: &UvmConfig,
         policy: &PolicyConfig,
@@ -241,11 +247,11 @@ impl UvmRuntime {
             installed: TieredPageMap::with_pages_per_region(pages_per_large),
             promoted: RegionSet::new(),
             splintered: RegionSet::new(),
-            lifetime: LifetimeTracker::with_pages_per_large(pages_per_large),
+            lifetime: LifetimeTracker::new(),
             state: State::Idle,
             current: None,
-            batch_pages: EpochPageSet::new(),
-            planned_arrival: EpochPageMap::new(),
+            batch_pages: PageSet::new(),
+            planned_arrival: PageMap::new(),
             pending_free: BinaryHeap::new(),
             inflight: PageMap::new(),
             ideal_evicts: Vec::new(),
@@ -254,6 +260,7 @@ impl UvmRuntime {
             finished_batches: Vec::new(),
             faults_on_pending: 0,
             preemptive_evictions: 0,
+            proactive_eviction: false,
             proactive_evictions: 0,
             audit: AuditLevel::Off,
             injector: None,
@@ -265,6 +272,15 @@ impl UvmRuntime {
     /// (a spec with `compression` set).
     pub fn enable_compression(&mut self) {
         self.pipes.enable_compression(self.policy.compression);
+    }
+
+    /// Turns on ETC-style proactive eviction (the `etc:<throttle>:pe`
+    /// spec): at batch start, formation evicts enough pages to cover the
+    /// batch's predicted frame demand, overlapped with the handling window.
+    /// Mispredictions surface as premature evictions — the reason the ETC
+    /// authors disable it for irregular workloads.
+    pub fn enable_proactive_eviction(&mut self) {
+        self.proactive_eviction = true;
     }
 
     /// Sets the invariant-audit level. When enabled, the runtime re-checks

@@ -303,7 +303,7 @@ fn refault_of_force_evicted_batch_page_is_not_absorbed() {
 #[test]
 fn proactive_eviction_frees_frames_ahead_of_demand() {
     let mut rt = runtime(&cfg(Some(2)), "lru", "none", "off", 1000);
-    rt.policy.proactive_eviction = true;
+    rt.enable_proactive_eviction();
     // Fill memory.
     let mut outs = Vec::new();
     for i in 0..2 {

@@ -12,22 +12,94 @@ use proptest::prelude::*;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
+/// The fault buffer as it was before it moved onto a `PageSet`, kept as
+/// the reference model: buffered pages and overflowed pages in two ordered
+/// sets, beside a count of buffer entries.
+struct SetFaultBuffer {
+    capacity: usize,
+    entries: usize,
+    present: BTreeSet<PageId>,
+    overflow: BTreeSet<PageId>,
+    raised: u64,
+    duplicates: u64,
+    overflows: u64,
+}
+
+impl SetFaultBuffer {
+    fn new(capacity: u32) -> Self {
+        Self {
+            capacity: capacity as usize,
+            entries: 0,
+            present: BTreeSet::new(),
+            overflow: BTreeSet::new(),
+            raised: 0,
+            duplicates: 0,
+            overflows: 0,
+        }
+    }
+
+    fn record(&mut self, page: PageId) {
+        self.raised += 1;
+        if self.present.contains(&page) || self.overflow.contains(&page) {
+            self.duplicates += 1;
+            return;
+        }
+        if self.entries < self.capacity {
+            self.entries += 1;
+            self.present.insert(page);
+        } else {
+            self.overflow.insert(page);
+            self.overflows += 1;
+        }
+    }
+
+    fn drain_sorted(&mut self) -> Vec<PageId> {
+        let mut pages: Vec<PageId> = self.present.iter().copied().collect();
+        pages.extend(self.overflow.iter().copied());
+        pages.sort_unstable();
+        pages.dedup();
+        self.entries = 0;
+        self.present.clear();
+        self.overflow.clear();
+        pages
+    }
+
+    fn pending(&self) -> usize {
+        self.present.len() + self.overflow.len()
+    }
+}
+
 proptest! {
+    /// Random faults over pages `0..100` with drains interleaved (a step
+    /// of 100 or more drains): every drain and every counter matches the
+    /// two-set model after every step.
     #[test]
     fn fault_buffer_drains_sorted_distinct(
-        faults in prop::collection::vec((0u64..100, 0u64..1000), 0..300),
+        steps in prop::collection::vec(0u64..105, 0..400),
         cap in 1u32..64,
     ) {
         let mut buf = FaultBuffer::new(cap);
-        let mut expect = BTreeSet::new();
-        for &(p, t) in &faults {
-            buf.record(PageId::new(p), t);
-            expect.insert(p);
+        let mut model = SetFaultBuffer::new(cap);
+        for &step in &steps {
+            match step {
+                p @ 0..100 => {
+                    buf.record(PageId::new(p));
+                    model.record(PageId::new(p));
+                }
+                _ => {
+                    let drained = buf.drain_sorted();
+                    prop_assert!(drained.windows(2).all(|w| w[0] < w[1]), "drain not sorted and distinct");
+                    prop_assert_eq!(drained, model.drain_sorted());
+                    prop_assert!(buf.is_empty());
+                }
+            }
+            prop_assert_eq!(buf.pending(), model.pending());
+            prop_assert_eq!(buf.is_empty(), model.pending() == 0);
+            prop_assert_eq!(buf.raised(), model.raised);
+            prop_assert_eq!(buf.duplicates(), model.duplicates);
+            prop_assert_eq!(buf.overflows(), model.overflows);
         }
-        let drained = buf.drain_sorted();
-        let got: Vec<u64> = drained.iter().map(|p| p.index()).collect();
-        let want: Vec<u64> = expect.into_iter().collect();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(buf.drain_sorted(), model.drain_sorted());
         prop_assert!(buf.is_empty());
     }
 

@@ -44,5 +44,5 @@ pub mod walker;
 
 pub use mmu::{Mmu, MmuStats, Translation, TranslationOutcome};
 pub use page_table::GpuPageTable;
-pub use tlb::{Tlb, TlbKey, TlbStats};
+pub use tlb::{Tlb, TlbStats};
 pub use walker::PageTableWalker;

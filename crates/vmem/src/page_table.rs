@@ -2,8 +2,9 @@
 //! tracked at two granularities.
 //!
 //! Base-page entries live in a [`TieredPageMap`] whose region tier is the
-//! large-page group, so "is this group fully resident?" — the coalescing
-//! precondition — is an O(1) counter read. A fully-resident group can be
+//! large-page group: one flat slot per page, so a translation is one slot
+//! load, plus a resident-page count per group, so "is this group fully
+//! resident?" — the coalescing precondition — is an O(1) counter read. A fully-resident group can be
 //! *promoted* to a large-page mapping (Mosaic-style coalescing); promotion
 //! is an overlay over the base entries, which remain the single source of
 //! residency truth, so splintering is metadata-only — exactly the property
@@ -19,9 +20,9 @@ use batmem_types::{FrameId, PageId, RegionId};
 /// entry when a page's migration finishes and removes it when the page is
 /// evicted (§2.2 of the paper).
 ///
-/// Entries live in a dense two-level table (page IDs are dense
-/// `0..footprint_pages`), so translate/install/remove are array accesses
-/// and per-group residency counts are maintained incrementally.
+/// Entries live in a flat table indexed by page (page IDs are dense
+/// `0..footprint_pages`), so translate/install/remove are array accesses,
+/// and per-group residency counts are maintained incrementally beside it.
 #[derive(Debug, Clone)]
 pub struct GpuPageTable {
     entries: TieredPageMap<FrameId>,

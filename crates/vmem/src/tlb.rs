@@ -1,26 +1,7 @@
 //! Set-associative, LRU translation lookaside buffers.
 
-use batmem_types::{PageId, RegionId};
-
-/// A tag a [`Tlb`] can cache: base pages for the classic TLBs, large-page
-/// groups ([`RegionId`]) for the coalesced-mapping TLBs.
-pub trait TlbKey: Copy + PartialEq + std::fmt::Debug {
-    /// Dense index used for set selection and the TLB's slot index;
-    /// distinct keys have distinct indices.
-    fn cache_index(self) -> u64;
-}
-
-impl TlbKey for PageId {
-    fn cache_index(self) -> u64 {
-        self.index()
-    }
-}
-
-impl TlbKey for RegionId {
-    fn cache_index(self) -> u64 {
-        self.index()
-    }
-}
+use batmem_types::dense::DenseKey;
+use batmem_types::PageId;
 
 /// Hit/miss statistics for one TLB.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,7 +37,7 @@ const ABSENT: u32 = u32::MAX;
 ///
 /// Entries live in flat, set-major slot arrays with a last-use stamp each
 /// (set `s` owns slots `s * ways .. (s + 1) * ways`), and a dense index
-/// maps each key's [`TlbKey::cache_index`] to its slot. A lookup is one
+/// maps each key's [`DenseKey::dense_index`] to its slot. A lookup is one
 /// index load and, on a hit, one stamp write, however old the entry is. An
 /// insert fills the set's lowest-stamp slot: empty slots carry stamp 0 and
 /// ticks are unique, so that is the entry an LRU stack would evict
@@ -77,27 +58,21 @@ const ABSENT: u32 = u32::MAX;
 /// assert!(tlb.lookup(PageId::new(2)));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Tlb<K: TlbKey = PageId> {
+pub struct Tlb<K: DenseKey = PageId> {
     /// Each slot's key; `None` for an empty slot.
     keys: Vec<Option<K>>,
     /// Each slot's last-use stamp; 0 for an empty slot.
     stamps: Vec<u64>,
-    /// `index[key.cache_index()]` is the slot holding `key`, or `ABSENT`.
+    /// `index[key.dense_index()]` is the slot holding `key`, or `ABSENT`.
     index: Vec<u32>,
     /// The last stamp handed out.
     tick: u64,
-    num_sets: u64,
+    num_sets: usize,
     ways: usize,
     stats: TlbStats,
 }
 
-/// Where `key` sits in a TLB's slot index.
-#[inline]
-fn index_of<K: TlbKey>(key: K) -> usize {
-    usize::try_from(key.cache_index()).expect("TLB key index fits in usize")
-}
-
-impl<K: TlbKey> Tlb<K> {
+impl<K: DenseKey> Tlb<K> {
     /// Creates a TLB with `entries` total entries and `ways` associativity.
     ///
     /// # Panics
@@ -112,7 +87,7 @@ impl<K: TlbKey> Tlb<K> {
             stamps: vec![0; entries as usize],
             index: Vec::new(),
             tick: 0,
-            num_sets: u64::from(entries / ways),
+            num_sets: (entries / ways) as usize,
             ways: ways as usize,
             stats: TlbStats::default(),
         }
@@ -126,7 +101,7 @@ impl<K: TlbKey> Tlb<K> {
     /// The slot holding `key`, if any.
     #[inline]
     fn slot_of(&self, key: K) -> Option<usize> {
-        match self.index.get(index_of(key)) {
+        match self.index.get(key.dense_index()) {
             Some(&slot) if slot != ABSENT => Some(slot as usize),
             _ => None,
         }
@@ -161,7 +136,7 @@ impl<K: TlbKey> Tlb<K> {
             self.stamps[slot] = self.tick;
             return None;
         }
-        let first = (page.cache_index() % self.num_sets) as usize * self.ways;
+        let first = page.dense_index() % self.num_sets * self.ways;
         let set = &self.stamps[first..first + self.ways];
         let mut victim = 0;
         for w in 1..set.len() {
@@ -172,10 +147,10 @@ impl<K: TlbKey> Tlb<K> {
         let slot = first + victim;
         let evicted = self.keys[slot].replace(page);
         if let Some(old) = evicted {
-            self.index[index_of(old)] = ABSENT;
+            self.index[old.dense_index()] = ABSENT;
         }
         self.stamps[slot] = self.tick;
-        let i = index_of(page);
+        let i = page.dense_index();
         if i >= self.index.len() {
             self.index.resize(i + 1, ABSENT);
         }
@@ -189,7 +164,7 @@ impl<K: TlbKey> Tlb<K> {
         let Some(slot) = self.slot_of(page) else {
             return false;
         };
-        self.index[index_of(page)] = ABSENT;
+        self.index[page.dense_index()] = ABSENT;
         self.keys[slot] = None;
         self.stamps[slot] = 0;
         self.stats.shootdowns += 1;
@@ -210,6 +185,7 @@ impl<K: TlbKey> Tlb<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batmem_types::RegionId;
 
     fn p(i: u64) -> PageId {
         PageId::new(i)

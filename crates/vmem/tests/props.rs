@@ -1,7 +1,8 @@
 //! Property-based tests for the virtual-memory substrate.
 
+use batmem_types::dense::DenseKey;
 use batmem_types::{FrameId, PageId, RegionId};
-use batmem_vmem::{GpuPageTable, Tlb, TlbKey, TlbStats};
+use batmem_vmem::{GpuPageTable, Tlb, TlbStats};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -13,7 +14,7 @@ struct StackTlb<K> {
     stats: TlbStats,
 }
 
-impl<K: TlbKey> StackTlb<K> {
+impl<K: DenseKey> StackTlb<K> {
     fn new(entries: u32, ways: u32) -> Self {
         Self {
             sets: (0..entries / ways).map(|_| Vec::new()).collect(),
@@ -23,8 +24,8 @@ impl<K: TlbKey> StackTlb<K> {
     }
 
     fn set(&mut self, key: K) -> &mut Vec<K> {
-        let n = self.sets.len() as u64;
-        &mut self.sets[(key.cache_index() % n) as usize]
+        let n = self.sets.len();
+        &mut self.sets[key.dense_index() % n]
     }
 
     fn lookup(&mut self, key: K) -> bool {
@@ -125,7 +126,7 @@ fn stream_key(kind: u8, i: u64, r: u64, entries: u64) -> u64 {
 /// Runs `ops` against a flat [`Tlb`] and the stack model side by side and
 /// checks every answer: hits, evicted victims, invalidations, membership,
 /// occupancy and statistics.
-fn check_tlb_against_stack_model<K: TlbKey>(
+fn check_tlb_against_stack_model<K: DenseKey>(
     key_of: fn(u64) -> K,
     ways: u32,
     sets: u32,

@@ -164,3 +164,36 @@ fn eviction_pressure_splinters_and_sticky_never_repromotes() {
     assert!(greedy.mmu.splinters <= greedy.mmu.coalesces);
     assert!(sticky.mmu.splinters <= sticky.mmu.coalesces);
 }
+
+/// The strided runs are the suite's only runs that promote: `figures --
+/// all` never coalesces, and the graph footprints never fill a group
+/// ([`tiny_footprints_never_promote`]). So their exact counts are what
+/// guards the per-group residency counts that gate promotion. Captured
+/// from the nested per-group page tables the flat map plus counts
+/// replaced. `splinter:on-evict` at 0.5 matches greedy because greedy
+/// never re-promotes there either (16 promotions over 16 groups).
+#[test]
+fn strided_runs_pin_their_promotion_counts() {
+    // [cycles, batches, evictions, walks, large walks, coalesces,
+    //  splinters, large hits]
+    let pins: [(&str, f64, [u64; 8]); 4] = [
+        ("off", 1.0, [2_769_040, 31, 0, 1411, 0, 0, 0, 0]),
+        ("greedy", 1.0, [2_765_620, 31, 0, 1008, 16, 16, 0, 407]),
+        ("greedy", 0.5, [7_251_503, 48, 655, 1772, 16, 16, 15, 124]),
+        ("splinter:on-evict", 0.5, [7_251_503, 48, 655, 1772, 16, 16, 15, 124]),
+    ];
+    for (spec, ratio, want) in pins {
+        let m = run_strided(spec, ratio, None);
+        let got = [
+            m.cycles,
+            m.uvm.num_batches(),
+            m.uvm.evictions,
+            m.mmu.walks,
+            m.mmu.large_walks,
+            m.mmu.coalesces,
+            m.mmu.splinters,
+            m.mmu.large_hits(),
+        ];
+        assert_eq!(got, want, "{spec} at ratio {ratio}");
+    }
+}

@@ -2,6 +2,7 @@
 
 use crate::error::BenchError;
 use crate::sweep::{input_scale, CellPolicy};
+use batmem::policies::PolicySpec;
 use batmem::{RunMetrics, SimConfig, Simulation};
 use batmem_graph::{gen, Csr};
 use batmem_uvm::InjectConfig;
@@ -174,24 +175,45 @@ pub fn run_one(
     suite: &SuiteConfig,
     graph: &Arc<Csr>,
 ) -> Result<RunMetrics, BenchError> {
-    let context = format!("{name}/{}", policy.label());
+    let graph = if name.starts_with("GC-") { suite.graph_for(name) } else { Arc::clone(graph) };
+    run_workload(
+        name,
+        graph,
+        &suite.sim,
+        policy.spec(),
+        policy.memory_ratio(suite.ratio),
+        inject,
+        &format!("{name}/{}", policy.label()),
+    )
+}
+
+/// The one path from a workload name to a finished run, shared by
+/// [`run_one`] and the sweep's cells: parses `inject`, builds `name` over
+/// `graph`, and runs it on `sim` under `policy` with `memory_ratio` (`None`
+/// = unsized memory). Spec and simulation errors carry `context`.
+pub(crate) fn run_workload(
+    name: &str,
+    graph: Arc<Csr>,
+    sim: &SimConfig,
+    policy: PolicySpec,
+    memory_ratio: Option<f64>,
+    inject: Option<&str>,
+    context: &str,
+) -> Result<RunMetrics, BenchError> {
     let inject = match inject {
-        Some(spec) => {
-            InjectConfig::parse_spec(spec).map_err(|e| BenchError::context(&context, &e))?
-        }
+        Some(spec) => InjectConfig::parse_spec(spec).map_err(|e| BenchError::context(context, &e))?,
         None => None,
     };
-    let graph = if name.starts_with("GC-") { suite.graph_for(name) } else { Arc::clone(graph) };
     let workload = registry::build(name, graph)
         .ok_or_else(|| BenchError::msg(format!("unknown workload `{name}`")))?;
-    let mut b = Simulation::builder().config(suite.sim.clone()).policy(policy.spec());
-    if let Some(ratio) = policy.memory_ratio(suite.ratio) {
+    let mut b = Simulation::builder().config(sim.clone()).policy(policy);
+    if let Some(ratio) = memory_ratio {
         b = b.memory_ratio(ratio);
     }
     if let Some(inject) = inject {
         b = b.inject(inject);
     }
-    b.try_run(workload).map_err(|e| BenchError::context(&context, &e))
+    b.try_run(workload).map_err(|e| BenchError::context(context, &e))
 }
 
 /// The host's available parallelism (4 when it cannot be determined).
@@ -259,7 +281,6 @@ pub fn suite_results(configs: &[ConfigName], suite: &SuiteConfig) -> SuiteResult
 #[cfg(test)]
 mod tests {
     use super::*;
-    use batmem::policies::PolicySpec;
 
     #[test]
     fn parallel_map_preserves_order() {

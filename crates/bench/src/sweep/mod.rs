@@ -3,8 +3,8 @@
 //! A [`SweepPlan`] (cartesian spec of workloads × policies × scales ×
 //! ratios × seeds) expands into content-hashed [`SweepCell`]s, which flow
 //! through a bounded job queue into a pool of worker threads — each owning
-//! an independent `Simulation` — while a results thread streams sealed
-//! [`MetricsRow`](batmem::probes::MetricsRow)s into a resumable on-disk
+//! an independent `Simulation` — while a results thread streams each run's
+//! [`MetricsRow`](batmem::probes::MetricsRow) into a resumable on-disk
 //! [`ArtifactStore`]. See [`pool`] for the robustness contract (panic
 //! isolation, wall-clock deadlines, retry/backoff, graceful drain) and
 //! [`store`] for the resume protocol.
@@ -35,11 +35,10 @@ pub use pool::{run_sweep, CellRunner, PoolConfig, SweepReport};
 pub use store::{ArtifactStore, LoadedStore};
 
 use crate::error::BenchError;
-use batmem::probes::{MetricsRow, MetricsSink};
-use batmem::{SimConfig, Simulation};
+use crate::runner::run_workload;
+use batmem::probes::MetricsRow;
+use batmem::SimConfig;
 use batmem_graph::{gen, Csr};
-use batmem_uvm::InjectConfig;
-use batmem_workloads::registry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -94,9 +93,9 @@ pub(crate) fn input_scale(workload: &str, scale: u32) -> u32 {
     }
 }
 
-/// Runs one cell to a sealed metrics row: builds (or reuses) the input
-/// graph, resolves the cell's policy and injection spec, attaches a
-/// [`MetricsSink`] labeled with the cell slug, and runs the simulation.
+/// Runs one cell to its metrics row: builds (or reuses) the input graph
+/// and runs the cell's workload, policy spec, memory ratio and injection
+/// spec through the same path as [`run_one`](crate::runner::run_one).
 ///
 /// # Errors
 ///
@@ -109,23 +108,17 @@ pub fn run_cell(
     graphs: &GraphCache,
 ) -> Result<MetricsRow, BenchError> {
     let graph = graphs.get(input_scale(&cell.workload, cell.scale), cell.edge_factor, cell.seed);
-    let workload = registry::build(&cell.workload, graph)
-        .ok_or_else(|| BenchError::msg(format!("unknown workload `{}`", cell.workload)))?;
-    let sink = MetricsSink::labeled(cell.label());
-    let mut b =
-        Simulation::builder().config(sim.clone()).policy(cell.policy_spec()).probe(sink.clone());
-    if let Some(ratio) = cell.policy.memory_ratio(cell.ratio) {
-        b = b.memory_ratio(ratio);
-    }
-    if let Some(spec) = &cell.inject {
-        if let Some(inject) = InjectConfig::parse_spec(spec)
-            .map_err(|e| BenchError::context(&cell.label(), &e))?
-        {
-            b = b.inject(inject);
-        }
-    }
-    b.try_run(workload).map_err(|e| BenchError::context(&cell.label(), &e))?;
-    Ok(sink.rows().pop().expect("finished run seals one row"))
+    let label = cell.label();
+    let run = run_workload(
+        &cell.workload,
+        graph,
+        sim,
+        cell.policy_spec(),
+        cell.policy.memory_ratio(cell.ratio),
+        cell.inject.as_deref(),
+        &label,
+    )?;
+    Ok(MetricsRow::from_run(label, &run))
 }
 
 /// The production [`CellRunner`]: [`run_cell`] over a fresh shared

@@ -269,6 +269,7 @@ impl Engine {
             warp.waiting_pages = n;
             self.blocks[b].set_phase(w, WarpPhase::FaultBlocked);
             let block_id = self.blocks[b].id;
+            self.warp_stalls += 1;
             self.probes.emit_with(self.clock, || ProbeEvent::WarpStalled {
                 sm: sm as u16,
                 block: block_id.index() as u32,

@@ -93,6 +93,9 @@ struct Engine {
     mem_ops: u64,
     ctx_switches: u64,
     ctx_switch_cycles: Cycle,
+    warp_stalls: u64,
+    warp_resumes: u64,
+    watchdog_ticks: u64,
     /// Ops taken from warp streams (replays of faulted ops excluded): the
     /// watchdog's measure of forward progress, with `warps_retired`.
     stream_ops: u64,
@@ -174,6 +177,9 @@ impl Engine {
             mem_ops: 0,
             ctx_switches: 0,
             ctx_switch_cycles: 0,
+            warp_stalls: 0,
+            warp_resumes: 0,
+            watchdog_ticks: 0,
             stream_ops: 0,
             uvm_out: Vec::new(),
             waiter_pool: Vec::new(),
@@ -272,6 +278,7 @@ impl Engine {
                 let sig = self.progress_signature();
                 if sig == last_sig {
                     stagnant += 1;
+                    self.watchdog_ticks += 1;
                     let occ = self.events.occupancy();
                     self.probes.emit_with(self.clock, || ProbeEvent::WatchdogTick {
                         events_without_progress: stagnant,
@@ -347,6 +354,9 @@ impl Engine {
             l2d,
             ctx_switches: self.ctx_switches,
             ctx_switch_cycles: self.ctx_switch_cycles,
+            warp_stalls: self.warp_stalls,
+            warp_resumes: self.warp_resumes,
+            watchdog_ticks: self.watchdog_ticks,
             final_oversub_degree: self.oversub.degree(),
             oversub_decrements: self.oversub.decrements(),
             throttle_engagements: self.throttle.engagements(),

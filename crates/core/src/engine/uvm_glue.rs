@@ -62,6 +62,7 @@ impl Engine {
             if self.blocks[b].warp_mut(w).page_arrived() {
                 let block_id = self.blocks[b].id;
                 let sm = self.block_sm[b];
+                self.warp_resumes += 1;
                 self.probes.emit_with(self.clock, || ProbeEvent::WarpResumed {
                     sm: sm as u16,
                     block: block_id.index() as u32,

@@ -33,19 +33,17 @@
 //!
 //! ```
 //! use batmem::{policies, Simulation};
-//! use batmem::probes::{Timeline, Tracer};
+//! use batmem::probes::Tracer;
 //! use batmem_workloads::synthetic::Strided;
 //!
 //! let tracer = Tracer::bounded(64 * 1024);
-//! let timeline = Timeline::new();
-//! let _ = Simulation::builder()
+//! let metrics = Simulation::builder()
 //!     .policy(policies::baseline())
 //!     .probe(tracer.clone())
-//!     .probe(timeline.clone())
 //!     .try_run(Box::new(Strided::new(1, 32, 32, 2, 0, 1)))
 //!     .unwrap();
-//! assert!(tracer.len() > 0);               // structured JSONL events
-//! assert_eq!(timeline.num_batches(), 1);   // per-batch spans
+//! assert!(tracer.len() > 0);                 // structured JSONL events
+//! assert_eq!(metrics.uvm.num_batches(), 1);  // per-batch records
 //! ```
 //!
 //! The [`Simulation`] builder selects policies; [`RunMetrics`] carries

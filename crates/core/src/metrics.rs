@@ -39,6 +39,13 @@ pub struct RunMetrics {
     pub ctx_switches: u64,
     /// Cycles spent in context-switch transfers.
     pub ctx_switch_cycles: Cycle,
+    /// Times a warp stalled on far-faults.
+    pub warp_stalls: u64,
+    /// Times a stalled warp's last awaited page arrived.
+    pub warp_resumes: u64,
+    /// Events the watchdog observed without forward progress (0 when its
+    /// budget is off).
+    pub watchdog_ticks: u64,
     /// Final thread-oversubscription degree (extra blocks per SM).
     pub final_oversub_degree: u32,
     /// Times the TO controller lowered the degree.
@@ -79,6 +86,9 @@ mod tests {
             l2d: CacheStats::default(),
             ctx_switches: 0,
             ctx_switch_cycles: 0,
+            warp_stalls: 0,
+            warp_resumes: 0,
+            watchdog_ticks: 0,
             final_oversub_degree: 0,
             oversub_decrements: 0,
             throttle_engagements: 0,

@@ -23,8 +23,8 @@
 //! thread in attachment order, and must not panic: the simulator treats the
 //! stream as fire-and-forget. A probe that needs to hand data back after
 //! the run should be a cheap handle over shared interior state (the shipped
-//! `Tracer`/`Timeline`/`MetricsSink` in `batmem::probes` all follow this
-//! pattern: `Clone` the handle, attach one, keep the other).
+//! `Tracer` in `batmem::probes` follows this pattern: `Clone` the handle,
+//! attach one, keep the other).
 
 use crate::addr::{FrameId, PageId, RegionId};
 use crate::time::Cycle;

@@ -6,6 +6,10 @@
 //!   processing to the start of the batch's first page transfer;
 //! * **batch processing time** — from the start of a batch's processing to
 //!   the migration of its last page.
+//!
+//! A record also splits its processing time into three phases (the Fig. 5
+//! anatomy): the runtime's handling window, the wait for an eviction to
+//! free the first frame, and the migration itself.
 
 use batmem_types::Cycle;
 
@@ -53,6 +57,23 @@ impl BatchRecord {
         self.end - self.start
     }
 
+    /// The runtime's fault-handling window (batch start to the end of
+    /// preprocessing and page-table walks).
+    pub fn handling_cycles(&self) -> Cycle {
+        self.handling_done - self.start
+    }
+
+    /// Cycles between the end of handling and the first transfer: the
+    /// eviction-serialization stall UE removes (Fig. 5).
+    pub fn eviction_wait_cycles(&self) -> Cycle {
+        self.first_migration_start - self.handling_done
+    }
+
+    /// Cycles from the first transfer start to the last arrival.
+    pub fn migration_cycles(&self) -> Cycle {
+        self.end - self.first_migration_start
+    }
+
     /// Per-page fault handling time (processing time / pages), the Fig. 3
     /// metric. Zero pages yields `None`.
     pub fn per_page_time(&self) -> Option<f64> {
@@ -91,6 +112,22 @@ mod tests {
         assert_eq!(r.fault_handling_time(), 20_000);
         assert_eq!(r.processing_time(), 61_000);
         assert_eq!(r.per_page_time(), Some(6_100.0));
+    }
+
+    #[test]
+    fn phases_split_the_processing_time() {
+        let r = BatchRecord {
+            start: 100,
+            handling_done: 150,
+            first_migration_start: 200,
+            end: 400,
+            ..record()
+        };
+        assert_eq!(r.processing_time(), 300);
+        assert_eq!(r.handling_cycles(), 50);
+        assert_eq!(r.eviction_wait_cycles(), 50);
+        assert_eq!(r.migration_cycles(), 200);
+        assert_eq!(r.fault_handling_time(), r.handling_cycles() + r.eviction_wait_cycles());
     }
 
     #[test]

@@ -60,16 +60,16 @@ impl UvmRuntime {
         // threshold), pull in the group's missing pages so the group can
         // promote to a large mapping once everything lands.
         if !self.coalesce.is_off() {
-            let ppl = self.pages_per_large;
+            let ppl = self.installed.pages_per_region();
             let mut extra: Vec<PageId> = Vec::new();
             let mut i = 0;
             while i < pages.len() {
-                let group = pages[i].index() / ppl;
+                let group = self.installed.region_of(pages[i]);
                 let mut j = i;
-                while j < pages.len() && pages[j].index() / ppl == group {
+                while j < pages.len() && self.installed.region_of(pages[j]) == group {
                     j += 1;
                 }
-                let first = group * ppl;
+                let first = group.index() * ppl;
                 let end = (first + ppl).min(self.valid_pages);
                 let mut resident = 0u64;
                 for idx in first..end {

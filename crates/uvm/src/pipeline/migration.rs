@@ -50,7 +50,7 @@ impl UvmRuntime {
             } else {
                 page.index().checked_sub(1).and_then(|prev| {
                     let prev = PageId::new(prev);
-                    if self.group_of(prev) == self.group_of(page) {
+                    if self.installed.region_of(prev) == self.installed.region_of(page) {
                         self.mem.frame_of(prev).map(|f| FrameId::new(f.index() + 1))
                     } else {
                         None

@@ -169,11 +169,10 @@ pub struct UvmRuntime {
     /// Actuation signals of the adaptive oversubscription policy (`None`
     /// for every static policy — all fast paths stay untouched).
     pub(crate) signals: Option<AdaptiveSignals>,
-    /// Base pages per large-page group (from the configured geometry).
-    pub(crate) pages_per_large: u64,
     /// Pages currently installed in the GPU page table, mirrored from the
-    /// `Install`/`Evict` commands this runtime emits; its per-group counts
-    /// gate promotion.
+    /// `Install`/`Evict` commands this runtime emits. Its regions are the
+    /// configured geometry's large-page groups, and their counts gate
+    /// promotion.
     pub(crate) installed: TieredPageMap<()>,
     /// Groups currently promoted to a large mapping (mirrors the page
     /// table's promoted set).
@@ -227,7 +226,6 @@ impl UvmRuntime {
         prefetcher: Box<dyn Prefetcher>,
         coalesce: Box<dyn CoalesceStrategy>,
     ) -> Self {
-        let pages_per_large = cfg.geometry.pages_per_large();
         Self {
             cfg: cfg.clone(),
             policy: *policy,
@@ -243,8 +241,7 @@ impl UvmRuntime {
             coalesce,
             servicing: Box::new(CpuServicing),
             signals: None,
-            pages_per_large,
-            installed: TieredPageMap::with_pages_per_region(pages_per_large),
+            installed: TieredPageMap::with_pages_per_region(cfg.geometry.pages_per_large()),
             promoted: RegionSet::new(),
             splintered: RegionSet::new(),
             lifetime: LifetimeTracker::new(),
@@ -369,7 +366,7 @@ impl UvmRuntime {
             UvmEvent::EvictionStarted { page } => {
                 // Splinter-before-evict: a page may not leave the page
                 // table while its group holds a large mapping.
-                let group = self.group_of(page);
+                let group = self.installed.region_of(page);
                 if self.promoted.remove(group) {
                     self.splintered.insert(group);
                     self.probes.emit_with(now, || ProbeEvent::RegionSplintered { region: group });
@@ -385,11 +382,6 @@ impl UvmRuntime {
         Ok(())
     }
 
-    /// The large-page group containing `page`.
-    pub(crate) fn group_of(&self, page: PageId) -> RegionId {
-        RegionId::new(page.index() / self.pages_per_large)
-    }
-
     /// Records that `page` was installed in the GPU page table (its
     /// `Install` command was just emitted) and, when the coalescing policy
     /// agrees and the group is now fully installed, emits the group's
@@ -399,13 +391,13 @@ impl UvmRuntime {
             return;
         }
         self.installed.insert(page, ());
-        let group = self.group_of(page);
+        let group = self.installed.region_of(page);
         if self.installed.region_is_full(group)
             && !self.promoted.contains(group)
             && self.coalesce.should_promote(self.splintered.contains(group))
         {
             self.promoted.insert(group);
-            let pages = self.pages_per_large as u32;
+            let pages = self.installed.pages_per_region() as u32;
             self.probes.emit_with(now, || ProbeEvent::RegionCoalesced { region: group, pages });
             out.push(UvmOutput::Coalesce { region: group });
         }
@@ -549,7 +541,7 @@ impl UvmRuntime {
                     format!(
                         "group {g} promoted with {}/{} pages installed",
                         self.installed.region_len(g),
-                        self.pages_per_large
+                        self.installed.pages_per_region()
                     ),
                 );
             }

@@ -274,7 +274,7 @@ fn handling_time_scales_with_batch_size() {
     }
     drain(&mut rt, outs);
     let s = rt.stats();
-    assert_eq!(s.batches[0].handling_done - s.batches[0].start, 20_000 + 30 * 100);
+    assert_eq!(s.batches[0].handling_cycles(), 20_000 + 30 * 100);
 }
 
 #[test]

@@ -2,6 +2,7 @@
 
 use crate::batch::BatchRecord;
 use batmem_types::Cycle;
+use std::fmt::Write as _;
 
 /// End-of-run statistics of the UVM runtime, assembled by
 /// [`crate::runtime::UvmRuntime::stats`].
@@ -17,7 +18,10 @@ pub struct UvmStats {
     pub buffer_overflows: u64,
     /// Faults raised for pages already migrating in the current batch.
     pub faults_on_inflight: u64,
-    /// Prefetched pages migrated.
+    /// Prefetch candidates the prefetcher issued. The pages that migrated
+    /// as prefetches are the batch records' `prefetches`; the two differ
+    /// when the adaptive throttle or the injector drops candidates, or
+    /// coalescing completion adds pages.
     pub prefetches: u64,
     /// Evictions performed.
     pub evictions: u64,
@@ -55,15 +59,6 @@ impl UvmStats {
             return 0.0;
         }
         let total: u64 = self.batches.iter().map(|b| u64::from(b.pages())).sum();
-        total as f64 / self.batches.len() as f64
-    }
-
-    /// Mean batch size in bytes.
-    pub fn avg_batch_bytes(&self) -> f64 {
-        if self.batches.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.batches.iter().map(|b| b.migrated_bytes).sum();
         total as f64 / self.batches.len() as f64
     }
 
@@ -118,10 +113,43 @@ impl UvmStats {
             .collect()
     }
 
-    /// Sum of all batch processing time (cycles the runtime spent with a
-    /// batch open).
-    pub fn total_batch_time(&self) -> Cycle {
-        self.batches.iter().map(|b| b.processing_time()).sum()
+    /// Cycles per batch phase summed over every batch: `(handling,
+    /// eviction wait, migration)`. The three sum to the batches' total
+    /// processing time.
+    pub fn phase_totals(&self) -> (Cycle, Cycle, Cycle) {
+        self.batches.iter().fold((0, 0, 0), |(h, w, m), b| {
+            (h + b.handling_cycles(), w + b.eviction_wait_cycles(), m + b.migration_cycles())
+        })
+    }
+
+    /// The batch records as CSV: a header, then one row per batch with
+    /// its composition, timestamps and phase split.
+    pub fn batches_csv(&self) -> String {
+        let mut out = String::from(
+            "batch,pages,faults,prefetches,evictions,forced_pinned_evictions,migrated_bytes,\
+             opened_at,closed_at,total_cycles,handling_cycles,eviction_wait_cycles,\
+             migration_cycles\n",
+        );
+        for b in &self.batches {
+            let _ = writeln!(
+                out,
+                "{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                b.id,
+                b.pages(),
+                b.faults,
+                b.prefetches,
+                b.evictions,
+                b.forced_pinned_evictions,
+                b.migrated_bytes,
+                b.start,
+                b.end,
+                b.processing_time(),
+                b.handling_cycles(),
+                b.eviction_wait_cycles(),
+                b.migration_cycles(),
+            );
+        }
+        out
     }
 
     /// Checks the structural invariants every run must satisfy: batches
@@ -206,7 +234,27 @@ mod tests {
         assert_eq!(s.avg_batch_pages(), 20.0);
         assert_eq!(s.avg_processing_time(), 80_000.0);
         assert_eq!(s.avg_fault_handling_time(), 20_000.0);
-        assert_eq!(s.total_batch_time(), 160_000);
+    }
+
+    #[test]
+    fn phase_totals_split_processing_time_and_feed_the_csv() {
+        // A 300-cycle batch: 50 handling, 50 eviction wait, 200 migration.
+        let split = BatchRecord {
+            handling_done: 150,
+            first_migration_start: 200,
+            prefetches: 4,
+            evictions: 2,
+            forced_pinned_evictions: 1,
+            ..rec(0, 4, 100, 400)
+        };
+        let s = UvmStats { batches: vec![split, rec(1, 2, 1_000, 61_000)], ..UvmStats::default() };
+        assert_eq!(s.phase_totals(), (50 + 20_000, 50, 200 + 40_000));
+        let (handling, wait, migration) = s.phase_totals();
+        let processing: Cycle = s.batches.iter().map(BatchRecord::processing_time).sum();
+        assert_eq!(handling + wait + migration, processing);
+        let csv = s.batches_csv();
+        assert_eq!(csv.lines().count(), 3);
+        assert_eq!(csv.lines().nth(1), Some("0,8,4,4,2,1,262144,100,400,300,50,50,200"));
     }
 
     #[test]

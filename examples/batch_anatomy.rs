@@ -33,7 +33,7 @@ fn main() {
         "batch", "start(us)", "hndl(us)", "mig@(us)", "end(us)", "pages", "pf", "evict"
     );
     for b in metrics.uvm.batches.iter().take(30) {
-        let gap = b.first_migration_start - b.handling_done;
+        let gap = b.eviction_wait_cycles();
         let bar = "#".repeat(((gap / 2_000) as usize).min(40));
         println!(
             "{:>5} {:>10.1} {:>9.1} {:>10.1} {:>10.1} {:>7} {:>5} {:>6} | {}{}",

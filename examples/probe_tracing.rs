@@ -1,12 +1,13 @@
 //! Smoke-test for the probe layer: runs a small oversubscribed BFS with a
-//! `Tracer`, a `Timeline`, and a `MetricsSink` attached, prints the phase
-//! breakdown and batch-size histogram, and writes the machine-readable
-//! artifacts (`trace.jsonl`, `batches.csv`, `metrics.csv`) to a directory.
+//! `Tracer` attached, prints the batch-phase breakdown from the run's
+//! statistics, and writes the machine-readable artifacts (`trace.jsonl`
+//! from the tracer, `batches.csv` and `metrics.csv` from the run record)
+//! to a directory.
 //!
 //! Usage: `cargo run --release --example probe_tracing [outdir]`
 //! (no outdir: print a trace excerpt instead of writing files)
 
-use batmem::probes::{MetricsSink, Timeline, Tracer};
+use batmem::probes::{MetricsRow, Tracer};
 use batmem::{policies, Simulation};
 use batmem_graph::gen;
 use batmem_workloads::registry;
@@ -20,15 +21,11 @@ fn main() {
     let workload = registry::build("BFS-TTC", graph).expect("known workload");
 
     let tracer = Tracer::bounded(64 * 1024);
-    let timeline = Timeline::new();
-    let sink = MetricsSink::labeled("BFS-TTC/to+ue");
 
     let metrics = Simulation::builder()
         .policy(policies::to_ue())
         .memory_ratio(0.5)
         .probe(tracer.clone())
-        .probe(timeline.clone())
-        .probe(sink.clone())
         .try_run(workload)
         .expect("simulation failed");
 
@@ -40,26 +37,24 @@ fn main() {
         tracer.dropped(),
     );
 
-    let phases = timeline.phase_totals();
+    let (handling, eviction_wait, migration) = metrics.uvm.phase_totals();
     println!(
         "phases: handling {} us, eviction wait {} us, migration {} us",
-        phases.handling / 1_000,
-        phases.eviction_wait / 1_000,
-        phases.migration / 1_000,
+        handling / 1_000,
+        eviction_wait / 1_000,
+        migration / 1_000,
     );
-    println!("batch-size histogram (pages <= bucket):");
-    for (upper, count) in timeline.size_histogram() {
-        println!("  <= {upper:>6}: {count}");
-    }
 
     match outdir {
         Some(dir) => {
             let dir = Path::new(&dir);
             std::fs::create_dir_all(dir).expect("create output directory");
             tracer.write_jsonl(&dir.join("trace.jsonl")).expect("write trace.jsonl");
-            std::fs::write(dir.join("batches.csv"), timeline.batches_csv())
+            std::fs::write(dir.join("batches.csv"), metrics.uvm.batches_csv())
                 .expect("write batches.csv");
-            std::fs::write(dir.join("metrics.csv"), sink.to_csv()).expect("write metrics.csv");
+            let row = MetricsRow::from_run("BFS-TTC/to+ue", &metrics);
+            std::fs::write(dir.join("metrics.csv"), MetricsRow::csv([&row]))
+                .expect("write metrics.csv");
             println!("artifacts: {}", dir.display());
         }
         None => {

@@ -10,7 +10,7 @@
 //! promotion physically cannot fire on them — which is itself pinned by
 //! [`tiny_footprints_never_promote`].
 
-use batmem::probes::MetricsSink;
+use batmem::probes::MetricsRow;
 use batmem::{policies, RunMetrics, Simulation};
 use batmem_graph::gen;
 use batmem_types::addr::PageGeometry;
@@ -36,7 +36,7 @@ fn strided() -> Strided {
     Strided::new(8, 64, 32, 32, 10, 2)
 }
 
-fn run_strided(coalesce: &str, ratio: f64, sink: Option<MetricsSink>) -> RunMetrics {
+fn run_strided(coalesce: &str, ratio: f64) -> RunMetrics {
     let w = strided();
     // Shrink the TLBs so the 512-page working set thrashes the base side
     // on every pass, while the sixteen 32-page groups still fit the large
@@ -46,15 +46,13 @@ fn run_strided(coalesce: &str, ratio: f64, sink: Option<MetricsSink>) -> RunMetr
     sim.tlb.l1_entries = 8;
     sim.tlb.l2_entries = 32;
     sim.tlb.l2_ways = 8;
-    let mut b = Simulation::builder()
+    Simulation::builder()
         .config(sim)
         .policy(policies::baseline())
         .memory_ratio(ratio)
-        .coalesce(coalesce);
-    if let Some(sink) = sink {
-        b = b.probe(sink);
-    }
-    b.try_run(Box::new(w)).unwrap()
+        .coalesce(coalesce)
+        .try_run(Box::new(w))
+        .unwrap()
 }
 
 /// `coalesce:off` must be byte-identical to never mentioning the axis at
@@ -108,13 +106,11 @@ fn tiny_footprints_never_promote() {
 /// Greedy coalescing must do real work — promote groups, serve
 /// translations out of the large TLBs, and cut page-table walks relative
 /// to the off run — and the improvement must be visible through the
-/// `MetricsSink` rows, not just the in-memory stats.
+/// sweep's `MetricsRow`s, not just the in-memory stats.
 #[test]
 fn greedy_coalescing_improves_tlb_reach() {
-    let off_sink = MetricsSink::new();
-    let on_sink = MetricsSink::new();
-    let off = run_strided("off", 1.0, Some(off_sink.clone()));
-    let on = run_strided("greedy", 1.0, Some(on_sink.clone()));
+    let off = run_strided("off", 1.0);
+    let on = run_strided("greedy", 1.0);
 
     assert!(on.mmu.coalesces > 0, "greedy never promoted a group");
     assert!(on.mmu.large_hits() > 0, "promotions never served a translation");
@@ -127,8 +123,8 @@ fn greedy_coalescing_improves_tlb_reach() {
     );
 
     // The same improvement through the metrics rows.
-    let off_row = off_sink.rows().pop().unwrap();
-    let on_row = on_sink.rows().pop().unwrap();
+    let off_row = MetricsRow::from_run("strided/off", &off);
+    let on_row = MetricsRow::from_run("strided/greedy", &on);
     assert_eq!(on_row.coalesces, on.mmu.coalesces);
     assert!(on_row.large_tlb_hits > 0);
     assert!(on_row.walks < off_row.walks);
@@ -138,8 +134,8 @@ fn greedy_coalescing_improves_tlb_reach() {
 /// eviction pressure (promote -> splinter -> re-promote cycles).
 #[test]
 fn greedy_coalescing_is_deterministic() {
-    let a = run_strided("greedy", 0.5, None);
-    let b = run_strided("greedy", 0.5, None);
+    let a = run_strided("greedy", 0.5);
+    let b = run_strided("greedy", 0.5);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.mmu, b.mmu);
     assert_eq!(a.uvm.evictions, b.uvm.evictions);
@@ -150,8 +146,8 @@ fn greedy_coalescing_is_deterministic() {
 /// never re-promotes, so it promotes at most as often as greedy.
 #[test]
 fn eviction_pressure_splinters_and_sticky_never_repromotes() {
-    let greedy = run_strided("greedy", 0.5, None);
-    let sticky = run_strided("splinter:on-evict", 0.5, None);
+    let greedy = run_strided("greedy", 0.5);
+    let sticky = run_strided("splinter:on-evict", 0.5);
     assert!(greedy.uvm.evictions > 0, "no eviction pressure at 50% memory");
     assert!(greedy.mmu.splinters > 0, "evictions under promotion must splinter");
     assert!(sticky.mmu.coalesces <= greedy.mmu.coalesces);
@@ -183,7 +179,7 @@ fn strided_runs_pin_their_promotion_counts() {
         ("splinter:on-evict", 0.5, [7_251_503, 48, 655, 1772, 16, 16, 15, 124]),
     ];
     for (spec, ratio, want) in pins {
-        let m = run_strided(spec, ratio, None);
+        let m = run_strided(spec, ratio);
         let got = [
             m.cycles,
             m.uvm.num_batches(),

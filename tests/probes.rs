@@ -1,121 +1,59 @@
 //! Probe-layer completeness and ordering tests.
 //!
 //! The contract under test: the typed event stream is *complete* with
-//! respect to the built-in statistics — replaying a tracer's events must
-//! reproduce the exact `RunMetrics` counters (batches, faults, migrations,
-//! evictions, premature evictions) that the default aggregation reports.
-//! If an emission site is dropped or double-fires, these tests break.
+//! respect to the run record — replaying a tracer's events must reproduce
+//! every `MetricsRow` column and every `BatchRecord` that the engine
+//! counted itself. If an emission site is dropped or double-fires, or a
+//! column reads the wrong counter, these tests break.
 
-use batmem::probes::{MetricsSink, Timeline, Tracer};
-use batmem::{policies, ProbeEvent, RunMetrics, Simulation};
+use batmem::probes::{MetricsRow, Tracer};
+use batmem::{policies, ProbeEvent, RunMetrics, Simulation, SimulationBuilder};
 use batmem_graph::gen;
+use batmem_sim::ops::Workload;
 use batmem_workloads::registry;
+use batmem_workloads::synthetic::Strided;
 use std::sync::Arc;
 
+/// Runs `workload` under `builder` with a lossless tracer attached.
+fn traced(builder: SimulationBuilder, workload: Box<dyn Workload>) -> (RunMetrics, Tracer) {
+    let tracer = Tracer::bounded(1 << 22); // effectively unbounded here
+    let metrics = builder.probe(tracer.clone()).try_run(workload).expect("simulation succeeds");
+    assert_eq!(tracer.dropped(), 0, "trace must be lossless for replay");
+    (metrics, tracer)
+}
+
 /// A BFS run small enough for an unbounded trace but oversubscribed
-/// enough to exercise batches, evictions, refaults, and context switches.
-fn traced_bfs_run() -> (RunMetrics, Tracer, Timeline, MetricsSink) {
+/// enough to exercise batches, evictions and refaults.
+fn traced_bfs_run() -> (RunMetrics, Tracer) {
     let graph = Arc::new(gen::rmat(10, 8, 42));
     let workload = registry::build("BFS-TTC", graph).expect("known workload");
-    let tracer = Tracer::bounded(1 << 22); // effectively unbounded here
-    let timeline = Timeline::new();
-    let sink = MetricsSink::labeled("bfs/to_ue");
-    let metrics = Simulation::builder()
-        .policy(policies::to_ue())
-        .memory_ratio(0.5)
-        .probe(tracer.clone())
-        .probe(timeline.clone())
-        .probe(sink.clone())
-        .try_run(workload)
-        .expect("simulation succeeds");
-    assert_eq!(tracer.dropped(), 0, "trace must be lossless for replay");
-    (metrics, tracer, timeline, sink)
+    traced(Simulation::builder().policy(policies::to_ue()).memory_ratio(0.5), workload)
 }
 
-#[derive(Default)]
-struct Replay {
-    fault_raised: u64,
-    fault_absorbed: u64,
-    batches_opened: u64,
-    batches_closed: u64,
-    migrations_started: u64,
-    migrations_completed: u64,
-    evictions_begun: u64,
-    evictions_finished: u64,
-    premature: u64,
-    warp_stalls: u64,
-    warp_resumes: u64,
-    ctx_switches: u64,
-    kernels: u64,
-    closed_prefetches: u64,
-    closed_migrated_bytes: u64,
-}
-
-fn replay(tracer: &Tracer) -> Replay {
-    let mut r = Replay::default();
-    for (_, ev) in tracer.events() {
-        match ev {
-            ProbeEvent::FaultRaised { .. } => r.fault_raised += 1,
-            ProbeEvent::FaultAbsorbed { .. } => r.fault_absorbed += 1,
-            ProbeEvent::BatchOpened { .. } => r.batches_opened += 1,
-            ProbeEvent::BatchClosed { prefetches, migrated_bytes, .. } => {
-                r.batches_closed += 1;
-                r.closed_prefetches += u64::from(prefetches);
-                r.closed_migrated_bytes += migrated_bytes;
-            }
-            ProbeEvent::MigrationStarted { .. } => r.migrations_started += 1,
-            ProbeEvent::MigrationCompleted { .. } => r.migrations_completed += 1,
-            ProbeEvent::EvictionBegun { .. } => r.evictions_begun += 1,
-            ProbeEvent::EvictionFinished { .. } => r.evictions_finished += 1,
-            ProbeEvent::PrematureEviction { .. } => r.premature += 1,
-            ProbeEvent::WarpStalled { .. } => r.warp_stalls += 1,
-            ProbeEvent::WarpResumed { .. } => r.warp_resumes += 1,
-            ProbeEvent::ContextSwitch { .. } => r.ctx_switches += 1,
-            ProbeEvent::KernelLaunched { .. } => r.kernels += 1,
-            _ => {}
-        }
-    }
-    r
-}
-
+/// The events the run record has no column for: each batch page starts
+/// one migration, each eviction finishes once, and each stall is resumed
+/// (the run completed). Every column is checked against the stream by
+/// [`run_record_columns_match_the_event_stream`].
 #[test]
 fn tracer_replay_reproduces_run_metrics() {
-    let (m, tracer, _, _) = traced_bfs_run();
-    let r = replay(&tracer);
+    let (m, tracer) = traced_bfs_run();
+    let events = tracer.events();
+    let count = |kind: &str| events.iter().filter(|(_, ev)| ev.kind() == kind).count() as u64;
 
-    // The headline Fig. 11-class counters, event-for-counter.
-    assert_eq!(r.batches_closed, m.uvm.num_batches(), "batches");
-    assert_eq!(r.batches_opened, m.uvm.num_batches(), "every batch opens once");
-    assert_eq!(r.fault_raised, m.uvm.faults_raised, "faults raised");
-    assert_eq!(r.fault_absorbed, m.uvm.faults_on_inflight, "absorbed faults");
-    assert_eq!(r.evictions_begun, m.uvm.evictions, "evictions");
-    assert_eq!(r.evictions_finished, m.uvm.evictions, "eviction completions");
-    assert_eq!(r.premature, m.uvm.premature_evictions, "premature evictions");
-    assert_eq!(r.ctx_switches, m.ctx_switches, "context switches");
-    assert_eq!(r.kernels, u64::from(m.kernels), "kernel launches");
-
-    // Page migrations: one started+completed pair per batch page.
     let batch_pages: u64 = m.uvm.batches.iter().map(|b| u64::from(b.pages())).sum();
-    assert_eq!(r.migrations_started, batch_pages, "migrations started");
-    assert_eq!(r.migrations_completed, batch_pages, "migrations completed");
-
-    // Per-batch payloads aggregate to the stats totals.
-    assert_eq!(r.closed_prefetches, m.uvm.prefetches, "prefetches");
-    let migrated: u64 = m.uvm.batches.iter().map(|b| b.migrated_bytes).sum();
-    assert_eq!(r.closed_migrated_bytes, migrated, "migrated bytes");
-
-    // Each stalled warp resumed exactly once per stall (the run completed).
-    assert_eq!(r.warp_stalls, r.warp_resumes, "stall/resume pairing");
+    assert_eq!(count("migration_started"), batch_pages, "migrations started");
+    assert_eq!(count("eviction_finished"), m.uvm.evictions, "eviction completions");
+    assert_eq!(m.warp_stalls, m.warp_resumes, "stall/resume pairing");
 
     // The run exercised what it claims to exercise.
-    assert!(r.batches_closed > 1, "want a multi-batch run");
-    assert!(r.evictions_begun > 0, "want an oversubscribed run");
+    assert!(m.uvm.num_batches() > 1, "want a multi-batch run");
+    assert!(m.uvm.evictions > 0, "want an oversubscribed run");
     assert_eq!(tracer.finished_at(), Some(m.cycles));
 }
 
 #[test]
 fn event_stream_is_well_ordered() {
-    let (_, tracer, _, _) = traced_bfs_run();
+    let (_, tracer) = traced_bfs_run();
     let events = tracer.events();
 
     // Emission times are monotone non-decreasing.
@@ -152,42 +90,120 @@ fn event_stream_is_well_ordered() {
     assert_eq!(open, None, "a batch was left open at end of run");
 }
 
-#[test]
-fn timeline_and_sink_agree_with_run_metrics() {
-    let (m, _, timeline, sink) = traced_bfs_run();
-
-    assert_eq!(timeline.num_batches() as u64, m.uvm.num_batches());
-    assert_eq!(timeline.evictions(), m.uvm.evictions);
-    assert_eq!(timeline.premature_evictions(), m.uvm.premature_evictions);
-    assert_eq!(timeline.finished_at(), Some(m.cycles));
-
-    // Spans carry the same per-batch payloads as the BatchRecords.
-    let spans = timeline.batches();
-    for (span, rec) in spans.iter().zip(&m.uvm.batches) {
-        assert_eq!(span.batch, rec.id);
-        assert_eq!(span.faults, rec.faults);
-        assert_eq!(span.prefetches, rec.prefetches);
-        assert_eq!(span.migrated_bytes, rec.migrated_bytes);
-        assert_eq!(span.opened_at, rec.start);
-        assert_eq!(span.closed_at, rec.end);
-        assert_eq!(span.first_migration_start, rec.first_migration_start);
+/// The run record `tracer`'s events add up to: each column's event count,
+/// payload sum or end-of-run summary.
+fn replayed_row(label: &str, tracer: &Tracer) -> MetricsRow {
+    let mut row = MetricsRow {
+        label: label.into(),
+        cycles: tracer.finished_at().expect("run finished"),
+        ..MetricsRow::default()
+    };
+    for (_, ev) in tracer.events() {
+        match ev {
+            ProbeEvent::KernelLaunched { .. } => row.kernels += 1,
+            ProbeEvent::FaultRaised { .. } => row.faults_raised += 1,
+            ProbeEvent::FaultAbsorbed { .. } => row.faults_absorbed += 1,
+            ProbeEvent::MigrationCompleted { .. } => row.migrations += 1,
+            ProbeEvent::BatchClosed { prefetches, migrated_bytes, .. } => {
+                row.batches += 1;
+                row.prefetches += u64::from(prefetches);
+                row.migrated_bytes += migrated_bytes;
+            }
+            ProbeEvent::EvictionBegun { forced_pinned, .. } => {
+                row.evictions += 1;
+                row.forced_pinned_evictions += u64::from(forced_pinned);
+            }
+            ProbeEvent::PrematureEviction { .. } => row.premature_evictions += 1,
+            ProbeEvent::WarpStalled { .. } => row.warp_stalls += 1,
+            ProbeEvent::WarpResumed { .. } => row.warp_resumes += 1,
+            ProbeEvent::WatchdogTick { .. } => row.watchdog_ticks += 1,
+            ProbeEvent::ContextSwitch { cost, .. } => {
+                row.ctx_switches += 1;
+                row.ctx_switch_cycles += cost;
+            }
+            ProbeEvent::TranslationSummary {
+                l1_hits,
+                l1_misses,
+                large_hits,
+                walks,
+                coalesces,
+                splinters,
+            } => {
+                row.l1_tlb_hits = l1_hits;
+                row.l1_tlb_misses = l1_misses;
+                row.large_tlb_hits = large_hits;
+                row.walks = walks;
+                row.coalesces = coalesces;
+                row.splinters = splinters;
+            }
+            ProbeEvent::DataPathSummary { l2_conflict_evictions, .. } => {
+                row.l2_conflict_evictions = l2_conflict_evictions;
+            }
+            _ => {}
+        }
     }
+    row
+}
 
-    // Histogram mass equals the batch count.
-    let sizes: u64 = timeline.size_histogram().iter().map(|&(_, n)| n).sum();
-    assert_eq!(sizes, m.uvm.num_batches());
+/// Every run-record column against the event stream, and every batch
+/// record against its open and close events, over three runs that
+/// between them exercise every column.
+#[test]
+fn run_record_columns_match_the_event_stream() {
+    let graph = Arc::new(gen::rmat(10, 16, 42));
+    let sssp = registry::build("SSSP-TWC", graph).expect("known workload");
+    let to_ue = || Simulation::builder().policy(policies::to_ue()).memory_ratio(0.5);
+    let greedy = Simulation::builder().memory_ratio(0.5).coalesce("greedy");
+    let runs = [
+        traced_bfs_run(),
+        // Context switches, absorbed faults and forced-pinned evictions.
+        traced(to_ue(), sssp),
+        // Promotions, splinters, large-page TLB hits and L2 conflicts.
+        traced(greedy, Box::new(Strided::new(8, 64, 32, 32, 10, 2))),
+    ];
+    let mut live = vec![false; MetricsRow::COUNTERS.len()];
+    for (m, tracer) in &runs {
+        let row = MetricsRow::from_run(m.workload.as_str(), m);
+        let replayed = replayed_row(&row.label, tracer);
+        let columns = MetricsRow::COUNTERS.iter().zip(row.counters().zip(replayed.counters()));
+        for ((column, (got, want)), live) in columns.zip(live.iter_mut()) {
+            assert_eq!(got, want, "{}: column `{column}`", m.workload);
+            *live |= got > 0;
+        }
 
-    let rows = sink.rows();
-    assert_eq!(rows.len(), 1);
-    let row = &rows[0];
-    assert_eq!(row.label, "bfs/to_ue");
-    assert_eq!(row.cycles, m.cycles);
-    assert_eq!(row.batches, m.uvm.num_batches());
-    assert_eq!(row.faults_raised, m.uvm.faults_raised);
-    assert_eq!(row.evictions, m.uvm.evictions);
-    assert_eq!(row.premature_evictions, m.uvm.premature_evictions);
-    assert_eq!(row.ctx_switches, m.ctx_switches);
-    assert_eq!(row.prefetches, m.uvm.prefetches);
+        let batch_events: Vec<_> = tracer
+            .events()
+            .into_iter()
+            .filter(|(_, ev)| {
+                matches!(ev, ProbeEvent::BatchOpened { .. } | ProbeEvent::BatchClosed { .. })
+            })
+            .collect();
+        let from_records = m.uvm.batches.iter().flat_map(|rec| {
+            let opened = ProbeEvent::BatchOpened {
+                batch: rec.id,
+                faults: rec.faults,
+                prefetches: rec.prefetches,
+                handling_cycles: rec.handling_cycles(),
+            };
+            let closed = ProbeEvent::BatchClosed {
+                batch: rec.id,
+                faults: rec.faults,
+                prefetches: rec.prefetches,
+                evictions: rec.evictions,
+                forced_pinned_evictions: rec.forced_pinned_evictions,
+                migrated_bytes: rec.migrated_bytes,
+                opened_at: rec.start,
+                first_migration_start: rec.first_migration_start,
+            };
+            [(rec.start, opened), (rec.end, closed)]
+        });
+        assert_eq!(batch_events.len(), 2 * m.uvm.batches.len(), "{}: open/close pairs", m.workload);
+        for (got, want) in batch_events.iter().zip(from_records) {
+            assert_eq!(*got, want, "{}", m.workload);
+        }
+    }
+    let dead: Vec<_> = MetricsRow::COUNTERS.iter().zip(&live).filter(|(_, &l)| !l).collect();
+    assert!(dead.is_empty(), "columns no run exercised: {dead:?}");
 }
 
 #[test]
@@ -213,7 +229,7 @@ fn probe_attachment_does_not_change_the_simulation() {
         let workload = registry::build("BFS-TTC", graph).expect("known workload");
         let mut b = Simulation::builder().policy(policies::to_ue()).memory_ratio(0.5);
         if probe {
-            b = b.probe(Tracer::bounded(1024)).probe(Timeline::new());
+            b = b.probe(Tracer::bounded(1024));
         }
         b.try_run(workload).expect("simulation succeeds")
     };

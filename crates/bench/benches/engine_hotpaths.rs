@@ -10,7 +10,7 @@ use batmem::{policies, Simulation};
 use batmem_graph::gen;
 use batmem_sim::{EventQueue, MemPath};
 use batmem_types::config::MemConfig;
-use batmem_types::{FrameId, PageId, SimConfig, SmId, VirtAddr};
+use batmem_types::{BlockId, FrameId, KernelId, PageId, SimConfig, SmId, VirtAddr};
 use batmem_uvm::{
     FaultBuffer, MemoryManager, PciePipes, PolicyRegistry, StrategyCtx, TreePrefetcher, UvmRuntime,
 };
@@ -265,6 +265,28 @@ fn bench_graph_gen() {
     bench("graph/symmetrized_scale15", 10, || graph.symmetrized());
 }
 
+fn bench_stream_fabrication() {
+    // Every warp stream of PR at scale 14, built and dropped: push-style
+    // scatters over a power-law graph, whose hubs gather thousands of
+    // neighbour lines per op.
+    let w = registry::build("PR", Arc::new(gen::rmat(14, 16, 42))).unwrap();
+    let kernels: Vec<_> = (0..w.num_kernels()).map(|k| w.kernel(KernelId::new(k))).collect();
+    let warp_size = SimConfig::default().gpu.warp_size;
+    bench("stream/pr_scale14_all_warps", 20, || {
+        let mut streams = 0u32;
+        for kernel in &kernels {
+            let spec = kernel.spec();
+            for blk in 0..spec.num_blocks {
+                for warp in 0..spec.warps_per_block(warp_size) {
+                    drop(kernel.warp_stream(BlockId::new(blk), warp as u16));
+                    streams += 1;
+                }
+            }
+        }
+        streams
+    });
+}
+
 fn bench_end_to_end() {
     let graph = Arc::new(gen::rmat(10, 8, 42));
     bench("end_to_end/bfs_ttc_scale10_to_ue", 10, || {
@@ -295,5 +317,6 @@ fn main() {
     bench_uvm_batch();
     bench_uvm_batch_registry();
     bench_graph_gen();
+    bench_stream_fabrication();
     bench_end_to_end();
 }

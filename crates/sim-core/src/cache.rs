@@ -91,13 +91,16 @@ fn probe_set(tags: &mut [u64], stamps: &mut [u64], line: u64, tick: u64) -> Prob
         stamps[hit] = tick;
         return Probe::Hit;
     }
-    let mut victim = 0;
-    for w in 1..ways {
-        if stamps[w] < stamps[victim] {
-            victim = w;
+    // The running minimum stays in a register: reloading `stamps[victim]`
+    // at every step would chain each compare behind the previous select.
+    // Strict `<` keeps the lowest way among equal stamps.
+    let (mut victim, mut oldest) = (0, stamps[0]);
+    for (w, &stamp) in (1..).zip(&stamps[1..]) {
+        if stamp < oldest {
+            (victim, oldest) = (w, stamp);
         }
     }
-    let probe = if stamps[victim] == 0 { Probe::Fill } else { Probe::Evict };
+    let probe = if oldest == 0 { Probe::Fill } else { Probe::Evict };
     tags[victim] = line;
     stamps[victim] = tick;
     probe

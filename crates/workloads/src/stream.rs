@@ -21,11 +21,23 @@ use std::cell::Cell;
 /// Default log2 of the transaction (cache line) size: 128 bytes.
 pub const LINE_SHIFT: u32 = 7;
 
+/// Gathers of fewer indices than this always sort-dedup their lines.
+const BITMAP_MIN_INDICES: usize = 32;
+
+/// A gather of at least [`BITMAP_MIN_INDICES`] indices coalesces through
+/// the line bitmap when its lines span at most this many 64-line bitmap
+/// words per index; a sparser gather sort-dedups.
+const BITMAP_WORDS_PER_INDEX: u64 = 2;
+
 thread_local! {
     /// Line-id scratch for gathers, shared by every builder on the thread.
     /// A stream is built per warp on the engine's hot path, so the
-    /// sort-dedup working set must not allocate per warp.
+    /// coalescing working set must not allocate per warp.
     static LINES: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+    /// Line bitmap for wide gathers, one bit per line from the gather's
+    /// lowest line. Every word is zero between gathers: the read-back
+    /// clears each word as it reads it.
+    static BITS: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
     /// Encoding scratch: a builder takes it at creation and puts it back
     /// when dropped. (Two live builders on one thread work; the second
     /// just starts from an empty vector.)
@@ -87,19 +99,28 @@ impl StreamBuilder {
     }
 
     /// Coalesces `addrs` into per-line transactions and appends them as
-    /// `store`-or-load ops. One transaction per distinct line; sort-dedup
-    /// keeps this O(k log k) — hub vertices in power-law graphs gather tens
-    /// of thousands of addresses per operation. The line scratch is a
-    /// thread-local reused across calls and builders, so the only
-    /// allocation is the stream's own word vector. An empty `addrs` appends
-    /// nothing (and so does not split adjacent computes).
+    /// `store`-or-load ops: one transaction per distinct line, in ascending
+    /// order, at most a warp-size of them per op. Hub vertices in power-law
+    /// graphs gather tens of thousands of addresses per operation, and
+    /// their lines are dense over a narrow span, so a wide gather whose
+    /// lines span few bitmap words per index ([`takes_bitmap`]) dedups
+    /// through the line bitmap in O(k + span/64); any other gather
+    /// sort-dedups in O(k log k). Both give the same lines. The scratch
+    /// vectors are thread-locals reused across calls and builders, so the
+    /// only allocation is the stream's own word vector. An empty `addrs`
+    /// appends nothing (and so does not split adjacent computes).
     fn push_coalesced(&mut self, addrs: impl Iterator<Item = VirtAddr>, store: bool) {
         let mut lines = LINES.take();
         lines.clear();
         let shift = self.line_shift;
         lines.extend(addrs.map(|a| a.line(shift)));
-        lines.sort_unstable();
-        lines.dedup();
+        match bitmap_span(&lines) {
+            Some((lo, hi)) => dedup_through_bitmap(&mut lines, lo, hi),
+            None => {
+                lines.sort_unstable();
+                lines.dedup();
+            }
+        }
         self.words.reserve(lines.len() + lines.len().div_ceil(self.warp_size));
         for chunk in lines.chunks(self.warp_size) {
             self.push_mem(store, chunk.iter().copied());
@@ -188,6 +209,57 @@ impl StreamBuilder {
         let mut stream = PackedStream::new(self.words.to_vec());
         std::iter::from_fn(|| stream.next_op()).collect()
     }
+}
+
+/// The lowest and highest of a gather's `lines` when the gather coalesces
+/// through the line bitmap. Gathers too short for it skip the min-max
+/// pass, and so do lines already in order (a symmetrized graph's neighbour
+/// runs), which the sort path checks and dedups in one linear pass.
+fn bitmap_span(lines: &[u64]) -> Option<(u64, u64)> {
+    if lines.len() < BITMAP_MIN_INDICES || lines.is_sorted() {
+        return None;
+    }
+    let (lo, hi) = lines.iter().fold((u64::MAX, 0), |(lo, hi), &l| (lo.min(l), hi.max(l)));
+    takes_bitmap(lines.len(), lo, hi).then_some((lo, hi))
+}
+
+/// Whether a gather of `k` indices whose lines lie in `lo..=hi` coalesces
+/// through the line bitmap: it needs [`BITMAP_MIN_INDICES`] indices and a
+/// span of at most [`BITMAP_WORDS_PER_INDEX`] bitmap words per index.
+/// The bitmap costs a pass over its words, the sort a log k factor per
+/// index, so a short or sparse gather sorts faster (DESIGN.md §9).
+fn takes_bitmap(k: usize, lo: u64, hi: u64) -> bool {
+    k >= BITMAP_MIN_INDICES && (hi - lo) / 64 < BITMAP_WORDS_PER_INDEX * k as u64
+}
+
+/// Leaves the distinct `lines`, all in `lo..=hi`, in ascending order:
+/// sets one bit per line in the thread's bitmap scratch, then reads the
+/// set bits back over `lines`. Each word is zeroed as it is read, so the
+/// scratch is clear again afterwards without a separate pass. The bitmap
+/// covers only the gather's own span, so no index can land outside it.
+fn dedup_through_bitmap(lines: &mut Vec<u64>, lo: u64, hi: u64) {
+    let mut bits = BITS.take();
+    let span_words = ((hi - lo) / 64 + 1) as usize;
+    if bits.len() < span_words {
+        bits.resize(span_words, 0);
+    }
+    let bits_in_span = &mut bits[..span_words];
+    for &line in lines.iter() {
+        let off = line - lo;
+        bits_in_span[(off / 64) as usize] |= 1 << (off % 64);
+    }
+    let mut n = 0;
+    for (w, word) in bits_in_span.iter_mut().enumerate() {
+        let mut set = std::mem::take(word);
+        let base = lo + 64 * w as u64;
+        while set != 0 {
+            lines[n] = base + u64::from(set.trailing_zeros());
+            set &= set - 1;
+            n += 1;
+        }
+    }
+    lines.truncate(n);
+    BITS.set(bits);
 }
 
 impl Drop for StreamBuilder {
@@ -364,16 +436,86 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum Call {
         Compute(u32),
-        Seq { store: bool, array: usize, start: u64, count: u64 },
-        Gather { store: bool, array: usize, count: u64, spread: u64, seed: u64 },
+        Seq {
+            store: bool,
+            array: usize,
+            start: u64,
+            count: u64,
+        },
+        Gather {
+            store: bool,
+            array: usize,
+            count: u64,
+            spread: u64,
+            seed: u64,
+        },
+        /// A gather at the bitmap crossover: `k` indices whose lines span
+        /// the widest span [`takes_bitmap`] accepts for `k` (`inside`) or
+        /// one line more, or that all sit on one line (`repeat`).
+        /// `filtered` hides the index count from the builder.
+        Crossover {
+            store: bool,
+            array: usize,
+            k: usize,
+            inside: bool,
+            repeat: bool,
+            filtered: bool,
+            first_line: u64,
+            seed: u64,
+        },
     }
 
     fn gather_indices(count: u64, spread: u64, seed: u64) -> impl Iterator<Item = u64> {
-        (0..count).map(move |i| {
-            let mut z = seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            (z ^ (z >> 29)) % spread
-        })
+        (0..count).map(move |i| mix(seed, i) % spread)
+    }
+
+    /// Mixes `seed` and `i` into a well-spread 64-bit value.
+    fn mix(seed: u64, i: u64) -> u64 {
+        let mut z = seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z ^ (z >> 29)
+    }
+
+    /// The largest index count [`Call::Crossover`] draws.
+    const CROSS_MAX_K: usize = BITMAP_MIN_INDICES + 64;
+    /// The first line of a crossover gather is below this.
+    const CROSS_FIRST_LINES: u64 = 4096;
+
+    /// Arrays large enough for every crossover gather: its lines reach
+    /// `CROSS_FIRST_LINES` plus the widest span the rule tests.
+    fn crossover_arrays() -> Vec<ArrayRef> {
+        let lines = CROSS_FIRST_LINES + 64 * BITMAP_WORDS_PER_INDEX * CROSS_MAX_K as u64 + 1;
+        let mut layout = LayoutBuilder::new(65_536);
+        ELEM_BYTES.iter().map(|&e| layout.array(e, lines * 128 / u64::from(e) + 2)).collect()
+    }
+
+    /// The indices of a crossover gather over `array`, and whether the
+    /// rule must send it to the bitmap (`None` where elements wider than a
+    /// line cannot land on every line, so its span is only near the
+    /// crossover).
+    fn crossover_indices(array: &ArrayRef, c: &Call) -> (Vec<u64>, Option<bool>) {
+        let Call::Crossover { k, inside, repeat, first_line, seed, .. } = *c else {
+            unreachable!("crossover_indices takes a crossover call")
+        };
+        let widest = 64 * BITMAP_WORDS_PER_INDEX * k as u64 - 1;
+        let span = if repeat { 0 } else { widest + u64::from(!inside) };
+        let elem = u64::from(array.elem_bytes());
+        let idx: Vec<u64> = (0..k as u64)
+            .map(|j| {
+                let line = first_line
+                    + match j {
+                        0 => 0,
+                        1 => span,
+                        _ => mix(seed, j) % (span + 1),
+                    };
+                // An element on `line`: any sub-line element that starts
+                // in it, or the first wider element starting at or after it.
+                let first = (line * 128).div_ceil(elem);
+                first + mix(seed, !j) % (128 / elem).max(1)
+            })
+            .collect();
+        let exact = 128 % elem == 0;
+        (idx, exact.then_some(k >= BITMAP_MIN_INDICES && (repeat || inside)))
     }
 
     fn call() -> impl Strategy<Value = Call> {
@@ -402,7 +544,28 @@ mod tests {
                 spread,
                 seed,
             });
-        prop_oneof![compute, seq, gather]
+        // Index counts at the rule's minimum, one either side, and wider.
+        let crossover = (
+            (0u8..2, 0..ELEM_BYTES.len()),
+            prop_oneof![(BITMAP_MIN_INDICES - 1)..=(BITMAP_MIN_INDICES + 1), 2..=CROSS_MAX_K],
+            (0u8..2, 0u8..8, 0u8..2),
+            (0..CROSS_FIRST_LINES, 0u64..u64::MAX),
+        )
+            .prop_map(
+                |((store, array), k, (inside, repeat, filtered), (first_line, seed))| {
+                    Call::Crossover {
+                        store: store == 1,
+                        array,
+                        k,
+                        inside: inside == 1,
+                        repeat: repeat == 0,
+                        filtered: filtered == 1,
+                        first_line,
+                        seed,
+                    }
+                },
+            );
+        prop_oneof![compute, seq, gather, crossover]
     }
 
     proptest! {
@@ -414,6 +577,7 @@ mod tests {
             let mut layout = LayoutBuilder::new(65_536);
             let arrays: Vec<ArrayRef> =
                 ELEM_BYTES.iter().map(|&e| layout.array(e, ARRAY_LEN)).collect();
+            let wide = crossover_arrays();
             let mut packed = StreamBuilder::new();
             let mut reference = VecBuilder::new();
             for c in &calls {
@@ -441,6 +605,24 @@ mod tests {
                         }
                         let idx = gather_indices(count, spread, seed);
                         reference.push_coalesced(idx.map(|i| a.addr(i)), store);
+                    }
+                    Call::Crossover { store, array, filtered, .. } => {
+                        let a = &wide[array];
+                        let (idx, bitmap) = crossover_indices(a, c);
+                        if let Some(bitmap) = bitmap {
+                            let lines = idx.iter().map(|&i| a.addr(i).line(LINE_SHIFT));
+                            let lo = lines.clone().min().expect("k >= 2");
+                            let hi = lines.max().expect("k >= 2");
+                            prop_assert_eq!(takes_bitmap(idx.len(), lo, hi), bitmap);
+                        }
+                        let indices = idx.iter().copied();
+                        match (store, filtered) {
+                            (false, false) => packed.load_gather(a, indices),
+                            (true, false) => packed.store_gather(a, indices),
+                            (false, true) => packed.load_gather(a, indices.filter(|_| true)),
+                            (true, true) => packed.store_gather(a, indices.filter(|_| true)),
+                        };
+                        reference.push_coalesced(idx.iter().map(|&i| a.addr(i)), store);
                     }
                 }
                 prop_assert_eq!(packed.len(), reference.ops.len());

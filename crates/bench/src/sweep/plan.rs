@@ -3,7 +3,7 @@
 
 use crate::error::BenchError;
 use batmem::policies::{ConfigName, PolicySpec};
-use batmem::{PolicyAxis, PolicyRegistry};
+use batmem::PolicyAxis;
 use batmem_graph::gen;
 use batmem_types::sweep::{CellId, StableHasher};
 use batmem_uvm::InjectConfig;
@@ -263,11 +263,10 @@ impl SweepPlan {
         if let Some(spec) = &self.inject {
             InjectConfig::parse_spec(spec).map_err(|e| BenchError::context("sweep plan", &e))?;
         }
-        let registry = PolicyRegistry::builtin();
         for policy in &self.policies {
             let spec =
                 effective_spec(policy, self.coalesce.as_deref(), self.fault_servicing.as_deref());
-            spec.validate(&registry).map_err(|e| {
+            spec.validate().map_err(|e| {
                 BenchError::context(&format!("sweep plan policy {}", policy.label()), &e)
             })?;
         }

@@ -1,4 +1,5 @@
-//! Exit status of the `figures` binary on bad input.
+//! Exit status of the `figures` binary on bad input, and its policy
+//! listing.
 //!
 //! Vertex ids are `u32`, so R-MAT scales stop at 31: a masked `1 << 36`
 //! would silently run a 16-vertex graph. An out-of-range scale, or a
@@ -52,4 +53,14 @@ fn sweep_into_a_store_with_cells_needs_resume() {
     assert_usage_exit(&out, "--resume");
     assert!(record.exists(), "the store is left as it was");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--list-policies` prints every spec and summary, the summaries in one
+/// column, byte for byte as `baselines/list_policies.txt` pins them.
+#[test]
+fn list_policies_matches_the_committed_listing() {
+    let out = figures(&[], &["--list-policies"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let want = include_str!("../baselines/list_policies.txt");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), want);
 }

@@ -3,7 +3,7 @@
 use batmem_sim::ops::Workload;
 use batmem_types::probe::{Probe, ProbeHub};
 use batmem_types::{AuditLevel, SimConfig, SimError};
-use batmem_uvm::{InjectConfig, PolicyRegistry};
+use batmem_uvm::InjectConfig;
 
 use super::Engine;
 use crate::metrics::RunMetrics;
@@ -34,7 +34,6 @@ pub struct SimulationBuilder {
     memory_ratio: Option<f64>,
     inject: Option<InjectConfig>,
     probes: ProbeHub,
-    registry: PolicyRegistry,
 }
 
 impl SimulationBuilder {
@@ -47,17 +46,6 @@ impl SimulationBuilder {
     /// Replaces the policy spec (see [`crate::policies`]).
     pub fn policy(mut self, policy: PolicySpec) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Replaces the policy registry the spec strings resolve against
-    /// (defaults to [`PolicyRegistry::builtin`]). Register a custom
-    /// strategy, pass the registry here, and name it via
-    /// [`eviction`](Self::eviction)/[`prefetch`](Self::prefetch)/
-    /// [`oversubscription`](Self::oversubscription) — no engine changes
-    /// needed.
-    pub fn registry(mut self, registry: PolicyRegistry) -> Self {
-        self.registry = registry;
         self
     }
 
@@ -170,7 +158,7 @@ impl SimulationBuilder {
     ///   the end-of-run check caught a run that stopped making progress.
     pub fn try_run(mut self, workload: Box<dyn Workload>) -> Result<RunMetrics, SimError> {
         self.config.validate()?;
-        let mut policy = self.policy.resolve(&self.registry, &mut self.config.uvm)?;
+        let mut policy = self.policy.resolve(&mut self.config.uvm)?;
         // A closed-loop handler ships its own sensor: attach it to the hub
         // like any user probe so it sees the event stream.
         if let Some(probe) = policy.oversub.probe.take() {

@@ -222,8 +222,8 @@ impl fmt::Display for PolicySpec {
     }
 }
 
-/// A [`PolicySpec`] resolved against a registry: one built strategy per
-/// axis, and whether the link compresses.
+/// A resolved [`PolicySpec`]: one built strategy per axis, and whether the
+/// link compresses.
 pub(crate) struct ResolvedPolicy {
     pub(crate) oversub: OversubSelection,
     pub(crate) servicing: Box<dyn FaultServicingModel>,
@@ -248,36 +248,32 @@ impl PolicySpec {
         }
     }
 
-    /// Checks that every axis resolves in `registry` and that the page
-    /// size is a valid geometry: the resolution
+    /// Checks that every axis resolves in the [`PolicyRegistry`] and that
+    /// the page size is a valid geometry: the resolution
     /// [`SimulationBuilder::try_run`](crate::SimulationBuilder::try_run)
     /// performs, without simulating.
     ///
     /// # Errors
     ///
-    /// [`SimError::UnknownPolicy`] for an unregistered name,
+    /// [`SimError::UnknownPolicy`] for an unknown name,
     /// [`SimError::InvalidConfig`] for malformed parameters or page size.
-    pub fn validate(&self, registry: &PolicyRegistry) -> Result<(), SimError> {
-        self.resolve(registry, &mut UvmConfig::default()).map(drop)
+    pub fn validate(&self) -> Result<(), SimError> {
+        self.resolve(&mut UvmConfig::default()).map(drop)
     }
 
-    /// Builds every axis from `registry`, after setting `uvm`'s geometry to
-    /// the spec's page size.
-    pub(crate) fn resolve(
-        &self,
-        registry: &PolicyRegistry,
-        uvm: &mut UvmConfig,
-    ) -> Result<ResolvedPolicy, SimError> {
+    /// Builds every axis from the [`PolicyRegistry`], after setting `uvm`'s
+    /// geometry to the spec's page size.
+    pub(crate) fn resolve(&self, uvm: &mut UvmConfig) -> Result<ResolvedPolicy, SimError> {
         if let Some(kb) = self.page_size_kb {
             uvm.geometry = page_geometry(kb)?;
         }
         let ctx = StrategyCtx { pages_per_region: uvm.pages_per_region() };
         Ok(ResolvedPolicy {
-            oversub: registry.build_oversubscription(&self.oversubscription)?,
-            servicing: registry.build_servicing(&self.fault_servicing)?,
-            eviction: registry.build_eviction(&self.eviction, &ctx)?,
-            prefetcher: registry.build_prefetcher(&self.prefetch, &ctx)?,
-            coalesce: registry.build_coalesce(&self.coalesce)?,
+            oversub: PolicyRegistry.build_oversubscription(&self.oversubscription)?,
+            servicing: PolicyRegistry.build_servicing(&self.fault_servicing)?,
+            eviction: PolicyRegistry.build_eviction(&self.eviction, &ctx)?,
+            prefetcher: PolicyRegistry.build_prefetcher(&self.prefetch, &ctx)?,
+            coalesce: PolicyRegistry.build_coalesce(&self.coalesce)?,
             compression: self.compression,
         })
     }
@@ -321,19 +317,18 @@ mod tests {
 
     #[test]
     fn page_size_and_specs_are_checked_by_validate() {
-        let reg = PolicyRegistry::builtin();
         for name in ConfigName::all() {
-            name.spec().validate(&reg).unwrap();
+            name.spec().validate().unwrap();
         }
         let four_k = PolicySpec { page_size_kb: Some(4), ..baseline() };
-        four_k.validate(&reg).unwrap();
+        four_k.validate().unwrap();
         let mut uvm = UvmConfig::default();
-        four_k.resolve(&reg, &mut uvm).map(drop).unwrap();
+        four_k.resolve(&mut uvm).map(drop).unwrap();
         assert_eq!(uvm.page_bytes(), 4096);
         assert_eq!(uvm.pages_per_region(), 512);
         let odd = PolicySpec { page_size_kb: Some(48), ..baseline() };
-        assert!(matches!(odd.validate(&reg), Err(SimError::InvalidConfig { .. })));
+        assert!(matches!(odd.validate(), Err(SimError::InvalidConfig { .. })));
         let mru = PolicySpec { eviction: "mru".into(), ..baseline() };
-        assert!(matches!(mru.validate(&reg), Err(SimError::UnknownPolicy { .. })));
+        assert!(matches!(mru.validate(), Err(SimError::UnknownPolicy { .. })));
     }
 }

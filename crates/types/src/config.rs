@@ -269,8 +269,8 @@ impl TlbConfig {
 /// UVM runtime (demand paging) configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UvmConfig {
-    /// Page-size geometry: base page, large page, and prefetch-region /
-    /// root-chunk sizes. Validated at construction
+    /// Page-size geometry: base page, large page, and prefetch-region
+    /// sizes. Validated at construction
     /// ([`PageGeometry::new`]), so an inverted or degenerate shift
     /// ordering is unrepresentable here. Defaults to 64 KB pages in 2 MB
     /// regions (Table 1).
@@ -369,8 +369,8 @@ pub struct SimConfig {
     pub tlb: TlbConfig,
     /// UVM runtime configuration.
     pub uvm: UvmConfig,
-    /// Policy settings no policy spec names (eviction granularity, PCIe
-    /// compression parameters).
+    /// The policy setting no policy spec names (PCIe compression
+    /// parameters).
     pub policy: PolicyConfig,
     /// Invariant-audit level applied while the simulation runs.
     pub audit: AuditLevel,

@@ -11,9 +11,8 @@
 //! * [`config`] — the full simulated-system configuration, whose defaults
 //!   reproduce Table 1 of Kim et al., *Batch-Aware Unified Memory Management
 //!   in GPUs for Irregular Workloads* (ASPLOS 2020).
-//! * [`policy`] — the policy settings no policy spec names (eviction
-//!   granularity, PCIe compression parameters) and the types the specs
-//!   resolve to.
+//! * [`policy`] — the policy setting no policy spec names (PCIe
+//!   compression parameters) and the types the specs resolve to.
 //! * [`dense`] — one bitmap set and one flat map over dense page and
 //!   region ids, backing every per-page and per-region table.
 //! * [`error`] — structured simulation errors ([`SimError`]) and the

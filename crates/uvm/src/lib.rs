@@ -14,14 +14,15 @@
 //!   trait — [`strategies::EvictionStrategy`] (the baseline's reactive,
 //!   serialized eviction; the paper's **Unobtrusive Eviction** with a
 //!   preemptive eviction at batch start and pipelined bidirectional
-//!   transfers; the ideal zero-cost limit; a random-victim plugin),
+//!   transfers; the ideal zero-cost limit; a random-victim ablation),
 //!   [`strategies::Prefetcher`] ([`prefetch::TreePrefetcher`] or none),
 //!   and [`strategies::OversubscriptionHandler`] (the dynamic degree
 //!   controller [`oversub::OversubController`] driven by the running
 //!   average of page lifetimes, [`lifetime::LifetimeTracker`]);
-//! * **the policy registry** ([`registry::PolicyRegistry`]): strategies
-//!   are resolved by name (`lru`, `ue`, `tree:50`, `random:7`, `to`,
-//!   `etc`), so new policies register without touching the pipeline core.
+//! * **the policy table** ([`registry`]): strategies are resolved by name
+//!   (`lru`, `ue`, `tree:50`, `random:7`, `to`, `etc`) through one static
+//!   table per axis, so a new policy is a strategy type plus one table row,
+//!   without touching the pipeline core.
 //!
 //! The runtime is a pure state machine: the simulation engine feeds it
 //! faults and events, and it returns [`pipeline::UvmOutput`] commands

@@ -1,7 +1,7 @@
 //! Whole-run structural invariants over the batch records and counters.
 
 use batmem::policies::{self, ConfigName, PolicySpec};
-use batmem::{RunMetrics, SimConfig, Simulation};
+use batmem::{RunMetrics, Simulation};
 use batmem_graph::gen;
 use batmem_workloads::registry;
 use std::sync::Arc;
@@ -71,17 +71,6 @@ fn faults_equal_walks_that_missed() {
     // Each MMU fault corresponds to a completed walk; walks >= faults.
     assert!(m.mmu.walks >= m.mmu.faults);
     assert!(m.mmu.faults > 0);
-}
-
-#[test]
-fn root_chunk_eviction_granularity_runs() {
-    use batmem_types::policy::EvictionGranularity;
-    let mut config = SimConfig::default();
-    config.policy.eviction_granularity = EvictionGranularity::RootChunk;
-    let w = registry::build("PR", Arc::new(gen::rmat(12, 8, 21))).unwrap();
-    let m = Simulation::builder().config(config).memory_ratio(0.5).try_run(w).unwrap();
-    check_batch_structure(&m, "root-chunk");
-    assert!(m.uvm.evictions > 0);
 }
 
 #[test]

@@ -1,12 +1,10 @@
 //! Registry-level integration tests at the [`Simulation`] builder
-//! boundary: spec resolution, every preset's pinned metrics, and external
-//! plugin registration.
+//! boundary: spec resolution and every preset's pinned metrics.
 
 use batmem::policies::{self, ConfigName};
-use batmem::{PolicyAxis, PolicyDescriptor, PolicyRegistry, Simulation};
+use batmem::{PolicyRegistry, Simulation};
 use batmem_graph::Csr;
-use batmem_types::{PageId, SimError};
-use batmem_uvm::{EvictionStrategy, EvictionTiming, MemoryManager, PciePipes};
+use batmem_types::SimError;
 use batmem_workloads::registry as workloads;
 use std::sync::Arc;
 
@@ -85,65 +83,4 @@ fn unknown_spec_is_a_typed_error_at_the_builder() {
     let w = workloads::build("BFS-TTC", graph()).unwrap();
     let err = Simulation::builder().prefetch("tree:0").memory_ratio(0.5).try_run(w).unwrap_err();
     assert!(matches!(err, SimError::InvalidConfig { .. }), "{err:?}");
-}
-
-/// Most-recently-used victim selection — deliberately the opposite of the
-/// builtin LRU, so a run under it must behave differently.
-#[derive(Debug)]
-struct MruEviction;
-
-impl EvictionStrategy for MruEviction {
-    fn name(&self) -> &'static str {
-        "mru"
-    }
-
-    fn pick_victims(
-        &mut self,
-        mem: &MemoryManager,
-        pinned: &dyn Fn(PageId) -> bool,
-    ) -> (Vec<PageId>, bool) {
-        match mem.pages_in_lru_order().filter(|&p| !pinned(p)).last() {
-            Some(p) => (vec![p], false),
-            None => mem.pick_victims(pinned),
-        }
-    }
-
-    fn schedule(&mut self, pipes: &mut PciePipes, avail: u64, page_bytes: u64) -> EvictionTiming {
-        let tr = pipes.schedule_d2h(avail.max(pipes.h2d_free_at()), page_bytes);
-        pipes.stall_h2d_until(tr.end);
-        EvictionTiming::Transfer { start: tr.start, ready: tr.end }
-    }
-}
-
-#[test]
-fn external_plugin_registers_without_touching_the_pipeline() {
-    let mut reg = PolicyRegistry::builtin();
-    reg.register_eviction(
-        PolicyDescriptor {
-            axis: PolicyAxis::Eviction,
-            name: "mru",
-            params: "",
-            summary: "most-recently-used victim (integration-test plugin)",
-        },
-        |_, _| Ok(Box::new(MruEviction)),
-    );
-    let run = |spec: &str, reg: PolicyRegistry| {
-        let w = workloads::build("BFS-TTC", graph()).unwrap();
-        Simulation::builder()
-            .registry(reg)
-            .eviction(spec)
-            .prefetch("none")
-            .memory_ratio(0.25)
-            .try_run(w)
-            .unwrap()
-    };
-    let mru = run("mru", reg);
-    let lru = run("lru", PolicyRegistry::builtin());
-    assert!(mru.uvm.evictions > 0, "plugin run never evicted");
-    assert_eq!(mru.blocks_retired, lru.blocks_retired);
-    assert_ne!(
-        format!("{:?}", mru.uvm),
-        format!("{:?}", lru.uvm),
-        "an MRU victim policy should not reproduce the LRU run exactly"
-    );
 }

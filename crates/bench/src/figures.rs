@@ -200,8 +200,7 @@ pub fn fig11(results: &SuiteResults) {
     print!("{:<10}", "GEOMEAN");
     for c in configs {
         let g = results.geomean_over(&ws, |w| {
-            results.get(w, ConfigName::Baseline).cycles as f64
-                / results.get(w, c).cycles as f64
+            results.get(w, ConfigName::Baseline).cycles as f64 / results.get(w, c).cycles as f64
         });
         print!(" {g:>14.2}");
     }
@@ -286,8 +285,7 @@ pub fn fig16(results: &SuiteResults) {
     let mut to_hist: Vec<u64> = Vec::new();
     let mut eff: Vec<(f64, u64)> = Vec::new();
     for name in &ws {
-        for (hist, cfg) in
-            [(&mut base_hist, ConfigName::Baseline), (&mut to_hist, ConfigName::To)]
+        for (hist, cfg) in [(&mut base_hist, ConfigName::Baseline), (&mut to_hist, ConfigName::To)]
         {
             for b in &results.get(name, cfg).uvm.batches {
                 let idx = (b.migrated_bytes / bucket) as usize;
@@ -316,10 +314,7 @@ pub fn fig16(results: &SuiteResults) {
     for i in 0..base_hist.len().max(to_hist.len()) {
         let b = base_hist.get(i).copied().unwrap_or(0);
         let t = to_hist.get(i).copied().unwrap_or(0);
-        let e = eff
-            .get(i)
-            .filter(|(_, n)| *n > 0)
-            .map(|(s, n)| (*n as f64 / s) / best_eff * 100.0);
+        let e = eff.get(i).filter(|(_, n)| *n > 0).map(|(s, n)| (*n as f64 / s) / best_eff * 100.0);
         println!(
             "{:>8}MB {:>9.1}% {:>9.1}% {:>11}",
             i + 1,

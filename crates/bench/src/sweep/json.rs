@@ -110,8 +110,8 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Copy one UTF-8 scalar (possibly multi-byte) verbatim.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| e.to_string())?;
+                    let rest =
+                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
                     let c = rest.chars().next().ok_or("empty string tail")?;
                     out.push(c);
                     self.pos += c.len_utf8();
@@ -198,8 +198,7 @@ mod tests {
 
     #[test]
     fn parses_flat_objects() {
-        let pairs =
-            parse_object(r#"{"a":"x","n":42,"ok":true,"no":false}"#).unwrap();
+        let pairs = parse_object(r#"{"a":"x","n":42,"ok":true,"no":false}"#).unwrap();
         assert_eq!(get(&pairs, "a").unwrap().as_str(), Some("x"));
         assert_eq!(get(&pairs, "n").unwrap().as_int(), Some(42));
         assert_eq!(get(&pairs, "ok").unwrap().as_bool(), Some(true));

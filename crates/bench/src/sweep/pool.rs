@@ -274,20 +274,15 @@ fn decide_cell(
 
 /// One attempt at one cell: inline when no deadline is set, on a
 /// disposable thread when one is.
-fn run_attempt(
-    cell: &SweepCell,
-    timeout: Option<Duration>,
-    runner: &CellRunner,
-) -> AttemptOutcome {
+fn run_attempt(cell: &SweepCell, timeout: Option<Duration>, runner: &CellRunner) -> AttemptOutcome {
     let Some(deadline) = timeout else {
         return attempt_inline(cell, runner);
     };
     let (tx, rx) = mpsc::sync_channel(1);
     let cell_owned = cell.clone();
     let runner_owned = Arc::clone(runner);
-    let spawned = std::thread::Builder::new()
-        .name(format!("sweep-cell-{}", cell.id()))
-        .spawn(move || {
+    let spawned =
+        std::thread::Builder::new().name(format!("sweep-cell-{}", cell.id())).spawn(move || {
             let _ = tx.send(attempt_inline(&cell_owned, &runner_owned));
         });
     if let Err(e) = spawned {

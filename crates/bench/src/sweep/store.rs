@@ -90,9 +90,7 @@ impl ArtifactStore {
 
     /// Whether any per-cell record files exist (valid or not).
     pub fn has_cells(&self) -> bool {
-        fs::read_dir(self.cells_dir())
-            .map(|mut d| d.next().is_some())
-            .unwrap_or(false)
+        fs::read_dir(self.cells_dir()).map(|mut d| d.next().is_some()).unwrap_or(false)
     }
 
     /// Renders one record as its on-disk flat JSON document: a `"v":2`
@@ -230,7 +228,8 @@ mod tests {
     use super::*;
 
     fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("batmem-store-test-{name}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("batmem-store-test-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -366,7 +365,7 @@ mod tests {
         let csv = fs::read_to_string(store.dir().join("sweep.csv")).unwrap();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3); // header + 2 completed rows
-        // Pinned: a reordered or renamed column is a deliberate change.
+                                    // Pinned: a reordered or renamed column is a deliberate change.
         assert_eq!(
             lines[0],
             "label,cycles,kernels,batches,faults_raised,faults_absorbed,prefetches,migrations,\

@@ -17,8 +17,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn tmpdir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("batmem-sweep-it-{name}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("batmem-sweep-it-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -209,8 +208,7 @@ fn failing_and_panicking_cells_are_quarantined_not_fatal() {
             other => panic!("unexpected quarantined cell {other}"),
         }
     }
-    let failed_json =
-        std::fs::read_to_string(store.dir().join("failed_cells.json")).unwrap();
+    let failed_json = std::fs::read_to_string(store.dir().join("failed_cells.json")).unwrap();
     assert!(failed_json.contains("\"outcome\":\"panicked\""));
     assert!(failed_json.contains("\"outcome\":\"failed\""));
     let _ = std::fs::remove_dir_all(store.dir());
@@ -227,10 +225,7 @@ fn hung_cells_hit_the_wall_clock_deadline() {
         }
         Ok(fake_row(cell.label()))
     });
-    let cfg = PoolConfig {
-        cell_timeout: Some(Duration::from_millis(50)),
-        ..fast_pool(2, 1)
-    };
+    let cfg = PoolConfig { cell_timeout: Some(Duration::from_millis(50)), ..fast_pool(2, 1) };
     let store = ArtifactStore::open(tmpdir("deadline")).unwrap();
     let cancel = AtomicBool::new(false);
     let report = run_sweep(&cells, &store, &cfg, &cancel, runner).unwrap();
@@ -352,8 +347,7 @@ fn quarantined_cells_rerun_on_resume() {
     let store = ArtifactStore::open(tmpdir("requarantine")).unwrap();
     let cancel = AtomicBool::new(false);
 
-    let always_fail: CellRunner =
-        Arc::new(|_: &SweepCell| Err(BenchError::msg("still broken")));
+    let always_fail: CellRunner = Arc::new(|_: &SweepCell| Err(BenchError::msg("still broken")));
     let report = run_sweep(&cells, &store, &fast_pool(1, 0), &cancel, always_fail).unwrap();
     assert_eq!(report.failures().len(), 1);
 

@@ -20,8 +20,7 @@ impl Engine {
         self.spec = kernel.spec();
         self.occ = occupancy(&self.cfg.gpu, &self.spec);
         let blocks = self.spec.num_blocks;
-        self.probes
-            .emit_with(self.clock, || ProbeEvent::KernelLaunched { kernel: k, blocks });
+        self.probes.emit_with(self.clock, || ProbeEvent::KernelLaunched { kernel: k, blocks });
         self.kernel = Some(kernel);
         self.kernel_idx = k;
         self.blocks.clear();
@@ -211,8 +210,7 @@ impl Engine {
                 continue;
             }
             prev_page = Some(page);
-            if page_lat.iter().any(|&(p, _)| p == page) || faulted.iter().any(|&(p, _)| p == page)
-            {
+            if page_lat.iter().any(|&(p, _)| p == page) || faulted.iter().any(|&(p, _)| p == page) {
                 continue;
             }
             let t = self.mmu.translate(SmId::new(sm as u16), page, self.clock)?;
@@ -303,22 +301,18 @@ impl Engine {
             return Ok(());
         }
         let trigger = self.to.trigger;
-        let out = self.sms[sm]
-            .active
-            .iter()
-            .copied()
-            .find(|&b| self.blocks[b].residency == BlockResidency::Active && self.blocks[b].is_fully_stalled(trigger));
+        let out = self.sms[sm].active.iter().copied().find(|&b| {
+            self.blocks[b].residency == BlockResidency::Active
+                && self.blocks[b].is_fully_stalled(trigger)
+        });
         let Some(out) = out else { return Ok(()) };
-        let inc = self.sms[sm]
-            .inactive
-            .iter()
-            .copied()
-            .find(|&b| self.blocks[b].residency == BlockResidency::Inactive && self.blocks[b].is_switch_in_ready());
+        let inc = self.sms[sm].inactive.iter().copied().find(|&b| {
+            self.blocks[b].residency == BlockResidency::Inactive
+                && self.blocks[b].is_switch_in_ready()
+        });
         let Some(inc) = inc else { return Ok(()) };
-        let cost = self
-            .cfg
-            .gpu
-            .ctx_switch_cycles(self.spec.threads_per_block, self.spec.regs_per_thread);
+        let cost =
+            self.cfg.gpu.ctx_switch_cycles(self.spec.threads_per_block, self.spec.regs_per_thread);
         let done = self.sms[sm].begin_switch(self.clock, cost);
         self.ctx_switches += 1;
         self.ctx_switch_cycles += cost;
@@ -363,7 +357,10 @@ impl Engine {
             .inactive
             .iter()
             .copied()
-            .find(|&x| self.blocks[x].residency == BlockResidency::Inactive && self.blocks[x].is_switch_in_ready())
+            .find(|&x| {
+                self.blocks[x].residency == BlockResidency::Inactive
+                    && self.blocks[x].is_switch_in_ready()
+            })
             .or_else(|| {
                 self.sms[sm]
                     .inactive

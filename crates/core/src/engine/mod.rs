@@ -229,7 +229,10 @@ impl Engine {
                 return Err(SimError::InvariantViolated {
                     cycle: self.clock,
                     invariant: "pages with fault waiters are not MMU-resident",
-                    snapshot: format!("page {page} is installed but {} warps wait on it", list.len()),
+                    snapshot: format!(
+                        "page {page} is installed but {} warps wait on it",
+                        list.len()
+                    ),
                 });
             }
         }

@@ -1,6 +1,6 @@
 use super::*;
-use batmem_sim::ops::{AccessStream, BoxedStream, WarpOp};
 use crate::policies;
+use batmem_sim::ops::{AccessStream, BoxedStream, WarpOp};
 use batmem_types::policy::ToConfig;
 use batmem_types::{BlockId, KernelId};
 use batmem_workloads::synthetic::{SharedPages, Strided};
@@ -12,9 +12,7 @@ fn single_warp_single_page_timing() {
     // One block, one warp, one page, one load: time = walk + ISR +
     // handling + transfer + retry pipeline.
     let w = Strided::new(1, 32, 32, 1, 0, 1);
-    let m = Simulation::builder()
-        .prefetch("none")
-        .try_run(Box::new(w)).unwrap();
+    let m = Simulation::builder().prefetch("none").try_run(Box::new(w)).unwrap();
     assert_eq!(m.uvm.num_batches(), 1);
     assert_eq!(m.uvm.batches[0].faults, 1);
     // Lower bound: ISR (1k) + handling (20k) + page transfer (~4.2k).
@@ -26,9 +24,7 @@ fn single_warp_single_page_timing() {
 fn shared_page_fault_wakes_all_waiters() {
     // 64 blocks all reading the same 3 pages: one batch serves everyone.
     let w = SharedPages::new(64, 256, 32, 3, 10);
-    let m = Simulation::builder()
-        .prefetch("none")
-        .try_run(Box::new(w)).unwrap();
+    let m = Simulation::builder().prefetch("none").try_run(Box::new(w)).unwrap();
     let faults: u64 = m.uvm.batches.iter().map(|b| u64::from(b.faults)).sum();
     assert_eq!(faults, 3, "shared pages must fault once each");
     assert_eq!(m.blocks_retired, 64);
@@ -105,10 +101,7 @@ fn severe_oversubscription_still_terminates() {
     // Capacity 2 pages, ops spanning more pages than capacity: the
     // per-lane replay rule must guarantee forward progress.
     let w = SharedPages::new(8, 256, 32, 12, 5);
-    let m = Simulation::builder()
-        .prefetch("none")
-        .memory_pages(2)
-        .try_run(Box::new(w)).unwrap();
+    let m = Simulation::builder().prefetch("none").memory_pages(2).try_run(Box::new(w)).unwrap();
     assert_eq!(m.blocks_retired, 8);
     assert!(m.uvm.evictions > 0);
     assert!(m.uvm.peak_resident_pages <= 2);
@@ -148,10 +141,7 @@ fn mem_ops_count_replays() {
 #[test]
 fn builder_ratio_sets_capacity_from_footprint() {
     let w = Strided::new(4, 256, 32, 4, 10, 1); // 4*8*4 = 128 pages
-    let m = Simulation::builder()
-        .prefetch("none")
-        .memory_ratio(0.25)
-        .try_run(Box::new(w)).unwrap();
+    let m = Simulation::builder().prefetch("none").memory_ratio(0.25).try_run(Box::new(w)).unwrap();
     assert_eq!(m.memory_pages, Some(32));
 }
 

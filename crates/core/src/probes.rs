@@ -150,7 +150,14 @@ pub fn event_to_json(at: Cycle, event: &ProbeEvent) -> String {
         ProbeEvent::RegionSplintered { region } => {
             let _ = write!(s, ",\"region\":{}", region.index());
         }
-        ProbeEvent::TranslationSummary { l1_hits, l1_misses, large_hits, walks, coalesces, splinters } => {
+        ProbeEvent::TranslationSummary {
+            l1_hits,
+            l1_misses,
+            large_hits,
+            walks,
+            coalesces,
+            splinters,
+        } => {
             let _ = write!(
                 s,
                 ",\"l1_hits\":{l1_hits},\"l1_misses\":{l1_misses},\"large_hits\":{large_hits},\
@@ -545,7 +552,8 @@ mod tests {
         assert!(quoted.to_csv_row().starts_with("\"say \"\"hi\"\"\",0,"));
         let plain = MetricsRow { label: "BFS-TTC/TO+UE@0.5".into(), ..MetricsRow::default() };
         assert!(plain.to_csv_row().starts_with("BFS-TTC/TO+UE@0.5,0,"));
-        let csv = MetricsRow::csv([&plain, &MetricsRow { label: "a,b".into(), ..MetricsRow::default() }]);
+        let csv =
+            MetricsRow::csv([&plain, &MetricsRow { label: "a,b".into(), ..MetricsRow::default() }]);
         assert!(csv.lines().all(|line| split_quoted(line).len() == columns));
     }
 

@@ -156,9 +156,8 @@ pub fn kcore(g: &Csr) -> KcoreResult {
     let mut k = 1u32;
     let mut remaining = n;
     while remaining > 0 {
-        let round: Vec<u32> = (0..n as u32)
-            .filter(|&v| !removed[v as usize] && deg[v as usize] < k)
-            .collect();
+        let round: Vec<u32> =
+            (0..n as u32).filter(|&v| !removed[v as usize] && deg[v as usize] < k).collect();
         if round.is_empty() {
             k += 1;
             continue;
@@ -301,9 +300,7 @@ mod tests {
 
     fn path4() -> Csr {
         // 0 -> 1 -> 2 -> 3 plus reverse edges.
-        CsrBuilder::new(4)
-            .edges([(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)])
-            .build()
+        CsrBuilder::new(4).edges([(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]).build()
     }
 
     #[test]
@@ -424,9 +421,7 @@ mod tests {
     fn betweenness_star_center() {
         // Star: 0 connected to 1,2,3 bidirectionally; from source 1 the
         // center 0 carries all dependency.
-        let g = CsrBuilder::new(4)
-            .edges([(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)])
-            .build();
+        let g = CsrBuilder::new(4).edges([(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)]).build();
         let r = betweenness(&g, 1);
         assert!(r.scores[0] > 1.9);
         assert_eq!(r.scores[2], 0.0);

@@ -276,10 +276,7 @@ impl CsrBuilder {
     /// Panics if either endpoint is out of range, or if unweighted edges
     /// were previously added.
     pub fn weighted_edge(mut self, src: u32, dst: u32, weight: u32) -> Self {
-        assert!(
-            self.weighted || self.srcs.is_empty(),
-            "cannot mix weighted and unweighted edges"
-        );
+        assert!(self.weighted || self.srcs.is_empty(), "cannot mix weighted and unweighted edges");
         self.weighted = true;
         self.push(src, dst, weight);
         self
@@ -356,9 +353,7 @@ mod tests {
     use super::*;
 
     fn diamond() -> Csr {
-        CsrBuilder::new(4)
-            .edges([(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)])
-            .build()
+        CsrBuilder::new(4).edges([(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)]).build()
     }
 
     #[test]

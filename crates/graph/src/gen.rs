@@ -202,9 +202,7 @@ pub fn uniform(n: u32, m: u64, seed: u64) -> Csr {
 /// Generates a 4-connected 2-D grid of `width × height` vertices
 /// (bidirectional edges). Grids are the regular-access foil used in tests.
 pub fn grid2d(width: u32, height: u32) -> Csr {
-    let n = width
-        .checked_mul(height)
-        .expect("grid dimensions overflow");
+    let n = width.checked_mul(height).expect("grid dimensions overflow");
     let mut builder = CsrBuilder::new(n);
     let at = |x: u32, y: u32| y * width + x;
     for y in 0..height {

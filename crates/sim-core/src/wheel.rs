@@ -171,7 +171,8 @@ impl<T> TimingWheel<T> {
             let idx = self.front_slot(level);
             // Jump to the start of the earliest occupied window (still at
             // or before the earliest entry) and cascade it down a level.
-            let window_start = (idx as u64) << shift | (self.wt >> (shift + SLOT_BITS)) << (shift + SLOT_BITS);
+            let window_start =
+                (idx as u64) << shift | (self.wt >> (shift + SLOT_BITS)) << (shift + SLOT_BITS);
             self.advance(self.wt.max(window_start));
             if self.levels[level].occupied & (1 << idx) != 0 {
                 // `advance` stopped short of the slot (same window as the

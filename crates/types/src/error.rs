@@ -134,10 +134,7 @@ impl fmt::Display for SimError {
                 write!(f, "accounting violation at cycle {cycle}: {detail}")
             }
             SimError::InvariantViolated { cycle, invariant, snapshot } => {
-                write!(
-                    f,
-                    "invariant violated at cycle {cycle}: {invariant}; state: {snapshot}"
-                )
+                write!(f, "invariant violated at cycle {cycle}: {invariant}; state: {snapshot}")
             }
             SimError::Livelock { cycle, events_without_progress, snapshot } => {
                 write!(

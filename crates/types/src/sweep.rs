@@ -97,9 +97,7 @@ impl FromStr for CellId {
         if s.len() != 16 {
             return Err(format!("cell id must be 16 hex digits, got `{s}`"));
         }
-        u64::from_str_radix(s, 16)
-            .map(CellId)
-            .map_err(|e| format!("cell id `{s}` is not hex: {e}"))
+        u64::from_str_radix(s, 16).map(CellId).map_err(|e| format!("cell id `{s}` is not hex: {e}"))
     }
 }
 

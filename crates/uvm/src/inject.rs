@@ -160,7 +160,8 @@ impl FaultInjector {
         if self.cfg.pcie_jitter_cycles > 0 {
             extra += self.rng.range_inclusive(0, self.cfg.pcie_jitter_cycles);
         }
-        if self.cfg.pcie_stall_every > 0 && self.transfers.is_multiple_of(self.cfg.pcie_stall_every) {
+        if self.cfg.pcie_stall_every > 0 && self.transfers.is_multiple_of(self.cfg.pcie_stall_every)
+        {
             extra += self.cfg.pcie_stall_cycles;
             self.stats.stalls += 1;
         }
@@ -189,8 +190,8 @@ impl FaultInjector {
     /// Whether to swallow the next `PageArrived` completion event.
     pub fn drop_arrival(&mut self) -> bool {
         self.arrivals += 1;
-        let drop =
-            self.cfg.drop_arrival_every > 0 && self.arrivals.is_multiple_of(self.cfg.drop_arrival_every);
+        let drop = self.cfg.drop_arrival_every > 0
+            && self.arrivals.is_multiple_of(self.cfg.drop_arrival_every);
         if drop {
             self.stats.dropped_arrivals += 1;
         }

@@ -60,7 +60,12 @@ impl LifetimeTracker {
     /// # Panics
     ///
     /// Panics in debug builds if the page was never installed.
-    pub fn on_evict(&mut self, page: PageId, now: Cycle, audit: AuditLevel) -> Result<(), SimError> {
+    pub fn on_evict(
+        &mut self,
+        page: PageId,
+        now: Cycle,
+        audit: AuditLevel,
+    ) -> Result<(), SimError> {
         let born = self.alloc_at.remove(page);
         debug_assert!(born.is_some(), "evicting untracked page {page}");
         if let Some(born) = born {

@@ -73,7 +73,10 @@ impl UvmRuntime {
             });
             for (victim, avail) in self.ideal_evicts.drain(..) {
                 let at = tr.start.max(avail);
-                outputs.push(UvmOutput::Schedule { at, event: UvmEvent::EvictionStarted { page: victim } });
+                outputs.push(UvmOutput::Schedule {
+                    at,
+                    event: UvmEvent::EvictionStarted { page: victim },
+                });
                 self.lifetime.on_evict(victim, at, self.audit)?;
             }
             plan.record.migrated_bytes += page_bytes;
@@ -85,7 +88,10 @@ impl UvmRuntime {
             // but its PageArrived event never fires, stranding the batch.
             let lost = self.injector.as_mut().is_some_and(|i| i.drop_arrival());
             if !lost {
-                outputs.push(UvmOutput::Schedule { at: tr.end, event: UvmEvent::PageArrived { page } });
+                outputs.push(UvmOutput::Schedule {
+                    at: tr.end,
+                    event: UvmEvent::PageArrived { page },
+                });
             }
         }
         self.current = Some(plan);

@@ -43,7 +43,11 @@ fn drain(rt: &mut UvmRuntime, initial: Vec<UvmOutput>) -> (Timeline, Timeline) {
     let mut queue: Vec<(Cycle, UvmEvent)> = Vec::new();
     let mut installs = Vec::new();
     let mut evicts = Vec::new();
-    let apply = |outs: Vec<UvmOutput>, at: Cycle, queue: &mut Vec<(Cycle, UvmEvent)>, installs: &mut Timeline, evicts: &mut Timeline| {
+    let apply = |outs: Vec<UvmOutput>,
+                 at: Cycle,
+                 queue: &mut Vec<(Cycle, UvmEvent)>,
+                 installs: &mut Timeline,
+                 evicts: &mut Timeline| {
         for o in outs {
             match o {
                 UvmOutput::Schedule { at, event } => queue.push((at, event)),

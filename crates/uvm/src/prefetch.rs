@@ -61,9 +61,8 @@ impl TreePrefetcher {
                 continue;
             }
             let region_pages = end - first;
-            let covered_count: u64 = (first..end)
-                .filter(|&p| covered(PageId::new(p)))
-                .count() as u64;
+            let covered_count: u64 =
+                (first..end).filter(|&p| covered(PageId::new(p))).count() as u64;
             let density = (faults_in_region + covered_count) * 100;
             if density >= u64::from(self.threshold_percent) * region_pages {
                 for p in first..end {

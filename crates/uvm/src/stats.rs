@@ -106,11 +106,7 @@ impl UvmStats {
             }
             counts[bucket] += 1;
         }
-        counts
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| ((i as u64 + 1) * bucket_bytes, c))
-            .collect()
+        counts.into_iter().enumerate().map(|(i, c)| ((i as u64 + 1) * bucket_bytes, c)).collect()
     }
 
     /// Cycles per batch phase summed over every batch: `(handling,

@@ -16,7 +16,12 @@ impl EvictionStrategy for IdealEviction {
         "ideal"
     }
 
-    fn schedule(&mut self, _pipes: &mut PciePipes, _avail: Cycle, _page_bytes: u64) -> EvictionTiming {
+    fn schedule(
+        &mut self,
+        _pipes: &mut PciePipes,
+        _avail: Cycle,
+        _page_bytes: u64,
+    ) -> EvictionTiming {
         EvictionTiming::Instant
     }
 }

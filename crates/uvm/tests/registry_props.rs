@@ -178,10 +178,7 @@ proptest! {
 fn zero_params_are_rejected_where_they_would_wedge() {
     let r = PolicyRegistry::builtin();
     let c = ctx();
-    assert!(matches!(
-        r.build_oversubscription("adaptive:0"),
-        Err(SimError::InvalidConfig { .. })
-    ));
+    assert!(matches!(r.build_oversubscription("adaptive:0"), Err(SimError::InvalidConfig { .. })));
     assert!(matches!(r.build_servicing("gpu-driven:0"), Err(SimError::InvalidConfig { .. })));
     // A zero random seed is a legal seed.
     assert!(r.build_eviction("random:0", &c).is_ok());

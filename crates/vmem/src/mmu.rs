@@ -102,9 +102,7 @@ impl Mmu {
                 t.pwc_miss_penalty,
                 t.pwc_entries,
             ),
-            page_table: GpuPageTable::with_pages_per_large(
-                config.uvm.geometry.pages_per_large(),
-            ),
+            page_table: GpuPageTable::with_pages_per_large(config.uvm.geometry.pages_per_large()),
             l1_hit_latency: t.l1_hit_latency,
             l2_hit_latency: t.l2_hit_latency,
             faults: 0,
@@ -127,7 +125,12 @@ impl Mmu {
     /// # Panics
     ///
     /// Panics if `sm` is out of range for the configured SM count.
-    pub fn translate(&mut self, sm: SmId, page: PageId, now: Cycle) -> Result<Translation, SimError> {
+    pub fn translate(
+        &mut self,
+        sm: SmId,
+        page: PageId,
+        now: Cycle,
+    ) -> Result<Translation, SimError> {
         let stale = |level: &str| SimError::Accounting {
             cycle: now,
             detail: format!("{level} TLB holds an entry for non-resident page {page}"),

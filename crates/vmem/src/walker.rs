@@ -41,7 +41,12 @@ impl PageTableWalker {
     /// # Panics
     ///
     /// Panics if `threads` or `pwc_entries` is zero.
-    pub fn new(threads: u32, walk_latency: Cycle, pwc_miss_penalty: Cycle, pwc_entries: u32) -> Self {
+    pub fn new(
+        threads: u32,
+        walk_latency: Cycle,
+        pwc_miss_penalty: Cycle,
+        pwc_entries: u32,
+    ) -> Self {
         assert!(threads > 0, "walker needs at least one thread");
         Self {
             slots: vec![0; threads as usize],

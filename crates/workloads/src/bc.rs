@@ -37,7 +37,8 @@ impl Bc {
         let src = graph.max_degree_vertex();
         let res = alg::betweenness(&graph, src);
         // vprops: [0] levels, [1] sigma, [2] delta.
-        let arrays = GraphArrays::new(&graph, ArrayOptions { weights: false, coo: false, vprops: 3 });
+        let arrays =
+            GraphArrays::new(&graph, ArrayOptions { weights: false, coo: false, vprops: 3 });
         Self {
             shared: Arc::new(Shared {
                 graph,

@@ -135,7 +135,12 @@ impl Workload for Bfs {
             }
             _ => Vec::new(),
         };
-        Box::new(BfsKernel { variant: self.variant, shared: Arc::clone(&self.shared), level, next_pos })
+        Box::new(BfsKernel {
+            variant: self.variant,
+            shared: Arc::clone(&self.shared),
+            level,
+            next_pos,
+        })
     }
 }
 
@@ -183,9 +188,7 @@ impl Kernel for BfsKernel {
         match self.variant {
             BfsVariant::Ttc | BfsVariant::Ta => thread_centric_spec(v),
             BfsVariant::Twc => warp_centric_spec(v, 32),
-            BfsVariant::Tf => {
-                thread_centric_spec(sh.frontiers[self.level as usize].len() as u64)
-            }
+            BfsVariant::Tf => thread_centric_spec(sh.frontiers[self.level as usize].len() as u64),
             // Each DWC thread strides 4 edges.
             BfsVariant::Dwc => thread_centric_spec(sh.graph.num_edges().div_ceil(4)),
         }
@@ -347,7 +350,8 @@ mod tests {
 
     #[test]
     fn all_variants_produce_work() {
-        for v in [BfsVariant::Dwc, BfsVariant::Ta, BfsVariant::Tf, BfsVariant::Ttc, BfsVariant::Twc] {
+        for v in [BfsVariant::Dwc, BfsVariant::Ta, BfsVariant::Tf, BfsVariant::Ttc, BfsVariant::Twc]
+        {
             let w = Bfs::new(v, graph());
             assert!(w.num_kernels() > 1, "{}: BFS should take multiple levels", w.name());
             let (mem, _) = total_ops(&w);
@@ -398,7 +402,8 @@ mod tests {
         let w = Bfs::new(BfsVariant::Ta, Arc::clone(&g));
         let counters_base = {
             // Rebuild layout to find the counters array address.
-            let arrays = GraphArrays::new(&g, ArrayOptions { weights: false, coo: false, vprops: 1 });
+            let arrays =
+                GraphArrays::new(&g, ArrayOptions { weights: false, coo: false, vprops: 1 });
             arrays.counters.base()
         };
         let mut touched = false;

@@ -75,10 +75,7 @@ impl Gc {
         }
         // vprops: [0] colors, [1] random priorities.
         let arrays = GraphArrays::new(&sym, ArrayOptions { weights: false, coo: false, vprops: 2 });
-        Self {
-            variant,
-            shared: Arc::new(Shared { graph: sym, colored_round, worklists, arrays }),
-        }
+        Self { variant, shared: Arc::new(Shared { graph: sym, colored_round, worklists, arrays }) }
     }
 }
 

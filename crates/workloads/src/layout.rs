@@ -100,7 +100,7 @@ mod tests {
         let c = l.array(4, 1);
         assert_eq!(a.base().raw(), 0);
         assert_eq!(b.base().raw(), 65_536); // a rounded up to one page
-        // b = 160 KB -> 3 pages.
+                                            // b = 160 KB -> 3 pages.
         assert_eq!(c.base().raw(), 65_536 * 4);
         assert_eq!(l.footprint_pages(), 5);
     }

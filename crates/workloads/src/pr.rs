@@ -41,7 +41,8 @@ impl Pr {
     pub fn with_iterations(graph: Arc<Csr>, iterations: u32) -> Self {
         assert!(iterations > 0, "PageRank needs at least one iteration");
         // vprops: [0] rank, [1] next rank, [2] out-degree.
-        let arrays = GraphArrays::new(&graph, ArrayOptions { weights: false, coo: false, vprops: 3 });
+        let arrays =
+            GraphArrays::new(&graph, ArrayOptions { weights: false, coo: false, vprops: 3 });
         Self { shared: Arc::new(Shared { graph, arrays }), iterations }
     }
 }

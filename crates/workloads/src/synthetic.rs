@@ -153,7 +153,13 @@ impl SharedPages {
     ///
     /// Panics if any dimension is zero or `threads_per_block` is not a
     /// multiple of 32.
-    pub fn new(num_blocks: u32, threads_per_block: u32, regs_per_thread: u32, pages: u64, compute_between: u32) -> Self {
+    pub fn new(
+        num_blocks: u32,
+        threads_per_block: u32,
+        regs_per_thread: u32,
+        pages: u64,
+        compute_between: u32,
+    ) -> Self {
         assert!(num_blocks > 0 && pages > 0, "empty workload");
         assert!(
             threads_per_block > 0 && threads_per_block.is_multiple_of(32),

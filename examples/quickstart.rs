@@ -24,14 +24,21 @@ fn main() {
         .expect("simulation failed");
 
     println!();
-    println!("executed {} kernels, {} blocks, {} warps", metrics.kernels, metrics.blocks_retired, metrics.warps_retired);
+    println!(
+        "executed {} kernels, {} blocks, {} warps",
+        metrics.kernels, metrics.blocks_retired, metrics.warps_retired
+    );
     println!("execution time: {} us", metrics.cycles / 1_000);
     println!("fault batches:  {}", metrics.uvm.num_batches());
     println!("  avg size:     {:.1} pages", metrics.uvm.avg_batch_pages());
     println!("  avg time:     {:.0} us", metrics.uvm.avg_processing_time() / 1_000.0);
     println!("faults raised:  {}", metrics.uvm.faults_raised);
     println!("prefetches:     {}", metrics.uvm.prefetches);
-    println!("evictions:      {} ({:.1}% premature)", metrics.uvm.evictions, metrics.uvm.premature_rate() * 100.0);
+    println!(
+        "evictions:      {} ({:.1}% premature)",
+        metrics.uvm.evictions,
+        metrics.uvm.premature_rate() * 100.0
+    );
     println!("ctx switches:   {}", metrics.ctx_switches);
     println!("L1 TLB hit rate: {:.1}%", metrics.mmu.l1.hit_rate() * 100.0);
 }

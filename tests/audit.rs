@@ -112,7 +112,9 @@ fn invalid_page_geometry_is_rejected_at_construction() {
     ] {
         match PageGeometry::new(base, large, region) {
             Err(SimError::InvalidConfig { field, .. }) => assert_eq!(field, want_field),
-            other => panic!("geometry ({base},{large},{region}): expected InvalidConfig, got {other:?}"),
+            other => {
+                panic!("geometry ({base},{large},{region}): expected InvalidConfig, got {other:?}")
+            }
         }
     }
 }

@@ -41,10 +41,12 @@ fn different_policies_differ() {
     let base = Simulation::builder()
         .policy(policies::baseline())
         .memory_ratio(0.5)
-        .try_run(registry::build("BFS-TTC", Arc::clone(&graph)).unwrap()).unwrap();
+        .try_run(registry::build("BFS-TTC", Arc::clone(&graph)).unwrap())
+        .unwrap();
     let ue = Simulation::builder()
         .policy(policies::ue_only())
         .memory_ratio(0.5)
-        .try_run(registry::build("BFS-TTC", graph).unwrap()).unwrap();
+        .try_run(registry::build("BFS-TTC", graph).unwrap())
+        .unwrap();
     assert_ne!(base.cycles, ue.cycles);
 }

@@ -30,10 +30,8 @@ fn every_workload_completes_under_oversubscription() {
     let graph = small_graph();
     for name in registry::irregular_names() {
         let w = registry::build(name, Arc::clone(&graph)).unwrap();
-        let m = Simulation::builder()
-            .policy(policies::to_ue())
-            .memory_ratio(0.5)
-            .try_run(w).unwrap();
+        let m =
+            Simulation::builder().policy(policies::to_ue()).memory_ratio(0.5).try_run(w).unwrap();
         assert!(m.uvm.evictions > 0, "{name}: 50% memory but no evictions");
         assert!(m.uvm.num_batches() > 0, "{name}: no batches");
     }
@@ -43,9 +41,8 @@ fn every_workload_completes_under_oversubscription() {
 fn blocks_retired_matches_grid_sizes() {
     let graph = small_graph();
     let w = registry::build("BFS-TTC", Arc::clone(&graph)).unwrap();
-    let expected: u64 = (0..w.num_kernels())
-        .map(|k| u64::from(w.kernel(KernelId::new(k)).spec().num_blocks))
-        .sum();
+    let expected: u64 =
+        (0..w.num_kernels()).map(|k| u64::from(w.kernel(KernelId::new(k)).spec().num_blocks)).sum();
     let w = registry::build("BFS-TTC", graph).unwrap();
     let m = Simulation::builder().try_run(w).unwrap();
     assert_eq!(m.blocks_retired, expected);
@@ -54,11 +51,12 @@ fn blocks_retired_matches_grid_sizes() {
 #[test]
 fn oversubscribed_run_is_slower_than_unlimited() {
     let graph = small_graph();
-    let unlimited = Simulation::builder()
-        .try_run(registry::build("PR", Arc::clone(&graph)).unwrap()).unwrap();
+    let unlimited =
+        Simulation::builder().try_run(registry::build("PR", Arc::clone(&graph)).unwrap()).unwrap();
     let half = Simulation::builder()
         .memory_ratio(0.5)
-        .try_run(registry::build("PR", Arc::clone(&graph)).unwrap()).unwrap();
+        .try_run(registry::build("PR", Arc::clone(&graph)).unwrap())
+        .unwrap();
     assert!(
         half.cycles > unlimited.cycles,
         "oversubscription should cost time: {} vs {}",

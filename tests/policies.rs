@@ -138,10 +138,12 @@ fn sensitivity_fault_handling_time_monotone() {
     let cheap = Simulation::builder()
         .config(cheap_cfg)
         .memory_ratio(0.5)
-        .try_run(registry::build("BFS-TTC", graph()).unwrap()).unwrap();
+        .try_run(registry::build("BFS-TTC", graph()).unwrap())
+        .unwrap();
     let costly = Simulation::builder()
         .config(costly_cfg)
         .memory_ratio(0.5)
-        .try_run(registry::build("BFS-TTC", graph()).unwrap()).unwrap();
+        .try_run(registry::build("BFS-TTC", graph()).unwrap())
+        .unwrap();
     assert!(costly.cycles > cheap.cycles);
 }

@@ -4,7 +4,7 @@
 //! ratios × seeds) expands into content-hashed [`SweepCell`]s, which flow
 //! through a bounded job queue into a pool of worker threads — each owning
 //! an independent `Simulation` — while a results thread streams each run's
-//! [`MetricsRow`](batmem::probes::MetricsRow) into a resumable on-disk
+//! [`batmem::probes::MetricsRow`] into a resumable on-disk
 //! [`ArtifactStore`]. See [`pool`] for the robustness contract (panic
 //! isolation, wall-clock deadlines, retry/backoff, graceful drain) and
 //! [`store`] for the resume protocol.

@@ -1,9 +1,9 @@
 //! SM-side execution: kernel lifecycle, warp scheduling, memory
 //! operations, TO context switching, and block retirement.
 
-use batmem_sim::block::BlockResidency;
+use batmem_sim::block::{BlockContext, BlockResidency};
 use batmem_sim::ops::OpKind;
-use batmem_sim::sm::occupancy;
+use batmem_sim::sm::{occupancy, Sm};
 use batmem_sim::warp::{WarpContext, WarpPhase};
 use batmem_types::probe::ProbeEvent;
 use batmem_types::{BlockId, Cycle, KernelId, SimError, SmId, VirtAddr};
@@ -25,11 +25,12 @@ impl Engine {
         self.kernel_idx = k;
         self.blocks.clear();
         self.block_sm.clear();
+        self.free_blocks.clear();
         self.grid_cursor = 0;
         self.blocks_remaining = self.spec.num_blocks;
         for sm in &mut self.sms {
             debug_assert_eq!(sm.resident_blocks(), 0, "blocks left over from prior kernel");
-            *sm = batmem_sim::sm::Sm::new();
+            *sm = Sm::new();
         }
         let num_sms = self.sms.len();
         // Fill each SM's active slots round-robin, one slot depth at a time,
@@ -67,11 +68,24 @@ impl Engine {
         if self.grid_cursor >= self.spec.num_blocks {
             return Ok(false);
         }
-        let id = BlockId::new(self.grid_cursor);
+        let block = BlockContext::new(BlockId::new(self.grid_cursor));
         self.grid_cursor += 1;
-        let idx = self.blocks.len();
-        self.blocks.push(batmem_sim::block::BlockContext::new(id));
-        self.block_sm.push(sm);
+        // A retired block has no pending events and no page waiters (its
+        // warps all finished), so its slot can hold the new block.
+        let idx = if let Some(idx) = self.free_blocks.pop() {
+            self.blocks[idx] = block;
+            self.block_sm[idx] = sm;
+            idx
+        } else {
+            debug_assert_eq!(
+                self.blocks.len(),
+                self.sms.iter().map(Sm::resident_blocks).sum::<usize>(),
+                "a block slot is appended only while every slot is resident"
+            );
+            self.blocks.push(block);
+            self.block_sm.push(sm);
+            self.blocks.len() - 1
+        };
         if active {
             self.sms[sm].active.push(idx);
             self.activate_block(idx);
@@ -132,7 +146,7 @@ impl Engine {
             BlockResidency::Retired => {
                 return Err(SimError::StateMachine {
                     cycle: self.clock,
-                    event: format!("WarpWake(block:{b}, warp:{w})"),
+                    event: format!("WarpWake({}, warp:{w})", self.blocks[b].id),
                     state: "Retired".to_string(),
                     detail: "a retired block's warp was woken".to_string(),
                 });
@@ -345,6 +359,7 @@ impl Engine {
         let warps = self.blocks[b].retire();
         self.warp_pool.push(warps);
         self.sms[sm].remove(b, self.clock)?;
+        self.free_blocks.push(b);
         self.blocks_retired += 1;
         self.blocks_remaining -= 1;
         if self.blocks_remaining == 0 {

@@ -66,8 +66,13 @@ struct Engine {
     kernel: Option<Box<dyn Kernel>>,
     spec: KernelSpec,
     occ: Occupancy,
+    /// Block slots, indexed by the arena index that events, waiters and the
+    /// SM lists carry, with each block's SM beside it.
     blocks: Vec<BlockContext>,
     block_sm: Vec<usize>,
+    /// Slots of retired blocks, reused by the next dispatch, so the table
+    /// grows to the most blocks ever resident at once, not the grid.
+    free_blocks: Vec<usize>,
     sms: Vec<Sm>,
     grid_cursor: u32,
     blocks_remaining: u32,
@@ -163,6 +168,7 @@ impl Engine {
             occ: Occupancy { active_limit: 1, warps_per_block: 1 },
             blocks: Vec::new(),
             block_sm: Vec::new(),
+            free_blocks: Vec::new(),
             sms: (0..num_sms).map(|_| Sm::new()).collect(),
             grid_cursor: 0,
             blocks_remaining: 0,

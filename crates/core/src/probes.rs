@@ -6,7 +6,7 @@
 //!   dropped and counted, so a tracer can be left attached to an
 //!   arbitrarily long run.
 //! * [`MetricsRow`] — one run's counters by name: a view of
-//!   [`RunMetrics`](crate::RunMetrics) built by [`MetricsRow::from_run`],
+//!   [`RunMetrics`] built by [`MetricsRow::from_run`],
 //!   with CSV export. The bench harness's sweep store keeps these rows as
 //!   named JSON records. Batch anatomy (per-batch phases and CSV) lives
 //!   on the run's [`UvmStats`](batmem_uvm::UvmStats).

@@ -8,8 +8,9 @@
 //!    warp-wake fast path) go to a FIFO `VecDeque`: no ordering work at
 //!    all, since FIFO *is* `(time, seq)` order within one cycle.
 //! 2. **Timing wheel** — near-future events (within 2^24 cycles of the
-//!    wheel time) go to a hierarchical timing wheel
-//!    ([`crate::wheel`]): O(1) insert, O(1) amortised cascade.
+//!    wheel time) go to a hierarchical timing wheel (the private `wheel`
+//!    module): O(1) insert, O(1) amortised cascade, and storage for the
+//!    pending events only.
 //! 3. **Overflow heap** — far-future timestamps, and pushes behind the
 //!    last pop, fall back to the old `BinaryHeap`.
 //!
@@ -143,33 +144,25 @@ impl<T> EventQueue<T> {
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(Cycle, T)> {
-        if let Some(&(rs, _)) = self.ring.front() {
-            // Invariant: the wheel holds only times > cur while the ring
-            // is non-empty, so only the overflow heap can precede it.
-            if self.overflow_wins(self.cur, rs) {
+        if self.ring.is_empty() {
+            let Some(wt) = self.wheel.stage() else { return self.pop_overflow() };
+            if self.overflow.peek().is_some_and(|Reverse((t, _, _))| *t < wt) {
                 return self.pop_overflow();
             }
-            let (_, e) = self.ring.pop_front().expect("front was checked");
-            self.len -= 1;
-            return Some((self.cur, e));
-        }
-        if let Some((wt, ws)) = self.wheel.stage() {
-            if self.overflow_wins(wt, ws) {
-                if self.overflow.peek().map(|&Reverse((t, _, _))| t) == Some(wt) {
-                    // The heap entry ties the wheel slot's timestamp with a
-                    // smaller seq. Move the slot to the ring first so
-                    // subsequent pops interleave the two tiers by seq
-                    // (pushes at `cur` must not overtake the slot).
-                    self.cur = self.wheel.take_staged(&mut self.ring);
-                }
-                return self.pop_overflow();
-            }
+            // The whole slot moves to the ring, so later pushes at `cur`
+            // cannot overtake it, and a heap entry tying its timestamp
+            // interleaves with it by seq below.
             self.cur = self.wheel.take_staged(&mut self.ring);
-            let (_, e) = self.ring.pop_front().expect("staged slot is never empty");
-            self.len -= 1;
-            return Some((self.cur, e));
         }
-        self.pop_overflow()
+        // Invariant: the wheel holds only times > cur while the ring is
+        // non-empty, so only the overflow heap can precede it.
+        let &(rs, _) = self.ring.front().expect("the ring or the staged slot is non-empty");
+        if self.overflow_wins(self.cur, rs) {
+            return self.pop_overflow();
+        }
+        let (_, e) = self.ring.pop_front().expect("front was checked");
+        self.len -= 1;
+        Some((self.cur, e))
     }
 
     /// Whether the overflow heap's front precedes `(time, seq)`.

@@ -29,7 +29,9 @@ pub fn occupancy(gpu: &GpuConfig, spec: &KernelSpec) -> Occupancy {
 /// Per-SM slot accounting: which dispatched blocks (by arena index) are
 /// active vs. inactive, plus the context-switch engine's busy time.
 ///
-/// Blocks themselves live in the engine's arena; the SM holds indices only.
+/// Blocks themselves live in the engine's arena, which gives a retired
+/// block's slot to the next block it dispatches; the SM holds indices
+/// only, in the order its blocks arrived on each list.
 #[derive(Debug, Clone, Default)]
 pub struct Sm {
     /// Arena indices of active blocks.
@@ -72,7 +74,7 @@ impl Sm {
         let Some(pos) = self.active.iter().position(|&b| b == arena_idx) else {
             return Err(self.bad_transition(
                 now,
-                format!("Deactivate(block:{arena_idx})"),
+                format!("Deactivate(slot:{arena_idx})"),
                 "deactivating a block that is not active",
             ));
         };
@@ -91,7 +93,7 @@ impl Sm {
         let Some(pos) = self.inactive.iter().position(|&b| b == arena_idx) else {
             return Err(self.bad_transition(
                 now,
-                format!("Activate(block:{arena_idx})"),
+                format!("Activate(slot:{arena_idx})"),
                 "activating a block that is not inactive",
             ));
         };
@@ -116,7 +118,7 @@ impl Sm {
         } else {
             Err(self.bad_transition(
                 now,
-                format!("Retire(block:{arena_idx})"),
+                format!("Retire(slot:{arena_idx})"),
                 "removing a block that is not resident",
             ))
         }

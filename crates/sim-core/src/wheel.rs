@@ -24,11 +24,18 @@
 //!    level's first occupied slot at-or-after the cursor, found with one
 //!    `trailing_zeros` on the occupancy bitmap.
 //!
-//! Determinism: slots collect entries from direct pushes *and* cascades,
-//! which can arrive out of insertion order (a cascade can land an older
-//! `seq` behind a newer direct push). [`TimingWheel::stage`] sorts the
-//! front slot by `seq` exactly once before it is consumed, restoring the
-//! global `(time, seq)` order bit-for-bit.
+//! Storage: every entry is a node in one arena, and each slot is an
+//! intrusive list (a head and a tail index) over it. A consumed node goes
+//! on a free list that the next push takes from, so the arena holds at most
+//! the peak number of pending entries, however large any one slot's burst
+//! once was, and a cascade relinks nodes without moving a payload.
+//!
+//! Determinism: an entry's level and slot are a function of its timestamp
+//! and `wt` alone, so all entries with one timestamp share a slot list and
+//! cascade together, in list order, and a direct push appends behind them:
+//! a level-0 slot drains in `seq` order. [`TimingWheel::take_staged`]
+//! checks that order as it hands the slot out and sorts it if an entry is
+//! out of place, so the global `(time, seq)` order holds bit-for-bit.
 
 use batmem_types::Cycle;
 use std::collections::VecDeque;
@@ -44,27 +51,41 @@ const LEVELS: usize = 4;
 const HORIZON_BITS: u32 = SLOT_BITS * LEVELS as u32;
 /// Low-6-bits mask for slot indexing.
 const SLOT_MASK: u64 = SLOTS as u64 - 1;
+/// The end of a node list.
+const NIL: usize = usize::MAX;
 
-/// A scheduled entry: absolute timestamp, global insertion sequence, payload.
+/// One arena node: absolute timestamp, global insertion sequence, the next
+/// node of its slot's list (stale at the slot's tail) or of the free list,
+/// and the payload, which is `None` only while the node is free.
 #[derive(Debug, Clone)]
-struct Entry<T> {
+struct Node<T> {
     time: Cycle,
     seq: u64,
-    item: T,
+    next: usize,
+    item: Option<T>,
 }
 
-/// One wheel level: 64 slots plus an occupancy bitmap (bit `i` set iff
-/// `slots[i]` is non-empty) so the earliest occupied slot is a
+/// A slot's node list: first and last node. A walk stops at `tail`, so
+/// placing a node never writes its own link. Read only while the slot's
+/// occupancy bit is set.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    head: usize,
+    tail: usize,
+}
+
+/// One wheel level: 64 slot lists plus an occupancy bitmap (bit `i` set
+/// iff `slots[i]` is non-empty) so the earliest occupied slot is a
 /// `trailing_zeros` away.
 #[derive(Debug, Clone)]
-struct Level<T> {
+struct Level {
     occupied: u64,
-    slots: [Vec<Entry<T>>; SLOTS],
+    slots: [Slot; SLOTS],
 }
 
-impl<T> Level<T> {
+impl Level {
     fn new() -> Self {
-        Self { occupied: 0, slots: std::array::from_fn(|_| Vec::new()) }
+        Self { occupied: 0, slots: [Slot { head: NIL, tail: NIL }; SLOTS] }
     }
 }
 
@@ -72,7 +93,12 @@ impl<T> Level<T> {
 /// bounds; ordering uses only `(time, seq)`.
 #[derive(Debug, Clone)]
 pub(crate) struct TimingWheel<T> {
-    levels: Vec<Level<T>>,
+    /// Every node ever needed at once: linked into a slot while pending,
+    /// into the free list after it is consumed.
+    nodes: Vec<Node<T>>,
+    /// Head of the free list, which ends in `NIL`.
+    free: usize,
+    levels: [Level; LEVELS],
     /// Wheel time: every entry satisfies `time >= wt`, and `wt` never
     /// exceeds the earliest pending entry's timestamp.
     wt: Cycle,
@@ -81,7 +107,13 @@ pub(crate) struct TimingWheel<T> {
 
 impl<T> TimingWheel<T> {
     pub(crate) fn new() -> Self {
-        Self { levels: (0..LEVELS).map(|_| Level::new()).collect(), wt: 0, count: 0 }
+        Self {
+            nodes: Vec::new(),
+            free: NIL,
+            levels: std::array::from_fn(|_| Level::new()),
+            wt: 0,
+            count: 0,
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -108,18 +140,55 @@ impl<T> TimingWheel<T> {
     /// Inserts an entry; `time` must satisfy [`Self::fits`].
     pub(crate) fn push(&mut self, time: Cycle, seq: u64, item: T) {
         debug_assert!(self.fits(time), "push outside the wheel horizon");
-        self.place(Entry { time, seq, item });
+        let node = Node { time, seq, next: NIL, item: Some(item) };
+        let n = if self.free == NIL {
+            self.nodes.push(node);
+            self.nodes.len() - 1
+        } else {
+            let n = self.free;
+            self.free = self.nodes[n].next;
+            self.nodes[n] = node;
+            n
+        };
+        self.place(n);
         self.count += 1;
     }
 
-    /// Routes an entry to its level and slot relative to the current `wt`.
-    fn place(&mut self, e: Entry<T>) {
-        let x = e.time ^ self.wt;
+    /// Links node `n` at the tail of its slot relative to the current `wt`.
+    fn place(&mut self, n: usize) {
+        let time = self.nodes[n].time;
+        let x = time ^ self.wt;
         let level = if x == 0 { 0 } else { ((63 - x.leading_zeros()) / SLOT_BITS) as usize };
         debug_assert!(level < LEVELS);
-        let idx = ((e.time >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.levels[level].occupied |= 1 << idx;
-        self.levels[level].slots[idx].push(e);
+        let idx = ((time >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
+        let lv = &mut self.levels[level];
+        if lv.occupied & (1 << idx) == 0 {
+            lv.occupied |= 1 << idx;
+            lv.slots[idx].head = n;
+        } else {
+            self.nodes[lv.slots[idx].tail].next = n;
+        }
+        lv.slots[idx].tail = n;
+    }
+
+    /// Empties slot `idx` of `level`, if occupied, and places each of its
+    /// nodes again, in list order, relative to the current `wt`. Callers
+    /// move `wt` into the slot's window first, so every node lands on a
+    /// lower level.
+    fn cascade(&mut self, level: usize, idx: usize) {
+        if self.levels[level].occupied & (1 << idx) == 0 {
+            return;
+        }
+        self.levels[level].occupied &= !(1 << idx);
+        let Slot { head: mut n, tail } = self.levels[level].slots[idx];
+        loop {
+            let next = self.nodes[n].next;
+            self.place(n);
+            if n == tail {
+                break;
+            }
+            n = next;
+        }
     }
 
     /// Advances the wheel time and cascades down every slot the new time
@@ -128,41 +197,23 @@ impl<T> TimingWheel<T> {
         debug_assert!(at >= self.wt, "wheel time is monotone");
         self.wt = at;
         for level in 1..LEVELS {
-            let cursor = ((at >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-            if self.levels[level].occupied & (1 << cursor) == 0 {
-                continue;
-            }
             // The cursor slot's entries now share `wt`'s level-`level`
             // window, so `place` moves each strictly below this level.
-            self.levels[level].occupied &= !(1 << cursor);
-            let mut drained = std::mem::take(&mut self.levels[level].slots[cursor]);
-            for e in drained.drain(..) {
-                self.place(e);
-            }
-            // Hand the (now empty) buffer back so its capacity is reused.
-            self.levels[level].slots[cursor] = drained;
+            self.cascade(level, ((at >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize);
         }
     }
 
-    /// Cascades until the earliest pending entries sit in a level-0 slot,
-    /// sorts that slot by `seq`, and returns its `(time, first seq)`.
-    /// Leaves the wheel staged for [`Self::take_staged`]; idempotent.
-    pub(crate) fn stage(&mut self) -> Option<(Cycle, u64)> {
+    /// Cascades until the earliest pending entries sit in a level-0 slot
+    /// and returns their timestamp. Leaves the wheel staged for
+    /// [`Self::take_staged`]; idempotent.
+    pub(crate) fn stage(&mut self) -> Option<Cycle> {
         if self.count == 0 {
             return None;
         }
         loop {
             if self.levels[0].occupied != 0 {
-                let idx = self.front_slot(0);
-                let slot = &mut self.levels[0].slots[idx];
-                // Direct pushes and cascades interleave out of seq order;
-                // one sort on consumption restores FIFO within the tick.
-                slot.sort_unstable_by_key(|e| e.seq);
-                debug_assert!(
-                    slot.windows(2).all(|w| w[0].time == w[1].time),
-                    "a level-0 slot holds exactly one timestamp"
-                );
-                return Some((slot[0].time, slot[0].seq));
+                let head = self.levels[0].slots[self.front_slot(0)].head;
+                return Some(self.nodes[head].time);
             }
             let level = (1..LEVELS)
                 .find(|&k| self.levels[k].occupied != 0)
@@ -174,16 +225,9 @@ impl<T> TimingWheel<T> {
             let window_start =
                 (idx as u64) << shift | (self.wt >> (shift + SLOT_BITS)) << (shift + SLOT_BITS);
             self.advance(self.wt.max(window_start));
-            if self.levels[level].occupied & (1 << idx) != 0 {
-                // `advance` stopped short of the slot (same window as the
-                // old cursor); drain it explicitly.
-                self.levels[level].occupied &= !(1 << idx);
-                let mut drained = std::mem::take(&mut self.levels[level].slots[idx]);
-                for e in drained.drain(..) {
-                    self.place(e);
-                }
-                self.levels[level].slots[idx] = drained;
-            }
+            // `advance` stops short of the slot when it shares the old
+            // cursor's window; then this drains it.
+            self.cascade(level, idx);
         }
     }
 
@@ -197,20 +241,37 @@ impl<T> TimingWheel<T> {
         (cursor + bits.trailing_zeros()) as usize
     }
 
-    /// Drains the staged front slot (see [`Self::stage`]) into `out` as
-    /// `(seq, item)` pairs in seq order, advances the wheel past its
-    /// timestamp, and returns that timestamp.
+    /// Moves the staged front slot (see [`Self::stage`]) into the empty
+    /// `out` as `(seq, item)` pairs in seq order, frees its nodes, advances
+    /// the wheel past its timestamp, and returns that timestamp.
     pub(crate) fn take_staged(&mut self, out: &mut VecDeque<(u64, T)>) -> Cycle {
         debug_assert!(self.levels[0].occupied != 0, "take_staged without stage");
+        debug_assert!(out.is_empty(), "the staged slot is sorted in place in `out`");
         let idx = self.front_slot(0);
         self.levels[0].occupied &= !(1 << idx);
-        let mut drained = std::mem::take(&mut self.levels[0].slots[idx]);
-        let time = drained[0].time;
-        self.count -= drained.len();
-        for e in drained.drain(..) {
-            out.push_back((e.seq, e.item));
+        let Slot { head, tail } = self.levels[0].slots[idx];
+        let time = self.nodes[head].time;
+        let mut in_order = true;
+        let mut last = 0;
+        let mut n = head;
+        loop {
+            let node = &mut self.nodes[n];
+            debug_assert_eq!(node.time, time, "a level-0 slot holds exactly one timestamp");
+            in_order &= node.seq >= last;
+            last = node.seq;
+            out.push_back((node.seq, node.item.take().expect("a linked node holds its item")));
+            if n == tail {
+                break;
+            }
+            n = node.next;
         }
-        self.levels[0].slots[idx] = drained;
+        // The slot's whole list joins the free list at once.
+        self.nodes[tail].next = self.free;
+        self.free = head;
+        self.count -= out.len();
+        if !in_order {
+            out.make_contiguous().sort_unstable_by_key(|e| e.0);
+        }
         self.advance(time + 1);
         time
     }
@@ -224,8 +285,13 @@ impl<T> TimingWheel<T> {
         let level = (0..LEVELS)
             .find(|&k| self.levels[k].occupied != 0)
             .expect("count > 0 but every level is empty");
-        let idx = self.front_slot(level);
-        self.levels[level].slots[idx].iter().map(|e| e.time).min()
+        let Slot { head: mut n, tail } = self.levels[level].slots[self.front_slot(level)];
+        let mut min = self.nodes[n].time;
+        while n != tail {
+            n = self.nodes[n].next;
+            min = min.min(self.nodes[n].time);
+        }
+        Some(min)
     }
 }
 
@@ -277,6 +343,44 @@ mod tests {
         w.push(4_096, 0, 0u32);
         w.push(4_095, 1, 0u32);
         assert_eq!(drain_all(&mut w), vec![(4_095, 1), (4_096, 0)]);
+    }
+
+    #[test]
+    fn arena_holds_at_most_the_pending_peak() {
+        // Each round pushes K entries spread over all four levels, then
+        // drains them: freed nodes must be reused, not appended.
+        const K: u64 = 64;
+        let mut w = TimingWheel::new();
+        let mut ring = VecDeque::new();
+        let mut seq = 0;
+        for round in 0..300u64 {
+            // Advancing wheel times whose four slot digits are each below
+            // 32, so adding `32 << (6 * level)` to the time flips a bit of
+            // exactly that digit and lands the entry on that level.
+            let digits = round.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let low = (0..LEVELS as u32).map(|l| (digits >> (5 * l) & 31) << (SLOT_BITS * l));
+            w.rebase(round << HORIZON_BITS | low.sum::<u64>());
+            let now = w.wt;
+            for i in 0..K {
+                let level = (i % LEVELS as u64) as u32;
+                let delta = match level {
+                    0 => i % 32,
+                    _ => (32 << (SLOT_BITS * level)) + i * 997 % (1 << (SLOT_BITS * level - 1)),
+                };
+                w.push(now + delta, seq, i);
+                seq += 1;
+            }
+            assert!(w.levels.iter().all(|l| l.occupied != 0), "round {round} missed a level");
+            let mut last = now;
+            while w.stage().is_some() {
+                let t = w.take_staged(&mut ring);
+                assert!(t >= last);
+                last = t;
+                ring.clear();
+            }
+            assert!(w.is_empty());
+            assert!(w.nodes.len() <= K as usize, "round {round}: {} nodes", w.nodes.len());
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The injector perturbs the UVM runtime at its natural seams — PCIe
 //! scheduling, far-fault recording, prefetch expansion, and DMA completion
 //! delivery — so tests can assert that every policy either completes or
-//! returns a typed [`SimError`](batmem_types::SimError), never panicking or
+//! returns a typed [`SimError`], never panicking or
 //! hanging. All randomness comes from a seeded [`DetRng`], so a failing
 //! injection run replays exactly.
 //!

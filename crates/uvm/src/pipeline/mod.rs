@@ -42,7 +42,7 @@
 //! Observation goes through the probe layer: every fault, batch
 //! open/close, migration, eviction (with its cause and pinned/premature
 //! classification) is emitted as a
-//! [`ProbeEvent`](batmem_types::probe::ProbeEvent) on the
+//! [`ProbeEvent`] on the
 //! [`SharedProbes`] handle installed by [`UvmRuntime::set_probes`] —
 //! [`UvmStats`] is merely the built-in aggregate of the same stream.
 

@@ -5,7 +5,7 @@ use batmem_types::Cycle;
 use std::fmt::Write as _;
 
 /// End-of-run statistics of the UVM runtime, assembled by
-/// [`crate::runtime::UvmRuntime::stats`].
+/// [`crate::pipeline::UvmRuntime::stats`].
 #[derive(Debug, Clone, Default)]
 pub struct UvmStats {
     /// Every processed batch, in order.

@@ -34,14 +34,18 @@ impl EvictionStrategy for RandomVictim {
         mem: &MemoryManager,
         pinned: &dyn Fn(PageId) -> bool,
     ) -> Option<(PageId, bool)> {
-        let candidates: Vec<PageId> = mem.pages_in_lru_order().filter(|&p| !pinned(p)).collect();
-        if candidates.is_empty() {
+        // Count the unpinned pages, draw one, and walk to it: the same draw
+        // over the same order as collecting them, without the allocation.
+        let unpinned = || mem.pages_in_lru_order().filter(|&p| !pinned(p));
+        let count = unpinned().count();
+        if count == 0 {
             // Everything resident is pinned by the open batch: fall back to
             // the LRU policy's forced-pinned handling.
             return mem.pick_victim(pinned);
         }
-        let idx = self.rng.below(candidates.len() as u64) as usize;
-        Some((candidates[idx], false))
+        let idx = self.rng.below(count as u64) as usize;
+        let victim = unpinned().nth(idx).expect("the draw is below the unpinned count");
+        Some((victim, false))
     }
 
     fn schedule(&mut self, pipes: &mut PciePipes, avail: Cycle, page_bytes: u64) -> EvictionTiming {
@@ -62,6 +66,49 @@ mod tests {
             m.mark_resident(PageId::new(i), f, i).unwrap();
         }
         m
+    }
+
+    /// The pick as it was before it stopped collecting: every unpinned
+    /// page in LRU order, then one draw to index them. The reference model.
+    fn collect_then_index(
+        rng: &mut DetRng,
+        mem: &MemoryManager,
+        pinned: &dyn Fn(PageId) -> bool,
+    ) -> Option<(PageId, bool)> {
+        let candidates: Vec<PageId> = mem.pages_in_lru_order().filter(|&p| !pinned(p)).collect();
+        if candidates.is_empty() {
+            return mem.pick_victim(pinned);
+        }
+        let idx = rng.below(candidates.len() as u64) as usize;
+        Some((candidates[idx], false))
+    }
+
+    #[test]
+    fn picks_match_the_collecting_reference() {
+        let mut mem = filled(48);
+        // An LRU order that is not the page order.
+        for i in (0..48).step_by(3) {
+            mem.touch(PageId::new(i));
+        }
+        let mut masks = DetRng::new(99);
+        for seed in 0..200u64 {
+            // Random pin masks, plus nothing and everything pinned.
+            let mask = match seed % 10 {
+                0 => 0,
+                1 => u64::MAX,
+                _ => masks.next_u64() & masks.next_u64(),
+            };
+            let pinned = move |p: PageId| mask >> (p.index() % 64) & 1 == 1;
+            let mut s = RandomVictim::new(seed);
+            let mut reference = DetRng::new(seed);
+            for _ in 0..16 {
+                assert_eq!(
+                    s.pick_victim(&mem, &pinned),
+                    collect_then_index(&mut reference, &mem, &pinned),
+                    "seed {seed}, mask {mask:#x}"
+                );
+            }
+        }
     }
 
     #[test]

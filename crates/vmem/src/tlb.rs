@@ -33,7 +33,7 @@ const ABSENT: u32 = u32::MAX;
 ///
 /// A fully associative TLB (the paper's per-SM L1 TLB) is one set whose way
 /// count equals the entry count. The tag type defaults to [`PageId`]; the
-/// large-page TLBs instantiate it with [`RegionId`] tags.
+/// large-page TLBs instantiate it with [`RegionId`](batmem_types::RegionId) tags.
 ///
 /// Entries live in flat, set-major slot arrays with a last-use stamp each
 /// (set `s` owns slots `s * ways .. (s + 1) * ways`), and a dense index

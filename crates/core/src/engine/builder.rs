@@ -156,7 +156,13 @@ impl SimulationBuilder {
     ///   conservation law broken (see [`audit`](Self::audit)).
     /// * [`SimError::Livelock`] / [`SimError::Deadlock`] — the watchdog or
     ///   the end-of-run check caught a run that stopped making progress.
-    pub fn try_run(mut self, workload: Box<dyn Workload>) -> Result<RunMetrics, SimError> {
+    pub fn try_run(self, workload: Box<dyn Workload>) -> Result<RunMetrics, SimError> {
+        self.build(workload)?.run()
+    }
+
+    /// Validates the configuration and builds the engine for `workload`
+    /// without running it (see [`try_run`](Self::try_run)).
+    pub(super) fn build(mut self, workload: Box<dyn Workload>) -> Result<Engine, SimError> {
         self.config.validate()?;
         let mut policy = self.policy.resolve(&mut self.config.uvm)?;
         // A closed-loop handler ships its own sensor: attach it to the hub
@@ -189,6 +195,6 @@ impl SimulationBuilder {
                 self.config.uvm.gpu_mem_pages = Some(etc.effective_capacity(p));
             }
         }
-        Engine::new(self.config, self.inject, self.probes, workload, footprint_pages, policy).run()
+        Ok(Engine::new(self.config, self.inject, self.probes, workload, footprint_pages, policy))
     }
 }

@@ -9,7 +9,7 @@ use batmem_types::probe::ProbeEvent;
 use batmem_types::{BlockId, Cycle, KernelId, SimError, SmId, VirtAddr};
 use batmem_vmem::TranslationOutcome;
 
-use super::{Engine, Event};
+use super::{Engine, Event, WarpRef};
 
 impl Engine {
     // ---- kernel lifecycle -------------------------------------------------
@@ -25,6 +25,7 @@ impl Engine {
         self.kernel_idx = k;
         self.blocks.clear();
         self.block_sm.clear();
+        self.block_serial.clear();
         self.free_blocks.clear();
         self.grid_cursor = 0;
         self.blocks_remaining = self.spec.num_blocks;
@@ -70,11 +71,15 @@ impl Engine {
         }
         let block = BlockContext::new(BlockId::new(self.grid_cursor));
         self.grid_cursor += 1;
+        let serial = self.dispatched;
+        self.dispatched += 1;
         // A retired block has no pending events and no page waiters (its
-        // warps all finished), so its slot can hold the new block.
+        // warps all finished), so its slot can hold the new block; the new
+        // serial turns any stale address of the old one into an error.
         let idx = if let Some(idx) = self.free_blocks.pop() {
             self.blocks[idx] = block;
             self.block_sm[idx] = sm;
+            self.block_serial[idx] = serial;
             idx
         } else {
             debug_assert_eq!(
@@ -84,6 +89,7 @@ impl Engine {
             );
             self.blocks.push(block);
             self.block_sm.push(sm);
+            self.block_serial.push(serial);
             self.blocks.len() - 1
         };
         if active {
@@ -98,6 +104,7 @@ impl Engine {
     /// Marks `idx` active and (on first activation) builds its warps'
     /// streams and schedules them.
     fn activate_block(&mut self, idx: usize) {
+        let serial = self.block_serial[idx];
         let block = &mut self.blocks[idx];
         block.residency = BlockResidency::Active;
         if !block.started() {
@@ -110,13 +117,13 @@ impl Engine {
             );
             block.start(warps);
             for w in 0..self.occ.warps_per_block as usize {
-                self.events.push(self.clock, Event::WarpWake { block: idx, warp: w });
+                self.events.push(self.clock, Event::WarpWake(WarpRef::new(idx, w, serial)));
             }
         } else if block.count(WarpPhase::ReadyInactive) > 0 {
             for w in 0..block.warps().len() {
                 if block.warps()[w].phase() == WarpPhase::ReadyInactive {
                     block.set_phase(w, WarpPhase::Ready);
-                    self.events.push(self.clock, Event::WarpWake { block: idx, warp: w });
+                    self.events.push(self.clock, Event::WarpWake(WarpRef::new(idx, w, serial)));
                 }
             }
         }
@@ -140,17 +147,26 @@ impl Engine {
         sm >= self.sms.len() - self.throttled_count as usize
     }
 
-    pub(super) fn on_warp_wake(&mut self, b: usize, w: usize) -> Result<(), SimError> {
+    /// The slot and warp that `r` addresses, or a `StateMachine` error when
+    /// its block has retired: the slot is then empty (at the end of a grid)
+    /// or holds a block dispatched later.
+    pub(super) fn resolve(&self, r: WarpRef, event: &str) -> Result<(usize, usize), SimError> {
+        let b = r.slot as usize;
+        if self.block_serial[b] == r.serial && self.blocks[b].residency != BlockResidency::Retired {
+            return Ok((b, r.warp as usize));
+        }
+        Err(SimError::StateMachine {
+            cycle: self.clock,
+            event: format!("{event}(slot:{b}, serial:{}, warp:{})", r.serial, r.warp),
+            state: "Retired".to_string(),
+            detail: "a retired block's warp was woken".to_string(),
+        })
+    }
+
+    pub(super) fn on_warp_wake(&mut self, r: WarpRef) -> Result<(), SimError> {
+        let (b, w) = self.resolve(r, "WarpWake")?;
         match self.blocks[b].residency {
             BlockResidency::Active => {}
-            BlockResidency::Retired => {
-                return Err(SimError::StateMachine {
-                    cycle: self.clock,
-                    event: format!("WarpWake({}, warp:{w})", self.blocks[b].id),
-                    state: "Retired".to_string(),
-                    detail: "a retired block's warp was woken".to_string(),
-                });
-            }
             _ => {
                 self.blocks[b].set_phase(w, WarpPhase::ReadyInactive);
                 return Ok(());
@@ -184,25 +200,20 @@ impl Engine {
                 self.stream_ops += 1;
                 self.blocks[b].set_phase(w, WarpPhase::Computing);
                 let at = self.clock + Cycle::from(c);
-                self.events.push(at, Event::WarpWake { block: b, warp: w });
+                self.events.push(at, Event::WarpWake(r));
                 Ok(())
             }
             Some(kind) => {
                 self.stream_ops += u64::from(from_stream);
-                self.exec_mem(b, w, kind == OpKind::Store, &txns)
+                self.exec_mem(r, kind == OpKind::Store, &txns)
             }
         };
         self.scratch_txns = txns;
         res
     }
 
-    fn exec_mem(
-        &mut self,
-        b: usize,
-        w: usize,
-        store: bool,
-        txns: &[VirtAddr],
-    ) -> Result<(), SimError> {
+    fn exec_mem(&mut self, r: WarpRef, store: bool, txns: &[VirtAddr]) -> Result<(), SimError> {
+        let (b, w) = (r.slot as usize, r.warp as usize);
         self.mem_ops += 1;
         let sm = self.block_sm[b];
         let geom = self.cfg.uvm.geometry;
@@ -264,7 +275,7 @@ impl Engine {
                 total = total.max(tl + dl);
             }
             self.blocks[b].set_phase(w, WarpPhase::MemWait);
-            self.events.push(self.clock + total, Event::WarpWake { block: b, warp: w });
+            self.events.push(self.clock + total, Event::WarpWake(r));
             page_lat.clear();
             self.scratch_page_lat = page_lat;
             self.scratch_faulted = faulted;
@@ -290,10 +301,10 @@ impl Engine {
             });
             for (page, tl) in faulted.drain(..) {
                 match self.waiters.get_mut(page) {
-                    Some(list) => list.push((b, w)),
+                    Some(list) => list.push(r),
                     None => {
                         let mut list = self.waiter_pool.pop().unwrap_or_default();
-                        list.push((b, w));
+                        list.push(r);
                         self.waiters.insert(page, list);
                     }
                 }

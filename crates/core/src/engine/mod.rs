@@ -40,12 +40,33 @@ use batmem_vmem::Mmu;
 
 #[derive(Debug)]
 enum Event {
-    WarpWake { block: usize, warp: usize },
+    WarpWake(WarpRef),
     RaiseFault { page: PageId },
     Uvm(UvmEvent),
     SwitchInDone { sm: usize, block: usize },
     Sample,
     EtcTick,
+}
+
+/// A warp's address in the block table: its block's slot, the dispatch
+/// serial of that block, and the warp's index in the block. A retired
+/// block's slot goes to the next block dispatched, so the serial is what
+/// tells an address of a retired block from one of the slot's new block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WarpRef {
+    serial: u64,
+    slot: u32,
+    warp: u32,
+}
+
+impl WarpRef {
+    fn new(slot: usize, warp: usize, serial: u64) -> Self {
+        Self {
+            serial,
+            slot: u32::try_from(slot).expect("block slots are bounded by the resident blocks"),
+            warp: u32::try_from(warp).expect("warps per block fit in u32"),
+        }
+    }
 }
 
 struct Engine {
@@ -67,23 +88,27 @@ struct Engine {
     spec: KernelSpec,
     occ: Occupancy,
     /// Block slots, indexed by the arena index that events, waiters and the
-    /// SM lists carry, with each block's SM beside it.
+    /// SM lists carry, with each block's SM and dispatch serial beside it.
     blocks: Vec<BlockContext>,
     block_sm: Vec<usize>,
+    block_serial: Vec<u64>,
+    /// Blocks dispatched so far in the run, over all kernels: the next
+    /// block's serial.
+    dispatched: u64,
     /// Slots of retired blocks, reused by the next dispatch, so the table
     /// grows to the most blocks ever resident at once, not the grid.
     free_blocks: Vec<usize>,
     sms: Vec<Sm>,
     grid_cursor: u32,
     blocks_remaining: u32,
-    waiters: PageMap<Vec<(usize, usize)>>,
+    waiters: PageMap<Vec<WarpRef>>,
     seen_fault_pages: PageSet,
     throttled_count: u16,
     probes: SharedProbes,
     // Recycled hot-loop scratch: taken, filled, cleared, and put back so
     // the steady-state event loop performs no heap allocations.
     uvm_out: Vec<batmem_uvm::UvmOutput>,
-    waiter_pool: Vec<Vec<(usize, usize)>>,
+    waiter_pool: Vec<Vec<WarpRef>>,
     /// Retired blocks' emptied warp vectors.
     warp_pool: Vec<Vec<WarpContext>>,
     /// The issuing op's transactions.
@@ -168,6 +193,8 @@ impl Engine {
             occ: Occupancy { active_limit: 1, warps_per_block: 1 },
             blocks: Vec::new(),
             block_sm: Vec::new(),
+            block_serial: Vec::new(),
+            dispatched: 0,
             free_blocks: Vec::new(),
             sms: (0..num_sms).map(|_| Sm::new()).collect(),
             grid_cursor: 0,
@@ -245,6 +272,34 @@ impl Engine {
         Ok(())
     }
 
+    /// Handles one event at the current clock.
+    fn handle(&mut self, ev: Event) -> Result<(), SimError> {
+        match ev {
+            Event::WarpWake(r) => self.on_warp_wake(r)?,
+            Event::RaiseFault { page } => self.on_raise_fault(page)?,
+            Event::Uvm(e) => {
+                // Take/restore the recycled scratch so the runtime and
+                // apply step borrow independently; steady state never
+                // allocates.
+                let mut outs = std::mem::take(&mut self.uvm_out);
+                let res = self
+                    .uvm
+                    .on_event_into(e, self.clock, &mut outs)
+                    .and_then(|()| self.apply_outputs(&mut outs));
+                outs.clear();
+                self.uvm_out = outs;
+                res?;
+                if self.cfg.audit >= AuditLevel::Full {
+                    self.audit_cross_state()?;
+                }
+            }
+            Event::SwitchInDone { sm, block } => self.on_switch_in_done(sm, block)?,
+            Event::Sample => self.on_sample()?,
+            Event::EtcTick => self.on_etc_tick(),
+        }
+        Ok(())
+    }
+
     fn run(mut self) -> Result<RunMetrics, SimError> {
         self.launch_kernel(0)?;
         if self.to_enabled() {
@@ -260,29 +315,7 @@ impl Engine {
         while let Some((t, ev)) = self.events.pop() {
             debug_assert!(t >= self.clock, "time went backwards");
             self.clock = t;
-            match ev {
-                Event::WarpWake { block, warp } => self.on_warp_wake(block, warp)?,
-                Event::RaiseFault { page } => self.on_raise_fault(page)?,
-                Event::Uvm(e) => {
-                    // Take/restore the recycled scratch so the runtime and
-                    // apply step borrow independently; steady state never
-                    // allocates.
-                    let mut outs = std::mem::take(&mut self.uvm_out);
-                    let res = self
-                        .uvm
-                        .on_event_into(e, self.clock, &mut outs)
-                        .and_then(|()| self.apply_outputs(&mut outs));
-                    outs.clear();
-                    self.uvm_out = outs;
-                    res?;
-                    if self.cfg.audit >= AuditLevel::Full {
-                        self.audit_cross_state()?;
-                    }
-                }
-                Event::SwitchInDone { sm, block } => self.on_switch_in_done(sm, block)?,
-                Event::Sample => self.on_sample()?,
-                Event::EtcTick => self.on_etc_tick(),
-            }
+            self.handle(ev)?;
             if budget > 0 {
                 let sig = self.progress_signature();
                 if sig == last_sig {

@@ -260,6 +260,50 @@ fn warp_streams_are_released_when_their_warps_retire() {
 }
 
 #[test]
+fn a_stale_address_of_a_retired_block_is_a_state_machine_error() {
+    // A grid far larger than the GPU holds: slot 0's first block retires and
+    // the slot passes to a later block while the run goes on.
+    let w = Strided::new(400, 256, 56, 2, 50, 3);
+    let mut e = Simulation::builder().prefetch("none").build(Box::new(w)).unwrap();
+    e.launch_kernel(0).unwrap();
+    let stale = WarpRef::new(0, 0, e.block_serial[0]);
+    let step = |e: &mut Engine| {
+        let Some((t, ev)) = e.events.pop() else { return false };
+        e.clock = t;
+        e.handle(ev).unwrap();
+        true
+    };
+    while e.block_serial[0] == stale.serial {
+        assert!(step(&mut e), "the run ended before slot 0 was reused");
+    }
+    fn is_retired_error(r: Result<(), SimError>) -> bool {
+        matches!(r, Err(SimError::StateMachine { state, .. }) if state == "Retired")
+    }
+    // A duplicate wake of the retired block's warp, and a page waiter it
+    // left behind, fail instead of reaching the slot's new block.
+    assert!(is_retired_error(e.on_warp_wake(stale)));
+    let page = PageId::new(0);
+    e.waiters.insert(page, vec![stale]);
+    assert!(is_retired_error(e.wake_waiters(page)));
+    let live = WarpRef::new(0, 0, e.block_serial[0]);
+    assert_eq!(e.resolve(live, "WarpWake").unwrap(), (0, 0));
+    // At the end of the grid the last block's slot is not reused: its
+    // residency is what rejects the wake.
+    while step(&mut e) {}
+    assert_eq!(e.blocks_retired, 400);
+    let last = WarpRef::new(0, 0, e.block_serial[0]);
+    assert!(is_retired_error(e.on_warp_wake(last)));
+}
+
+#[test]
+fn a_warp_address_keeps_events_at_24_bytes() {
+    // A wake's serial fits beside a `u32` slot and warp in 16 bytes, so a
+    // timing-wheel node of the engine's queue stays 48 bytes.
+    assert_eq!(std::mem::size_of::<WarpRef>(), 16);
+    assert_eq!(std::mem::size_of::<Event>(), 24);
+}
+
+#[test]
 fn default_issue_path_runs_identically_to_the_packed_override() {
     // The same run twice: streams issued through `PackedStream`'s own
     // `next_op_into`, and wrapped so they issue through the trait's

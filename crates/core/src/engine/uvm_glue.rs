@@ -7,7 +7,7 @@ use batmem_types::probe::ProbeEvent;
 use batmem_types::{PageId, SimError};
 use batmem_uvm::UvmOutput;
 
-use super::{Engine, Event};
+use super::{Engine, Event, WarpRef};
 
 impl Engine {
     pub(super) fn on_raise_fault(&mut self, page: PageId) -> Result<(), SimError> {
@@ -56,9 +56,10 @@ impl Engine {
         Ok(())
     }
 
-    fn wake_waiters(&mut self, page: PageId) -> Result<(), SimError> {
+    pub(super) fn wake_waiters(&mut self, page: PageId) -> Result<(), SimError> {
         let Some(mut list) = self.waiters.remove(page) else { return Ok(()) };
-        for &(b, w) in &list {
+        for &r in &list {
+            let (b, w) = self.resolve(r, "PageArrived")?;
             if self.blocks[b].warp_mut(w).page_arrived() {
                 let block_id = self.blocks[b].id;
                 let sm = self.block_sm[b];
@@ -71,7 +72,7 @@ impl Engine {
                 match self.blocks[b].residency {
                     BlockResidency::Active => {
                         self.blocks[b].set_phase(w, WarpPhase::Ready);
-                        self.events.push(self.clock, Event::WarpWake { block: b, warp: w });
+                        self.events.push(self.clock, Event::WarpWake(r));
                     }
                     _ => {
                         self.blocks[b].set_phase(w, WarpPhase::ReadyInactive);
@@ -128,9 +129,11 @@ impl Engine {
                 // it directly instead of cloning it per released SM.
                 for i in 0..self.sms[sm].active.len() {
                     let b = self.sms[sm].active[i];
+                    let serial = self.block_serial[b];
                     for (w, warp) in self.blocks[b].warps().iter().enumerate() {
                         if warp.phase() == WarpPhase::Ready {
-                            self.events.push(self.clock, Event::WarpWake { block: b, warp: w });
+                            let r = WarpRef::new(b, w, serial);
+                            self.events.push(self.clock, Event::WarpWake(r));
                         }
                     }
                 }

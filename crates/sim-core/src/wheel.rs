@@ -32,10 +32,11 @@
 //!
 //! Determinism: an entry's level and slot are a function of its timestamp
 //! and `wt` alone, so all entries with one timestamp share a slot list and
-//! cascade together, in list order, and a direct push appends behind them:
-//! a level-0 slot drains in `seq` order. [`TimingWheel::take_staged`]
-//! checks that order as it hands the slot out and sorts it if an entry is
-//! out of place, so the global `(time, seq)` order holds bit-for-bit.
+//! cascade together, in list order, and a direct push appends behind them.
+//! Entries are pushed in increasing `seq` (the queue's push counter), so a
+//! level-0 slot drains in `seq` order and the global `(time, seq)` order
+//! holds bit-for-bit with no sort; [`TimingWheel::take_staged`] checks it
+//! in debug builds.
 
 use batmem_types::Cycle;
 use std::collections::VecDeque;
@@ -137,7 +138,8 @@ impl<T> TimingWheel<T> {
         self.wt = self.wt.max(at);
     }
 
-    /// Inserts an entry; `time` must satisfy [`Self::fits`].
+    /// Inserts an entry; `time` must satisfy [`Self::fits`], and `seq` must
+    /// exceed every seq pushed before.
     pub(crate) fn push(&mut self, time: Cycle, seq: u64, item: T) {
         debug_assert!(self.fits(time), "push outside the wheel horizon");
         let node = Node { time, seq, next: NIL, item: Some(item) };
@@ -246,19 +248,16 @@ impl<T> TimingWheel<T> {
     /// the wheel past its timestamp, and returns that timestamp.
     pub(crate) fn take_staged(&mut self, out: &mut VecDeque<(u64, T)>) -> Cycle {
         debug_assert!(self.levels[0].occupied != 0, "take_staged without stage");
-        debug_assert!(out.is_empty(), "the staged slot is sorted in place in `out`");
+        debug_assert!(out.is_empty(), "`out` must start empty: the slot's size is read off it");
         let idx = self.front_slot(0);
         self.levels[0].occupied &= !(1 << idx);
         let Slot { head, tail } = self.levels[0].slots[idx];
         let time = self.nodes[head].time;
-        let mut in_order = true;
-        let mut last = 0;
         let mut n = head;
         loop {
             let node = &mut self.nodes[n];
             debug_assert_eq!(node.time, time, "a level-0 slot holds exactly one timestamp");
-            in_order &= node.seq >= last;
-            last = node.seq;
+            debug_assert!(out.back().is_none_or(|&(s, _)| s < node.seq), "slot out of seq order");
             out.push_back((node.seq, node.item.take().expect("a linked node holds its item")));
             if n == tail {
                 break;
@@ -269,9 +268,6 @@ impl<T> TimingWheel<T> {
         self.nodes[tail].next = self.free;
         self.free = head;
         self.count -= out.len();
-        if !in_order {
-            out.make_contiguous().sort_unstable_by_key(|e| e.0);
-        }
         self.advance(time + 1);
         time
     }

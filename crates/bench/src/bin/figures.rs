@@ -34,7 +34,7 @@ base page (default 64); `--inject` takes off|noisy[:seed]|lost[:seed[:every]]
 sweep mode: fault-tolerant parallel sweep into a resumable artifact store
 (default outdir `artifacts`); ctrl-C drains gracefully, `--resume` skips
 completed cells
-environment: BATMEM_SCALE (default 15, at most 31), BATMEM_EDGE_FACTOR (default 16)";
+environment: BATMEM_SCALE (default 15, at most 31), BATMEM_EDGE_FACTOR (default 16, at least 1)";
 
 /// Sweep-mode cancel flag, set by the SIGINT handler for a graceful drain.
 static CANCEL: AtomicBool = AtomicBool::new(false);
@@ -65,8 +65,9 @@ fn install_sigint_handler() {}
 /// Env-var overrides are a binary concern: the library's
 /// `SuiteConfig::default()` is pure (the paper's evaluation point), and
 /// this entry point layers `BATMEM_SCALE` / `BATMEM_EDGE_FACTOR` on top.
-/// A variable that is set but does not parse as a `u32`, or a scale past
-/// `gen::MAX_SCALE`, exits 2 with usage instead of falling back silently.
+/// A variable that is set but does not parse as a `u32`, a scale past
+/// `gen::MAX_SCALE` or an edge factor of 0 (an edgeless graph runs no
+/// work) exits 2 with usage instead of falling back silently.
 fn suite_from_env() -> SuiteConfig {
     fn env_u32(name: &str) -> Option<u32> {
         let value = std::env::var_os(name)?;
@@ -88,6 +89,10 @@ fn suite_from_env() -> SuiteConfig {
         suite = suite.with_scale(scale);
     }
     if let Some(ef) = env_u32("BATMEM_EDGE_FACTOR") {
+        if ef == 0 {
+            eprintln!("BATMEM_EDGE_FACTOR: edge factor 0 leaves the graph edgeless\n{USAGE}");
+            std::process::exit(2);
+        }
         suite = suite.with_edge_factor(ef);
     }
     suite
@@ -308,11 +313,10 @@ fn run_custom_combo(
     inject: Option<&str>,
     workloads: &[String],
 ) {
-    let graph = suite.graph();
     let policy = CellPolicy::Custom(custom.clone());
     let mut failed = false;
     for w in workloads {
-        match run_one(w, &policy, inject, suite, &graph) {
+        match run_one(w, &policy, inject, suite) {
             Ok(m) => {
                 println!(
                     "custom: {w}/{custom} {} cycles, {} batches, {} evictions",
@@ -443,18 +447,9 @@ fn main() {
         matches!(a, "fig8" | "fig11" | "fig12" | "fig13" | "fig14" | "fig15" | "fig16" | "all")
     };
     let results = if args.iter().any(|a| needs_suite(a)) {
-        let configs = [
-            ConfigName::Baseline,
-            ConfigName::BaselineCompressed,
-            ConfigName::To,
-            ConfigName::Ue,
-            ConfigName::ToUe,
-            ConfigName::Etc,
-            ConfigName::IdealEviction,
-            ConfigName::Unlimited,
-        ];
+        let configs = ConfigName::all();
         eprintln!("running the shared suite ({} configs x 11 workloads)...", configs.len());
-        Some(suite_results(&configs, &suite))
+        Some(suite_results(configs, &suite))
     } else {
         None
     };

@@ -1,26 +1,32 @@
 //! Per-figure printers: each regenerates the rows/series of one table or
 //! figure from the paper's evaluation.
 //!
-//! Every printer tolerates failed runs: a `(workload, config)` pair that
-//! returns an error is reported and skipped, and geometric means are taken
-//! over the rows that completed, so one bad run never aborts a sweep.
+//! Every printer that simulates gets its runs from one (variant ×
+//! workload) grid, which reports a failed run once and leaves it out;
+//! rows and geometric means cover the runs that completed, so one bad run
+//! never aborts a figure.
 
-use crate::error::BenchError;
-use crate::runner::{parallel_map, run_one, ConfigName, SuiteConfig, SuiteResults};
+use crate::runner::{geomean, parallel_map, run_grid, ConfigName, SuiteConfig, SuiteResults};
 use crate::sweep::CellPolicy;
 use batmem::experiments::working_set_curve;
-use batmem::{policies, Simulation};
+use batmem::policies::PolicySpec;
 use batmem_types::time::us;
 use batmem_workloads::registry;
 use batmem_workloads::regular::TiledRegular;
+
+/// The traversal-dominated subset Figs. 17 and 18 sweep; the coloring
+/// pair's extreme thrash regime makes low ratios prohibitively slow to
+/// simulate without changing the trend.
+const SENSITIVITY_WORKLOADS: &[&str] = &["BC", "BFS-DWC", "BFS-TTC", "BFS-TWC", "SSSP-TWC", "PR"];
 
 fn header(id: &str, caption: &str) {
     println!();
     println!("==== {id}: {caption} ====");
 }
 
-fn skipped(id: &str, what: &str, err: &BenchError) {
-    println!("{id}: skipping {what}: {err}");
+/// `BASELINE` with its oversubscription axis replaced by `spec`.
+fn oversubscribed(spec: &str) -> CellPolicy {
+    CellPolicy::Custom(PolicySpec { oversubscription: spec.into(), ..PolicySpec::default() })
 }
 
 /// Table 1: the simulated system configuration.
@@ -56,7 +62,7 @@ pub fn fig1(suite: &SuiteConfig) {
     println!("-- irregular workloads (working set shared across cores) --");
     let jobs: Vec<&str> = registry::irregular_names().to_vec();
     let irr_curves = parallel_map(jobs, |name| {
-        registry::build(name, suite.graph_for(name))
+        registry::build(name, suite.input(name))
             .map(|w| (*name, working_set_curve(w.as_ref(), 16, &gpu)))
     });
     for entry in &irr_curves {
@@ -72,12 +78,13 @@ pub fn fig1(suite: &SuiteConfig) {
 /// Fig. 3: per-page fault handling time vs. batch size for BFS.
 pub fn fig3(suite: &SuiteConfig) {
     header("Fig. 3", "Per-page fault handling time (us) vs. batch size (BFS)");
-    let graph = suite.graph();
-    let baseline = CellPolicy::Preset(ConfigName::Baseline);
-    let m = match run_one("BFS-TTC", &baseline, None, suite, &graph) {
-        Ok(m) => m,
-        Err(e) => return skipped("Fig. 3", "BFS-TTC/BASELINE", &e),
-    };
+    let baseline = ConfigName::Baseline;
+    let variants = [(baseline, suite.clone(), CellPolicy::Preset(baseline))];
+    let runs = run_grid("Fig. 3", &variants, &["BFS-TTC"]);
+    if runs.complete(&[baseline]).is_empty() {
+        return;
+    }
+    let m = runs.get("BFS-TTC", baseline);
     // Bucket batches by size and report the mean per-page time per bucket.
     let bucket_pages = 4u32;
     let mut sums: Vec<(f64, u64)> = Vec::new();
@@ -109,40 +116,19 @@ pub fn fig5(suite: &SuiteConfig) {
         "Fig. 5",
         "Relative performance when an extra block per SM requires context switching (memory fits)",
     );
-    let jobs: Vec<&str> = registry::irregular_names().to_vec();
-    let rows = parallel_map(jobs, |name| -> Result<_, BenchError> {
-        let build = |n: &str| {
-            registry::build(n, suite.graph_for(n))
-                .ok_or_else(|| BenchError::msg(format!("unknown workload `{n}`")))
-        };
-        let base = Simulation::builder()
-            .config(suite.sim.clone())
-            .policy(policies::baseline())
-            .memory_ratio(1.0)
-            .try_run(build(name)?)?;
-        let switched = Simulation::builder()
-            .config(suite.sim.clone())
-            .oversubscription("to:any")
-            .memory_ratio(1.0)
-            .try_run(build(name)?)?;
-        Ok((*name, base.cycles as f64 / switched.cycles as f64, switched.ctx_switches))
-    });
+    let fits = suite.clone().with_ratio(1.0);
+    let variants = [
+        ("BASELINE", fits.clone(), CellPolicy::Preset(ConfigName::Baseline)),
+        ("to:any", fits, oversubscribed("to:any")),
+    ];
+    let runs = run_grid("Fig. 5", &variants, registry::irregular_names());
+    let ws = runs.complete(&["BASELINE", "to:any"]);
+    let rel = |w: &str| runs.get(w, "BASELINE").cycles as f64 / runs.get(w, "to:any").cycles as f64;
     println!("{:<10} {:>14} {:>12}", "workload", "rel. perf", "ctx switches");
-    let mut logs = 0.0;
-    let mut n = 0usize;
-    for row in &rows {
-        match row {
-            Ok((name, rel, sw)) => {
-                println!("{name:<10} {rel:>14.2} {sw:>12}");
-                logs += rel.ln();
-                n += 1;
-            }
-            Err(e) => skipped("Fig. 5", "row", e),
-        }
+    for name in &ws {
+        println!("{name:<10} {:>14.2} {:>12}", rel(name), runs.get(name, "to:any").ctx_switches);
     }
-    if n > 0 {
-        println!("{:<10} {:>14.2}", "GEOMEAN", (logs / n as f64).exp());
-    }
+    println!("{:<10} {:>14.2}", "GEOMEAN", geomean(ws.iter().map(|w| rel(w))));
     println!("(the paper reports an average 0.51x: switching hurts when memory fits)");
 }
 
@@ -150,7 +136,6 @@ pub fn fig5(suite: &SuiteConfig) {
 /// limit.
 pub fn fig8(results: &SuiteResults) {
     header("Fig. 8", "Performance at 50% memory vs. unlimited, with ideal eviction");
-    results.report_failures();
     let ws =
         results.complete(&[ConfigName::Unlimited, ConfigName::Baseline, ConfigName::IdealEviction]);
     println!("{:<10} {:>10} {:>14}", "workload", "BASELINE", "IDEAL-EVICT");
@@ -160,21 +145,20 @@ pub fn fig8(results: &SuiteResults) {
         let ideal = unlimited / results.get(name, ConfigName::IdealEviction).cycles as f64;
         println!("{name:<10} {base:>10.2} {ideal:>14.2}");
     }
-    let gb = results.geomean_over(&ws, |w| {
+    let gb = geomean(ws.iter().map(|w| {
         results.get(w, ConfigName::Unlimited).cycles as f64
             / results.get(w, ConfigName::Baseline).cycles as f64
-    });
-    let gi = results.geomean_over(&ws, |w| {
+    }));
+    let gi = geomean(ws.iter().map(|w| {
         results.get(w, ConfigName::Unlimited).cycles as f64
             / results.get(w, ConfigName::IdealEviction).cycles as f64
-    });
+    }));
     println!("{:<10} {gb:>10.2} {gi:>14.2}", "GEOMEAN");
 }
 
 /// Fig. 11: the headline speedup comparison.
 pub fn fig11(results: &SuiteResults) {
     header("Fig. 11", "Speedup over BASELINE (with state-of-the-art prefetching)");
-    results.report_failures();
     let configs = [
         ConfigName::Baseline,
         ConfigName::BaselineCompressed,
@@ -199,9 +183,9 @@ pub fn fig11(results: &SuiteResults) {
     }
     print!("{:<10}", "GEOMEAN");
     for c in configs {
-        let g = results.geomean_over(&ws, |w| {
+        let g = geomean(ws.iter().map(|w| {
             results.get(w, ConfigName::Baseline).cycles as f64 / results.get(w, c).cycles as f64
-        });
+        }));
         print!(" {g:>14.2}");
     }
     println!();
@@ -217,10 +201,10 @@ pub fn fig12(results: &SuiteResults) {
         let t = results.get(name, ConfigName::To).uvm.num_batches();
         println!("{name:<10} {b:>10} {t:>10} {:>9.0}%", t as f64 / b as f64 * 100.0);
     }
-    let g = results.geomean_over(&ws, |w| {
+    let g = geomean(ws.iter().map(|w| {
         results.get(w, ConfigName::To).uvm.num_batches() as f64
             / results.get(w, ConfigName::Baseline).uvm.num_batches() as f64
-    });
+    }));
     println!("{:<10} {:>32.0}%", "GEOMEAN", g * 100.0);
 }
 
@@ -234,10 +218,10 @@ pub fn fig13(results: &SuiteResults) {
         let t = results.get(name, ConfigName::To).uvm.avg_batch_pages();
         println!("{name:<10} {b:>12.1} {t:>12.1} {:>9.0}%", t / b * 100.0);
     }
-    let g = results.geomean_over(&ws, |w| {
+    let g = geomean(ws.iter().map(|w| {
         results.get(w, ConfigName::To).uvm.avg_batch_pages()
             / results.get(w, ConfigName::Baseline).uvm.avg_batch_pages()
-    });
+    }));
     println!("{:<10} {:>36.0}%", "GEOMEAN", g * 100.0);
 }
 
@@ -252,14 +236,14 @@ pub fn fig14(results: &SuiteResults) {
         let tu = results.get(name, ConfigName::ToUe).uvm.avg_processing_time();
         println!("{name:<10} {:>10.2} {:>10.2} {:>10.2}", 1.0, t / b, tu / b);
     }
-    let gt = results.geomean_over(&ws, |w| {
+    let gt = geomean(ws.iter().map(|w| {
         results.get(w, ConfigName::To).uvm.avg_processing_time()
             / results.get(w, ConfigName::Baseline).uvm.avg_processing_time()
-    });
-    let gtu = results.geomean_over(&ws, |w| {
+    }));
+    let gtu = geomean(ws.iter().map(|w| {
         results.get(w, ConfigName::ToUe).uvm.avg_processing_time()
             / results.get(w, ConfigName::Baseline).uvm.avg_processing_time()
-    });
+    }));
     println!("{:<10} {:>10.2} {gt:>10.2} {gtu:>10.2}", "GEOMEAN", 1.0);
 }
 
@@ -329,42 +313,27 @@ pub fn fig16(results: &SuiteResults) {
 /// Fig. 17: sensitivity to the memory oversubscription ratio.
 pub fn fig17(suite: &SuiteConfig) {
     header("Fig. 17", "Sensitivity to oversubscription ratio (geomean over sweep subset)");
-    let graph = suite.graph();
     let ratios = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
-    // The sweep uses the traversal-dominated subset; the coloring pair's
-    // extreme thrash regime makes low ratios prohibitively slow to
-    // simulate without changing the trend.
-    let names: &[&str] = &["BC", "BFS-DWC", "BFS-TTC", "BFS-TWC", "SSSP-TWC", "PR"];
-    let mut jobs = Vec::new();
-    for &r in &ratios {
-        for &w in names {
-            for c in [ConfigName::Baseline, ConfigName::Ue] {
-                jobs.push((r, w, c));
-            }
-        }
-    }
-    let metrics = parallel_map(jobs.clone(), |(r, w, c)| {
-        let mut s = suite.clone();
-        s.ratio = *r;
-        run_one(w, &CellPolicy::Preset(*c), None, &s, &graph)
-    });
-    for ((_, w, c), m) in jobs.iter().zip(&metrics) {
-        if let Err(e) = m {
-            skipped("Fig. 17", &format!("{w}/{}", c.label()), e);
-        }
-    }
-    let lookup = |r: f64, w: &str, c: ConfigName| -> Option<f64> {
-        let i = jobs.iter().position(|&(jr, jw, jc)| jr == r && jw == w && jc == c)?;
-        metrics[i].as_ref().ok().map(|m| m.cycles as f64)
+    let variants: Vec<_> = ratios
+        .iter()
+        .flat_map(|&r| {
+            [ConfigName::Baseline, ConfigName::Ue]
+                .map(|c| ((r, c), suite.clone().with_ratio(r), CellPolicy::Preset(c)))
+        })
+        .collect();
+    let runs = run_grid("Fig. 17", &variants, SENSITIVITY_WORKLOADS);
+    let ratio_of = |a, b| {
+        geomean(
+            runs.complete(&[a, b])
+                .iter()
+                .map(|w| runs.get(w, a).cycles as f64 / runs.get(w, b).cycles as f64),
+        )
     };
     println!("{:>6} {:>16} {:>12}", "ratio", "rel. exec time", "UE speedup");
     for &r in &ratios {
-        let rel = geomean(names.iter().filter_map(|&w| {
-            Some(lookup(r, w, ConfigName::Baseline)? / lookup(1.0, w, ConfigName::Baseline)?)
-        }));
-        let ue = geomean(names.iter().filter_map(|&w| {
-            Some(lookup(r, w, ConfigName::Baseline)? / lookup(r, w, ConfigName::Ue)?)
-        }));
+        let base = (r, ConfigName::Baseline);
+        let rel = ratio_of(base, (1.0, ConfigName::Baseline));
+        let ue = ratio_of(base, (r, ConfigName::Ue));
         println!("{r:>6.1} {rel:>16.2} {ue:>12.2}");
     }
     println!("(exec time grows as memory shrinks; UE's benefit grows with eviction pressure)");
@@ -373,36 +342,25 @@ pub fn fig17(suite: &SuiteConfig) {
 /// Fig. 18: sensitivity to the GPU runtime fault handling time.
 pub fn fig18(suite: &SuiteConfig) {
     header("Fig. 18", "TO+UE speedup vs. GPU runtime fault handling time");
-    let graph = suite.graph();
-    let names: &[&str] = &["BC", "BFS-DWC", "BFS-TTC", "BFS-TWC", "SSSP-TWC", "PR"];
     let handling = [20u64, 30, 40, 50];
-    let mut jobs = Vec::new();
-    for &h in &handling {
-        for &w in names {
-            for c in [ConfigName::Baseline, ConfigName::ToUe] {
-                jobs.push((h, w, c));
-            }
-        }
-    }
-    let metrics = parallel_map(jobs.clone(), |(h, w, c)| {
-        let mut s = suite.clone();
-        s.sim.uvm.fault_handling_base = us(*h);
-        run_one(w, &CellPolicy::Preset(*c), None, &s, &graph)
-    });
-    for ((_, w, c), m) in jobs.iter().zip(&metrics) {
-        if let Err(e) = m {
-            skipped("Fig. 18", &format!("{w}/{}", c.label()), e);
-        }
-    }
-    let lookup = |h: u64, w: &str, c: ConfigName| -> Option<f64> {
-        let i = jobs.iter().position(|&(jh, jw, jc)| jh == h && jw == w && jc == c)?;
-        metrics[i].as_ref().ok().map(|m| m.cycles as f64)
-    };
+    let variants: Vec<_> = handling
+        .iter()
+        .flat_map(|&h| {
+            let mut s = suite.clone();
+            s.sim.uvm.fault_handling_base = us(h);
+            [ConfigName::Baseline, ConfigName::ToUe]
+                .map(|c| ((h, c), s.clone(), CellPolicy::Preset(c)))
+        })
+        .collect();
+    let runs = run_grid("Fig. 18", &variants, SENSITIVITY_WORKLOADS);
     println!("{:>12} {:>10}", "handling", "speedup");
     for &h in &handling {
-        let sp = geomean(names.iter().filter_map(|&w| {
-            Some(lookup(h, w, ConfigName::Baseline)? / lookup(h, w, ConfigName::ToUe)?)
-        }));
+        let (base, to_ue) = ((h, ConfigName::Baseline), (h, ConfigName::ToUe));
+        let sp = geomean(
+            runs.complete(&[base, to_ue])
+                .iter()
+                .map(|w| runs.get(w, base).cycles as f64 / runs.get(w, to_ue).cycles as f64),
+        );
         println!("{h:>10}us {sp:>10.2}");
     }
     println!("(each bar normalized to its own baseline; benefit grows with handling cost)");
@@ -411,25 +369,18 @@ pub fn fig18(suite: &SuiteConfig) {
 /// §6.5: context-switch overhead sensitivity.
 pub fn ctxswitch(suite: &SuiteConfig) {
     header("§6.5", "TO+UE with modeled vs. close-to-ideal context switch cost");
-    let graph = suite.graph();
-    let names: Vec<&str> = registry::irregular_names().to_vec();
-    let rows = parallel_map(names, |name| -> Result<_, BenchError> {
-        let to_ue = CellPolicy::Preset(ConfigName::ToUe);
-        let modeled = run_one(name, &to_ue, None, suite, &graph)?;
-        let mut fast = suite.clone();
-        // Close-to-ideal: shared-memory-bandwidth switching (eq. 1 of VT):
-        // 1024 bits/cycle and no fixed drain cost.
-        fast.sim.gpu.ctx_switch_bytes_per_cycle = 128 * 1024;
-        fast.sim.gpu.ctx_switch_fixed_cycles = 0;
-        let ideal = run_one(name, &to_ue, None, &fast, &graph)?;
-        Ok((*name, modeled.cycles as f64 / ideal.cycles as f64))
-    });
+    let mut ideal = suite.clone();
+    // Close-to-ideal: shared-memory-bandwidth switching (eq. 1 of VT):
+    // 1024 bits/cycle and no fixed drain cost.
+    ideal.sim.gpu.ctx_switch_bytes_per_cycle = 128 * 1024;
+    ideal.sim.gpu.ctx_switch_fixed_cycles = 0;
+    let to_ue = CellPolicy::Preset(ConfigName::ToUe);
+    let variants = [("modeled", suite.clone(), to_ue.clone()), ("ideal", ideal, to_ue)];
+    let runs = run_grid("§6.5", &variants, registry::irregular_names());
     println!("{:<10} {:>26}", "workload", "modeled/ideal exec time");
-    for row in &rows {
-        match row {
-            Ok((name, rel)) => println!("{name:<10} {rel:>26.3}"),
-            Err(e) => skipped("§6.5", "row", e),
-        }
+    for name in runs.complete(&["modeled", "ideal"]) {
+        let rel = runs.get(name, "modeled").cycles as f64 / runs.get(name, "ideal").cycles as f64;
+        println!("{name:<10} {rel:>26.3}");
     }
     println!("(the paper finds overall execution time insensitive to switch cost)");
 }
@@ -438,48 +389,23 @@ pub fn ctxswitch(suite: &SuiteConfig) {
 /// workloads — the reason its authors disable it.
 pub fn pe_ablation(suite: &SuiteConfig) {
     header("PE ablation", "ETC with vs. without proactive eviction (irregular workloads)");
-    let names: Vec<&str> = registry::irregular_names().to_vec();
-    let rows = parallel_map(names, |name| -> Result<_, BenchError> {
-        let run = |oversub: &str| -> Result<_, BenchError> {
-            let w = registry::build(name, suite.graph_for(name))
-                .ok_or_else(|| BenchError::msg(format!("unknown workload `{name}`")))?;
-            Simulation::builder()
-                .config(suite.sim.clone())
-                .oversubscription(oversub)
-                .memory_ratio(suite.ratio)
-                .try_run(w)
-                .map_err(BenchError::from)
-        };
-        let off = run("etc")?;
-        let on = run("etc:50:pe")?;
-        Ok((
-            *name,
-            off.cycles as f64 / on.cycles as f64,
-            on.uvm.premature_rate(),
-            off.uvm.premature_rate(),
-        ))
-    });
+    let variants = [
+        ("etc", suite.clone(), oversubscribed("etc")),
+        ("etc:50:pe", suite.clone(), oversubscribed("etc:50:pe")),
+    ];
+    let runs = run_grid("PE ablation", &variants, registry::irregular_names());
     println!(
         "{:<10} {:>12} {:>14} {:>14}",
         "workload", "PE speedup", "premature(PE)", "premature(off)"
     );
-    for row in &rows {
-        match row {
-            Ok((name, sp, pon, poff)) => {
-                println!("{name:<10} {sp:>12.2} {:>13.1}% {:>13.1}%", pon * 100.0, poff * 100.0)
-            }
-            Err(e) => skipped("PE ablation", "row", e),
-        }
+    for name in runs.complete(&["etc", "etc:50:pe"]) {
+        let (off, on) = (runs.get(name, "etc"), runs.get(name, "etc:50:pe"));
+        println!(
+            "{name:<10} {:>12.2} {:>13.1}% {:>13.1}%",
+            off.cycles as f64 / on.cycles as f64,
+            on.uvm.premature_rate() * 100.0,
+            off.uvm.premature_rate() * 100.0
+        );
     }
     println!("(PE speedup < 1 means proactive eviction hurts, as the ETC authors found)");
-}
-
-fn geomean(values: impl Iterator<Item = f64>) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for v in values {
-        sum += v.ln();
-        n += 1;
-    }
-    (sum / n.max(1) as f64).exp()
 }

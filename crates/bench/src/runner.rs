@@ -1,13 +1,13 @@
 //! Parallel execution of the evaluation suite.
 
 use crate::error::BenchError;
-use crate::sweep::{input_scale, CellPolicy};
+use crate::sweep::{input_scale, CellPolicy, GraphCache};
 use batmem::policies::PolicySpec;
 use batmem::{RunMetrics, SimConfig, Simulation};
-use batmem_graph::{gen, Csr};
+use batmem_graph::Csr;
 use batmem_uvm::InjectConfig;
 use batmem_workloads::registry;
-use std::collections::HashMap;
+use std::fmt::Debug;
 use std::sync::{Arc, Mutex};
 
 pub use batmem::policies::ConfigName;
@@ -18,6 +18,9 @@ pub use batmem::policies::ConfigName;
 /// 15, edge factor 16, 50% oversubscription) and reads no environment;
 /// binaries that accept `BATMEM_SCALE`-style overrides parse them
 /// themselves and apply the `with_*` builders.
+///
+/// A suite owns one [`GraphCache`], shared by its clones, so every figure
+/// and variant derived from one suite reads each input graph built once.
 #[derive(Debug, Clone)]
 pub struct SuiteConfig {
     /// R-MAT scale (vertices = 2^scale).
@@ -30,6 +33,7 @@ pub struct SuiteConfig {
     pub ratio: f64,
     /// Base system configuration.
     pub sim: SimConfig,
+    graphs: Arc<GraphCache>,
 }
 
 impl Default for SuiteConfig {
@@ -48,7 +52,14 @@ impl SuiteConfig {
     /// A suite over an R-MAT graph of `scale` and `edge_factor`, with the
     /// paper's seed, ratio, and system configuration.
     pub fn new(scale: u32, edge_factor: u32) -> Self {
-        Self { scale, edge_factor, seed: 42, ratio: 0.5, sim: SimConfig::default() }
+        Self {
+            scale,
+            edge_factor,
+            seed: 42,
+            ratio: 0.5,
+            sim: SimConfig::default(),
+            graphs: Arc::default(),
+        }
     }
 
     /// Replaces the R-MAT scale.
@@ -75,94 +86,96 @@ impl SuiteConfig {
         self
     }
 
-    /// Replaces the base system configuration.
-    pub fn with_sim(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
-        self
-    }
-
-    /// The shared input graph, generated on every available core
-    /// (bit-identical to the serial generator).
-    pub fn graph(&self) -> Arc<Csr> {
-        Arc::new(gen::rmat_par(self.scale, self.edge_factor, self.seed, available_cores()))
-    }
-
-    /// The input graph for `workload`: the coloring workloads run a
-    /// smaller one (`sweep::input_scale`).
-    pub fn graph_for(&self, workload: &str) -> Arc<Csr> {
-        let scale = input_scale(workload, self.scale);
-        Arc::new(gen::rmat_par(scale, self.edge_factor, self.seed, available_cores()))
+    /// The input graph of `workload` from the suite's cache: the coloring
+    /// workloads read a smaller one ([`input_scale`]).
+    pub(crate) fn input(&self, workload: &str) -> Arc<Csr> {
+        self.graphs.get(input_scale(workload, self.scale), self.edge_factor, self.seed)
     }
 }
 
-/// All metrics produced by one suite invocation, keyed by
-/// `(workload, config)`.
+/// The runs of one figure's (variant × workload) grid: the metrics of
+/// every run that completed, by workload and variant key.
 #[derive(Debug)]
-pub struct SuiteResults {
+pub struct Runs<K> {
     /// Workload display names, in figure order.
-    pub workloads: Vec<&'static str>,
-    results: HashMap<(String, ConfigName), RunMetrics>,
-    /// Runs that failed, with the reason; successful rows are unaffected.
-    pub failures: Vec<(String, ConfigName, BenchError)>,
+    workloads: Vec<&'static str>,
+    done: Vec<(&'static str, K, RunMetrics)>,
 }
 
-impl SuiteResults {
-    /// The metrics of `(workload, config)`.
+/// The shared suite's runs (Figs. 8 and 11–16), keyed by preset.
+pub type SuiteResults = Runs<ConfigName>;
+
+impl<K: Copy + PartialEq + Debug> Runs<K> {
+    fn find(&self, workload: &str, key: K) -> Option<&RunMetrics> {
+        self.done.iter().find(|(w, k, _)| *w == workload && *k == key).map(|(_, _, m)| m)
+    }
+
+    /// The metrics of `(workload, key)`.
     ///
     /// # Panics
     ///
-    /// Panics if the pair was not part of the suite invocation or failed;
-    /// figure printers should restrict themselves to
-    /// [`SuiteResults::complete`] workloads first.
-    pub fn get(&self, workload: &str, config: ConfigName) -> &RunMetrics {
-        self.results
-            .get(&(workload.to_string(), config))
-            .unwrap_or_else(|| panic!("no result for {workload}/{config:?}"))
+    /// Panics if that run failed or was not part of the grid; figure
+    /// printers restrict themselves to [`Runs::complete`] workloads first.
+    pub fn get(&self, workload: &str, key: K) -> &RunMetrics {
+        self.find(workload, key).unwrap_or_else(|| panic!("no run for {workload} {key:?}"))
     }
 
-    /// The metrics of `(workload, config)`, or `None` if that run failed or
-    /// was not requested.
-    pub fn get_opt(&self, workload: &str, config: ConfigName) -> Option<&RunMetrics> {
-        self.results.get(&(workload.to_string(), config))
-    }
-
-    /// The workloads for which every one of `configs` produced a result, in
-    /// figure order.
-    pub fn complete(&self, configs: &[ConfigName]) -> Vec<&'static str> {
+    /// The workloads for which every one of `keys` completed, in figure
+    /// order.
+    pub fn complete(&self, keys: &[K]) -> Vec<&'static str> {
         self.workloads
             .iter()
             .copied()
-            .filter(|w| configs.iter().all(|&c| self.get_opt(w, c).is_some()))
+            .filter(|w| keys.iter().all(|&k| self.find(w, k).is_some()))
             .collect()
-    }
-
-    /// Geometric mean of `f` over all workloads.
-    pub fn geomean<F: Fn(&str) -> f64>(&self, f: F) -> f64 {
-        self.geomean_over(&self.workloads, f)
-    }
-
-    /// Geometric mean of `f` over `workloads` (use with
-    /// [`SuiteResults::complete`] to skip failed rows).
-    pub fn geomean_over<F: Fn(&str) -> f64>(&self, workloads: &[&str], f: F) -> f64 {
-        if workloads.is_empty() {
-            return f64::NAN;
-        }
-        let logs: f64 = workloads.iter().map(|w| f(w).ln()).sum();
-        (logs / workloads.len() as f64).exp()
-    }
-
-    /// Prints one line per failed run to stderr.
-    pub fn report_failures(&self) {
-        for (w, c, e) in &self.failures {
-            eprintln!("suite: {w}/{} failed: {e}", c.label());
-        }
     }
 }
 
-/// Runs one workload under `policy`, with an optional fault-injection spec
-/// (`noisy:42`, `lost:1:3`, `off`) — the CLI's `--inject` flag. Every
-/// policy runs at the suite's memory ratio except UNLIMITED, which runs
-/// with unsized memory.
+/// Runs every workload under every variant, a `(key, suite, policy)`
+/// triple, through [`run_one`] on [`parallel_map`], and returns the runs
+/// by workload and key. A failed run is reported once on stderr, naming
+/// `figure`, the workload and the key, and is left out of the grid, so one
+/// bad run never aborts a figure.
+pub(crate) fn run_grid<K>(
+    figure: &str,
+    variants: &[(K, SuiteConfig, CellPolicy)],
+    workloads: &[&'static str],
+) -> Runs<K>
+where
+    K: Copy + PartialEq + Debug + Send + Sync,
+{
+    let jobs: Vec<(&'static str, usize)> =
+        workloads.iter().flat_map(|&w| (0..variants.len()).map(move |v| (w, v))).collect();
+    let outcomes = parallel_map(jobs, |&(w, v)| {
+        let (key, suite, policy) = &variants[v];
+        (w, *key, run_one(w, policy, None, suite))
+    });
+    let mut done = Vec::new();
+    for (w, key, outcome) in outcomes {
+        match outcome {
+            Ok(m) => done.push((w, key, m)),
+            Err(e) => eprintln!("{figure}: skipping {w} {key:?}: {e}"),
+        }
+    }
+    Runs { workloads: workloads.to_vec(), done }
+}
+
+/// The geometric mean of `values`, their logs summed in order; NaN when
+/// there are none (0/0).
+pub(crate) fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
+    let (mut logs, mut n) = (0.0, 0usize);
+    for v in values {
+        logs += v.ln();
+        n += 1;
+    }
+    (logs / n as f64).exp()
+}
+
+/// Runs one workload under `policy`, over its input graph from the
+/// suite's cache, with an optional fault-injection spec (`noisy:42`,
+/// `lost:1:3`, `off`) — the CLI's `--inject` flag. Every policy runs at
+/// the suite's memory ratio except UNLIMITED, which runs with unsized
+/// memory.
 ///
 /// Never panics: unknown workloads, unknown policy or inject specs (the
 /// registry's typed errors, listing the known names), invalid
@@ -173,12 +186,10 @@ pub fn run_one(
     policy: &CellPolicy,
     inject: Option<&str>,
     suite: &SuiteConfig,
-    graph: &Arc<Csr>,
 ) -> Result<RunMetrics, BenchError> {
-    let graph = if name.starts_with("GC-") { suite.graph_for(name) } else { Arc::clone(graph) };
     run_workload(
         name,
-        graph,
+        suite.input(name),
         &suite.sim,
         policy.spec(),
         policy.memory_ratio(suite.ratio),
@@ -251,38 +262,18 @@ where
         .collect()
 }
 
-/// Runs `configs` × the 11-workload suite in parallel and collects results.
-///
-/// Failed runs are recorded in [`SuiteResults::failures`] rather than
-/// aborting the sweep.
+/// Runs `configs` × the 11-workload suite in parallel. A failed run is
+/// reported once on stderr and left out of the results.
 pub fn suite_results(configs: &[ConfigName], suite: &SuiteConfig) -> SuiteResults {
-    let graph = suite.graph();
-    let workloads = registry::irregular_names();
-    let mut jobs: Vec<(&'static str, ConfigName)> = Vec::new();
-    for &w in workloads {
-        for &c in configs {
-            jobs.push((w, c));
-        }
-    }
-    let outcomes = parallel_map(jobs, |&(w, c)| {
-        (w, c, run_one(w, &CellPolicy::Preset(c), None, suite, &graph))
-    });
-    let mut results = HashMap::new();
-    let mut failures = Vec::new();
-    for (w, c, outcome) in outcomes {
-        match outcome {
-            Ok(m) => {
-                results.insert((w.to_string(), c), m);
-            }
-            Err(e) => failures.push((w.to_string(), c, e)),
-        }
-    }
-    SuiteResults { workloads: workloads.to_vec(), results, failures }
+    let variants: Vec<_> =
+        configs.iter().map(|&c| (c, suite.clone(), CellPolicy::Preset(c))).collect();
+    run_grid("suite", &variants, registry::irregular_names())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batmem_graph::gen;
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -318,8 +309,7 @@ mod tests {
     #[test]
     fn suite_runs_one_small_workload() {
         let suite = SuiteConfig::new(8, 4).with_seed(1);
-        let graph = suite.graph();
-        let run = |c| run_one("BFS-TTC", &CellPolicy::Preset(c), None, &suite, &graph).unwrap();
+        let run = |c| run_one("BFS-TTC", &CellPolicy::Preset(c), None, &suite).unwrap();
         assert!(run(ConfigName::Baseline).cycles > 0);
         assert!(run(ConfigName::Unlimited).memory_pages.is_none());
     }
@@ -327,27 +317,25 @@ mod tests {
     #[test]
     fn custom_combo_runs_and_unknown_spec_is_an_error() {
         let suite = SuiteConfig::new(8, 4).with_seed(1);
-        let graph = suite.graph();
         let custom = PolicySpec {
             eviction: "random:7".into(),
             prefetch: "none".into(),
             ..PolicySpec::default()
         };
         assert_eq!(custom.to_string(), "random:7/none/none");
-        let m = run_one("BFS-TTC", &CellPolicy::Custom(custom), None, &suite, &graph).unwrap();
+        let m = run_one("BFS-TTC", &CellPolicy::Custom(custom), None, &suite).unwrap();
         assert!(m.cycles > 0);
         let bad =
             CellPolicy::Custom(PolicySpec { eviction: "mru".into(), ..PolicySpec::default() });
-        let err = run_one("BFS-TTC", &bad, None, &suite, &graph).unwrap_err();
+        let err = run_one("BFS-TTC", &bad, None, &suite).unwrap_err();
         assert!(err.to_string().contains("unknown eviction policy"), "{err}");
     }
 
     #[test]
     fn inject_spec_is_parsed_next_to_the_policy_specs() {
         let suite = SuiteConfig::new(8, 4).with_seed(1);
-        let graph = suite.graph();
         let custom = CellPolicy::Custom(PolicySpec::default());
-        let run = |inject| run_one("BFS-TTC", &custom, inject, &suite, &graph);
+        let run = |inject| run_one("BFS-TTC", &custom, inject, &suite);
         let clean = run(Some("off")).unwrap();
         let noisy = run(Some("noisy:7")).unwrap();
         let plain = run(None).unwrap();
@@ -361,9 +349,8 @@ mod tests {
     #[test]
     fn unknown_workload_is_an_error_not_a_panic() {
         let suite = SuiteConfig::new(8, 4).with_seed(1);
-        let graph = suite.graph();
         let baseline = CellPolicy::Preset(ConfigName::Baseline);
-        let err = run_one("NO-SUCH-WORKLOAD", &baseline, None, &suite, &graph).unwrap_err();
+        let err = run_one("NO-SUCH-WORKLOAD", &baseline, None, &suite).unwrap_err();
         assert!(err.to_string().contains("NO-SUCH-WORKLOAD"));
     }
 
@@ -371,36 +358,49 @@ mod tests {
     fn invalid_config_is_reported_per_row_not_panicked() {
         let mut suite = SuiteConfig::new(8, 4).with_seed(1);
         suite.sim.gpu.num_sms = 0;
-        let graph = suite.graph();
         let baseline = CellPolicy::Preset(ConfigName::Baseline);
-        let err = run_one("BFS-TTC", &baseline, None, &suite, &graph).unwrap_err();
+        let err = run_one("BFS-TTC", &baseline, None, &suite).unwrap_err();
         assert!(err.to_string().contains("num_sms"), "{err}");
         // A degenerate suite ratio is a per-row error too, not a panic.
         for ratio in [0.0, f64::NAN] {
             let suite = SuiteConfig::new(8, 4).with_seed(1).with_ratio(ratio);
-            let err = run_one("BFS-TTC", &baseline, None, &suite, &graph).unwrap_err();
+            let err = run_one("BFS-TTC", &baseline, None, &suite).unwrap_err();
             assert!(err.to_string().contains("memory_ratio"), "{err}");
         }
     }
 
     #[test]
     fn geomean_of_constants_is_the_constant() {
-        let suite = SuiteConfig::new(8, 4).with_seed(1);
-        let graph = suite.graph();
-        let baseline = CellPolicy::Preset(ConfigName::Baseline);
-        let m = run_one("PR", &baseline, None, &suite, &graph).unwrap();
-        let mut results = HashMap::new();
-        for w in registry::irregular_names() {
-            results.insert((w.to_string(), ConfigName::Baseline), m.clone());
-        }
-        let r = SuiteResults {
-            workloads: registry::irregular_names().to_vec(),
-            results,
-            failures: Vec::new(),
-        };
-        let g = r.geomean(|_| 3.0);
+        let g = geomean([3.0; 11]);
         assert!((g - 3.0).abs() < 1e-12);
-        assert_eq!(r.complete(&[ConfigName::Baseline]).len(), r.workloads.len());
-        assert!(r.complete(&[ConfigName::ToUe]).is_empty());
+        assert!(geomean([]).is_nan(), "a point with no completed runs prints NaN");
+    }
+
+    #[test]
+    fn a_suite_and_its_clones_read_one_graph_cache() {
+        let suite = SuiteConfig::new(9, 4).with_seed(1);
+        let mut variant = suite.clone().with_ratio(1.0);
+        variant.sim.gpu.ctx_switch_fixed_cycles = 0;
+        for w in ["BFS-TTC", "GC-TTC", "PR"] {
+            assert!(Arc::ptr_eq(&suite.input(w), &variant.input(w)), "{w}");
+        }
+        assert_eq!(*suite.input("BFS-TTC"), gen::rmat(9, 4, 1));
+        assert_eq!(*suite.input("GC-TTC"), gen::rmat(input_scale("GC-TTC", 9), 4, 1));
+        assert_eq!(suite.graphs.len(), 2, "one graph per input scale");
+    }
+
+    #[test]
+    fn a_grid_keeps_completed_runs_and_leaves_failed_ones_out() {
+        let suite = SuiteConfig::new(8, 4).with_seed(1);
+        let mut broken = suite.clone();
+        broken.sim.gpu.num_sms = 0;
+        let baseline = CellPolicy::Preset(ConfigName::Baseline);
+        let variants =
+            [("ok", suite.clone(), baseline.clone()), ("broken", broken, baseline.clone())];
+        let runs = run_grid("test", &variants, &["BFS-TTC", "PR"]);
+        assert_eq!(runs.complete(&["ok"]), ["BFS-TTC", "PR"]);
+        assert!(runs.complete(&["ok", "broken"]).is_empty());
+        let alone = run_one("PR", &baseline, None, &suite).unwrap();
+        assert_eq!(runs.get("PR", "ok").cycles, alone.cycles);
     }
 }

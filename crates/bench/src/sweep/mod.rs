@@ -43,8 +43,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// A thread-safe cache of generated R-MAT graphs keyed by
-/// `(scale, edge_factor, seed)`, so the pool generates each input once
-/// however many cells share it.
+/// `(scale, edge_factor, seed)`, so a sweep's pool, or a
+/// [`SuiteConfig`](crate::SuiteConfig) and its clones, generate each input
+/// once however many runs share it.
 #[derive(Debug, Default)]
 pub struct GraphCache {
     graphs: Mutex<HashMap<(u32, u32, u64), Arc<Csr>>>,

@@ -224,7 +224,8 @@ impl Default for SweepPlan {
 impl SweepPlan {
     /// Checks the plan before expansion: every axis non-empty, every
     /// workload known to the registry, every scale at most
-    /// [`gen::MAX_SCALE`], the inject spec parseable, and
+    /// [`gen::MAX_SCALE`], every edge factor positive (an edgeless graph
+    /// runs no work), the inject spec parseable, and
     /// every policy's effective spec (plan-level coalesce and
     /// fault-servicing applied, page size included) resolvable as
     /// [`try_run`](batmem::SimulationBuilder::try_run) resolves it.
@@ -259,6 +260,11 @@ impl SweepPlan {
                 "scale {s} exceeds {}: R-MAT vertex ids are u32",
                 gen::MAX_SCALE
             )));
+        }
+        if self.edge_factors.contains(&0) {
+            return Err(BenchError::msg(
+                "sweep plan axis `edge_factors` holds 0: an edgeless graph runs no work",
+            ));
         }
         if let Some(spec) = &self.inject {
             InjectConfig::parse_spec(spec).map_err(|e| BenchError::context("sweep plan", &e))?;
@@ -461,6 +467,9 @@ mod tests {
         assert!(err.contains("inject") && err.contains("noisy"), "{err}");
         p = SweepPlan { ratios: vec![0.0], ..SweepPlan::default() };
         assert!(p.validate().is_err());
+        p = SweepPlan { edge_factors: vec![16, 0], ..SweepPlan::default() };
+        let err = p.validate().unwrap_err().to_string();
+        assert!(err.contains("`edge_factors`") && err.contains("0"), "{err}");
         p = SweepPlan { coalesce: Some("eager".into()), ..SweepPlan::default() };
         let err = p.validate().unwrap_err().to_string();
         assert!(err.contains("eager"), "{err}");

@@ -123,10 +123,9 @@ impl SimulationBuilder {
     /// all of them in attachment order. With no probe attached the engine
     /// never constructs an event, so the hot path is unchanged.
     ///
-    /// Shipped probes live in [`crate::probes`]: a bounded structured
-    /// tracer, a per-batch timeline aggregator, and a CSV/JSON metrics
-    /// sink. They are cheap handles: clone one, attach the clone, and read
-    /// the results from the original after the run.
+    /// The shipped probe is [`crate::probes::Tracer`], a bounded
+    /// structured trace. It is a cheap handle: clone it, attach the clone,
+    /// and read the events from the original after the run.
     pub fn probe(mut self, probe: impl Probe + 'static) -> Self {
         self.probes.attach(Box::new(probe));
         self

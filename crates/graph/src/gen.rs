@@ -36,7 +36,17 @@ pub const MAX_SCALE: u32 = 31;
 /// Panics if the probabilities are not a valid sub-distribution, or if
 /// `scale` exceeds [`MAX_SCALE`].
 pub fn rmat_with(scale: u32, edge_factor: u32, a: f64, b: f64, c: f64, seed: u64) -> Csr {
-    rmat_with_par(scale, edge_factor, a, b, c, seed, 1)
+    let sampler = RmatSampler::new(scale, a, b, c);
+    let n: u32 = 1 << scale;
+    let m = u64::from(edge_factor) * u64::from(n);
+    let mut builder =
+        CsrBuilder::with_capacity(n, usize::try_from(m).expect("edge count exceeds usize"));
+    let mut rng = DetRng::new(seed);
+    for _ in 0..m {
+        let (s, d) = sampler.edge(&mut rng);
+        builder.push_edge(s, d);
+    }
+    builder.build()
 }
 
 /// R-MAT edges over `2^scale` vertices, with the quadrant odds held as
@@ -87,8 +97,9 @@ impl RmatSampler {
     /// One edge. Each level consumes **exactly one draw** and picks
     /// quadrant `q` (0 = `a` … 3 = `d`), shifting `q >> 1` into the source
     /// and `q & 1` into the target, most significant bit first. So an edge
-    /// consumes exactly `scale` draws, the invariant [`rmat_par`] relies on
-    /// to jump workers to their chunk offsets.
+    /// consumes exactly `scale` draws, as the reference formulation does:
+    /// edge `e` reads draws `[e · scale, (e + 1) · scale)` of the seeded
+    /// stream, which keeps every generated graph bit-identical to it.
     pub fn edge(&self, rng: &mut DetRng) -> (u32, u32) {
         let [t0, t1, t2] = self.thresholds;
         let (mut s, mut d) = (0u32, 0u32);
@@ -100,83 +111,6 @@ impl RmatSampler {
         }
         (s, d)
     }
-}
-
-/// [`rmat`] computed on `threads` worker threads, **bit-identical** to the
-/// serial generator for every thread count.
-///
-/// Edge `e` of the serial stream consumes draws `[e * scale, (e + 1) *
-/// scale)` of the seeded generator; [`DetRng::skip`] jumps a worker's
-/// generator to its chunk boundary in O(1), so each worker reproduces
-/// exactly the edges the serial loop would have produced at those indices.
-/// Chunks are then concatenated in index order, giving the identical edge
-/// sequence (and, since [`CsrBuilder::build`] is a stable sort, the
-/// identical CSR).
-///
-/// # Examples
-///
-/// ```
-/// let serial = batmem_graph::gen::rmat(8, 8, 42);
-/// let parallel = batmem_graph::gen::rmat_par(8, 8, 42, 4);
-/// assert_eq!(serial, parallel);
-/// ```
-pub fn rmat_par(scale: u32, edge_factor: u32, seed: u64, threads: usize) -> Csr {
-    rmat_with_par(scale, edge_factor, 0.57, 0.19, 0.19, seed, threads)
-}
-
-/// [`rmat_with`] on `threads` worker threads; see [`rmat_par`].
-pub fn rmat_with_par(
-    scale: u32,
-    edge_factor: u32,
-    a: f64,
-    b: f64,
-    c: f64,
-    seed: u64,
-    threads: usize,
-) -> Csr {
-    let sampler = RmatSampler::new(scale, a, b, c);
-    let n: u32 = 1 << scale;
-    let m = u64::from(edge_factor) * u64::from(n);
-    let mut builder =
-        CsrBuilder::with_capacity(n, usize::try_from(m).expect("edge count exceeds usize"));
-    if threads <= 1 || m < 2 {
-        let mut rng = DetRng::new(seed);
-        for _ in 0..m {
-            let (s, d) = sampler.edge(&mut rng);
-            builder.push_edge(s, d);
-        }
-        return builder.build();
-    }
-    let workers = threads.min(m as usize);
-    // Chunk bounds [e0, e1) per worker; worker i's generator starts at the
-    // serial stream's draw offset e0 * scale.
-    let bounds: Vec<(u64, u64)> = (0..workers as u64)
-        .map(|i| {
-            let per = m / workers as u64;
-            let extra = m % workers as u64;
-            let start = i * per + i.min(extra);
-            (start, start + per + u64::from(i < extra))
-        })
-        .collect();
-    let chunks: Vec<Vec<(u32, u32)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(e0, e1)| {
-                scope.spawn(move || {
-                    let mut rng = DetRng::new(seed);
-                    rng.skip(e0 * u64::from(scale));
-                    (e0..e1).map(|_| sampler.edge(&mut rng)).collect()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rmat worker panicked")).collect()
-    });
-    for chunk in chunks {
-        for (s, d) in chunk {
-            builder.push_edge(s, d);
-        }
-    }
-    builder.build()
 }
 
 /// Generates a uniform random directed graph with `n` vertices and `m` edges.
@@ -272,15 +206,5 @@ mod tests {
     fn scales_past_u32_vertex_ids_panic() {
         // Release builds would mask `1 << 32` to a one-vertex graph.
         let _ = rmat(32, 2, 1);
-    }
-
-    #[test]
-    fn parallel_rmat_is_bit_identical_to_serial() {
-        let serial = rmat(9, 6, 13);
-        for threads in [1, 2, 3, 5, 8, 16] {
-            assert_eq!(serial, rmat_par(9, 6, 13, threads), "threads = {threads}");
-        }
-        // Thread counts exceeding the edge count degrade gracefully.
-        assert_eq!(rmat(2, 1, 3), rmat_par(2, 1, 3, 64));
     }
 }

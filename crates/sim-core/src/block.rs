@@ -8,16 +8,15 @@ use std::fmt;
 /// Where a dispatched block currently lives on its SM.
 ///
 /// Under Thread Oversubscription an SM hosts more blocks than its scheduling
-/// limit; only `Active` blocks issue work. Transitions through the
-/// `Switching*` states charge the context-switch cost (§4.1).
+/// limit; only `Active` blocks issue work. A switch moves the outgoing
+/// block straight to `Inactive` and holds the incoming one in
+/// `SwitchingIn` while the context-switch cost (§4.1) is charged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockResidency {
     /// Occupying an active slot; warps may issue.
     Active,
     /// Resident but descheduled (oversubscribed); warps hold state only.
     Inactive,
-    /// Context being saved to global memory.
-    SwitchingOut,
     /// Context being restored from global memory.
     SwitchingIn,
     /// All warps finished.

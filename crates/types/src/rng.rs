@@ -49,31 +49,6 @@ impl DetRng {
         z ^ (z >> 31)
     }
 
-    /// Advances the generator past the next `n` raw draws in O(1).
-    ///
-    /// splitmix64's state walks a fixed additive sequence (one golden-ratio
-    /// increment per [`next_u64`](Self::next_u64)), so jumping `n` draws
-    /// ahead is a single multiply-add. This is what lets parallel graph
-    /// generation hand each worker a chunk-aligned generator that produces
-    /// exactly the draws the serial generator would have at that offset.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use batmem_types::rng::DetRng;
-    ///
-    /// let mut serial = DetRng::new(9);
-    /// for _ in 0..1000 {
-    ///     serial.next_u64();
-    /// }
-    /// let mut jumped = DetRng::new(9);
-    /// jumped.skip(1000);
-    /// assert_eq!(serial.next_u64(), jumped.next_u64());
-    /// ```
-    pub fn skip(&mut self, n: u64) {
-        self.state = self.state.wrapping_add(n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -155,26 +130,6 @@ mod tests {
             let ri = rng.range_inclusive(3, 9);
             assert!((3..=9).contains(&ri));
         }
-    }
-
-    #[test]
-    fn skip_matches_serial_draws() {
-        for n in [0u64, 1, 7, 1000, 1 << 40] {
-            let mut serial = DetRng::new(42);
-            for _ in 0..n.min(2000) {
-                serial.next_u64();
-            }
-            let mut jumped = DetRng::new(42);
-            jumped.skip(n.min(2000));
-            assert_eq!(serial.next_u64(), jumped.next_u64(), "skip({n}) diverged");
-        }
-        // Composition: skip(a) then skip(b) equals skip(a + b).
-        let mut a = DetRng::new(7);
-        a.skip(3);
-        a.skip(5);
-        let mut b = DetRng::new(7);
-        b.skip(8);
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl CellId {
     pub fn from_hash(hash: u64) -> Self {
         Self(hash)
     }
-
-    /// The raw 64-bit hash.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
 }
 
 impl fmt::Display for CellId {

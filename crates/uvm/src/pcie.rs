@@ -100,11 +100,6 @@ impl PciePipes {
         self.h2d_free
     }
 
-    /// Next cycle at which the device-to-host pipe is free.
-    pub fn d2h_free_at(&self) -> Cycle {
-        self.d2h_free
-    }
-
     /// Blocks the host-to-device pipe until at least `until` (used by the
     /// baseline to serialize a migration behind an eviction).
     pub fn stall_h2d_until(&mut self, until: Cycle) {

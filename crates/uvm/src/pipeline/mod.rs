@@ -57,7 +57,7 @@ mod tests;
 use crate::adaptive::AdaptiveSignals;
 use crate::batch::BatchRecord;
 use crate::fault::FaultBuffer;
-use crate::inject::{FaultInjector, InjectConfig, InjectStats};
+use crate::inject::{FaultInjector, InjectConfig};
 use crate::lifetime::{LifetimeSample, LifetimeTracker};
 use crate::memmgr::MemoryManager;
 use crate::pcie::PciePipes;
@@ -305,11 +305,6 @@ impl UvmRuntime {
     /// single predictable branch.
     pub fn set_probes(&mut self, probes: SharedProbes) {
         self.probes = probes;
-    }
-
-    /// What the injector has done so far (`None` when injection is off).
-    pub fn injector_stats(&self) -> Option<InjectStats> {
-        self.injector.as_ref().map(FaultInjector::stats)
     }
 
     /// Refreshes a resident page's LRU position (called by the engine on

@@ -291,6 +291,32 @@ fn bench_stream_fabrication() {
     });
 }
 
+fn bench_stream_issue() {
+    // Every warp stream of SSSP-TWC at scale 14, built and drained through
+    // `next_op_into` as the engine issues them: short streams whose memory
+    // ops mostly carry one transaction, so per-op decoding shows here.
+    let w = registry::build("SSSP-TWC", Arc::new(gen::rmat(14, 16, 42))).unwrap();
+    let kernels: Vec<_> = (0..w.num_kernels()).map(|k| w.kernel(KernelId::new(k))).collect();
+    let warp_size = SimConfig::default().gpu.warp_size;
+    let mut txns = Vec::new();
+    bench("stream/sssp_twc_scale14_build_drain", 20, || {
+        let mut issued = 0u64;
+        for kernel in &kernels {
+            let spec = kernel.spec();
+            for blk in 0..spec.num_blocks {
+                for warp in 0..spec.warps_per_block(warp_size) {
+                    let mut stream = kernel.warp_stream(BlockId::new(blk), warp as u16);
+                    while let Some(kind) = stream.next_op_into(&mut txns) {
+                        black_box(kind);
+                        issued += txns.len() as u64 + 1;
+                    }
+                }
+            }
+        }
+        issued
+    });
+}
+
 fn bench_end_to_end() {
     let graph = Arc::new(gen::rmat(10, 8, 42));
     bench("end_to_end/bfs_ttc_scale10_to_ue", 10, || {
@@ -323,4 +349,5 @@ fn main() {
     bench_graph_gen();
     bench_stream_fabrication();
     bench_end_to_end();
+    bench_stream_issue();
 }

@@ -5,8 +5,9 @@
 //! This captures exactly the behaviour demand paging responds to (which
 //! addresses are touched, in what order, with what divergence) while
 //! abstracting per-instruction pipeline details (see DESIGN.md,
-//! "Substitutions"). Streams are stored packed ([`PackedStream`]: one
-//! word per op header and per transaction). The engine issues each op
+//! "Substitutions"). Streams are stored packed ([`PackedStream`]: a
+//! header of one to six bytes per op, and each transaction after an op's
+//! first as a one- or two-byte offset from it). The engine issues each op
 //! through [`AccessStream::next_op_into`], which writes its transactions
 //! into a buffer the caller owns; a [`WarpOp`] is built only where a
 //! caller asks for one by value ([`AccessStream::next_op`]).
@@ -251,117 +252,434 @@ pub trait Workload: Send {
     fn kernel(&self, k: KernelId) -> Box<dyn Kernel>;
 }
 
-/// The word that opens each op of a [`PackedStream`]: the op's kind in the
-/// low two bits, its compute cycles or transaction count above them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackedHeader {
-    /// `cycles` of computation; no address words follow.
-    Compute(u32),
-    /// A load; this many transaction-address words follow.
-    Load(u32),
-    /// A store; this many transaction-address words follow.
-    Store(u32),
-}
+/// The kind of an op, in the low two bits of its first byte.
+const COMPUTE: u8 = 0;
+const LOAD: u8 = 1;
+const STORE: u8 = 2;
 
-impl PackedHeader {
-    const KIND_BITS: u32 = 2;
+/// A compute byte's cycle field (its upper six bits) that says the cycles
+/// follow as a `u32`; any smaller field is the cycle count itself.
+const CYCLES_FOLLOW: u8 = 63;
 
-    /// The header as a stream word.
-    pub const fn encode(self) -> u64 {
-        let (kind, payload) = match self {
-            PackedHeader::Compute(c) => (0, c),
-            PackedHeader::Load(n) => (1, n),
-            PackedHeader::Store(n) => (2, n),
-        };
-        (payload as u64) << Self::KIND_BITS | kind
-    }
+/// A memory op's count class, in the top two bits of its first byte: one
+/// transaction, or a count in the next byte or in the next four.
+const ONE_TXN: u8 = 0;
+const COUNT_U8: u8 = 1;
+const COUNT_U32: u8 = 2;
 
-    /// Reads a header back from a stream word.
-    pub const fn decode(word: u64) -> Self {
-        let payload = (word >> Self::KIND_BITS) as u32;
-        match word & ((1 << Self::KIND_BITS) - 1) {
-            0 => PackedHeader::Compute(payload),
-            1 => PackedHeader::Load(payload),
-            _ => PackedHeader::Store(payload),
-        }
+/// The code of the narrowest width that holds `v`: a delta or an offset
+/// of code `c` takes `1 << c` bytes, so 1, 2, 4 or 8.
+fn width_code(v: u64) -> u8 {
+    match v {
+        0..=0xff => 0,
+        0x100..=0xffff => 1,
+        0x1_0000..=0xffff_ffff => 2,
+        _ => 3,
     }
 }
 
-/// A warp's access stream packed into a single word vector.
+/// Appends the low `W` bytes of `v`, little-endian.
+fn put_le<const W: usize>(out: &mut Vec<u8>, v: u64) {
+    debug_assert!(W == 8 || v >> (8 * W) == 0, "{v} does not fit {W} bytes");
+    out.extend_from_slice(&v.to_le_bytes()[..W]);
+}
+
+/// Reads `W` little-endian bytes.
+fn le<const W: usize>(bytes: &[u8; W]) -> u64 {
+    let mut word = [0; 8];
+    word[..W].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// A signed delta, `v` read as an `i64`, with its sign in the low bit, so
+/// that small deltas of either sign are small numbers.
+fn zigzag(v: u64) -> u64 {
+    let d = v as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+/// The inverse of [`zigzag`].
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// A warp's access stream packed into one byte vector.
 ///
-/// Each op is one [`PackedHeader`] word, followed for memory ops by one
-/// raw [`VirtAddr`] word per transaction: 8 bytes per op plus 8 per
-/// transaction, where a stored [`WarpOp`] would take its full inline size.
-/// [`next_op_into`](AccessStream::next_op_into) copies an op's address
-/// words straight into the caller's buffer. A truncated tail (a header
-/// promising more words than remain) ends the stream: every later call
-/// returns `None` as well.
+/// Addresses are stored in units of `1 << shift` bytes, where `shift` is
+/// the stream's first byte (7, one 128-byte line, in the streams the
+/// workloads build). Each op then starts with one byte whose low two bits
+/// give its kind. A compute keeps its cycles in that byte's other six bits,
+/// or in the four bytes after it. A memory op stores its first
+/// transaction as a zigzag delta from the previous memory op's first (0
+/// before the first one), then each further transaction as an offset from
+/// its own first, in the narrowest of 1, 2, 4 or 8 bytes that holds the
+/// op's largest offset:
+///
+/// ```text
+/// stream   = [shift] op*
+/// compute  = [c << 2 | 0]                              cycles c < 63
+///          | [63 << 2 | 0] [cycles: 4]
+/// memory   = [class << 6 | w << 4 | d << 2 | kind]     kind 1 load, 2 store
+///            [n: 1 if class 1, 4 if class 2]           class 0: n = 1
+///            [zigzag(first - previous first): W(d)]
+///            [unit - first: W(w)] x (n - 1)            W(0..=3) = 1, 2, 4, 8
+/// ```
+///
+/// Multi-byte fields are little-endian, and unit arithmetic wraps, so any
+/// addresses round-trip. A warp's lines ascend within an op and its ops
+/// walk a few arrays, so a transaction takes a byte or two and an op's
+/// header two to six, where a `u64` word each would take eight.
+/// [`PackedWriter`] writes this layout. Both [`AccessStream`] methods read
+/// it through one decoder. A stream that starts with a shift of 64 or
+/// more is empty, and a truncated or malformed op ends the stream: that
+/// call and every later one return `None`.
 #[derive(Debug, Clone)]
 pub struct PackedStream {
-    words: Vec<u64>,
+    bytes: Box<[u8]>,
+    /// The next op's first byte.
     pos: usize,
+    /// The previous memory op's first transaction, in units.
+    base: u64,
 }
 
 impl PackedStream {
-    /// Creates a stream over already-packed `words`.
-    pub fn new(words: Vec<u64>) -> Self {
-        Self { words, pos: 0 }
+    /// Creates a stream over already-packed `bytes`.
+    #[inline]
+    pub fn new(bytes: Vec<u8>) -> Self {
+        let bytes = bytes.into_boxed_slice();
+        let pos = match bytes.first() {
+            Some(&shift) if shift < 64 => 1,
+            _ => bytes.len(),
+        };
+        Self { bytes, pos, base: 0 }
     }
 
-    /// Decodes the op at the cursor into its header and its address
-    /// words, and moves past both; at the end or a truncated tail it
-    /// returns `None` and stays put.
-    fn decode_next(&mut self) -> Option<(PackedHeader, &[u64])> {
-        let header = PackedHeader::decode(*self.words.get(self.pos)?);
-        let n = match header {
-            PackedHeader::Compute(_) => 0,
-            PackedHeader::Load(n) | PackedHeader::Store(n) => n as usize,
+    /// The packed bytes, from the shift byte on (read or not).
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Decodes the op at the cursor and moves past it; at the end, or at
+    /// an op it cannot read whole, it returns `None` and moves to the end.
+    #[inline(always)]
+    fn decode_next(&mut self) -> Option<Decoded<'_>> {
+        let mut rest = Reader(self.bytes.get(self.pos..).unwrap_or_default());
+        // `new` starts a stream without a valid shift byte at its end, so
+        // any op read here follows one.
+        let shift = self.bytes.first().map_or(0, |&s| u32::from(s));
+        let Some(op) = rest.op(self.base, shift) else {
+            self.pos = self.bytes.len();
+            return None;
         };
-        let start = self.pos + 1;
-        let end = start.checked_add(n)?;
-        let addrs = self.words.get(start..end)?;
-        self.pos = end;
-        Some((header, addrs))
+        self.pos = self.bytes.len() - rest.0.len();
+        self.base = op.first;
+        Some(op)
     }
 }
 
-impl FromIterator<WarpOp> for PackedStream {
-    /// Packs `ops` as given (adjacent computes are not merged).
-    fn from_iter<I: IntoIterator<Item = WarpOp>>(ops: I) -> Self {
-        let mut words = Vec::new();
-        for op in ops {
-            let header = match &op {
-                WarpOp::Compute(c) => PackedHeader::Compute(*c),
-                WarpOp::Load(a) => PackedHeader::Load(a.len() as u32),
-                WarpOp::Store(a) => PackedHeader::Store(a.len() as u32),
-            };
-            words.push(header.encode());
-            words.extend(op.addrs().iter().map(|a| a.raw()));
-        }
-        Self::new(words)
+/// The unread bytes of a [`PackedStream`]. Every read checks its length
+/// first, so a short tail fails the read instead of panicking.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    #[inline(always)]
+    fn array<const N: usize>(&mut self) -> Option<&'a [u8; N]> {
+        let (head, tail) = self.0.split_first_chunk()?;
+        self.0 = tail;
+        Some(head)
+    }
+
+    #[inline(always)]
+    fn slice(&mut self, len: usize) -> Option<&'a [u8]> {
+        let (head, tail) = self.0.split_at_checked(len)?;
+        self.0 = tail;
+        Some(head)
+    }
+
+    /// An unsigned number of the width `code` names.
+    #[inline(always)]
+    fn uint(&mut self, code: u8) -> Option<u64> {
+        Some(match code {
+            0 => le(self.array::<1>()?),
+            1 => le(self.array::<2>()?),
+            2 => le(self.array::<4>()?),
+            _ => le(self.array::<8>()?),
+        })
+    }
+
+    /// Reads one op, given the previous memory op's first unit.
+    #[inline(always)]
+    fn op(&mut self, base: u64, shift: u32) -> Option<Decoded<'a>> {
+        let [head] = *self.array()?;
+        let kind = match head & 3 {
+            COMPUTE => {
+                let cycles = match head >> 2 {
+                    CYCLES_FOLLOW => u32::from_le_bytes(*self.array()?),
+                    c => u32::from(c),
+                };
+                let kind = OpKind::Compute(cycles);
+                return Some(Decoded {
+                    kind,
+                    count: 0,
+                    first: base,
+                    width: 0,
+                    offsets: &[],
+                    shift,
+                });
+            }
+            LOAD => OpKind::Load,
+            STORE => OpKind::Store,
+            _ => return None,
+        };
+        let count = match head >> 6 {
+            ONE_TXN => 1,
+            COUNT_U8 => usize::from(self.array::<1>()?[0]),
+            COUNT_U32 => usize::try_from(u32::from_le_bytes(*self.array()?)).ok()?,
+            _ => return None,
+        };
+        let first = base.wrapping_add(unzigzag(self.uint(head >> 2 & 3)?));
+        let width = head >> 4 & 3;
+        let len = (count.saturating_sub(1) as u64) << width;
+        let offsets = self.slice(usize::try_from(len).ok()?)?;
+        Some(Decoded { kind, count, first, width, offsets, shift })
+    }
+}
+
+/// One op as [`PackedStream`]'s decoder read it.
+struct Decoded<'a> {
+    kind: OpKind,
+    /// Its transaction count: 0 for a compute.
+    count: usize,
+    /// Its first transaction in units (a compute passes the previous one on).
+    first: u64,
+    /// The width code of each of `offsets`.
+    width: u8,
+    /// The other transactions, as offsets from `first`.
+    offsets: &'a [u8],
+    shift: u32,
+}
+
+impl<'a> Decoded<'a> {
+    /// The op's first transaction, if it has any.
+    fn head(&self) -> Option<VirtAddr> {
+        (self.count > 0).then(|| VirtAddr::new(self.first << self.shift))
+    }
+
+    /// The op's other transactions, in order, for offsets `W` bytes wide.
+    fn rest<const W: usize>(&self) -> impl Iterator<Item = VirtAddr> + 'a {
+        let (first, shift) = (self.first, self.shift);
+        let offsets = self.offsets.as_chunks::<W>().0.iter();
+        offsets.map(move |o| VirtAddr::new(first.wrapping_add(le(o)) << shift))
     }
 }
 
 impl AccessStream for PackedStream {
     fn next_op(&mut self) -> Option<WarpOp> {
-        let (header, words) = self.decode_next()?;
-        let addrs = || words.iter().map(|&w| VirtAddr::new(w)).collect();
-        Some(match header {
-            PackedHeader::Compute(c) => WarpOp::Compute(c),
-            PackedHeader::Load(_) => WarpOp::Load(addrs()),
-            PackedHeader::Store(_) => WarpOp::Store(addrs()),
+        let op = self.decode_next()?;
+        let addrs = || -> AddrList {
+            let head = op.head().into_iter();
+            match op.width {
+                0 => head.chain(op.rest::<1>()).collect(),
+                1 => head.chain(op.rest::<2>()).collect(),
+                2 => head.chain(op.rest::<4>()).collect(),
+                _ => head.chain(op.rest::<8>()).collect(),
+            }
+        };
+        Some(match op.kind {
+            OpKind::Compute(c) => WarpOp::Compute(c),
+            OpKind::Load => WarpOp::Load(addrs()),
+            OpKind::Store => WarpOp::Store(addrs()),
         })
     }
 
     fn next_op_into(&mut self, txns: &mut Vec<VirtAddr>) -> Option<OpKind> {
         txns.clear();
-        let (header, words) = self.decode_next()?;
-        txns.extend(words.iter().map(|&w| VirtAddr::new(w)));
-        Some(match header {
-            PackedHeader::Compute(c) => OpKind::Compute(c),
-            PackedHeader::Load(_) => OpKind::Load,
-            PackedHeader::Store(_) => OpKind::Store,
-        })
+        let op = self.decode_next()?;
+        txns.extend(op.head());
+        match op.width {
+            0 => txns.extend(op.rest::<1>()),
+            1 => txns.extend(op.rest::<2>()),
+            2 => txns.extend(op.rest::<4>()),
+            _ => txns.extend(op.rest::<8>()),
+        }
+        Some(op.kind)
+    }
+}
+
+/// Writes ops in [`PackedStream`]'s layout into a reusable buffer.
+#[derive(Debug, Clone, Default)]
+pub struct PackedWriter {
+    /// The ops so far; [`PackedWriter::to_stream`] puts the shift first.
+    bytes: Vec<u8>,
+    shift: u8,
+    /// The last memory op's first transaction, in units.
+    base: u64,
+    /// Where the last op starts, and its cycles, while it is a compute.
+    last_compute: Option<(usize, u32)>,
+    ops: usize,
+}
+
+impl PackedWriter {
+    /// A writer of addresses in units of `1 << shift` bytes. It writes
+    /// into `bytes`, cleared first, so a caller can hand it the buffer of
+    /// an earlier writer ([`PackedWriter::into_buffer`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shift` is 64 or more.
+    #[inline]
+    pub fn new(mut bytes: Vec<u8>, shift: u32) -> Self {
+        assert!(shift < 64, "a unit of 2^{shift} bytes is wider than an address");
+        bytes.clear();
+        Self { bytes, shift: shift as u8, base: 0, last_compute: None, ops: 0 }
+    }
+
+    /// Adds `cycles` to the last op if that is a compute, saturating at
+    /// `u32::MAX`; otherwise appends a compute.
+    #[inline]
+    pub fn merge_compute(&mut self, cycles: u32) {
+        match self.last_compute {
+            Some((at, c)) => {
+                self.bytes.truncate(at);
+                self.put_compute(c.saturating_add(cycles));
+            }
+            None => {
+                self.ops += 1;
+                self.put_compute(cycles);
+            }
+        }
+    }
+
+    /// Writes a compute at the end of the buffer, as the last op.
+    #[inline]
+    fn put_compute(&mut self, cycles: u32) {
+        self.last_compute = Some((self.bytes.len(), cycles));
+        match u8::try_from(cycles) {
+            Ok(c) if c < CYCLES_FOLLOW => self.bytes.push(c << 2 | COMPUTE),
+            _ => {
+                self.bytes.push(CYCLES_FOLLOW << 2 | COMPUTE);
+                self.bytes.extend_from_slice(&cycles.to_le_bytes());
+            }
+        }
+    }
+
+    /// Appends a load (or, if `store`, a store) of the units `first` and
+    /// then `first + offset` for each of `offsets`, in order (an address is
+    /// its unit shifted left by the writer's shift). `span` must be at
+    /// least every offset: it sets their width. An op whose units ascend
+    /// passes its last unit less its first.
+    #[inline]
+    pub fn mem(
+        &mut self,
+        store: bool,
+        first: u64,
+        span: u64,
+        offsets: impl ExactSizeIterator<Item = u64>,
+    ) {
+        self.put_mem(store, offsets.len() + 1, first, span, offsets);
+    }
+
+    /// Appends a memory op of `txns` transactions: `first` (unless `txns`
+    /// is 0), then `offsets`.
+    #[inline]
+    fn put_mem(
+        &mut self,
+        store: bool,
+        txns: usize,
+        first: u64,
+        span: u64,
+        offsets: impl Iterator<Item = u64>,
+    ) {
+        let delta = zigzag(first.wrapping_sub(self.base));
+        let d = width_code(delta);
+        let w = if txns > 1 { width_code(span) } else { 0 };
+        let class = match txns {
+            1 => ONE_TXN,
+            0..=0xff => COUNT_U8,
+            _ => COUNT_U32,
+        };
+        let kind = if store { STORE } else { LOAD };
+        self.bytes.push(class << 6 | w << 4 | d << 2 | kind);
+        match class {
+            ONE_TXN => {}
+            COUNT_U8 => self.bytes.push(txns as u8),
+            _ => {
+                let n = u32::try_from(txns).expect("an op has at most u32::MAX transactions");
+                self.bytes.extend_from_slice(&n.to_le_bytes());
+            }
+        }
+        match d {
+            0 => put_le::<1>(&mut self.bytes, delta),
+            1 => put_le::<2>(&mut self.bytes, delta),
+            2 => put_le::<4>(&mut self.bytes, delta),
+            _ => put_le::<8>(&mut self.bytes, delta),
+        }
+        self.bytes.reserve(txns.saturating_sub(1) << w);
+        let out = &mut self.bytes;
+        match w {
+            0 => out.extend(offsets.map(|o| {
+                debug_assert!(o <= 0xff, "offset {o} does not fit a byte");
+                o as u8
+            })),
+            1 => offsets.for_each(|o| put_le::<2>(out, o)),
+            2 => offsets.for_each(|o| put_le::<4>(out, o)),
+            _ => offsets.for_each(|o| put_le::<8>(out, o)),
+        }
+        self.base = first;
+        self.last_compute = None;
+        self.ops += 1;
+    }
+
+    /// Ops written so far (a merged compute counts once).
+    pub fn len(&self) -> usize {
+        self.ops
+    }
+
+    /// Whether no op has been written.
+    pub fn is_empty(&self) -> bool {
+        self.ops == 0
+    }
+
+    /// The ops so far as a stream, copied out at its exact size.
+    #[inline]
+    pub fn to_stream(&self) -> PackedStream {
+        let mut bytes = Vec::with_capacity(self.bytes.len() + 1);
+        bytes.push(self.shift);
+        bytes.extend_from_slice(&self.bytes);
+        PackedStream::new(bytes)
+    }
+
+    /// The writer's buffer, to hand to a later writer.
+    pub fn into_buffer(self) -> Vec<u8> {
+        self.bytes
+    }
+}
+
+impl FromIterator<WarpOp> for PackedStream {
+    /// Packs `ops` as given (adjacent computes are not merged), in units of
+    /// the largest power of two that divides every address.
+    fn from_iter<I: IntoIterator<Item = WarpOp>>(ops: I) -> Self {
+        let ops: Vec<WarpOp> = ops.into_iter().collect();
+        let all = ops.iter().flat_map(WarpOp::addrs).fold(0, |acc, a| acc | a.raw());
+        let shift = all.trailing_zeros().min(63);
+        let mut w = PackedWriter::new(Vec::new(), shift);
+        for op in &ops {
+            let store = matches!(op, WarpOp::Store(_));
+            let mut units = op.addrs().iter().map(|a| a.raw() >> shift);
+            match (op, units.next()) {
+                (WarpOp::Compute(c), _) => {
+                    w.ops += 1;
+                    w.put_compute(*c);
+                }
+                (_, None) => w.put_mem(store, 0, w.base, 0, std::iter::empty()),
+                (_, Some(first)) => {
+                    let offsets = units.map(|u| u.wrapping_sub(first));
+                    let span = offsets.clone().max().unwrap_or(0);
+                    w.mem(store, first, span, offsets);
+                }
+            }
+        }
+        w.to_stream()
     }
 }
 
@@ -424,26 +742,58 @@ mod tests {
 
     #[test]
     fn packed_headers_round_trip() {
-        for h in [
-            PackedHeader::Compute(0),
-            PackedHeader::Compute(u32::MAX),
-            PackedHeader::Load(1),
-            PackedHeader::Store(u32::MAX),
-        ] {
-            assert_eq!(PackedHeader::decode(h.encode()), h);
+        let at = |units: &[u64]| -> WarpOp {
+            WarpOp::Load(units.iter().map(|&u| VirtAddr::new(u << 7)).collect())
+        };
+        let wide: Vec<u64> = (0..300).map(|i| 1000 + i).collect();
+        let ops = vec![
+            WarpOp::Compute(62),
+            WarpOp::Compute(63),
+            WarpOp::Compute(u32::MAX),
+            at(&[5, 5 + 0xff]),
+            at(&[5, 5 + 0x100]),
+            at(&[1 << 20, (1 << 20) + 0x1_0000]),
+            at(&[0, 1 << 40]),
+            at(&[1 << 40, 0]),
+            at(&wide),
+            WarpOp::Store(vec![VirtAddr::new(u64::MAX), VirtAddr::new(1)].into()),
+        ];
+        let mut s: PackedStream = ops.iter().cloned().collect();
+        for op in ops {
+            assert_eq!(s.next_op(), Some(op));
         }
+        assert_eq!(s.next_op(), None);
+    }
+
+    #[test]
+    fn a_merged_compute_is_rewritten_in_place() {
+        let mut w = PackedWriter::new(vec![9; 4], 7);
+        w.merge_compute(60);
+        w.merge_compute(10);
+        w.merge_compute(u32::MAX);
+        w.mem(false, 3, 0, std::iter::empty());
+        w.merge_compute(1);
+        assert_eq!(w.len(), 3);
+        let mut s = w.to_stream();
+        assert_eq!(s.next_op(), Some(WarpOp::Compute(u32::MAX)));
+        assert_eq!(s.next_op(), Some(WarpOp::Load(vec![VirtAddr::new(3 << 7)].into())));
+        assert_eq!(s.next_op(), Some(WarpOp::Compute(1)));
+        assert_eq!(s.next_op(), None);
     }
 
     #[test]
     fn truncated_packed_stream_ends_instead_of_panicking() {
-        let mut s = PackedStream::new(vec![
-            PackedHeader::Compute(3).encode(),
-            PackedHeader::Load(2).encode(),
-            64,
-        ]);
+        // Shift 7, a 3-cycle compute, then a load promising two
+        // transactions (count byte 2, delta byte 2) whose offset is cut off.
+        let mut s = PackedStream::new(vec![7, 3 << 2, 1 << 6 | 1, 2, 2]);
+        let mut txns = vec![VirtAddr::new(64)];
         assert_eq!(s.next_op(), Some(WarpOp::Compute(3)));
-        assert_eq!(s.next_op(), None);
-        assert_eq!(s.next_op(), None, "the truncated header is not re-read as an address");
+        assert_eq!(s.next_op_into(&mut txns), None);
+        assert!(txns.is_empty());
+        assert_eq!(s.next_op(), None, "the truncated op is not re-read");
+        // A missing or oversized shift byte leaves nothing to decode.
+        assert_eq!(PackedStream::new(Vec::new()).next_op(), None);
+        assert_eq!(PackedStream::new(vec![64, 3 << 2]).next_op(), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use batmem_sim::block::BlockContext;
 use batmem_sim::cache::{CacheStats, DataCache};
-use batmem_sim::ops::{AccessStream, EmptyStream, OpKind, PackedHeader, PackedStream, WarpOp};
+use batmem_sim::ops::{AccessStream, EmptyStream, OpKind, PackedStream, WarpOp};
 use batmem_sim::warp::{WarpContext, WarpPhase};
 use batmem_sim::EventQueue;
 use batmem_types::config::CacheGeometry;
@@ -247,8 +247,10 @@ proptest! {
 
 // ---- the issue path --------------------------------------------------------
 
-/// One op to pack: compute cycles, or a load/store of `txns` transactions
-/// (0, warp-sized, or wider than a warp) drawn from `seed`.
+/// One op to pack: compute cycles, a load/store of `txns` transactions
+/// (0, warp-sized, or wider than a warp) at arbitrary addresses drawn from
+/// `seed`, or one of ascending 128-byte lines whose offsets from the first
+/// need 1, 2, 4 or 8 bytes.
 fn warp_op() -> impl Strategy<Value = WarpOp> {
     let compute =
         prop_oneof![0u32..3, 3u32..1_000, (u32::MAX - 2)..=u32::MAX].prop_map(WarpOp::Compute);
@@ -257,29 +259,88 @@ fn warp_op() -> impl Strategy<Value = WarpOp> {
             let addrs: Vec<VirtAddr> = (0..txns as u64)
                 .map(|i| VirtAddr::new(seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15))))
                 .collect();
-            if store == 1 {
-                WarpOp::Store(addrs.into())
-            } else {
-                WarpOp::Load(addrs.into())
-            }
+            mem_op(store == 1, addrs)
         });
-    prop_oneof![compute, mem]
+    let lines = ((0u8..2, 1u64..=32), (0u64..1 << 40, 0u32..4, 0u64..u64::MAX)).prop_map(
+        |((store, txns), (first, width, seed))| {
+            let span = 1u64 << (8u32 << width).min(40);
+            let mut lines: Vec<u64> = (0..txns)
+                .map(|i: u64| first + (seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % span)
+                .collect();
+            lines.sort_unstable();
+            mem_op(store == 1, lines.into_iter().map(|l| VirtAddr::new(l << 7)).collect())
+        },
+    );
+    prop_oneof![compute, mem, lines]
 }
 
-/// The packed encoding of `ops`, written word by word from the header
-/// format rather than through `PackedStream`'s own packer.
-fn pack(ops: &[WarpOp]) -> Vec<u64> {
-    let mut words = Vec::new();
-    for op in ops {
-        let header = match op {
-            WarpOp::Compute(c) => PackedHeader::Compute(*c),
-            WarpOp::Load(a) => PackedHeader::Load(a.len() as u32),
-            WarpOp::Store(a) => PackedHeader::Store(a.len() as u32),
-        };
-        words.push(header.encode());
-        words.extend(op.addrs().iter().map(|a| a.raw()));
+fn mem_op(store: bool, addrs: Vec<VirtAddr>) -> WarpOp {
+    if store {
+        WarpOp::Store(addrs.into())
+    } else {
+        WarpOp::Load(addrs.into())
     }
-    words
+}
+
+/// The narrowest of the layout's widths (1, 2, 4 or 8 bytes) that holds `v`,
+/// as its two-bit code.
+fn width_code(v: u64) -> u8 {
+    (0..3).find(|&c| v >> (8 << c) == 0).unwrap_or(3)
+}
+
+/// The packed layout of `ops`, written byte by byte from `PackedStream`'s
+/// documented layout rather than through its own packer. Each op's `widen`
+/// byte picks how it is written: bit 0 writes a small compute's cycles as
+/// a `u32`, bits 1–2 and 3–4 widen a memory op's delta and its offsets
+/// past the narrowest width that holds them, and bits 5–6 move its count
+/// into a wider class. So every width and count class the header can name
+/// is decoded, not only the narrowest ones the builders write.
+fn pack(ops: &[(WarpOp, u8)]) -> Vec<u8> {
+    let all = ops.iter().flat_map(|(op, _)| op.addrs()).fold(0, |acc, a| acc | a.raw());
+    let shift = all.trailing_zeros().min(63);
+    let mut bytes = vec![shift as u8];
+    let mut previous = 0u64;
+    for (op, widen) in ops {
+        let kind = match op {
+            WarpOp::Compute(c) => {
+                if *c < 63 && widen & 1 == 0 {
+                    bytes.push((*c as u8) << 2);
+                } else {
+                    bytes.push(63 << 2);
+                    bytes.extend_from_slice(&c.to_le_bytes());
+                }
+                continue;
+            }
+            WarpOp::Load(_) => 1,
+            WarpOp::Store(_) => 2,
+        };
+        let units: Vec<u64> = op.addrs().iter().map(|a| a.raw() >> shift).collect();
+        let first = units.first().copied().unwrap_or(previous);
+        let offsets: Vec<u64> = units.iter().skip(1).map(|u| u.wrapping_sub(first)).collect();
+        let delta = first.wrapping_sub(previous) as i64;
+        let zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
+        let d = (width_code(zigzag) + (widen >> 1 & 3)).min(3);
+        let w = offsets.iter().map(|&o| width_code(o)).max().unwrap_or(0);
+        let w = (w + (widen >> 3 & 3)).min(3);
+        let n = units.len();
+        let class = match (n, widen >> 5 & 3) {
+            (1, 0) => 0,
+            (0..=255, 0 | 1) => 1,
+            _ => 2,
+        };
+        bytes.push(class << 6 | w << 4 | d << 2 | kind);
+        match class {
+            1 => bytes.push(n as u8),
+            2 => bytes.extend_from_slice(&(n as u32).to_le_bytes()),
+            _ => {}
+        }
+        bytes.extend_from_slice(&zigzag.to_le_bytes()[..1 << d]);
+        for o in offsets {
+            bytes.extend_from_slice(&o.to_le_bytes()[..1 << w]);
+        }
+        previous = first;
+    }
+    bytes
 }
 
 /// A stream that implements only `next_op`, as a wrapper that records or
@@ -324,26 +385,56 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `PackedStream`'s own `next_op_into` against its `next_op`, over
-    /// whole and truncated encodings: a cut inside an op's address words
-    /// ends both paths at that op.
+    /// whole and truncated encodings: a whole one decodes to `ops`, and a
+    /// cut inside an op ends both paths at that op. `PackedStream`'s own
+    /// packer round-trips `ops` too.
     #[test]
     fn packed_next_op_into_matches_next_op(
-        ops in prop::collection::vec(warp_op(), 0..24),
+        ops in prop::collection::vec((warp_op(), 0u8..128), 0..24),
         cut in 0u64..u64::MAX,
         truncate in 0u8..2,
     ) {
-        let mut words = pack(&ops);
+        let mut bytes = pack(&ops);
+        let whole = bytes.len();
         if truncate == 1 {
-            words.truncate((cut % (words.len() as u64 + 1)) as usize);
+            bytes.truncate((cut % (whole as u64 + 1)) as usize);
         }
-        let whole = words.len() == pack(&ops).len();
-        let mut by_value = PackedStream::new(words.clone());
-        let mut into = PackedStream::new(words);
+        let mut by_value = PackedStream::new(bytes.clone());
+        let mut into = PackedStream::new(bytes.clone());
         let n = assert_issue_paths_agree(&mut by_value, &mut into);
-        if whole {
+        prop_assert!(n <= ops.len());
+        if bytes.len() == whole {
+            let mut s = PackedStream::new(bytes);
+            for (op, _) in &ops {
+                prop_assert_eq!(s.next_op().as_ref(), Some(op));
+            }
             prop_assert_eq!(n, ops.len());
         }
-        prop_assert!(n <= ops.len());
+        let mut own: PackedStream = ops.iter().map(|(op, _)| op.clone()).collect();
+        for (op, _) in &ops {
+            prop_assert_eq!(own.next_op().as_ref(), Some(op));
+        }
+        prop_assert_eq!(own.next_op(), None);
+    }
+
+    /// Any bytes at all: decoding never panics, both issue paths agree op
+    /// by op, and the first `None` is final and leaves the buffer empty.
+    /// Half the inputs open with a valid shift byte, so decoding gets past
+    /// it.
+    #[test]
+    fn arbitrary_bytes_decode_without_panicking(
+        shift in prop_oneof![
+            Just(None),
+            (64u8..=255).prop_map(Some),
+            (0u8..64).prop_map(Some),
+            Just(Some(7)),
+        ],
+        body in prop::collection::vec(0u8..=255, 0..96),
+    ) {
+        let bytes: Vec<u8> = shift.into_iter().chain(body).collect();
+        let mut by_value = PackedStream::new(bytes.clone());
+        let mut into = PackedStream::new(bytes);
+        assert_issue_paths_agree(&mut by_value, &mut into);
     }
 
     /// The provided `next_op_into` of a stream that implements only

@@ -6,20 +6,28 @@
 //! and scattered (divergent) accesses are deduplicated by line and split
 //! into at most warp-size transactions per operation.
 //!
-//! The builder writes the [`PackedStream`] encoding directly: one header
-//! word per op, followed by that op's transaction addresses. A finished
-//! warp stream is therefore one `Vec<u64>` sized by its transactions, not
-//! a vector of full-size [`WarpOp`]s. The builder encodes into a scratch
-//! vector shared by the thread's builders, so a finished stream is one
-//! allocation of exactly its length.
+//! The builder writes the [`PackedStream`] layout directly, through a
+//! [`PackedWriter`] in units of one line: each op opens with a byte or a
+//! few, its first line is a small delta from the previous op's, and every
+//! further transaction is a one- or two-byte offset from that first line.
+//! A finished warp stream is therefore one byte vector sized by its
+//! transactions, not a vector of full-size [`WarpOp`]s. The builder
+//! encodes into a scratch vector shared by the thread's builders, so a
+//! finished stream is one allocation of exactly its length.
+//!
+//! [`PackedStream`]: batmem_sim::ops::PackedStream
+//! [`WarpOp`]: batmem_sim::ops::WarpOp
 
 use crate::layout::ArrayRef;
-use batmem_sim::ops::{AccessStream, BoxedStream, PackedHeader, PackedStream, WarpOp};
+use batmem_sim::ops::{BoxedStream, PackedWriter};
 use batmem_types::VirtAddr;
 use std::cell::Cell;
 
 /// Default log2 of the transaction (cache line) size: 128 bytes.
 pub const LINE_SHIFT: u32 = 7;
+
+/// Lanes per warp: the most transactions one coalesced op carries.
+const WARP_SIZE: usize = 32;
 
 /// Gathers of fewer indices than this always sort-dedup their lines.
 const BITMAP_MIN_INDICES: usize = 32;
@@ -41,61 +49,29 @@ thread_local! {
     /// Encoding scratch: a builder takes it at creation and puts it back
     /// when dropped. (Two live builders on one thread work; the second
     /// just starts from an empty vector.)
-    static WORDS: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+    static BYTES: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
 /// Builds one warp's coalesced operation stream.
 #[derive(Debug, Clone)]
 pub struct StreamBuilder {
-    /// The stream so far, in [`PackedStream`] encoding, in the thread's
-    /// scratch vector.
-    words: Vec<u64>,
-    /// Ops encoded so far.
-    ops: usize,
-    /// Index in `words` of the last op's header while that op is a compute:
-    /// the header a following compute merges into.
-    last_compute: Option<usize>,
-    line_shift: u32,
-    warp_size: usize,
+    /// The stream so far, in line units, in the thread's scratch vector.
+    out: PackedWriter,
 }
 
 impl StreamBuilder {
     /// Creates a builder with the default 128-byte line and 32-lane warp.
     pub fn new() -> Self {
-        let mut words = WORDS.take();
-        words.clear();
-        Self { words, ops: 0, last_compute: None, line_shift: LINE_SHIFT, warp_size: 32 }
+        Self { out: PackedWriter::new(BYTES.take(), LINE_SHIFT) }
     }
 
     /// Appends `cycles` of computation (no-op when zero).
     pub fn compute(&mut self, cycles: u32) -> &mut Self {
-        if cycles == 0 {
-            return self;
-        }
         // Merge adjacent compute ops to keep streams compact.
-        if let Some(i) = self.last_compute {
-            if let PackedHeader::Compute(c) = PackedHeader::decode(self.words[i]) {
-                self.words[i] = PackedHeader::Compute(c.saturating_add(cycles)).encode();
-                return self;
-            }
+        if cycles > 0 {
+            self.out.merge_compute(cycles);
         }
-        self.last_compute = Some(self.words.len());
-        self.words.push(PackedHeader::Compute(cycles).encode());
-        self.ops += 1;
         self
-    }
-
-    /// Appends one memory op whose transactions are the line ids `lines`.
-    fn push_mem(&mut self, store: bool, lines: impl IntoIterator<Item = u64>) {
-        let at = self.words.len();
-        self.words.push(0); // the header, once the count is known
-        let shift = self.line_shift;
-        self.words.extend(lines.into_iter().map(|l| l << shift));
-        let n = (self.words.len() - at - 1) as u32;
-        let header = if store { PackedHeader::Store(n) } else { PackedHeader::Load(n) };
-        self.words[at] = header.encode();
-        self.ops += 1;
-        self.last_compute = None;
     }
 
     /// Coalesces `addrs` into per-line transactions and appends them as
@@ -107,13 +83,12 @@ impl StreamBuilder {
     /// through the line bitmap in O(k + span/64); any other gather
     /// sort-dedups in O(k log k). Both give the same lines. The scratch
     /// vectors are thread-locals reused across calls and builders, so the
-    /// only allocation is the stream's own word vector. An empty `addrs`
+    /// only allocation is the stream's own byte vector. An empty `addrs`
     /// appends nothing (and so does not split adjacent computes).
     fn push_coalesced(&mut self, addrs: impl Iterator<Item = VirtAddr>, store: bool) {
         let mut lines = LINES.take();
         lines.clear();
-        let shift = self.line_shift;
-        lines.extend(addrs.map(|a| a.line(shift)));
+        lines.extend(addrs.map(|a| a.line(LINE_SHIFT)));
         match bitmap_span(&lines) {
             Some((lo, hi)) => dedup_through_bitmap(&mut lines, lo, hi),
             None => {
@@ -121,9 +96,11 @@ impl StreamBuilder {
                 lines.dedup();
             }
         }
-        self.words.reserve(lines.len() + lines.len().div_ceil(self.warp_size));
-        for chunk in lines.chunks(self.warp_size) {
-            self.push_mem(store, chunk.iter().copied());
+        for chunk in lines.chunks(WARP_SIZE) {
+            // Sorted, so the first line is the lowest and the last the
+            // highest.
+            let (first, last) = (chunk[0], chunk[chunk.len() - 1]);
+            self.out.mem(store, first, last - first, chunk[1..].iter().map(|&l| l - first));
         }
         LINES.set(lines);
     }
@@ -137,23 +114,21 @@ impl StreamBuilder {
         if count == 0 {
             return;
         }
-        let shift = self.line_shift;
-        if u64::from(array.elem_bytes()) > (1u64 << shift) {
+        if u64::from(array.elem_bytes()) > (1u64 << LINE_SHIFT) {
             // An element wider than a line can skip lines between
             // consecutive element starts; use the general path.
             self.push_coalesced((start..start + count).map(|i| array.addr(i)), store);
             return;
         }
-        let first = array.addr(start).line(shift);
-        let last = array.addr(start + count - 1).line(shift);
-        let warp = self.warp_size as u64;
-        let span = last - first + 1;
-        self.words.reserve((span + span.div_ceil(warp)) as usize);
+        let first = array.addr(start).line(LINE_SHIFT);
+        let last = array.addr(start + count - 1).line(LINE_SHIFT);
         let mut line = first;
         while line <= last {
-            let n = (last - line + 1).min(warp);
-            self.push_mem(store, line..line + n);
-            line += n;
+            // The op's lines are `line..=line + span`, so its offsets are
+            // 1 to `span`: no scan needed.
+            let span = (last - line).min(WARP_SIZE as u64 - 1);
+            self.out.mem(store, line, span, (0..span as usize).map(|o| o as u64 + 1));
+            line += span + 1;
         }
     }
 
@@ -191,23 +166,17 @@ impl StreamBuilder {
 
     /// Number of ops queued so far.
     pub fn len(&self) -> usize {
-        self.ops
+        self.out.len()
     }
 
     /// Whether no ops are queued.
     pub fn is_empty(&self) -> bool {
-        self.ops == 0
+        self.out.is_empty()
     }
 
     /// Finishes the stream, copied out of the scratch at its exact size.
     pub fn build(self) -> BoxedStream {
-        Box::new(PackedStream::new(self.words.to_vec()))
-    }
-
-    /// Decodes the queued ops (testing).
-    pub fn into_ops(self) -> Vec<WarpOp> {
-        let mut stream = PackedStream::new(self.words.to_vec());
-        std::iter::from_fn(|| stream.next_op()).collect()
+        Box::new(self.out.to_stream())
     }
 }
 
@@ -266,8 +235,8 @@ impl Drop for StreamBuilder {
     fn drop(&mut self) {
         // `try_with`: a builder dropped while the thread's locals are torn
         // down just frees its vector.
-        let words = std::mem::take(&mut self.words);
-        let _ = WORDS.try_with(|w| w.set(words));
+        let bytes = std::mem::take(&mut self.out).into_buffer();
+        let _ = BYTES.try_with(|b| b.set(bytes));
     }
 }
 
@@ -281,11 +250,17 @@ impl Default for StreamBuilder {
 mod tests {
     use super::*;
     use crate::layout::LayoutBuilder;
-    use batmem_sim::ops::AddrList;
+    use batmem_sim::ops::{AddrList, WarpOp};
     use proptest::prelude::*;
 
     fn array(elem: u32, len: u64) -> ArrayRef {
         LayoutBuilder::new(65_536).array(elem, len)
+    }
+
+    /// The ops `b` built, drained by value.
+    fn ops(b: StreamBuilder) -> Vec<WarpOp> {
+        let mut stream = b.build();
+        std::iter::from_fn(|| stream.next_op()).collect()
     }
 
     #[test]
@@ -293,7 +268,7 @@ mod tests {
         let a = array(4, 1000);
         let mut b = StreamBuilder::new();
         b.load_seq(&a, 0, 32); // 32 * 4 B = 128 B = exactly one line
-        let ops = b.into_ops();
+        let ops = ops(b);
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].addrs().len(), 1);
     }
@@ -303,7 +278,7 @@ mod tests {
         let a = array(8, 1000);
         let mut b = StreamBuilder::new();
         b.load_seq(&a, 0, 32); // 256 B = two lines -> one op, two transactions
-        let ops = b.into_ops();
+        let ops = ops(b);
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].addrs().len(), 2);
     }
@@ -314,7 +289,7 @@ mod tests {
         let mut b = StreamBuilder::new();
         // 64 indices, 1024 elements apart: 64 distinct lines -> 2 ops of 32.
         b.load_gather(&a, (0..64).map(|i| i * 1024));
-        let ops = b.into_ops();
+        let ops = ops(b);
         assert_eq!(ops.len(), 2);
         assert_eq!(ops[0].addrs().len(), 32);
         assert_eq!(ops[1].addrs().len(), 32);
@@ -325,7 +300,7 @@ mod tests {
         let a = array(4, 100);
         let mut b = StreamBuilder::new();
         b.load_gather(&a, [0, 1, 2, 5, 7]);
-        let ops = b.into_ops();
+        let ops = ops(b);
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].addrs().len(), 1);
     }
@@ -334,7 +309,7 @@ mod tests {
     fn compute_merges() {
         let mut b = StreamBuilder::new();
         b.compute(3).compute(4).compute(0);
-        let ops = b.into_ops();
+        let ops = ops(b);
         assert_eq!(ops, vec![WarpOp::Compute(7)]);
     }
 
@@ -346,7 +321,7 @@ mod tests {
         b.load_gather(&a, []).store_seq(&a, 0, 0);
         b.compute(4);
         assert_eq!(b.len(), 1);
-        assert_eq!(b.into_ops(), vec![WarpOp::Compute(7)]);
+        assert_eq!(ops(b), vec![WarpOp::Compute(7)]);
     }
 
     #[test]
@@ -354,7 +329,7 @@ mod tests {
         let a = array(4, 100);
         let mut b = StreamBuilder::new();
         b.store_seq(&a, 0, 4);
-        let ops = b.into_ops();
+        let ops = ops(b);
         assert!(matches!(ops[0], WarpOp::Store(_)));
     }
 
@@ -367,18 +342,43 @@ mod tests {
         assert_eq!(b.len(), 2);
     }
 
+    /// Encoded lengths of canonical shapes, pinned where streams are
+    /// built, so a layout that spends a word per transaction fails here
+    /// first. Every stream opens with its one-byte unit shift; the array
+    /// starts at address 0, so its first line's delta is one byte.
+    #[test]
+    fn canonical_shapes_pin_their_encoded_length() {
+        fn len(shape: impl Fn(&mut StreamBuilder) -> &mut StreamBuilder) -> usize {
+            let mut b = StreamBuilder::new();
+            shape(&mut b);
+            b.out.to_stream().as_bytes().len()
+        }
+        let a = array(4, 40_000);
+        assert_eq!(len(|b| b.compute(4)), 1 + 1, "cycles in the header byte");
+        assert_eq!(
+            len(|b| b.compute(u32::MAX - 1).compute(5)),
+            1 + 1 + 4,
+            "merged computes saturate, and their cycles follow as a u32"
+        );
+        assert_eq!(len(|b| b.load_seq(&a, 0, 1)), 1 + 2, "a header and a delta");
+        // Header, count and delta, then a one-byte offset per further line.
+        assert_eq!(len(|b| b.load_seq(&a, 0, 32 * 32)), 1 + 3 + 31);
+        assert_eq!(len(|b| b.load_gather(&a, (0..32).map(|i| i * 8 * 32))), 1 + 3 + 31);
+        // A hub: 10,000 indices on 938 lines, 29 ops of 32 and one of 10.
+        let hub = len(|b| b.load_gather(&a, (0..10_000).map(|i| i * 3)));
+        assert_eq!(hub, 1 + 29 * (3 + 31) + (3 + 9));
+    }
+
     /// The builder as it was before packing: every op a full [`WarpOp`]
     /// pushed into a `Vec`. Kept as the encoding oracle.
     struct VecBuilder {
         ops: Vec<WarpOp>,
         lines: Vec<u64>,
-        line_shift: u32,
-        warp_size: usize,
     }
 
     impl VecBuilder {
         fn new() -> Self {
-            Self { ops: Vec::new(), lines: Vec::new(), line_shift: LINE_SHIFT, warp_size: 32 }
+            Self { ops: Vec::new(), lines: Vec::new() }
         }
 
         fn compute(&mut self, cycles: u32) {
@@ -394,12 +394,12 @@ mod tests {
         fn push_coalesced(&mut self, addrs: impl Iterator<Item = VirtAddr>, store: bool) {
             let mut lines = std::mem::take(&mut self.lines);
             lines.clear();
-            let shift = self.line_shift;
-            lines.extend(addrs.map(|a| a.line(shift)));
+            lines.extend(addrs.map(|a| a.line(LINE_SHIFT)));
             lines.sort_unstable();
             lines.dedup();
-            for chunk in lines.chunks(self.warp_size) {
-                let txns: AddrList = chunk.iter().map(|&l| VirtAddr::new(l << shift)).collect();
+            for chunk in lines.chunks(WARP_SIZE) {
+                let txns: AddrList =
+                    chunk.iter().map(|&l| VirtAddr::new(l << LINE_SHIFT)).collect();
                 self.ops.push(if store { WarpOp::Store(txns) } else { WarpOp::Load(txns) });
             }
             self.lines = lines;
@@ -409,17 +409,17 @@ mod tests {
             if count == 0 {
                 return;
             }
-            let shift = self.line_shift;
-            if u64::from(array.elem_bytes()) > (1u64 << shift) {
+            if u64::from(array.elem_bytes()) > (1u64 << LINE_SHIFT) {
                 self.push_coalesced((start..start + count).map(|i| array.addr(i)), store);
                 return;
             }
-            let first = array.addr(start).line(shift);
-            let last = array.addr(start + count - 1).line(shift);
+            let first = array.addr(start).line(LINE_SHIFT);
+            let last = array.addr(start + count - 1).line(LINE_SHIFT);
             let mut line = first;
             while line <= last {
-                let n = (last - line + 1).min(self.warp_size as u64);
-                let txns: AddrList = (line..line + n).map(|l| VirtAddr::new(l << shift)).collect();
+                let n = (last - line + 1).min(WARP_SIZE as u64);
+                let txns: AddrList =
+                    (line..line + n).map(|l| VirtAddr::new(l << LINE_SHIFT)).collect();
                 self.ops.push(if store { WarpOp::Store(txns) } else { WarpOp::Load(txns) });
                 line += n;
             }
@@ -627,10 +627,7 @@ mod tests {
                 }
                 prop_assert_eq!(packed.len(), reference.ops.len());
             }
-            let mut built = packed.clone().build();
-            let drained: Vec<WarpOp> = std::iter::from_fn(|| built.next_op()).collect();
-            prop_assert_eq!(&drained, &reference.ops);
-            prop_assert_eq!(packed.into_ops(), reference.ops);
+            prop_assert_eq!(ops(packed), reference.ops);
         }
     }
 }

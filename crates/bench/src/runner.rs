@@ -290,11 +290,11 @@ mod tests {
 
     #[test]
     fn etc_config_carries_framework() {
-        let etc = |c: ConfigName| {
-            batmem::PolicyRegistry.build_oversubscription(&c.spec().oversubscription).unwrap().etc
+        let oversub = |c: ConfigName| {
+            batmem::PolicyRegistry.build_oversubscription(&c.spec().oversubscription).unwrap()
         };
-        assert!(etc(ConfigName::Etc).unwrap().enabled);
-        assert!(etc(ConfigName::Baseline).is_none());
+        assert!(matches!(oversub(ConfigName::Etc), batmem::Oversubscription::Etc(_)));
+        assert!(matches!(oversub(ConfigName::Baseline), batmem::Oversubscription::Off));
     }
 
     #[test]

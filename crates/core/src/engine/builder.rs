@@ -163,11 +163,11 @@ impl SimulationBuilder {
     /// without running it (see [`try_run`](Self::try_run)).
     pub(super) fn build(mut self, workload: Box<dyn Workload>) -> Result<Engine, SimError> {
         self.config.validate()?;
-        let mut policy = self.policy.resolve(&mut self.config.uvm)?;
-        // A closed-loop handler ships its own sensor: attach it to the hub
-        // like any user probe so it sees the event stream.
-        if let Some(probe) = policy.oversub.probe.take() {
-            self.probes.attach(probe);
+        let policy = self.policy.resolve(&mut self.config.uvm)?;
+        // The adaptive loop's sensor rides the hub after any user probe, so
+        // it sees the same event stream.
+        if let Some(probe) = policy.oversub.adaptive_probe() {
+            self.probes.attach(Box::new(probe));
         }
         if let Some(ratio) = self.memory_ratio {
             if !ratio.is_finite() || ratio <= 0.0 {
@@ -187,12 +187,9 @@ impl SimulationBuilder {
             let pages = ((footprint_pages as f64 * ratio).ceil() as u64).max(1);
             self.config.uvm.gpu_mem_pages = Some(pages);
         }
-        let etc = policy.oversub.etc.unwrap_or_default();
-        if etc.enabled {
-            if let Some(p) = self.config.uvm.gpu_mem_pages {
-                // Capacity compression inflates effective capacity.
-                self.config.uvm.gpu_mem_pages = Some(etc.effective_capacity(p));
-            }
+        // ETC's capacity compression inflates effective capacity.
+        if let Some(pages) = &mut self.config.uvm.gpu_mem_pages {
+            *pages = policy.oversub.effective_capacity(*pages);
         }
         Ok(Engine::new(self.config, self.inject, self.probes, workload, footprint_pages, policy))
     }

@@ -43,10 +43,7 @@ impl Engine {
         }
         // Thread oversubscription: provision extra inactive blocks (§4.1,
         // Fig. 6 step 1).
-        if self.to_enabled() {
-            self.top_up_inactive()?;
-        }
-        Ok(())
+        self.top_up_inactive()
     }
 
     fn next_kernel(&mut self) -> Result<(), SimError> {
@@ -144,7 +141,7 @@ impl Engine {
     // ---- warp execution ---------------------------------------------------
 
     fn is_throttled(&self, sm: usize) -> bool {
-        sm >= self.sms.len() - self.throttled_count as usize
+        sm >= self.sms.len() - self.oversub.throttled_sms() as usize
     }
 
     /// The slot and warp that `r` addresses, or a `StateMachine` error when
@@ -250,7 +247,7 @@ impl Engine {
             }
         }
         if faulted.is_empty() {
-            let cc = self.cc.access_penalty();
+            let cc = self.oversub.access_penalty();
             let mut total: Cycle = 0;
             let mut prev: Option<(_, Cycle)> = None;
             for &a in txns {
@@ -322,10 +319,7 @@ impl Engine {
     // ---- thread oversubscription (VT context switching) --------------------
 
     pub(super) fn maybe_switch(&mut self, sm: usize) -> Result<(), SimError> {
-        if !self.to_enabled() || !self.oversub.switching_allowed() {
-            return Ok(());
-        }
-        let trigger = self.to.trigger;
+        let Some(trigger) = self.oversub.switch_trigger() else { return Ok(()) };
         let out = self.sms[sm].active.iter().copied().find(|&b| {
             self.blocks[b].residency == BlockResidency::Active
                 && self.blocks[b].is_fully_stalled(trigger)
@@ -394,31 +388,26 @@ impl Engine {
                     .copied()
                     .find(|&x| self.blocks[x].residency == BlockResidency::Inactive)
             });
-        if self.to_enabled() {
-            if let Some(inc) = inactive_pick {
-                let restore = self
-                    .cfg
-                    .gpu
-                    .ctx_switch_cycles(self.spec.threads_per_block, self.spec.regs_per_thread)
-                    / 2;
-                let done = self.sms[sm].begin_switch(self.clock, restore);
-                self.ctx_switches += 1;
-                self.ctx_switch_cycles += restore;
-                self.probes.emit_with(self.clock, || ProbeEvent::ContextSwitch {
-                    sm: sm as u16,
-                    cost: restore,
-                    restore: true,
-                });
-                self.blocks[inc].residency = BlockResidency::SwitchingIn;
-                self.events.push(done, Event::SwitchInDone { sm, block: inc });
-                self.top_up_inactive()?;
-                return Ok(());
-            }
+        // Only thread oversubscription holds inactive blocks.
+        if let Some(inc) = inactive_pick {
+            let restore = self
+                .cfg
+                .gpu
+                .ctx_switch_cycles(self.spec.threads_per_block, self.spec.regs_per_thread)
+                / 2;
+            let done = self.sms[sm].begin_switch(self.clock, restore);
+            self.ctx_switches += 1;
+            self.ctx_switch_cycles += restore;
+            self.probes.emit_with(self.clock, || ProbeEvent::ContextSwitch {
+                sm: sm as u16,
+                cost: restore,
+                restore: true,
+            });
+            self.blocks[inc].residency = BlockResidency::SwitchingIn;
+            self.events.push(done, Event::SwitchInDone { sm, block: inc });
+        } else {
+            self.dispatch_block(sm, true)?;
         }
-        self.dispatch_block(sm, true)?;
-        if self.to_enabled() {
-            self.top_up_inactive()?;
-        }
-        Ok(())
+        self.top_up_inactive()
     }
 }

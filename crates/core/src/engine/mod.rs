@@ -10,7 +10,8 @@
 //! * [`exec`] — SM-side execution: kernel lifecycle, warp wakes, memory
 //!   ops, TO context switching, block retirement.
 //! * [`uvm_glue`] — shared-state side: the UVM pipeline's outputs, fault
-//!   recording, page-arrival wakeups, and the periodic controllers.
+//!   recording, page-arrival wakeups, and the oversubscription scheme's
+//!   periodic controller.
 //! * [`builder`] — [`Simulation`] / [`SimulationBuilder`].
 
 mod builder;
@@ -24,18 +25,16 @@ pub use builder::{Simulation, SimulationBuilder};
 
 use crate::metrics::RunMetrics;
 use crate::policies::ResolvedPolicy;
-use batmem_etc::{CapacityCompression, ThrottleController};
 use batmem_sim::block::BlockContext;
 use batmem_sim::cache::MemPath;
 use batmem_sim::events::EventQueue;
 use batmem_sim::ops::{Kernel, KernelSpec, Workload};
 use batmem_sim::sm::{Occupancy, Sm};
 use batmem_sim::warp::WarpContext;
-use batmem_types::dense::{PageMap, PageSet};
-use batmem_types::policy::ToConfig;
+use batmem_types::dense::PageMap;
 use batmem_types::probe::{ProbeEvent, ProbeHub, SharedProbes};
 use batmem_types::{AuditLevel, Cycle, PageId, SimConfig, SimError, VirtAddr};
-use batmem_uvm::{InjectConfig, OversubscriptionHandler, UvmEvent, UvmRuntime};
+use batmem_uvm::{InjectConfig, Oversubscription, UvmEvent, UvmRuntime};
 use batmem_vmem::Mmu;
 
 #[derive(Debug)]
@@ -44,8 +43,7 @@ enum Event {
     RaiseFault { page: PageId },
     Uvm(UvmEvent),
     SwitchInDone { sm: usize, block: usize },
-    Sample,
-    EtcTick,
+    Tick,
 }
 
 /// A warp's address in the block table: its block's slot, the dispatch
@@ -76,12 +74,9 @@ struct Engine {
     mmu: Mmu,
     mem: MemPath,
     uvm: UvmRuntime,
-    /// Thread oversubscription, as the oversubscription spec resolved it.
-    to: ToConfig,
-    oversub: Box<dyn OversubscriptionHandler>,
-    throttle: ThrottleController,
-    cc: CapacityCompression,
-    etc_enabled: bool,
+    /// The oversubscription scheme the spec resolved to, with its
+    /// controller's state.
+    oversub: Oversubscription,
     workload: Box<dyn Workload>,
     kernel_idx: u32,
     kernel: Option<Box<dyn Kernel>>,
@@ -102,8 +97,6 @@ struct Engine {
     grid_cursor: u32,
     blocks_remaining: u32,
     waiters: PageMap<Vec<WarpRef>>,
-    seen_fault_pages: PageSet,
-    throttled_count: u16,
     probes: SharedProbes,
     // Recycled hot-loop scratch: taken, filled, cleared, and put back so
     // the steady-state event loop performs no heap allocations.
@@ -141,7 +134,6 @@ impl Engine {
         policy: ResolvedPolicy,
     ) -> Self {
         let probes = SharedProbes::new(probes);
-        let etc = policy.oversub.etc.unwrap_or_default();
         let mut uvm = UvmRuntime::with_strategies(
             &cfg.uvm,
             &cfg.policy,
@@ -153,22 +145,15 @@ impl Engine {
         if policy.compression {
             uvm.enable_compression();
         }
-        if etc.enabled && etc.proactive_eviction {
-            uvm.enable_proactive_eviction();
-        }
+        policy.oversub.configure(&mut uvm);
         uvm.set_audit(cfg.audit);
         uvm.set_probes(probes.clone());
         if let Some(i) = inject {
             uvm.set_injector(i);
         }
         uvm.set_servicing(policy.servicing);
-        if let Some(s) = policy.oversub.signals {
-            uvm.set_adaptive_signals(s);
-        }
         let mmu = Mmu::new(&cfg);
         let mem = MemPath::new(&cfg.mem, cfg.gpu.num_sms);
-        let throttle = ThrottleController::new(etc, cfg.gpu.num_sms);
-        let cc = CapacityCompression::new(&etc);
         let num_sms = cfg.gpu.num_sms as usize;
         let memory_pages = cfg.uvm.gpu_mem_pages;
         // Kernel launch wakes every schedulable warp at the same cycle:
@@ -181,11 +166,7 @@ impl Engine {
             mmu,
             mem,
             uvm,
-            to: policy.oversub.to,
-            oversub: policy.oversub.handler,
-            throttle,
-            cc,
-            etc_enabled: etc.enabled,
+            oversub: policy.oversub,
             workload,
             kernel_idx: 0,
             kernel: None,
@@ -200,8 +181,6 @@ impl Engine {
             grid_cursor: 0,
             blocks_remaining: 0,
             waiters: PageMap::with_capacity(footprint_pages as usize),
-            seen_fault_pages: PageSet::with_capacity(footprint_pages as usize),
-            throttled_count: 0,
             probes,
             finished_at: None,
             memory_pages,
@@ -221,10 +200,6 @@ impl Engine {
             scratch_page_lat: Vec::new(),
             scratch_faulted: Vec::new(),
         }
-    }
-
-    fn to_enabled(&self) -> bool {
-        self.to.enabled
     }
 
     /// What counts as forward progress for the watchdog: ops taken from a
@@ -294,20 +269,15 @@ impl Engine {
                 }
             }
             Event::SwitchInDone { sm, block } => self.on_switch_in_done(sm, block)?,
-            Event::Sample => self.on_sample()?,
-            Event::EtcTick => self.on_etc_tick(),
+            Event::Tick => self.on_tick()?,
         }
         Ok(())
     }
 
     fn run(mut self) -> Result<RunMetrics, SimError> {
         self.launch_kernel(0)?;
-        if self.to_enabled() {
-            let period = self.to.lifetime_sample_period;
-            self.events.push(period, Event::Sample);
-        }
-        if self.etc_enabled {
-            self.events.push(self.throttle.next_tick(), Event::EtcTick);
+        if let Some(at) = self.oversub.next_tick(self.clock) {
+            self.events.push(at, Event::Tick);
         }
         let budget = self.cfg.watchdog_event_budget;
         let mut last_sig = self.progress_signature();
@@ -401,7 +371,7 @@ impl Engine {
             watchdog_ticks: self.watchdog_ticks,
             final_oversub_degree: self.oversub.degree(),
             oversub_decrements: self.oversub.decrements(),
-            throttle_engagements: self.throttle.engagements(),
+            throttle_engagements: self.oversub.engagements(),
         })
     }
 }

@@ -1,7 +1,6 @@
 use super::*;
 use crate::policies;
 use batmem_sim::ops::{AccessStream, BoxedStream, WarpOp};
-use batmem_types::policy::ToConfig;
 use batmem_types::{BlockId, KernelId};
 use batmem_workloads::synthetic::{SharedPages, Strided};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -249,7 +248,7 @@ fn warp_streams_are_released_when_their_warps_retire() {
     let occ = batmem_sim::sm::occupancy(&gpu, &spec);
     let wpb = occ.warps_per_block as usize;
     // Resident blocks: the active slots plus TO's inactive extras.
-    let extra_blocks = ToConfig::enabled().max_extra_blocks;
+    let extra_blocks = batmem_uvm::oversub::MAX_EXTRA_BLOCKS;
     let bound = usize::from(gpu.num_sms) * (occ.active_limit + extra_blocks) as usize * wpb;
     let total = BLOCKS as usize * wpb;
     assert_eq!(census.built.load(Ordering::SeqCst), total);

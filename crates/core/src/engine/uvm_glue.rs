@@ -1,11 +1,12 @@
 //! Shared-state handlers: the UVM runtime's outputs, fault recording,
-//! page-arrival wakeups, and the periodic controllers.
+//! page-arrival wakeups, and the oversubscription scheme's periodic
+//! controller.
 
 use batmem_sim::block::BlockResidency;
 use batmem_sim::warp::WarpPhase;
 use batmem_types::probe::ProbeEvent;
 use batmem_types::{PageId, SimError};
-use batmem_uvm::UvmOutput;
+use batmem_uvm::{Oversubscription, UvmOutput};
 
 use super::{Engine, Event, WarpRef};
 
@@ -16,9 +17,10 @@ impl Engine {
         if self.mmu.is_resident(page) || self.uvm.is_inflight(page) || self.uvm.is_resident(page) {
             return Ok(());
         }
-        if self.etc_enabled {
-            let refault = !self.seen_fault_pages.insert(page);
-            self.throttle.on_fault(refault);
+        // ETC counts the fault, and whether it is a re-fault, before the
+        // runtime records it.
+        if let Oversubscription::Etc(etc) = &mut self.oversub {
+            etc.on_fault(page);
         }
         let mut outs = std::mem::take(&mut self.uvm_out);
         let res = self
@@ -90,40 +92,40 @@ impl Engine {
         Ok(())
     }
 
-    // ---- periodic controllers ----------------------------------------------
+    // ---- periodic controller -----------------------------------------------
 
-    pub(super) fn on_sample(&mut self) -> Result<(), SimError> {
-        if !self.to_enabled() {
-            return Ok(());
+    /// Runs the oversubscription scheme's periodic controller (TO's
+    /// lifetime sample or ETC's epoch tick) and schedules its next run.
+    pub(super) fn on_tick(&mut self) -> Result<(), SimError> {
+        match &mut self.oversub {
+            Oversubscription::Off => {}
+            Oversubscription::To { controller, .. } => {
+                controller.on_sample(self.uvm.sample_lifetime());
+                // A raised degree provisions more inactive blocks immediately.
+                self.top_up_inactive()?;
+            }
+            Oversubscription::Etc(etc) => {
+                let before = etc.throttled_sms();
+                if etc.tick(self.clock, self.cfg.gpu.num_sms) {
+                    self.release_throttled(before);
+                }
+            }
         }
-        let sample = self.uvm.sample_lifetime();
-        self.oversub.on_sample(sample);
-        // A raised degree provisions more inactive blocks immediately.
-        self.top_up_inactive()?;
         if self.kernel_idx < self.workload.num_kernels() {
-            let period = self.to.lifetime_sample_period;
-            self.events.push(self.clock + period, Event::Sample);
+            if let Some(at) = self.oversub.next_tick(self.clock) {
+                self.events.push(at, Event::Tick);
+            }
         }
         Ok(())
     }
 
-    pub(super) fn on_etc_tick(&mut self) {
-        if self.throttle.tick(self.clock) {
-            self.apply_throttle();
-        }
-        if self.kernel_idx < self.workload.num_kernels() {
-            self.events.push(self.throttle.next_tick().max(self.clock + 1), Event::EtcTick);
-        }
-    }
-
-    fn apply_throttle(&mut self) {
-        let new_count = self.throttle.throttled_sms();
-        let old_count = self.throttled_count;
-        self.throttled_count = new_count;
-        if new_count < old_count {
-            // SMs came back: release their parked warps.
-            let lo = self.sms.len() - old_count as usize;
-            let hi = self.sms.len() - new_count as usize;
+    /// Wakes the ready warps of the SMs that ETC throttled before its last
+    /// tick (`before` of them) and no longer does.
+    fn release_throttled(&mut self, before: u16) {
+        let after = self.oversub.throttled_sms();
+        if after < before {
+            let lo = self.sms.len() - before as usize;
+            let hi = self.sms.len() - after as usize;
             for sm in lo..hi {
                 // Nothing below mutates the SM's active list, so index into
                 // it directly instead of cloning it per released SM.

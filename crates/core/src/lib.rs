@@ -65,7 +65,7 @@ pub use metrics::RunMetrics;
 
 pub use batmem_types::probe::{EvictionCause, Probe, ProbeEvent};
 
-pub use batmem_etc::EtcConfig;
+pub use batmem_etc::Etc;
 pub use batmem_types::config::SimConfig;
 pub use batmem_types::policy::{PolicyAxis, PolicyConfig, PolicyDescriptor};
-pub use batmem_uvm::{OversubSelection, PolicyRegistry, StrategyCtx};
+pub use batmem_uvm::{Oversubscription, PolicyRegistry, StrategyCtx};

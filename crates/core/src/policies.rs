@@ -6,7 +6,7 @@ use batmem_types::config::UvmConfig;
 use batmem_types::policy::PolicyAxis;
 use batmem_types::SimError;
 use batmem_uvm::{
-    CoalesceStrategy, EvictionStrategy, FaultServicingModel, OversubSelection, PolicyRegistry,
+    CoalesceStrategy, EvictionStrategy, FaultServicingModel, Oversubscription, PolicyRegistry,
     Prefetcher, StrategyCtx,
 };
 use std::fmt;
@@ -225,7 +225,7 @@ impl fmt::Display for PolicySpec {
 /// A resolved [`PolicySpec`]: one built strategy per axis, and whether the
 /// link compresses.
 pub(crate) struct ResolvedPolicy {
-    pub(crate) oversub: OversubSelection,
+    pub(crate) oversub: Oversubscription,
     pub(crate) servicing: Box<dyn FaultServicingModel>,
     pub(crate) eviction: Box<dyn EvictionStrategy>,
     pub(crate) prefetcher: Box<dyn Prefetcher>,

@@ -13,9 +13,9 @@
 //!
 //! A run names its configuration as a policy spec (`batmem::policies`):
 //! one spec string per axis, resolved through the policy table. This
-//! module holds what a spec resolves to ([`ToConfig`]), the setting no
-//! spec names ([`PolicyConfig`]), and the table's self-description
-//! ([`PolicyAxis`], [`PolicyDescriptor`]).
+//! module holds the TO switch trigger a spec names ([`SwitchTrigger`]),
+//! the setting no spec names ([`PolicyConfig`]), and the table's
+//! self-description ([`PolicyAxis`], [`PolicyDescriptor`]).
 
 use crate::error::SimError;
 use crate::time::Cycle;
@@ -32,48 +32,6 @@ pub enum SwitchTrigger {
     /// memory latency — the "traditional GPU" experiment of Fig. 5, where
     /// context switching without demand paging only hurts.
     AnyStall,
-}
-
-/// Thread Oversubscription (TO) configuration (§4.1): what the `to`,
-/// `adaptive` and `none` oversubscription specs resolve to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ToConfig {
-    /// Master switch.
-    pub enabled: bool,
-    /// Extra (inactive) blocks allocated per SM at kernel launch.
-    pub initial_extra_blocks: u32,
-    /// Upper bound on the oversubscription degree the dynamic controller
-    /// may reach.
-    pub max_extra_blocks: u32,
-    /// When a block becomes switchable.
-    pub trigger: SwitchTrigger,
-    /// Period, in cycles, of the premature-eviction (page lifetime)
-    /// monitoring used by the dynamic controller (paper: every 100k cycles).
-    pub lifetime_sample_period: Cycle,
-    /// If the running average page lifetime drops by at least this percent
-    /// between samples, the controller decrements the oversubscription
-    /// degree (paper: threshold empirically set to 20 %).
-    pub lifetime_drop_threshold_percent: u8,
-}
-
-impl Default for ToConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            initial_extra_blocks: 1,
-            max_extra_blocks: 3,
-            trigger: SwitchTrigger::FaultStall,
-            lifetime_sample_period: 100_000,
-            lifetime_drop_threshold_percent: 20,
-        }
-    }
-}
-
-impl ToConfig {
-    /// An enabled TO configuration with the paper's defaults.
-    pub fn enabled() -> Self {
-        Self { enabled: true, ..Self::default() }
-    }
 }
 
 /// PCIe link compression parameters (the `BASELINE with PCIe Compression`
@@ -211,15 +169,5 @@ mod tests {
             summary: "tree-based density prefetcher",
         };
         assert_eq!(d, d.clone());
-    }
-
-    #[test]
-    fn to_defaults_match_paper() {
-        let t = ToConfig::enabled();
-        assert!(t.enabled);
-        assert_eq!(t.initial_extra_blocks, 1);
-        assert_eq!(t.lifetime_sample_period, 100_000);
-        assert_eq!(t.lifetime_drop_threshold_percent, 20);
-        assert_eq!(t.trigger, SwitchTrigger::FaultStall);
     }
 }

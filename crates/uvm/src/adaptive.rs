@@ -15,9 +15,10 @@
 //! * **eager-eviction** (faults active, premature < 10%): evictions are
 //!   healthy, so formation runs ETC-style proactive eviction ahead of batch
 //!   demand even when the static policy did not ask for it;
-//! * **pressure** (premature ≥ 50%): severe thrash — the
-//!   [`AdaptiveController`] lowers the effective TO degree by one and
-//!   disallows context switch-ins until the epoch signals recover.
+//! * **pressure** (premature ≥ 50%): severe thrash — the TO value
+//!   ([`Oversubscription::To`](crate::oversub::Oversubscription::To))
+//!   lowers its effective degree by one and disallows context switch-ins
+//!   until the epoch signals recover.
 //!
 //! # Determinism
 //!
@@ -30,11 +31,7 @@
 //! closes, no signal ever fires, and the run is byte-identical to the
 //! static `to` baseline (pinned by `tests/adaptive.rs`).
 
-use crate::lifetime::LifetimeSample;
-use crate::oversub::OversubController;
-use crate::strategies::OversubscriptionHandler;
 use batmem_types::dense::PageSet;
-use batmem_types::policy::ToConfig;
 use batmem_types::probe::{Probe, ProbeEvent};
 use batmem_types::Cycle;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,9 +48,9 @@ struct AdaptiveShared {
 }
 
 /// The cloneable signal handle shared between the [`AdaptiveProbe`]
-/// (writer, lives in the probe hub) and the pipeline + controller
-/// (readers). Atomics because the handler half must be `Send` while the
-/// probe half lives behind the hub's `Rc`.
+/// (writer, lives in the probe hub) and the pipeline + TO value (readers).
+/// Atomics because the runtime half must be `Send` while the probe half
+/// lives behind the hub's `Rc`.
 #[derive(Debug, Clone, Default)]
 pub struct AdaptiveSignals {
     shared: Arc<AdaptiveShared>,
@@ -158,52 +155,11 @@ impl Probe for AdaptiveProbe {
     }
 }
 
-/// The actuator half: a TO controller whose effective degree and
-/// switch-in gate back off while the probe signals pressure.
-#[derive(Debug, Clone)]
-pub struct AdaptiveController {
-    inner: OversubController,
-    signals: AdaptiveSignals,
-}
-
-impl AdaptiveController {
-    /// Wraps the static TO controller built from `config` with the
-    /// pressure signal of `signals`.
-    pub fn new(config: ToConfig, signals: AdaptiveSignals) -> Self {
-        Self { inner: OversubController::new(config), signals }
-    }
-}
-
-impl OversubscriptionHandler for AdaptiveController {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn degree(&self) -> u32 {
-        let d = self.inner.degree();
-        if self.signals.pressure() {
-            d.saturating_sub(1)
-        } else {
-            d
-        }
-    }
-
-    fn switching_allowed(&self) -> bool {
-        self.inner.switching_allowed() && !self.signals.pressure()
-    }
-
-    fn on_sample(&mut self, sample: LifetimeSample) {
-        self.inner.on_sample(sample);
-    }
-
-    fn decrements(&self) -> u64 {
-        self.inner.decrements()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oversub::Oversubscription;
+    use batmem_types::policy::SwitchTrigger;
     use batmem_types::PageId;
 
     fn fault(n: u64) -> ProbeEvent {
@@ -297,21 +253,19 @@ mod tests {
 
     #[test]
     fn controller_matches_static_to_when_quiet_and_backs_off_under_pressure() {
-        let signals = AdaptiveSignals::new();
-        let adaptive = AdaptiveController::new(ToConfig::enabled(), signals.clone());
-        let baseline = OversubController::new(ToConfig::enabled());
-        assert_eq!(
-            OversubscriptionHandler::degree(&adaptive),
-            OversubscriptionHandler::degree(&baseline)
-        );
-        assert_eq!(
-            OversubscriptionHandler::switching_allowed(&adaptive),
-            OversubscriptionHandler::switching_allowed(&baseline)
-        );
+        let adaptive = Oversubscription::adaptive(ADAPTIVE_DEFAULT_WINDOW);
+        let baseline = Oversubscription::to(SwitchTrigger::FaultStall);
+        assert_eq!(adaptive.degree(), baseline.degree());
+        assert_eq!(adaptive.switch_trigger(), baseline.switch_trigger());
+        let Oversubscription::To { adaptive: Some((window, signals)), .. } = &adaptive else {
+            panic!("adaptive carries its loop: {adaptive:?}");
+        };
+        assert_eq!(*window, ADAPTIVE_DEFAULT_WINDOW);
+        assert!(adaptive.adaptive_probe().is_some() && baseline.adaptive_probe().is_none());
         signals.publish(false, false, true);
-        assert_eq!(OversubscriptionHandler::degree(&adaptive), 0);
-        assert!(!OversubscriptionHandler::switching_allowed(&adaptive));
+        assert_eq!(adaptive.degree(), 0);
+        assert_eq!(adaptive.switch_trigger(), None);
         signals.publish(false, false, false);
-        assert_eq!(OversubscriptionHandler::degree(&adaptive), 1);
+        assert_eq!(adaptive.degree(), 1);
     }
 }

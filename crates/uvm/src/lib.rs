@@ -15,10 +15,13 @@
 //!   serialized eviction; the paper's **Unobtrusive Eviction** with a
 //!   preemptive eviction at batch start and pipelined bidirectional
 //!   transfers; the ideal zero-cost limit; a random-victim ablation),
-//!   [`strategies::Prefetcher`] ([`prefetch::TreePrefetcher`] or none),
-//!   and [`strategies::OversubscriptionHandler`] (the dynamic degree
-//!   controller [`oversub::OversubController`] driven by the running
-//!   average of page lifetimes, [`lifetime::LifetimeTracker`]);
+//!   and [`strategies::Prefetcher`] ([`prefetch::TreePrefetcher`] or none);
+//! * **the oversubscription scheme** ([`oversub::Oversubscription`]): off,
+//!   Thread Oversubscription (the dynamic degree controller
+//!   [`oversub::OversubController`] driven by the running average of page
+//!   lifetimes, [`lifetime::LifetimeTracker`]; closed-loop with
+//!   [`adaptive`]) or the ETC baseline (`batmem-etc`), one value the
+//!   simulation engine consults;
 //! * **the policy table** ([`registry`]): strategies are resolved by name
 //!   (`lru`, `ue`, `tree:50`, `random:7`, `to`, `etc`) through one static
 //!   table per axis, so a new policy is a strategy type plus one table row,
@@ -47,20 +50,20 @@ pub mod registry;
 pub mod stats;
 pub mod strategies;
 
-pub use adaptive::{AdaptiveController, AdaptiveProbe, AdaptiveSignals};
+pub use adaptive::{AdaptiveProbe, AdaptiveSignals};
 pub use batch::BatchRecord;
 pub use fault::FaultBuffer;
 pub use inject::{FaultInjector, InjectConfig, InjectStats};
 pub use lifetime::LifetimeTracker;
 pub use memmgr::MemoryManager;
-pub use oversub::OversubController;
+pub use oversub::{OversubController, Oversubscription};
 pub use pcie::PciePipes;
 pub use pipeline::{UvmEvent, UvmOutput, UvmRuntime};
 pub use prefetch::TreePrefetcher;
-pub use registry::{OversubSelection, PolicyRegistry, StrategyCtx};
+pub use registry::{PolicyRegistry, StrategyCtx};
 pub use stats::UvmStats;
 pub use strategies::{
     CoalesceOff, CoalesceStrategy, CpuServicing, EvictionStrategy, EvictionTiming,
-    FaultServicingModel, GpuDrivenServicing, GreedyCoalesce, OversubscriptionHandler, Prefetcher,
-    ServicingCounters, SplinterOnEvict,
+    FaultServicingModel, GpuDrivenServicing, GreedyCoalesce, Prefetcher, ServicingCounters,
+    SplinterOnEvict,
 };

@@ -414,7 +414,7 @@ impl UvmRuntime {
     }
 
     /// Closes a lifetime sampling window (driven by the engine every
-    /// [`ToConfig::lifetime_sample_period`](batmem_types::policy::ToConfig)).
+    /// [`LIFETIME_SAMPLE_PERIOD`](crate::oversub::LIFETIME_SAMPLE_PERIOD)).
     pub fn sample_lifetime(&mut self) -> LifetimeSample {
         self.lifetime.sample()
     }

@@ -12,22 +12,18 @@
 //! [`SimError::UnknownPolicy`] (listing the axis's names); malformed
 //! parameters resolve to [`SimError::InvalidConfig`].
 
-use crate::adaptive::{
-    AdaptiveController, AdaptiveProbe, AdaptiveSignals, ADAPTIVE_DEFAULT_WINDOW,
-};
+use crate::adaptive::ADAPTIVE_DEFAULT_WINDOW;
+use crate::oversub::Oversubscription;
 use crate::strategies::servicing::GPU_DRIVEN_DEFAULT_OCCUPANCY;
 use crate::strategies::{
     CoalesceOff, CoalesceStrategy, CpuServicing, EvictionStrategy, FaultServicingModel,
-    GpuDrivenServicing, GreedyCoalesce, IdealEviction, NoPrefetch, OversubscriptionHandler,
-    Prefetcher, RandomVictim, SerializedLruEviction, SplinterOnEvict, UnobtrusiveEviction,
+    GpuDrivenServicing, GreedyCoalesce, IdealEviction, NoPrefetch, Prefetcher, RandomVictim,
+    SerializedLruEviction, SplinterOnEvict, UnobtrusiveEviction,
 };
-use crate::OversubController;
 use crate::TreePrefetcher;
-use batmem_etc::EtcConfig;
-use batmem_types::policy::{PolicyAxis, PolicyDescriptor, SwitchTrigger, ToConfig};
-use batmem_types::probe::Probe;
+use batmem_etc::{Etc, DEFAULT_THROTTLE_PERCENT};
+use batmem_types::policy::{PolicyAxis, PolicyDescriptor, SwitchTrigger};
 use batmem_types::SimError;
-use std::fmt;
 
 /// Default seed for `random` when the spec names none; an arbitrary but
 /// fixed constant so bare `random` runs are reproducible.
@@ -39,38 +35,6 @@ const RANDOM_VICTIM_DEFAULT_SEED: u64 = 42;
 pub struct StrategyCtx {
     /// Pages per 2 MB root chunk (sizes the tree prefetcher's regions).
     pub pages_per_region: u64,
-}
-
-/// What an oversubscription spec resolves to. Unlike the other axes this
-/// carries configuration alongside the handler: TO parameterizes the block
-/// scheduler and ETC reshapes capacity, both outside the handler object.
-pub struct OversubSelection {
-    /// The thread-oversubscription configuration the engine should run
-    /// with (disabled for `none` and `etc`).
-    pub to: ToConfig,
-    /// ETC framework configuration, when the spec selects the ETC baseline.
-    pub etc: Option<EtcConfig>,
-    /// The degree controller consulted by the block scheduler.
-    pub handler: Box<dyn OversubscriptionHandler>,
-    /// An internal probe the engine must attach to the run's probe hub —
-    /// the sensor half of a closed-loop policy (`None` for every static
-    /// policy).
-    pub probe: Option<Box<dyn Probe>>,
-    /// Actuation signals shared between `probe` and the pipeline (`None`
-    /// for every static policy).
-    pub signals: Option<AdaptiveSignals>,
-}
-
-impl fmt::Debug for OversubSelection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OversubSelection")
-            .field("to", &self.to)
-            .field("etc", &self.etc)
-            .field("handler", &self.handler.name())
-            .field("probe", &self.probe.is_some())
-            .field("signals", &self.signals.is_some())
-            .finish()
-    }
 }
 
 /// A build fn of the eviction and prefetch axes, which size their
@@ -162,7 +126,7 @@ static PREFETCH: &[(PolicyDescriptor, BuildWithCtx<Box<dyn Prefetcher>>)] = &[
 ];
 
 /// The oversubscription axis, by name.
-static OVERSUBSCRIPTION: &[(PolicyDescriptor, Build<OversubSelection>)] = &[
+static OVERSUBSCRIPTION: &[(PolicyDescriptor, Build<Oversubscription>)] = &[
     (
         PolicyDescriptor {
             axis: PolicyAxis::Oversubscription,
@@ -182,15 +146,7 @@ static OVERSUBSCRIPTION: &[(PolicyDescriptor, Build<OversubSelection>)] = &[
                     "must be >= 1, got 0".to_string(),
                 ));
             }
-            let to = ToConfig::enabled();
-            let signals = AdaptiveSignals::new();
-            Ok(OversubSelection {
-                to,
-                etc: None,
-                handler: Box::new(AdaptiveController::new(to, signals.clone())),
-                probe: Some(Box::new(AdaptiveProbe::new(window, signals.clone()))),
-                signals: Some(signals),
-            })
+            Ok(Oversubscription::adaptive(window))
         },
     ),
     (
@@ -213,8 +169,8 @@ static OVERSUBSCRIPTION: &[(PolicyDescriptor, Build<OversubSelection>)] = &[
                 }
                 _ => return Err(too_many_params("oversubscription", "etc", params)),
             };
-            let mut etc = match throttle {
-                None => EtcConfig::irregular(),
+            let pct = match throttle {
+                None => DEFAULT_THROTTLE_PERCENT,
                 Some(s) => {
                     let pct = parse_u64("etc.throttle_percent", s)?;
                     if pct == 0 || pct > 100 {
@@ -223,11 +179,10 @@ static OVERSUBSCRIPTION: &[(PolicyDescriptor, Build<OversubSelection>)] = &[
                             format!("must be in 1..=100, got {pct}"),
                         ));
                     }
-                    EtcConfig::irregular_with_throttle(pct as u8)?
+                    pct as u8
                 }
             };
-            etc.proactive_eviction = pe;
-            Ok(open_loop(ToConfig::default(), Some(etc)))
+            Ok(Oversubscription::Etc(Etc::new(pct, pe)))
         },
     ),
     (
@@ -237,7 +192,7 @@ static OVERSUBSCRIPTION: &[(PolicyDescriptor, Build<OversubSelection>)] = &[
             params: "",
             summary: "no thread oversubscription",
         },
-        |_| Ok(open_loop(ToConfig::default(), None)),
+        |_| Ok(Oversubscription::Off),
     ),
     (
         PolicyDescriptor {
@@ -258,7 +213,7 @@ static OVERSUBSCRIPTION: &[(PolicyDescriptor, Build<OversubSelection>)] = &[
                 }
                 _ => return Err(too_many_params("oversubscription", "to", params)),
             };
-            Ok(open_loop(ToConfig { trigger, ..ToConfig::enabled() }, None))
+            Ok(Oversubscription::to(trigger))
         },
     ),
 ];
@@ -349,18 +304,6 @@ static SERVICING: &[(PolicyDescriptor, Build<Box<dyn FaultServicingModel>>)] = &
     ),
 ];
 
-/// An oversubscription selection with no closed loop: the degree
-/// controller over `to`, plus the ETC configuration for `etc`.
-fn open_loop(to: ToConfig, etc: Option<EtcConfig>) -> OversubSelection {
-    OversubSelection {
-        to,
-        etc,
-        handler: Box::new(OversubController::new(to)),
-        probe: None,
-        signals: None,
-    }
-}
-
 /// The five policy tables of this module. It holds no state: every
 /// spec resolves through the same static rows.
 #[derive(Debug)]
@@ -402,14 +345,14 @@ impl PolicyRegistry {
         build(&params, ctx)
     }
 
-    /// Resolves an oversubscription spec (`none`, `to:any`, `etc:25`) into
-    /// its configuration + handler bundle.
+    /// Resolves an oversubscription spec (`none`, `to:any`, `etc:25`,
+    /// `adaptive`) into the run's [`Oversubscription`].
     ///
     /// # Errors
     ///
     /// [`SimError::UnknownPolicy`] for an unknown name,
     /// [`SimError::InvalidConfig`] for malformed parameters.
-    pub fn build_oversubscription(&self, spec: &str) -> Result<OversubSelection, SimError> {
+    pub fn build_oversubscription(&self, spec: &str) -> Result<Oversubscription, SimError> {
         let (build, params) = lookup(PolicyAxis::Oversubscription, OVERSUBSCRIPTION, spec)?;
         build(&params)
     }
@@ -636,35 +579,50 @@ mod tests {
     #[test]
     fn oversub_specs_carry_their_configuration() {
         let r = PolicyRegistry::builtin();
-        let none = r.build_oversubscription("none").unwrap();
-        assert!(!none.to.enabled && none.etc.is_none());
-        assert_eq!(none.handler.degree(), 0);
+        assert!(matches!(r.build_oversubscription("none"), Ok(Oversubscription::Off)));
 
         let to = r.build_oversubscription("to:any").unwrap();
-        assert!(to.to.enabled);
-        assert_eq!(to.to.trigger, SwitchTrigger::AnyStall);
-        assert!(to.handler.switching_allowed());
+        assert!(matches!(
+            to,
+            Oversubscription::To { trigger: SwitchTrigger::AnyStall, adaptive: None, .. }
+        ));
+        assert_eq!(to.switch_trigger(), Some(SwitchTrigger::AnyStall));
+        assert!(matches!(
+            r.build_oversubscription("to"),
+            Ok(Oversubscription::To { trigger: SwitchTrigger::FaultStall, .. })
+        ));
 
-        let etc = r.build_oversubscription("etc:30").unwrap();
-        assert!(!etc.to.enabled);
-        assert_eq!(etc.etc.unwrap().throttle_percent, 30);
-        assert!(!etc.etc.unwrap().proactive_eviction);
-
+        // `etc:30` throttles 30 % of the SMs with proactive eviction off;
         // `etc:50:pe` is the irregular preset with proactive eviction on.
-        let pe = r.build_oversubscription("etc:50:pe").unwrap().etc.unwrap();
-        assert_eq!(pe, EtcConfig { proactive_eviction: true, ..EtcConfig::irregular() });
+        let etc = |spec| match r.build_oversubscription(spec) {
+            Ok(Oversubscription::Etc(etc)) => etc,
+            other => panic!("{spec}: {other:?}"),
+        };
+        assert!(!etc("etc:30").proactive_eviction());
+        assert!(etc("etc:50:pe").proactive_eviction());
+        assert!(!etc("etc").proactive_eviction());
+        let mut thirty = etc("etc:30");
+        for page in [0, 0] {
+            thirty.on_fault(batmem_types::PageId::new(page));
+        }
+        thirty.tick(batmem_etc::DETECTION_EPOCH, 10);
+        assert_eq!(thirty.throttled_sms(), 3);
 
-        // Static handlers carry no probe; the adaptive handler carries the
-        // probe half of its closed loop plus the shared signal block.
+        // Only the adaptive spec carries a closed loop.
         for spec in ["none", "to", "etc"] {
             let s = r.build_oversubscription(spec).unwrap();
-            assert!(s.probe.is_none() && s.signals.is_none(), "{spec} should be open-loop");
+            assert!(s.adaptive_probe().is_none(), "{spec} should be open-loop");
         }
-        let adaptive = r.build_oversubscription("adaptive").unwrap();
-        assert!(adaptive.to.enabled);
-        assert!(adaptive.probe.is_some());
-        assert!(adaptive.signals.is_some());
-        assert_eq!(adaptive.handler.degree(), 1);
+        let adaptive = r.build_oversubscription("adaptive:100000").unwrap();
+        assert!(matches!(
+            adaptive,
+            Oversubscription::To {
+                trigger: SwitchTrigger::FaultStall,
+                adaptive: Some((100_000, _)),
+                ..
+            }
+        ));
+        assert_eq!(adaptive.degree(), 1);
     }
 
     #[test]

@@ -10,15 +10,14 @@
 //! * [`Prefetcher`] — batch-time page expansion ([`tree`], [`no_prefetch`]);
 //! * [`CoalesceStrategy`] — multi-page-size promotion/splinter decisions
 //!   ([`coalesce`]);
-//! * [`OversubscriptionHandler`] — thread-oversubscription degree control
-//!   (implemented by [`crate::oversub::OversubController`] and the
-//!   closed-loop [`crate::adaptive::AdaptiveController`]);
 //! * [`FaultServicingModel`] — fault-servicing cost model ([`servicing`]).
 //!
 //! Strategies are constructed by name through the policy tables of
 //! [`registry`](crate::registry); the pipeline core never matches on a
 //! strategy's name, so a new strategy is a new module plus one table row —
-//! zero diff inside the pipeline.
+//! zero diff inside the pipeline. The oversubscription axis is not a trait:
+//! its spec resolves to one [`Oversubscription`](crate::oversub::Oversubscription)
+//! value that the engine consults.
 
 pub mod coalesce;
 pub mod ideal;
@@ -37,7 +36,6 @@ pub use serialized_lru::SerializedLruEviction;
 pub use servicing::{CpuServicing, FaultServicingModel, GpuDrivenServicing, ServicingCounters};
 pub use unobtrusive::UnobtrusiveEviction;
 
-use crate::lifetime::LifetimeSample;
 use crate::memmgr::MemoryManager;
 use crate::pcie::PciePipes;
 use batmem_types::{Cycle, PageId};
@@ -111,23 +109,4 @@ pub trait Prefetcher: std::fmt::Debug + Send {
 
     /// Total prefetches issued so far.
     fn issued(&self) -> u64;
-}
-
-/// Thread-oversubscription degree control (the block scheduler's handoff
-/// point; consulted by the engine, not the UVM pipeline itself).
-pub trait OversubscriptionHandler: std::fmt::Debug + Send {
-    /// Registry name this handler was built under (diagnostics).
-    fn name(&self) -> &'static str;
-
-    /// The allowed number of extra (inactive) blocks per SM right now.
-    fn degree(&self) -> u32;
-
-    /// Whether context switch-ins are currently allowed at all.
-    fn switching_allowed(&self) -> bool;
-
-    /// Feeds one page-lifetime sample to the dynamic controller.
-    fn on_sample(&mut self, sample: LifetimeSample);
-
-    /// Times the handler lowered the degree (reported in run metrics).
-    fn decrements(&self) -> u64;
 }

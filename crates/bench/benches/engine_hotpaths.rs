@@ -270,24 +270,30 @@ fn bench_graph_gen() {
 }
 
 fn bench_stream_fabrication() {
-    // Every warp stream of PR at scale 14, built and dropped: push-style
-    // scatters over a power-law graph, whose hubs gather thousands of
-    // neighbour lines per op.
+    // Every warp stream of PR at scale 14, built and drained through
+    // `next_op_into`: push-style scatters over a power-law graph, whose
+    // hubs gather thousands of neighbour lines per op. PR fabricates one
+    // vertex at a time as its warp issues, so fabrication is timed only
+    // with the ops drained.
     let w = registry::build("PR", Arc::new(gen::rmat(14, 16, 42))).unwrap();
     let kernels: Vec<_> = (0..w.num_kernels()).map(|k| w.kernel(KernelId::new(k))).collect();
     let warp_size = SimConfig::default().gpu.warp_size;
-    bench("stream/pr_scale14_all_warps", 20, || {
-        let mut streams = 0u32;
+    let mut txns = Vec::new();
+    bench("stream/pr_scale14_build_drain", 20, || {
+        let mut issued = 0u64;
         for kernel in &kernels {
             let spec = kernel.spec();
             for blk in 0..spec.num_blocks {
                 for warp in 0..spec.warps_per_block(warp_size) {
-                    drop(kernel.warp_stream(BlockId::new(blk), warp as u16));
-                    streams += 1;
+                    let mut stream = kernel.warp_stream(BlockId::new(blk), warp as u16);
+                    while let Some(kind) = stream.next_op_into(&mut txns) {
+                        black_box(kind);
+                        issued += txns.len() as u64 + 1;
+                    }
                 }
             }
         }
-        streams
+        issued
     });
 }
 

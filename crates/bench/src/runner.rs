@@ -21,6 +21,8 @@ pub use batmem::policies::ConfigName;
 ///
 /// A suite owns one [`GraphCache`], shared by its clones, so every figure
 /// and variant derived from one suite reads each input graph built once.
+/// Its clones also share one cache of the runs [`run_one`] finished, so a
+/// figure that repeats another's run reads it instead of simulating again.
 #[derive(Debug, Clone)]
 pub struct SuiteConfig {
     /// R-MAT scale (vertices = 2^scale).
@@ -34,6 +36,7 @@ pub struct SuiteConfig {
     /// Base system configuration.
     pub sim: SimConfig,
     graphs: Arc<GraphCache>,
+    runs: Arc<RunCache>,
 }
 
 impl Default for SuiteConfig {
@@ -59,6 +62,7 @@ impl SuiteConfig {
             ratio: 0.5,
             sim: SimConfig::default(),
             graphs: Arc::default(),
+            runs: Arc::default(),
         }
     }
 
@@ -89,7 +93,49 @@ impl SuiteConfig {
     /// The input graph of `workload` from the suite's cache: the coloring
     /// workloads read a smaller one ([`input_scale`]).
     pub(crate) fn input(&self, workload: &str) -> Arc<Csr> {
-        self.graphs.get(input_scale(workload, self.scale), self.edge_factor, self.seed)
+        let (scale, edge_factor, seed) = self.input_key(workload);
+        self.graphs.get(scale, edge_factor, seed)
+    }
+
+    /// The R-MAT scale, edge factor and seed of `workload`'s input graph.
+    fn input_key(&self, workload: &str) -> (u32, u32, u64) {
+        (input_scale(workload, self.scale), self.edge_factor, self.seed)
+    }
+}
+
+/// Everything a [`run_one`] run depends on: equal keys give equal runs.
+#[derive(Debug, Clone, PartialEq)]
+struct RunKey {
+    workload: String,
+    spec: PolicySpec,
+    memory_ratio: Option<f64>,
+    inject: Option<String>,
+    sim: SimConfig,
+    /// The input graph's R-MAT scale, edge factor and seed.
+    input: (u32, u32, u64),
+}
+
+/// The runs [`run_one`] finished, by key. Failed runs are not kept, so a
+/// repeat of one fails again and is reported again. A few hundred runs at
+/// most, so the lookup is a scan.
+#[derive(Debug, Default)]
+struct RunCache {
+    runs: Mutex<Vec<(RunKey, RunMetrics)>>,
+}
+
+impl RunCache {
+    fn get(&self, key: &RunKey) -> Option<RunMetrics> {
+        let runs = self.runs.lock().expect("run cache lock poisoned");
+        runs.iter().find(|(k, _)| k == key).map(|(_, m)| m.clone())
+    }
+
+    fn insert(&self, key: RunKey, metrics: RunMetrics) {
+        self.runs.lock().expect("run cache lock poisoned").push((key, metrics));
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.runs.lock().expect("run cache lock poisoned").len()
     }
 }
 
@@ -175,7 +221,9 @@ pub(crate) fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
 /// suite's cache, with an optional fault-injection spec (`noisy:42`,
 /// `lost:1:3`, `off`) — the CLI's `--inject` flag. Every policy runs at
 /// the suite's memory ratio except UNLIMITED, which runs with unsized
-/// memory.
+/// memory. A run the suite (or a clone of it) already finished with the
+/// same workload, policy spec, memory ratio, inject spec, configuration
+/// and input graph is returned from its cache instead of simulated again.
 ///
 /// Never panics: unknown workloads, unknown policy or inject specs (the
 /// registry's typed errors, listing the known names), invalid
@@ -187,15 +235,28 @@ pub fn run_one(
     inject: Option<&str>,
     suite: &SuiteConfig,
 ) -> Result<RunMetrics, BenchError> {
-    run_workload(
+    let key = RunKey {
+        workload: name.to_string(),
+        spec: policy.spec(),
+        memory_ratio: policy.memory_ratio(suite.ratio),
+        inject: inject.map(str::to_string),
+        sim: suite.sim.clone(),
+        input: suite.input_key(name),
+    };
+    if let Some(metrics) = suite.runs.get(&key) {
+        return Ok(metrics);
+    }
+    let metrics = run_workload(
         name,
         suite.input(name),
         &suite.sim,
-        policy.spec(),
-        policy.memory_ratio(suite.ratio),
+        key.spec.clone(),
+        key.memory_ratio,
         inject,
         &format!("{name}/{}", policy.label()),
-    )
+    )?;
+    suite.runs.insert(key, metrics.clone());
+    Ok(metrics)
 }
 
 /// The one path from a workload name to a finished run, shared by
@@ -274,6 +335,28 @@ pub fn suite_results(configs: &[ConfigName], suite: &SuiteConfig) -> SuiteResult
 mod tests {
     use super::*;
     use batmem_graph::gen;
+
+    #[test]
+    fn a_repeated_run_is_read_from_the_suite_cache() {
+        let suite = SuiteConfig::new(8, 4);
+        let base = CellPolicy::Preset(ConfigName::Baseline);
+        let first = run_one("BFS-TTC", &base, None, &suite).unwrap();
+        let clone = suite.clone();
+        let again = run_one("BFS-TTC", &base, None, &clone).unwrap();
+        assert_eq!(format!("{first:?}"), format!("{again:?}"));
+        assert_eq!(suite.runs.len(), 1, "the clone read the run its parent made");
+        // Any part of the key that differs is a new run.
+        run_one("BFS-TTC", &base, None, &clone.clone().with_ratio(0.25)).unwrap();
+        run_one("BFS-TTC", &base, Some("noisy:1"), &clone).unwrap();
+        run_one("BFS-TA", &base, None, &clone).unwrap();
+        let mut slow = clone.clone();
+        slow.sim.uvm.fault_handling_base *= 2;
+        run_one("BFS-TTC", &base, None, &slow).unwrap();
+        assert_eq!(suite.runs.len(), 5);
+        // A failed run is not kept.
+        assert!(run_one("BFS-TTC", &base, Some("bogus"), &clone).is_err());
+        assert_eq!(suite.runs.len(), 5);
+    }
 
     #[test]
     fn parallel_map_preserves_order() {

@@ -147,18 +147,20 @@ impl Csr {
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
+        // Each placement bumps its source's offset, so after the scatter
+        // `offsets[v]` is where `v + 1`'s run starts: shift them back once.
         let mut edges = vec![0u32; offsets[n] as usize];
         for v in 0..self.num_vertices {
             for &t in self.neighbors(v) {
                 if t != v {
-                    edges[cursor[v as usize] as usize] = t;
-                    cursor[v as usize] += 1;
-                    edges[cursor[t as usize] as usize] = v;
-                    cursor[t as usize] += 1;
+                    edges[offsets[v as usize] as usize] = t;
+                    offsets[v as usize] += 1;
+                    edges[offsets[t as usize] as usize] = v;
+                    offsets[t as usize] += 1;
                 }
             }
         }
+        unshift(&mut offsets);
         // ...then sort and deduplicate each run, compacting the runs in
         // place: the write position `len` never passes the read position.
         let mut len = 0;
@@ -216,6 +218,15 @@ impl Csr {
         }
         Ok(())
     }
+}
+
+/// Restores `offsets` after a scatter that advanced each vertex's offset
+/// past its run: every offset then holds the next vertex's start, so they
+/// shift up one place, and the first run starts at 0.
+fn unshift(offsets: &mut [u64]) {
+    let n = offsets.len() - 1;
+    offsets.copy_within(..n, 1);
+    offsets[0] = 0;
 }
 
 /// Incremental builder for [`Csr`] graphs from an edge list.
@@ -325,18 +336,19 @@ impl CsrBuilder {
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
+        // Scatter through the offsets themselves, as `Csr::symmetrized` does.
         let mut edges = vec![0u32; self.srcs.len()];
         let mut weights = if self.weighted { vec![0u32; self.srcs.len()] } else { Vec::new() };
         for i in 0..self.srcs.len() {
             let s = self.srcs[i] as usize;
-            let at = cursor[s] as usize;
+            let at = offsets[s] as usize;
             edges[at] = self.dsts[i];
             if self.weighted {
                 weights[at] = self.weights[i];
             }
-            cursor[s] += 1;
+            offsets[s] += 1;
         }
+        unshift(&mut offsets);
         let csr = Csr {
             num_vertices: self.num_vertices,
             offsets,

@@ -7,12 +7,15 @@
 //! abstracting per-instruction pipeline details (see DESIGN.md,
 //! "Substitutions"). Streams are stored packed ([`PackedStream`]: a
 //! header of one to six bytes per op, and each transaction after an op's
-//! first as a one- or two-byte offset from it). The engine issues each op
+//! first as a one- or two-byte offset from it), and a warp that owns many
+//! work items fabricates them one at a time as it issues ([`Items`]).
+//! The engine issues each op
 //! through [`AccessStream::next_op_into`], which writes its transactions
 //! into a buffer the caller owns; a [`WarpOp`] is built only where a
 //! caller asks for one by value ([`AccessStream::next_op`]).
 
 use batmem_types::{BlockId, KernelId, VirtAddr};
+use std::cell::Cell;
 
 /// Transactions an [`AddrList`] stores without heap allocation: one warp's
 /// worth, which is the most a 32-lane coalescer emits per operation.
@@ -161,7 +164,11 @@ pub enum OpKind {
 /// Implementations are single-pass iterators. The engine calls
 /// [`AccessStream::next_op_into`] each time the warp is ready to issue;
 /// a stream that implements only [`AccessStream::next_op`] gets it by
-/// decoding that op.
+/// decoding that op. A stream may fabricate its ops as they are asked for
+/// (a [`PackedStream`] with [`Items`] writes the warp's next work item at
+/// issue), so either method may do the work of building ops; the ops
+/// themselves must still depend only on the warp, never on when or in
+/// what order the calls come.
 pub trait AccessStream {
     /// Produces the warp's next operation, or `None` when the warp has
     /// retired all its work.
@@ -225,9 +232,10 @@ pub trait Kernel: Send + Sync {
     /// Builds the access stream of warp `warp_in_block` of `block`.
     ///
     /// The engine calls this exactly once per warp, when the block is
-    /// first activated. Implementations must be pure functions of
-    /// `(block, warp_in_block)`: the stream's contents may not depend on
-    /// call order or timing.
+    /// first activated. The stream may defer fabricating ops until they
+    /// issue (see [`AccessStream`]). Implementations must be pure functions
+    /// of `(block, warp_in_block)`: the stream's contents, whenever they
+    /// are fabricated, may not depend on call order or timing.
     fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> BoxedStream;
 }
 
@@ -333,36 +341,83 @@ fn unzigzag(z: u64) -> u64 {
 /// it through one decoder. A stream that starts with a shift of 64 or
 /// more is empty, and a truncated or malformed op ends the stream: that
 /// call and every later one return `None`.
+///
+/// A whole stream (`PackedStream<NoItems>`, the default) holds every op of
+/// its warp from the start, at its exact size. A stream with [`Items`]
+/// holds only its pending ops, and once every pending op has issued it
+/// writes the warp's next work item into the same byte vector, which
+/// grows (as a `Vec` grows) only when an item does not fit. An item's
+/// trailing compute stays open until the next item is written, since that
+/// item's first compute merges into it, and the delta base carries across
+/// items: the ops a stream issues are the ops of its items written one
+/// after another by one [`PackedWriter`].
 #[derive(Debug, Clone)]
-pub struct PackedStream {
-    bytes: Box<[u8]>,
+pub struct PackedStream<I = NoItems> {
+    /// The shift byte, then the pending ops.
+    bytes: Vec<u8>,
     /// The next op's first byte.
     pos: usize,
     /// The previous memory op's first transaction, in units.
     base: u64,
+    /// The items not yet fabricated; `None` once every item has been
+    /// (always, for a whole stream).
+    items: Option<I>,
+}
+
+/// The work items of a warp whose [`PackedStream`] fabricates them one at
+/// a time, as the warp issues its ops.
+pub trait Items {
+    /// Writes the ops of the next item into `out` and returns `true`, or
+    /// returns `false`, writing nothing, when every item has been written.
+    /// An item may write no ops at all.
+    fn write_next(&mut self, out: &mut PackedWriter) -> bool;
+}
+
+/// The items of a whole stream: the type has no values, so a whole stream
+/// stores no source (`Option<NoItems>` takes no space) and never refills.
+#[derive(Debug, Clone, Copy)]
+pub enum NoItems {}
+
+impl Items for NoItems {
+    fn write_next(&mut self, _: &mut PackedWriter) -> bool {
+        match *self {}
+    }
 }
 
 impl PackedStream {
-    /// Creates a stream over already-packed `bytes`.
+    /// Creates a whole stream over already-packed `bytes`.
     #[inline]
     pub fn new(bytes: Vec<u8>) -> Self {
-        let bytes = bytes.into_boxed_slice();
         let pos = match bytes.first() {
             Some(&shift) if shift < 64 => 1,
             _ => bytes.len(),
         };
-        Self { bytes, pos, base: 0 }
+        Self { bytes, pos, base: 0, items: None }
     }
+}
 
-    /// The packed bytes, from the shift byte on (read or not).
+impl<I: Items> PackedStream<I> {
+    /// The packed bytes, from the shift byte to the end of the pending
+    /// ops (read or not).
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
     }
 
-    /// Decodes the op at the cursor and moves past it; at the end, or at
-    /// an op it cannot read whole, it returns `None` and moves to the end.
+    /// Decodes the next op that may issue and moves past it; at the end,
+    /// or at an op it cannot read whole, it returns `None` and moves to
+    /// the end. A stream with items first writes the next ones when its
+    /// pending ops are used up, or when only an item's trailing compute is
+    /// left: that compute issues only once the next item has had the
+    /// chance to merge into it, or once no item is left.
     #[inline(always)]
     fn decode_next(&mut self) -> Option<Decoded<'_>> {
+        while self.items.is_some() {
+            match self.pending() {
+                Pending::Ops => break,
+                Pending::Used => self.refill(None),
+                Pending::Open(cycles) => self.refill(Some(cycles)),
+            }
+        }
         let mut rest = Reader(self.bytes.get(self.pos..).unwrap_or_default());
         // `new` starts a stream without a valid shift byte at its end, so
         // any op read here follows one.
@@ -375,6 +430,58 @@ impl PackedStream {
         self.base = op.first;
         Some(op)
     }
+
+    /// What is left of the pending ops, read without decoding them: an op
+    /// longer than a compute, or several ops, are more than a trailing
+    /// compute.
+    #[inline(always)]
+    fn pending(&self) -> Pending {
+        match self.bytes.get(self.pos..).unwrap_or_default() {
+            [] => Pending::Used,
+            &[head] if head & 3 == COMPUTE && head >> 2 != CYCLES_FOLLOW => {
+                Pending::Open(u32::from(head >> 2))
+            }
+            &[head, a, b, c, d] if head == CYCLES_FOLLOW << 2 | COMPUTE => {
+                Pending::Open(u32::from_le_bytes([a, b, c, d]))
+            }
+            _ => Pending::Ops,
+        }
+    }
+
+    /// Fabricates the next items, once every pending op has issued but an
+    /// `open` trailing compute, into the stream's own bytes: a writer that
+    /// continues from the pending delta base and the open compute writes
+    /// items until it holds an op besides a trailing compute, or until no
+    /// item is left.
+    #[inline(never)]
+    fn refill(&mut self, open: Option<u32>) {
+        let Some(items) = &mut self.items else { return };
+        let mut bytes = std::mem::take(&mut self.bytes);
+        bytes.truncate(1);
+        let mut out = PackedWriter { bytes, base: self.base, last_compute: None, ops: 0 };
+        if let Some(cycles) = open {
+            out.merge_compute(cycles);
+        }
+        while !out.may_issue() {
+            if !items.write_next(&mut out) {
+                self.items = None;
+                break;
+            }
+        }
+        self.bytes = out.bytes;
+        self.pos = 1;
+    }
+}
+
+/// The pending ops of a [`PackedStream`] with items, as its decoder sees
+/// them before reading the next op.
+enum Pending {
+    /// An op that may issue.
+    Ops,
+    /// Nothing: every pending op has issued.
+    Used,
+    /// Only a trailing compute of this many cycles.
+    Open(u32),
 }
 
 /// The unread bytes of a [`PackedStream`]. Every read checks its length
@@ -473,7 +580,7 @@ impl<'a> Decoded<'a> {
     }
 }
 
-impl AccessStream for PackedStream {
+impl<I: Items> AccessStream for PackedStream<I> {
     fn next_op(&mut self) -> Option<WarpOp> {
         let op = self.decode_next()?;
         let addrs = || -> AddrList {
@@ -506,12 +613,18 @@ impl AccessStream for PackedStream {
     }
 }
 
+thread_local! {
+    /// Encoding scratch: [`PackedWriter::scratch`] takes it and
+    /// [`PackedWriter::recycle`] puts it back, so building a warp's stream
+    /// allocates no writer buffer of its own.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
 /// Writes ops in [`PackedStream`]'s layout into a reusable buffer.
 #[derive(Debug, Clone, Default)]
 pub struct PackedWriter {
-    /// The ops so far; [`PackedWriter::to_stream`] puts the shift first.
+    /// The shift byte, then the ops so far.
     bytes: Vec<u8>,
-    shift: u8,
     /// The last memory op's first transaction, in units.
     base: u64,
     /// Where the last op starts, and its cycles, while it is a compute.
@@ -521,8 +634,7 @@ pub struct PackedWriter {
 
 impl PackedWriter {
     /// A writer of addresses in units of `1 << shift` bytes. It writes
-    /// into `bytes`, cleared first, so a caller can hand it the buffer of
-    /// an earlier writer ([`PackedWriter::into_buffer`]).
+    /// into `bytes`, cleared first.
     ///
     /// # Panics
     ///
@@ -531,7 +643,8 @@ impl PackedWriter {
     pub fn new(mut bytes: Vec<u8>, shift: u32) -> Self {
         assert!(shift < 64, "a unit of 2^{shift} bytes is wider than an address");
         bytes.clear();
-        Self { bytes, shift: shift as u8, base: 0, last_compute: None, ops: 0 }
+        bytes.push(shift as u8);
+        Self { bytes, base: 0, last_compute: None, ops: 0 }
     }
 
     /// Adds `cycles` to the last op if that is a compute, saturating at
@@ -630,6 +743,14 @@ impl PackedWriter {
         self.ops += 1;
     }
 
+    /// Whether an op besides a trailing compute has been written: one
+    /// that may issue before the next op is written, which a trailing
+    /// compute may merge into.
+    #[inline]
+    fn may_issue(&self) -> bool {
+        self.ops > usize::from(self.last_compute.is_some())
+    }
+
     /// Ops written so far (a merged compute counts once).
     pub fn len(&self) -> usize {
         self.ops
@@ -640,18 +761,38 @@ impl PackedWriter {
         self.ops == 0
     }
 
-    /// The ops so far as a stream, copied out at its exact size.
+    /// The ops so far as a whole stream, copied out at its exact size.
     #[inline]
     pub fn to_stream(&self) -> PackedStream {
-        let mut bytes = Vec::with_capacity(self.bytes.len() + 1);
-        bytes.push(self.shift);
-        bytes.extend_from_slice(&self.bytes);
-        PackedStream::new(bytes)
+        PackedStream::new(self.bytes.to_vec())
     }
 
-    /// The writer's buffer, to hand to a later writer.
-    pub fn into_buffer(self) -> Vec<u8> {
-        self.bytes
+    /// The ops so far, copied out at their exact size, as a stream that
+    /// goes on to fabricate `items` one at a time as its warp issues them
+    /// (see [`PackedStream`]).
+    #[inline]
+    pub fn to_stream_with<I: Items>(&self, items: I) -> PackedStream<I> {
+        let PackedStream { bytes, pos, base, items: _ } = self.to_stream();
+        PackedStream { bytes, pos, base, items: Some(items) }
+    }
+
+    /// A writer of units of `1 << shift` bytes into this thread's encoding
+    /// scratch, which [`PackedWriter::recycle`] hands back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shift` is 64 or more.
+    #[inline]
+    pub fn scratch(shift: u32) -> Self {
+        Self::new(SCRATCH.take(), shift)
+    }
+
+    /// Hands the writer's buffer back as this thread's encoding scratch.
+    #[inline]
+    pub fn recycle(self) {
+        // `try_with`: a writer recycled while the thread's locals are torn
+        // down just frees its buffer.
+        let _ = SCRATCH.try_with(|s| s.set(self.bytes));
     }
 }
 

@@ -11,7 +11,7 @@
 //! the behaviour that makes it eviction-sensitive in the paper.
 
 use crate::common::{thread_centric_spec, warp_item_range, ArrayOptions, GraphArrays};
-use crate::stream::StreamBuilder;
+use crate::stream::{active_span, StreamBuilder};
 use batmem_graph::{alg, Csr};
 use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, Workload};
 use batmem_types::{BlockId, KernelId};
@@ -103,29 +103,30 @@ impl Kernel for BcKernel {
         let mut b = StreamBuilder::new();
         let total = u64::from(sh.graph.num_vertices());
         let (s, e) = warp_item_range(block, warp_in_block, total);
-        if s >= e {
-            return b.build();
+        if s < e {
+            b.load_seq(&sh.arrays.vprops[0], s, e - s);
+            b.compute(4);
         }
-        b.load_seq(&sh.arrays.vprops[0], s, e - s);
-        b.compute(4);
-        for v in s..e {
-            if sh.levels[v as usize] != self.level {
-                continue;
+        let (phase, level) = (self.phase, self.level);
+        let items = active_span(s..e, |v| sh.levels[v as usize] == level);
+        b.each_item(sh, items, move |sh, b, v, _| {
+            if sh.levels[v as usize] != level {
+                return;
             }
             let v = v as u32;
             let deg = sh.graph.degree(v);
             b.load_seq(&sh.arrays.offsets, u64::from(v), 2);
             if deg == 0 {
-                continue;
+                return;
             }
             b.load_seq(&sh.arrays.edges, sh.graph.edge_start(v), u64::from(deg));
             let nbrs = sh.graph.neighbors(v);
             let children: Vec<u64> = nbrs
                 .iter()
-                .filter(|&&n| sh.levels[n as usize] == self.level + 1)
+                .filter(|&&n| sh.levels[n as usize] == level + 1)
                 .map(|&n| u64::from(n))
                 .collect();
-            match self.phase {
+            match phase {
                 Phase::Forward => {
                     // sigma[child] += sigma[v]: gather levels, scatter sigma.
                     b.load_gather(&sh.arrays.vprops[0], nbrs.iter().map(|&n| u64::from(n)));
@@ -144,8 +145,7 @@ impl Kernel for BcKernel {
                 }
             }
             b.compute(2 + deg / 8);
-        }
-        b.build()
+        })
     }
 }
 

@@ -19,10 +19,11 @@
 use crate::common::{
     thread_centric_spec, warp_centric_spec, warp_item, warp_item_range, ArrayOptions, GraphArrays,
 };
-use crate::stream::StreamBuilder;
+use crate::stream::{active_span, StreamBuilder};
 use batmem_graph::{alg, Csr};
-use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, Workload};
+use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, PackedWriter, Workload};
 use batmem_types::{BlockId, KernelId};
+use std::borrow::BorrowMut;
 use std::sync::Arc;
 
 /// Which BFS implementation to model.
@@ -139,7 +140,7 @@ impl Workload for Bfs {
             variant: self.variant,
             shared: Arc::clone(&self.shared),
             level,
-            next_pos,
+            next_pos: next_pos.into(),
         })
     }
 }
@@ -147,36 +148,46 @@ impl Workload for Bfs {
 /// [`BfsKernel::next_pos`] of a vertex that is not in the next frontier.
 const NOT_NEXT: u32 = u32::MAX;
 
+/// The next-frontier positions that the neighbours of `verts` are appended
+/// at, in order (none at the last level, where `next_pos` is empty).
+fn appended<'a>(
+    graph: &'a Csr,
+    verts: &'a [u32],
+    next_pos: &'a [u32],
+) -> impl Iterator<Item = u64> + 'a {
+    let nbrs = verts.iter().flat_map(|&v| graph.neighbors(v));
+    nbrs.filter_map(|&n| next_pos.get(n as usize).copied())
+        .filter(|&pos| pos != NOT_NEXT)
+        .map(u64::from)
+}
+
 struct BfsKernel {
     variant: BfsVariant,
     shared: Arc<Shared>,
     level: u32,
     /// Position of each vertex in the next frontier's output worklist, or
     /// [`NOT_NEXT`] (TF only; empty otherwise).
-    next_pos: Vec<u32>,
+    next_pos: Arc<[u32]>,
 }
 
-impl BfsKernel {
-    /// Emits the expansion of vertex `v`: edge reads, neighbor-level
-    /// gathers, and stores for newly discovered vertices.
-    fn expand(&self, b: &mut StreamBuilder, v: u32, levels_arr: usize) {
-        let sh = &self.shared;
-        let deg = sh.graph.degree(v);
-        b.load_seq(&sh.arrays.offsets, u64::from(v), 2);
+impl Shared {
+    /// Emits the expansion of vertex `v` at `level`: edge reads,
+    /// neighbor-level gathers, and stores for newly discovered vertices.
+    fn expand<W: BorrowMut<PackedWriter>>(&self, b: &mut StreamBuilder<W>, v: u32, level: u32) {
+        let deg = self.graph.degree(v);
+        b.load_seq(&self.arrays.offsets, u64::from(v), 2);
         if deg == 0 {
             return;
         }
-        let start = sh.graph.edge_start(v);
-        b.load_seq(&sh.arrays.edges, start, u64::from(deg));
-        let nbrs = sh.graph.neighbors(v);
-        b.load_gather(&sh.arrays.vprops[levels_arr], nbrs.iter().map(|&n| u64::from(n)));
+        let start = self.graph.edge_start(v);
+        b.load_seq(&self.arrays.edges, start, u64::from(deg));
+        let nbrs = self.graph.neighbors(v);
+        b.load_gather(&self.arrays.vprops[0], nbrs.iter().map(|&n| u64::from(n)));
         // Newly discovered vertices; an empty gather coalesces to no ops,
         // so no emptiness check (or materialized list) is needed.
-        let disc = nbrs
-            .iter()
-            .filter(|&&n| sh.levels[n as usize] == self.level + 1)
-            .map(|&n| u64::from(n));
-        b.store_gather(&sh.arrays.vprops[levels_arr], disc);
+        let disc =
+            nbrs.iter().filter(|&&n| self.levels[n as usize] == level + 1).map(|&n| u64::from(n));
+        b.store_gather(&self.arrays.vprops[0], disc);
         b.compute(2 + deg / 8);
     }
 }
@@ -196,6 +207,7 @@ impl Kernel for BfsKernel {
 
     fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> BoxedStream {
         let sh = &self.shared;
+        let level = self.level;
         let mut b = StreamBuilder::new();
         match self.variant {
             BfsVariant::Ttc | BfsVariant::Ta => {
@@ -204,77 +216,79 @@ impl Kernel for BfsKernel {
                 if s < e {
                     b.load_seq(&sh.arrays.vprops[0], s, e - s);
                     b.compute(4);
-                    let mut discovered_any = false;
-                    for v in s..e {
-                        if sh.levels[v as usize] == self.level {
-                            self.expand(&mut b, v as u32, 0);
-                            discovered_any = true;
-                        }
+                }
+                let atomic = self.variant == BfsVariant::Ta;
+                // The span's last vertex is on the frontier, so a warp with
+                // items has discovered one by then.
+                let items = active_span(s..e, |v| sh.levels[v as usize] == level);
+                b.each_item(sh, items, move |sh, b, v, last| {
+                    if sh.levels[v as usize] == level {
+                        sh.expand(b, v as u32, level);
                     }
-                    if self.variant == BfsVariant::Ta && discovered_any {
+                    if atomic && last {
                         // Atomic bump of the global frontier counter: a hot
                         // line shared by every warp in the grid.
                         b.store_seq(&sh.arrays.counters, 0, 1);
                     }
-                }
+                })
             }
             BfsVariant::Twc => {
                 let total = u64::from(sh.graph.num_vertices());
                 if let Some(v) = warp_item(block, warp_in_block, 32, total) {
                     b.load_seq(&sh.arrays.vprops[0], v, 1);
                     b.compute(4);
-                    if sh.levels[v as usize] == self.level {
-                        self.expand(&mut b, v as u32, 0);
+                    if sh.levels[v as usize] == level {
+                        sh.expand(&mut b, v as u32, level);
                     }
                 }
+                b.build()
             }
             BfsVariant::Tf => {
-                let frontier = &sh.frontiers[self.level as usize];
+                let frontier = &sh.frontiers[level as usize];
                 let (s, e) = warp_item_range(block, warp_in_block, frontier.len() as u64);
+                // Ping-pong worklists: even levels read `worklist`, odd
+                // levels read vprops[1].
+                let (cur, next) = if level.is_multiple_of(2) {
+                    (sh.arrays.worklist, sh.arrays.vprops[1])
+                } else {
+                    (sh.arrays.vprops[1], sh.arrays.worklist)
+                };
                 if s < e {
-                    // Ping-pong worklists: even levels read `worklist`,
-                    // odd levels read vprops[1].
-                    let (cur, next) = if self.level.is_multiple_of(2) {
-                        (&sh.arrays.worklist, &sh.arrays.vprops[1])
-                    } else {
-                        (&sh.arrays.vprops[1], &sh.arrays.worklist)
-                    };
-                    b.load_seq(cur, s, e - s);
+                    b.load_seq(&cur, s, e - s);
                     let verts = &frontier[s as usize..e as usize];
                     // Frontier vertices are scattered: offset reads diverge.
                     b.load_gather(&sh.arrays.offsets, verts.iter().map(|&v| u64::from(v)));
                     b.compute(4);
-                    let mut appended = Vec::new();
-                    for &v in verts {
-                        let deg = sh.graph.degree(v);
-                        if deg == 0 {
-                            continue;
-                        }
+                }
+                let next_pos = Arc::clone(&self.next_pos);
+                let items = active_span(s..e, |i| sh.graph.degree(frontier[i as usize]) > 0);
+                let mut appended_any = false;
+                b.each_item(sh, items, move |sh, b, i, last| {
+                    let frontier = &sh.frontiers[level as usize];
+                    let v = frontier[i as usize];
+                    let deg = sh.graph.degree(v);
+                    if deg > 0 {
                         b.load_seq(&sh.arrays.edges, sh.graph.edge_start(v), u64::from(deg));
                         let nbrs = sh.graph.neighbors(v);
                         b.load_gather(&sh.arrays.vprops[0], nbrs.iter().map(|&n| u64::from(n)));
-                        for &n in nbrs {
-                            // Empty at the last level: nothing is appended.
-                            match self.next_pos.get(n as usize) {
-                                Some(&pos) if pos != NOT_NEXT => appended.push(u64::from(pos)),
-                                _ => {}
-                            }
-                        }
+                        let v = std::slice::from_ref(&v);
+                        appended_any |= appended(&sh.graph, v, &next_pos).next().is_some();
                         b.compute(2 + deg / 8);
                     }
-                    if !appended.is_empty() {
-                        // Atomic index bump, then the scattered appends.
+                    if last && appended_any {
+                        // Atomic index bump, then the scattered appends of
+                        // the warp's whole range.
+                        let verts = &frontier[s as usize..e as usize];
+                        let frontier_next = &sh.frontiers[level as usize + 1];
                         b.store_seq(&sh.arrays.counters, 0, 1);
-                        b.store_gather(next, appended.iter().copied());
+                        b.store_gather(&next, appended(&sh.graph, verts, &next_pos));
                         b.store_gather(
                             &sh.arrays.vprops[0],
-                            appended.iter().map(|&p| {
-                                let frontier_next = &sh.frontiers[self.level as usize + 1];
-                                u64::from(frontier_next[p as usize])
-                            }),
+                            appended(&sh.graph, verts, &next_pos)
+                                .map(|p| u64::from(frontier_next[p as usize])),
                         );
                     }
-                }
+                })
             }
             BfsVariant::Dwc => {
                 let total_items = sh.graph.num_edges().div_ceil(4);
@@ -293,7 +307,7 @@ impl Kernel for BfsKernel {
                         // Both endpoint gathers are fully divergent.
                         b.load_gather(&sh.arrays.vprops[0], srcs.iter().map(|&v| u64::from(v)));
                         let active: Vec<usize> = (0..srcs.len())
-                            .filter(|&i| sh.levels[srcs[i] as usize] == self.level)
+                            .filter(|&i| sh.levels[srcs[i] as usize] == level)
                             .collect();
                         if !active.is_empty() {
                             b.load_gather(
@@ -302,7 +316,7 @@ impl Kernel for BfsKernel {
                             );
                             let disc: Vec<u64> = active
                                 .iter()
-                                .filter(|&&i| sh.levels[dsts[i] as usize] == self.level + 1)
+                                .filter(|&&i| sh.levels[dsts[i] as usize] == level + 1)
                                 .map(|&i| u64::from(dsts[i]))
                                 .collect();
                             if !disc.is_empty() {
@@ -311,9 +325,9 @@ impl Kernel for BfsKernel {
                         }
                     }
                 }
+                b.build()
             }
         }
-        b.build()
     }
 }
 

@@ -11,7 +11,7 @@
 //! footprint, as GraphBIG's undirected CSR does).
 
 use crate::common::{thread_centric_spec, warp_item_range, ArrayOptions, GraphArrays};
-use crate::stream::StreamBuilder;
+use crate::stream::{active_span, ItemBuilder, StreamBuilder};
 use batmem_graph::{alg, Csr};
 use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, Workload};
 use batmem_types::{BlockId, KernelId};
@@ -108,20 +108,19 @@ struct GcKernel {
     round: u32,
 }
 
-impl GcKernel {
-    /// One vertex's round body: read neighbor colors and priorities; if the
-    /// vertex wins (it is colored this round), store its color.
-    fn process(&self, b: &mut StreamBuilder, v: u32) {
-        let sh = &self.shared;
-        let deg = sh.graph.degree(v);
+impl Shared {
+    /// One vertex's body in `round`: read neighbor colors and priorities;
+    /// if the vertex wins (it is colored this round), store its color.
+    fn process(&self, b: &mut ItemBuilder<'_>, v: u32, round: u32) {
+        let deg = self.graph.degree(v);
         if deg > 0 {
-            b.load_seq(&sh.arrays.edges, sh.graph.edge_start(v), u64::from(deg));
-            let nbrs = sh.graph.neighbors(v);
-            b.load_gather(&sh.arrays.vprops[0], nbrs.iter().map(|&n| u64::from(n)));
-            b.load_gather(&sh.arrays.vprops[1], nbrs.iter().map(|&n| u64::from(n)));
+            b.load_seq(&self.arrays.edges, self.graph.edge_start(v), u64::from(deg));
+            let nbrs = self.graph.neighbors(v);
+            b.load_gather(&self.arrays.vprops[0], nbrs.iter().map(|&n| u64::from(n)));
+            b.load_gather(&self.arrays.vprops[1], nbrs.iter().map(|&n| u64::from(n)));
         }
-        if sh.colored_round[v as usize] == self.round {
-            b.store_seq(&sh.arrays.vprops[0], u64::from(v), 1);
+        if self.colored_round[v as usize] == round {
+            b.store_seq(&self.arrays.vprops[0], u64::from(v), 1);
         }
         b.compute(4 + deg / 8);
     }
@@ -139,20 +138,22 @@ impl Kernel for GcKernel {
 
     fn warp_stream(&self, block: BlockId, warp_in_block: u16) -> BoxedStream {
         let sh = &self.shared;
+        let round = self.round;
         let mut b = StreamBuilder::new();
         match self.variant {
             GcVariant::Dtc => {
-                let wl = &sh.worklists[self.round as usize];
+                let wl = &sh.worklists[round as usize];
                 let (s, e) = warp_item_range(block, warp_in_block, wl.len() as u64);
                 if s < e {
                     b.load_seq(&sh.arrays.worklist, s, e - s);
                     let verts = &wl[s as usize..e as usize];
                     // Scattered worklist entries: divergent offset reads.
                     b.load_gather(&sh.arrays.offsets, verts.iter().map(|&v| u64::from(v)));
-                    for &v in verts {
-                        self.process(&mut b, v);
-                    }
                 }
+                b.each_item(sh, s..e, move |sh, b, i, _| {
+                    let v = sh.worklists[round as usize][i as usize];
+                    sh.process(b, v, round);
+                })
             }
             GcVariant::Ttc => {
                 let total = u64::from(sh.graph.num_vertices());
@@ -160,20 +161,20 @@ impl Kernel for GcKernel {
                 if s < e {
                     // Scan: read own color to test "still uncolored".
                     b.load_seq(&sh.arrays.vprops[0], s, e - s);
-                    let mut any = false;
-                    for v in s..e {
-                        if sh.colored_round[v as usize] >= self.round {
-                            if !any {
-                                b.load_seq(&sh.arrays.offsets, s, e - s + 1);
-                                any = true;
-                            }
-                            self.process(&mut b, v as u32);
-                        }
-                    }
                 }
+                let items = active_span(s..e, |v| sh.colored_round[v as usize] >= round);
+                let first = items.start;
+                b.each_item(sh, items, move |sh, b, v, _| {
+                    if sh.colored_round[v as usize] < round {
+                        return;
+                    }
+                    if v == first {
+                        b.load_seq(&sh.arrays.offsets, s, e - s + 1);
+                    }
+                    sh.process(b, v as u32, round);
+                })
             }
         }
-        b.build()
     }
 }
 

@@ -5,7 +5,7 @@
 //! divergent scatter stores, like the GraphBIG KCORE kernel.
 
 use crate::common::{thread_centric_spec, warp_item_range, ArrayOptions, GraphArrays};
-use crate::stream::StreamBuilder;
+use crate::stream::{active_span, StreamBuilder};
 use batmem_graph::{alg, Csr};
 use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, Workload};
 use batmem_types::{BlockId, KernelId};
@@ -90,24 +90,26 @@ impl Kernel for KcoreKernel {
             b.load_seq(&sh.arrays.vprops[1], s, e - s);
             b.load_seq(&sh.arrays.vprops[0], s, e - s);
             b.compute(4);
-            for v in s..e {
-                if sh.removed_round[v as usize] == self.round {
-                    let v = v as u32;
-                    let deg = sh.graph.degree(v);
-                    b.store_seq(&sh.arrays.vprops[1], u64::from(v), 1);
-                    if deg > 0 {
-                        b.load_seq(&sh.arrays.offsets, u64::from(v), 2);
-                        b.load_seq(&sh.arrays.edges, sh.graph.edge_start(v), u64::from(deg));
-                        // Decrement neighbor degrees: divergent scatter.
-                        let nbrs = sh.graph.neighbors(v);
-                        b.load_gather(&sh.arrays.vprops[0], nbrs.iter().map(|&n| u64::from(n)));
-                        b.store_gather(&sh.arrays.vprops[0], nbrs.iter().map(|&n| u64::from(n)));
-                    }
-                    b.compute(2 + deg / 8);
-                }
-            }
         }
-        b.build()
+        let round = self.round;
+        let items = active_span(s..e, |v| sh.removed_round[v as usize] == round);
+        b.each_item(sh, items, move |sh, b, v, _| {
+            if sh.removed_round[v as usize] != round {
+                return;
+            }
+            let v = v as u32;
+            let deg = sh.graph.degree(v);
+            b.store_seq(&sh.arrays.vprops[1], u64::from(v), 1);
+            if deg > 0 {
+                b.load_seq(&sh.arrays.offsets, u64::from(v), 2);
+                b.load_seq(&sh.arrays.edges, sh.graph.edge_start(v), u64::from(deg));
+                // Decrement neighbor degrees: divergent scatter.
+                let nbrs = sh.graph.neighbors(v);
+                b.load_gather(&sh.arrays.vprops[0], nbrs.iter().map(|&n| u64::from(n)));
+                b.store_gather(&sh.arrays.vprops[0], nbrs.iter().map(|&n| u64::from(n)));
+            }
+            b.compute(2 + deg / 8);
+        })
     }
 }
 

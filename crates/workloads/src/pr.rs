@@ -5,7 +5,7 @@
 //! ranks — the classic bandwidth-bound, all-pages-touched irregular kernel.
 
 use crate::common::{thread_centric_spec, warp_item_range, ArrayOptions, GraphArrays};
-use crate::stream::StreamBuilder;
+use crate::stream::{active_span, StreamBuilder};
 use batmem_graph::Csr;
 use batmem_sim::ops::{BoxedStream, Kernel, KernelSpec, Workload};
 use batmem_types::{BlockId, KernelId};
@@ -81,27 +81,27 @@ impl Kernel for PrKernel {
         let mut b = StreamBuilder::new();
         let total = u64::from(sh.graph.num_vertices());
         let (s, e) = warp_item_range(block, warp_in_block, total);
+        // Ping-pong rank buffers across iterations.
+        let (cur, next) = if self.iter.is_multiple_of(2) { (0, 1) } else { (1, 0) };
         if s < e {
-            // Ping-pong rank buffers across iterations.
-            let (cur, next) = if self.iter.is_multiple_of(2) { (0, 1) } else { (1, 0) };
             b.load_seq(&sh.arrays.vprops[cur], s, e - s);
             b.load_seq(&sh.arrays.vprops[2], s, e - s); // degrees
             b.load_seq(&sh.arrays.offsets, s, e - s + 1);
             b.compute(8);
-            for v in s..e {
-                let v = v as u32;
-                let deg = sh.graph.degree(v);
-                if deg == 0 {
-                    continue;
-                }
-                b.load_seq(&sh.arrays.edges, sh.graph.edge_start(v), u64::from(deg));
-                // Push contributions: divergent scatter to next ranks.
-                let nbrs = sh.graph.neighbors(v);
-                b.store_gather(&sh.arrays.vprops[next], nbrs.iter().map(|&n| u64::from(n)));
-                b.compute(1 + deg / 8);
-            }
         }
-        b.build()
+        let items = active_span(s..e, |v| sh.graph.degree(v as u32) > 0);
+        b.each_item(sh, items, move |sh, b, v, _| {
+            let v = v as u32;
+            let deg = sh.graph.degree(v);
+            if deg == 0 {
+                return;
+            }
+            b.load_seq(&sh.arrays.edges, sh.graph.edge_start(v), u64::from(deg));
+            // Push contributions: divergent scatter to next ranks.
+            let nbrs = sh.graph.neighbors(v);
+            b.store_gather(&sh.arrays.vprops[next], nbrs.iter().map(|&n| u64::from(n)));
+            b.compute(1 + deg / 8);
+        })
     }
 }
 

@@ -12,16 +12,25 @@
 //! further transaction is a one- or two-byte offset from that first line.
 //! A finished warp stream is therefore one byte vector sized by its
 //! transactions, not a vector of full-size [`WarpOp`]s. The builder
-//! encodes into a scratch vector shared by the thread's builders, so a
-//! finished stream is one allocation of exactly its length.
+//! encodes into the thread's scratch writer ([`PackedWriter::scratch`]),
+//! so a finished stream is one allocation of exactly its length.
+//!
+//! A warp that owns many work items (a vertex or a worklist entry per
+//! thread) finishes its builder with [`StreamBuilder::each_item`]: the
+//! stream then holds the warp's prologue and fabricates one item at a time
+//! as the warp issues, so a live stream holds what its warp is issuing
+//! rather than all it will do.
 //!
 //! [`PackedStream`]: batmem_sim::ops::PackedStream
 //! [`WarpOp`]: batmem_sim::ops::WarpOp
 
 use crate::layout::ArrayRef;
-use batmem_sim::ops::{BoxedStream, PackedWriter};
+use batmem_sim::ops::{BoxedStream, Items, PackedWriter};
 use batmem_types::VirtAddr;
+use std::borrow::BorrowMut;
 use std::cell::Cell;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Default log2 of the transaction (cache line) size: 128 bytes.
 pub const LINE_SHIFT: u32 = 7;
@@ -46,30 +55,80 @@ thread_local! {
     /// lowest line. Every word is zero between gathers: the read-back
     /// clears each word as it reads it.
     static BITS: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
-    /// Encoding scratch: a builder takes it at creation and puts it back
-    /// when dropped. (Two live builders on one thread work; the second
-    /// just starts from an empty vector.)
-    static BYTES: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
 /// Builds one warp's coalesced operation stream.
+///
+/// A builder owns its writer (`StreamBuilder`, over the thread's scratch),
+/// or borrows the writer of a stream that is fabricating a work item
+/// ([`ItemBuilder`], what [`StreamBuilder::each_item`]'s closure gets).
+/// Both append the same ops.
 #[derive(Debug, Clone)]
-pub struct StreamBuilder {
-    /// The stream so far, in line units, in the thread's scratch vector.
-    out: PackedWriter,
+pub struct StreamBuilder<W = PackedWriter> {
+    /// The stream so far, in line units.
+    out: W,
 }
 
+/// A builder over the writer of a stream fabricating a work item.
+pub type ItemBuilder<'a> = StreamBuilder<&'a mut PackedWriter>;
+
 impl StreamBuilder {
-    /// Creates a builder with the default 128-byte line and 32-lane warp.
+    /// Creates a builder with the default 128-byte line and 32-lane warp,
+    /// over the thread's scratch writer. [`StreamBuilder::build`] and
+    /// [`StreamBuilder::each_item`] hand the scratch back; a builder
+    /// dropped unfinished just frees it.
     pub fn new() -> Self {
-        Self { out: PackedWriter::new(BYTES.take(), LINE_SHIFT) }
+        Self { out: PackedWriter::scratch(LINE_SHIFT) }
     }
 
+    /// Finishes the stream, copied out of the scratch at its exact size.
+    pub fn build(self) -> BoxedStream {
+        let stream = self.out.to_stream();
+        self.out.recycle();
+        Box::new(stream)
+    }
+
+    /// Finishes the stream as the ops so far (the warp's prologue) and
+    /// one work item per index in `items`: `item(shared, b, i, last)`
+    /// appends item `i`'s ops to `b`, where `last` marks the warp's final
+    /// item (a kernel appends its epilogue there). The first item is built
+    /// here with the prologue, and both are copied out at their exact
+    /// size; the stream fabricates each later item only once the warp has
+    /// issued every op before it, into the same bytes, which grow when an
+    /// item does not fit. It issues exactly the ops that building every
+    /// item here and calling [`StreamBuilder::build`] would: a trailing
+    /// compute merges with the next item's first, and the delta base
+    /// carries across items. With at most one item the stream is whole;
+    /// otherwise it holds a clone of `shared` until its last item is
+    /// written. Like a warp stream, `item` must be a pure function of its
+    /// arguments and of what it owns.
+    pub fn each_item<S, F>(
+        mut self,
+        shared: &Arc<S>,
+        mut items: Range<u64>,
+        mut item: F,
+    ) -> BoxedStream
+    where
+        S: Send + Sync + 'static,
+        F: FnMut(&S, &mut ItemBuilder<'_>, u64, bool) + Send + 'static,
+    {
+        let Some(first) = items.next() else { return self.build() };
+        item(shared, &mut StreamBuilder { out: &mut self.out }, first, items.is_empty());
+        if items.is_empty() {
+            return self.build();
+        }
+        let stream = self.out.to_stream_with(EachItem { shared: Arc::clone(shared), items, item });
+        self.out.recycle();
+        Box::new(stream)
+    }
+}
+
+impl<W: BorrowMut<PackedWriter>> StreamBuilder<W> {
     /// Appends `cycles` of computation (no-op when zero).
     pub fn compute(&mut self, cycles: u32) -> &mut Self {
         // Merge adjacent compute ops to keep streams compact.
         if cycles > 0 {
-            self.out.merge_compute(cycles);
+            self.out.borrow_mut().merge_compute(cycles);
         }
         self
     }
@@ -100,7 +159,8 @@ impl StreamBuilder {
             // Sorted, so the first line is the lowest and the last the
             // highest.
             let (first, last) = (chunk[0], chunk[chunk.len() - 1]);
-            self.out.mem(store, first, last - first, chunk[1..].iter().map(|&l| l - first));
+            let offsets = chunk[1..].iter().map(|&l| l - first);
+            self.out.borrow_mut().mem(store, first, last - first, offsets);
         }
         LINES.set(lines);
     }
@@ -127,7 +187,8 @@ impl StreamBuilder {
             // The op's lines are `line..=line + span`, so its offsets are
             // 1 to `span`: no scan needed.
             let span = (last - line).min(WARP_SIZE as u64 - 1);
-            self.out.mem(store, line, span, (0..span as usize).map(|o| o as u64 + 1));
+            let offsets = (0..span as usize).map(|o| o as u64 + 1);
+            self.out.borrow_mut().mem(store, line, span, offsets);
             line += span + 1;
         }
     }
@@ -166,18 +227,39 @@ impl StreamBuilder {
 
     /// Number of ops queued so far.
     pub fn len(&self) -> usize {
-        self.out.len()
+        self.out.borrow().len()
     }
 
     /// Whether no ops are queued.
     pub fn is_empty(&self) -> bool {
-        self.out.is_empty()
+        self.out.borrow().is_empty()
     }
+}
 
-    /// Finishes the stream, copied out of the scratch at its exact size.
-    pub fn build(self) -> BoxedStream {
-        Box::new(self.out.to_stream())
+/// The items of a stream finished by [`StreamBuilder::each_item`].
+struct EachItem<S, F> {
+    shared: Arc<S>,
+    items: Range<u64>,
+    item: F,
+}
+
+impl<S, F: FnMut(&S, &mut ItemBuilder<'_>, u64, bool)> Items for EachItem<S, F> {
+    #[inline]
+    fn write_next(&mut self, out: &mut PackedWriter) -> bool {
+        let Some(i) = self.items.next() else { return false };
+        (self.item)(&self.shared, &mut StreamBuilder { out }, i, self.items.is_empty());
+        true
     }
+}
+
+/// The span of `items` from the first for which `active` holds to the
+/// last (empty when it holds for none). A kernel whose other items append
+/// no ops fabricates only this span, so a warp with no active item is
+/// whole at its prologue.
+pub(crate) fn active_span(items: Range<u64>, active: impl Fn(u64) -> bool) -> Range<u64> {
+    let Some(first) = items.clone().find(|&i| active(i)) else { return items.end..items.end };
+    let last = items.rev().find(|&i| active(i)).unwrap_or(first);
+    first..last + 1
 }
 
 /// The lowest and highest of a gather's `lines` when the gather coalesces
@@ -231,15 +313,6 @@ fn dedup_through_bitmap(lines: &mut Vec<u64>, lo: u64, hi: u64) {
     BITS.set(bits);
 }
 
-impl Drop for StreamBuilder {
-    fn drop(&mut self) {
-        // `try_with`: a builder dropped while the thread's locals are torn
-        // down just frees its vector.
-        let bytes = std::mem::take(&mut self.out).into_buffer();
-        let _ = BYTES.try_with(|b| b.set(bytes));
-    }
-}
-
 impl Default for StreamBuilder {
     fn default() -> Self {
         Self::new()
@@ -250,7 +323,7 @@ impl Default for StreamBuilder {
 mod tests {
     use super::*;
     use crate::layout::LayoutBuilder;
-    use batmem_sim::ops::{AddrList, WarpOp};
+    use batmem_sim::ops::{AddrList, OpKind, WarpOp};
     use proptest::prelude::*;
 
     fn array(elem: u32, len: u64) -> ArrayRef {
@@ -518,20 +591,25 @@ mod tests {
         (idx, exact.then_some(k >= BITMAP_MIN_INDICES && (repeat || inside)))
     }
 
-    fn call() -> impl Strategy<Value = Call> {
-        let compute =
-            prop_oneof![Just(0u32), 1u32..100, (u32::MAX - 8)..=u32::MAX].prop_map(Call::Compute);
-        let seq = ((0u8..2, 0..ELEM_BYTES.len()), (0..ARRAY_LEN, 0u64..3_000)).prop_map(
+    fn compute_call() -> impl Strategy<Value = Call> {
+        prop_oneof![Just(0u32), 1u32..100, (u32::MAX - 8)..=u32::MAX].prop_map(Call::Compute)
+    }
+
+    fn seq_call() -> impl Strategy<Value = Call> {
+        ((0u8..2, 0..ELEM_BYTES.len()), (0..ARRAY_LEN, 0u64..3_000)).prop_map(
             |((store, array), (start, count))| Call::Seq {
                 store: store == 1,
                 array,
                 start,
                 count: count.min(ARRAY_LEN - start),
             },
-        );
-        // Empty, warp-sized and hub-sized gathers, over a few lines or the
-        // whole array.
-        let gather = (
+        )
+    }
+
+    /// Empty, warp-sized and hub-sized gathers, over a few lines or the
+    /// whole array.
+    fn gather_call() -> impl Strategy<Value = Call> {
+        (
             (0u8..2, 0..ELEM_BYTES.len()),
             prop_oneof![0u64..3, 3u64..100, 10_000u64..12_000],
             prop_oneof![1u64..64, 1u64..=ARRAY_LEN],
@@ -543,7 +621,11 @@ mod tests {
                 count,
                 spread,
                 seed,
-            });
+            })
+    }
+
+    fn call() -> impl Strategy<Value = Call> {
+        let (compute, seq, gather) = (compute_call(), seq_call(), gather_call());
         // Index counts at the rule's minimum, one either side, and wider.
         let crossover = (
             (0u8..2, 0..ELEM_BYTES.len()),
@@ -628,6 +710,206 @@ mod tests {
                 prop_assert_eq!(packed.len(), reference.ops.len());
             }
             prop_assert_eq!(ops(packed), reference.ops);
+        }
+    }
+
+    /// Appends `call`, a compute, sequential or gather call over `arrays`.
+    fn apply<W: BorrowMut<PackedWriter>>(
+        b: &mut StreamBuilder<W>,
+        arrays: &[ArrayRef],
+        call: &Call,
+    ) {
+        match *call {
+            Call::Compute(n) => {
+                b.compute(n);
+            }
+            Call::Seq { store: false, array, start, count } => {
+                b.load_seq(&arrays[array], start, count);
+            }
+            Call::Seq { store: true, array, start, count } => {
+                b.store_seq(&arrays[array], start, count);
+            }
+            Call::Gather { store, array, count, spread, seed } => {
+                let idx = gather_indices(count, spread, seed);
+                if store {
+                    b.store_gather(&arrays[array], idx);
+                } else {
+                    b.load_gather(&arrays[array], idx);
+                }
+            }
+            Call::Crossover { .. } => unreachable!("items take no crossover calls"),
+        }
+    }
+
+    fn item_arrays() -> Vec<ArrayRef> {
+        let mut layout = LayoutBuilder::new(65_536);
+        ELEM_BYTES.iter().map(|&e| layout.array(e, ARRAY_LEN)).collect()
+    }
+
+    /// A warp whose `prologue` is built up front and whose `items` are
+    /// fabricated one at a time, and the same calls built whole. The last
+    /// item also appends `epilogue`, as a kernel's closing stores do.
+    fn item_and_whole(
+        prologue: &[Call],
+        items: &[Vec<Call>],
+        epilogue: &[Call],
+    ) -> (BoxedStream, BoxedStream) {
+        let arrays = item_arrays();
+        let mut whole = StreamBuilder::new();
+        let closing = if items.is_empty() { &[] } else { epilogue };
+        for c in prologue.iter().chain(items.iter().flatten()).chain(closing) {
+            apply(&mut whole, &arrays, c);
+        }
+        let whole = whole.build();
+        // A kernel's epilogue rides on its last item: no items, no epilogue.
+        let epilogue = if items.is_empty() { &[] } else { epilogue };
+        let mut lazy = StreamBuilder::new();
+        for c in prologue {
+            apply(&mut lazy, &arrays, c);
+        }
+        let calls = Arc::new((items.to_vec(), epilogue.to_vec(), arrays));
+        let lazy = lazy.each_item(&calls, 0..items.len() as u64, |calls, b, i, last| {
+            let (items, epilogue, arrays) = calls;
+            for c in &items[i as usize] {
+                apply(b, arrays, c);
+            }
+            if last {
+                for c in epilogue {
+                    apply(b, arrays, c);
+                }
+            }
+        });
+        (lazy, whole)
+    }
+
+    /// The ops `s` issues through `next_op`.
+    fn drain(mut s: BoxedStream) -> Vec<WarpOp> {
+        std::iter::from_fn(|| s.next_op()).collect()
+    }
+
+    /// The ops `s` issues through `next_op_into`, each with its
+    /// transactions.
+    fn drain_into(mut s: BoxedStream) -> Vec<(OpKind, Vec<VirtAddr>)> {
+        let mut txns = vec![VirtAddr::new(1)];
+        let mut ops = Vec::new();
+        while let Some(kind) = s.next_op_into(&mut txns) {
+            ops.push((kind, txns.clone()));
+        }
+        assert!(txns.is_empty(), "the end leaves the buffer empty");
+        assert_eq!(s.next_op_into(&mut txns), None, "the end is final");
+        ops
+    }
+
+    /// Fabricating per item issues exactly the whole-built ops, through
+    /// both issue paths; returns them.
+    fn assert_items_match_whole(
+        prologue: &[Call],
+        items: &[Vec<Call>],
+        epilogue: &[Call],
+    ) -> Vec<WarpOp> {
+        let (lazy, whole) = item_and_whole(prologue, items, epilogue);
+        let want = drain(whole);
+        assert_eq!(drain(lazy), want, "next_op");
+        let (lazy, _) = item_and_whole(prologue, items, epilogue);
+        let by_kind: Vec<_> = want.iter().map(|op| (op.kind(), op.addrs().to_vec())).collect();
+        assert_eq!(drain_into(lazy), by_kind, "next_op_into");
+        want
+    }
+
+    fn load(array: usize, start: u64, count: u64) -> Call {
+        Call::Seq { store: false, array, start, count }
+    }
+
+    #[test]
+    fn computes_merge_across_item_boundaries() {
+        // GC's degree-0 vertices that are not colored this round append
+        // only a compute, so a run of them is one op.
+        let ops = assert_items_match_whole(
+            &[load(0, 0, 32), Call::Compute(4)],
+            &[
+                vec![Call::Compute(4)],
+                vec![Call::Compute(4)],
+                vec![load(0, 4096, 1), Call::Compute(3)],
+                vec![Call::Compute(2)],
+                vec![load(1, 64, 8)],
+            ],
+            &[],
+        );
+        let kinds: Vec<OpKind> = ops.iter().map(WarpOp::kind).collect();
+        assert_eq!(
+            kinds,
+            [OpKind::Load, OpKind::Compute(12), OpKind::Load, OpKind::Compute(5), OpKind::Load]
+        );
+    }
+
+    #[test]
+    fn items_that_append_nothing_are_skipped() {
+        let ops = assert_items_match_whole(
+            &[],
+            &[
+                vec![],
+                vec![load(0, 0, 1), Call::Compute(2)],
+                vec![],
+                vec![Call::Compute(0)],
+                vec![],
+                vec![load(0, 40_000, 1)],
+                vec![],
+            ],
+            &[],
+        );
+        assert_eq!(ops.len(), 3);
+    }
+
+    #[test]
+    fn a_warp_without_item_ops_issues_its_prologue() {
+        assert!(assert_items_match_whole(&[], &[], &[]).is_empty());
+        assert!(assert_items_match_whole(&[], &[vec![], vec![]], &[]).is_empty());
+        let ops = assert_items_match_whole(&[load(2, 0, 1)], &[], &[]);
+        assert_eq!(ops.len(), 1);
+    }
+
+    #[test]
+    fn a_stream_may_end_in_a_compute() {
+        // The last item's compute closes the stream, after a trailing empty
+        // item, and merges with an epilogue's.
+        let ops = assert_items_match_whole(
+            &[load(0, 0, 1)],
+            &[vec![Call::Compute(7)], vec![load(0, 9_000, 1), Call::Compute(1)], vec![]],
+            &[Call::Compute(u32::MAX - 2), Call::Compute(5)],
+        );
+        assert_eq!(ops.last(), Some(&WarpOp::Compute(u32::MAX)), "merged computes saturate");
+        let ops = assert_items_match_whole(&[Call::Compute(3)], &[vec![Call::Compute(4)]], &[]);
+        assert_eq!(ops, [WarpOp::Compute(7)]);
+    }
+
+    #[test]
+    fn the_last_item_appends_the_epilogue() {
+        let store = Call::Seq { store: true, array: 3, start: 0, count: 1 };
+        let ops = assert_items_match_whole(
+            &[load(0, 0, 1)],
+            &[vec![load(1, 0, 1)], vec![], vec![load(1, 500, 1)]],
+            &[store],
+        );
+        assert!(matches!(ops.last(), Some(WarpOp::Store(_))));
+        assert_eq!(ops.len(), 4);
+    }
+
+    fn item_call() -> impl Strategy<Value = Call> {
+        // Mostly computes, so that items often append only a compute.
+        prop_oneof![compute_call(), compute_call(), compute_call(), seq_call(), gather_call()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Any prologue, items and epilogue: the ops issued per item, by
+        /// value and into a buffer, are the whole-built ops.
+        #[test]
+        fn items_issue_the_whole_built_ops(
+            prologue in prop::collection::vec(item_call(), 0..4),
+            items in prop::collection::vec(prop::collection::vec(item_call(), 0..4), 0..12),
+            epilogue in prop::collection::vec(item_call(), 0..3),
+        ) {
+            assert_items_match_whole(&prologue, &items, &epilogue);
         }
     }
 }
